@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .numeric import DEFAULT_TOL, Tolerance, bisect, check_hermitian, min_eig
+from .numeric import DEFAULT_TOL, Tolerance, bisect, check_hermitian, min_eig, partial_transpose
 
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -284,15 +284,7 @@ def eb_threshold(
         lo, hi = 1e-9, 50.0
     if via == "jamiolkowski":
         def gap(x: float) -> float:
-            state = jamiolkowski_state(family.matrix(x))
-            dim = 4
-            a_mask = 1
-            idx = np.arange(dim)
-            rows = (idx[:, None] & ~a_mask) | (idx[None, :] & a_mask)
-            cols = (idx[None, :] & ~a_mask) | (idx[:, None] & a_mask)
-            pt = np.zeros_like(state)
-            pt[rows, cols] = state
-            return min_eig(pt)
+            return min_eig(partial_transpose(jamiolkowski_state(family.matrix(x)), 1))
     elif via == "analytic":
         if family.is_pauli_family:
             def gap(p: float) -> float:
@@ -428,10 +420,13 @@ class ChannelFamily:
     def from_spec(spec: dict | str) -> "ChannelFamily":
         if isinstance(spec, str):
             spec = {"kind": spec}
-        if "kind" not in spec:
+        if not isinstance(spec, dict) or "kind" not in spec:
             raise ValidationError('channel spec needs a "kind"')
         kind = spec["kind"]
-        extra = {k: float(v) for k, v in spec.items() if k != "kind"}
+        try:
+            extra = {k: float(v) for k, v in spec.items() if k != "kind"}
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"channel parameters must be numbers: {exc}") from exc
         if kind in ("depolarizing", "dephasing", "bitflip"):
             allowed = {"p"}
         elif kind == "pauli":

@@ -60,11 +60,16 @@ class CommandOutput:
 
 def _parse_channel(text: str) -> ChannelFamily:
     text = text.strip()
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return ChannelFamily.from_spec(json.load(fh))
-    if text.startswith("{"):
-        return ChannelFamily.from_spec(json.loads(text))
+    try:
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                return ChannelFamily.from_spec(json.load(fh))
+        if text.startswith("{"):
+            return ChannelFamily.from_spec(json.loads(text))
+    except OSError as exc:
+        raise ValidationError(f"cannot read channel spec: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"channel JSON does not parse: {exc}") from exc
     return ChannelFamily.from_spec(text)
 
 
@@ -187,9 +192,11 @@ def _cmd_ghz(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
 
     if ns.n is None:
         raise ValidationError("ghz lifetimes need --n")
+    if ns.n < 2:
+        raise ValidationError(f"--n must be at least 2, got {ns.n}")
     if ns.crit is not None:
         key, _, value = ns.crit.partition("=")
-        if key.strip() != "k" or not value:
+        if key.strip() != "k" or not value.strip().isdecimal():
             raise ValidationError('--crit takes the form "k=<int>"')
         ks = [int(value)]
     else:
@@ -327,23 +334,6 @@ def _cmd_scan(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
 
 def _cmd_weighted(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
     out = CommandOutput()
-    if ns.graph is not None:
-        g = load_graph(ns.graph)
-        family = _parse_channel(ns.channel)
-        report = weighted_graph_threshold(g, family, tol)
-        for u, v, phi, p_z in report.per_edge:
-            out.rows.append({"u": u, "v": v, "phi": phi, "p_z": p_z})
-        out.summary = {
-            "p_z_threshold": report.p_z_threshold,
-            "native_p": report.native_p,
-            "applicable": report.applicable,
-            "critical_edge": str(report.critical_edge),
-        }
-        if not report.applicable:
-            out.warnings.append("native mapping inapplicable: " + report.note)
-        return out
-    if ns.sweep_phi is None:
-        raise ValidationError("weighted needs --graph or --sweep-phi")
     phis = _parse_sweep(ns.sweep_phi)
     for phi in phis:
         out.rows.append(
@@ -358,6 +348,8 @@ def _cmd_weighted(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
 
 
 def _cmd_encode(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
+    if not math.isfinite(ns.kt):
+        raise ValidationError(f"--kt must be finite, got {ns.kt}")
     out = CommandOutput()
     for j in range(ns.levels + 1):
         level = level_recursion(ns.kt, j)
@@ -515,9 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, graph=True)
 
     p = sub.add_parser("weighted", help="weighted-gate separability thresholds")
-    p.add_argument("--sweep-phi", default=None, help="START:STOP:STEP over the gate phase")
+    p.add_argument("--sweep-phi", required=True, help="START:STOP:STEP over the gate phase")
     p.add_argument("--deg", type=int, default=1, help="degree of both gate ends")
-    common(p, graph=True)
+    common(p)
 
     p = sub.add_parser("encode", help="concatenated-code level tables")
     p.add_argument("--kt", type=float, required=True)

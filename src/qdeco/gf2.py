@@ -19,11 +19,6 @@ def dot(x: int, y: int) -> int:
     return (x & y).bit_count() & 1
 
 
-def symmetric_difference(x: int, y: int) -> int:
-    """Set addition mod 2 (XOR of the masks)."""
-    return x ^ y
-
-
 @dataclass(frozen=True)
 class BitMatrix:
     """A binary matrix; rows[i] holds row i as a mask over n_cols columns."""
@@ -75,10 +70,6 @@ def _eliminate(rows: list[int]) -> list[int]:
             pivots.append(r)
             pivots.sort(key=int.bit_length, reverse=True)
     return pivots
-
-
-def rank(m: BitMatrix) -> int:
-    return len(_eliminate(list(m.rows)))
 
 
 def reduce_against(x: int, basis: list[int]) -> int:

@@ -5,9 +5,10 @@ diagonal in its graph basis, so the full density matrix never has to be
 formed: the state is a vector of 2^n weights lam[U], one per vertex subset
 U.  This module propagates those weights, computes partial-transpose
 spectra exactly with GF(2) linear algebra (the partially transposed state
-is diagonal in the same basis), offers closed forms for one- and two-vertex
-splits, PPT-certifying estimates built from weight ratios, and a scan of
-every bipartition for the noise level where its spectrum turns nonnegative.
+is diagonal in the same basis, and one signed gather over shifted weights,
+PartitionTransform, gives it for every split), PPT-certifying estimates
+built from weight ratios, and a scan of every bipartition for the noise
+level where its spectrum turns nonnegative.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .channels import ChannelFamily, PauliChannel
 from .errors import CapacityError, ValidationError
 from .gf2 import BitMatrix, dot, image_with_preimages, kernel_basis, orthocomplement
-from .graphs import Bipartition, Graph, bipartitions, neighborhood
+from .graphs import Bipartition, Graph, bipartitions, neighborhood, spread_bits
 from .numeric import DEFAULT_TOL, ThresholdResult, Tolerance, bisect
 
 FAST_CAP = 20  # 2^n weight vector
@@ -67,7 +68,6 @@ class PtSpectrum:
     lam_prime: np.ndarray
     partition: Bipartition
     min_value: float
-    note: str = ""
 
     def __post_init__(self) -> None:
         if abs(self.lam_prime.sum() - 1.0) > 1e-9:
@@ -184,20 +184,6 @@ class PartitionTransform:
         return self.prefactor * out
 
 
-def _spread(compact: int, mask: int) -> int:
-    """Map bit i of `compact` onto the i-th set bit of `mask`."""
-    out = 0
-    pos = 0
-    m = mask
-    while m:
-        low = m & -m
-        if (compact >> pos) & 1:
-            out |= low
-        pos += 1
-        m ^= low
-    return out
-
-
 def partition_transform(g: Graph, part: Bipartition) -> PartitionTransform:
     if part.n != g.n:
         raise ValidationError("partition and graph sizes differ")
@@ -219,9 +205,9 @@ def partition_transform(g: Graph, part: Bipartition) -> PartitionTransform:
     shifts = []
     signs = []
     for y_c, ay in ys:
-        y_full = _spread(y_c, c_mask)
+        y_full = spread_bits(y_c, c_mask)
         for x in xs:
-            shifts.append(_spread(x, part.a_mask) ^ y_full)
+            shifts.append(spread_bits(x, part.a_mask) ^ y_full)
             signs.append(-1.0 if dot(x, ay) else 1.0)
     return PartitionTransform(
         part,
@@ -236,7 +222,6 @@ def pt_spectrum(
     s: GraphDiagonalState,
     part: Bipartition,
     transform: PartitionTransform | None = None,
-    note: str = "",
 ) -> PtSpectrum:
     """Exact PT eigenvalues of a graph-diagonal state for one bipartition."""
     if s.n > DIRECT_CAP:
@@ -246,74 +231,6 @@ def pt_spectrum(
     elif transform.partition != part:
         raise ValidationError("transform was built for a different partition")
     lam_prime = transform.apply(s.lam)
-    return PtSpectrum(lam_prime, part, float(lam_prime.min()), note=note)
-
-
-def pt_single_vertex(s: GraphDiagonalState, k: int) -> PtSpectrum:
-    """Closed form for A = {k}: four shifted weights per subset.
-
-    Needs k non-isolated (the adjacency block must have full rank one);
-    otherwise falls back to the general route and says so in the note.
-    """
-    g = s.graph
-    part = Bipartition(1 << k, g.n)
-    nk = neighborhood(g, k)
-    if nk == 0:
-        return pt_spectrum(s, part, note="isolated vertex: general fallback")
-    dim = 1 << g.n
-    idx = np.arange(dim)
-    bit = 1 << k
-    lam = s.lam
-    lam_prime = 0.5 * (lam + lam[idx ^ nk] + lam[idx ^ bit] - lam[idx ^ (nk | bit)])
-    return PtSpectrum(lam_prime, part, float(lam_prime.min()))
-
-
-def pt_two_vertices(s: GraphDiagonalState, k: int, l: int) -> PtSpectrum:
-    """Closed form for A = {k, l}, adjacent or not.
-
-    Written with the outside neighbour sets n_k = N_k \\ A and
-    n_l = N_l \\ A; it applies when those are nonzero and distinct (the
-    adjacency block has rank two), else falls back to the general route.
-    """
-    g = s.graph
-    if k == l:
-        raise ValidationError("need two distinct vertices")
-    a_mask = (1 << k) | (1 << l)
-    part = Bipartition(a_mask, g.n)
-    nk = neighborhood(g, k) & ~a_mask
-    nl = neighborhood(g, l) & ~a_mask
-    if nk == 0 or nl == 0 or nk == nl:
-        return pt_spectrum(s, part, note="adjacency block rank < 2: general fallback")
-    kb, lb = 1 << k, 1 << l
-    plus = [
-        0,
-        nk,
-        nl,
-        nk ^ nl,
-        kb,
-        kb | nl,
-        lb,
-        lb | nk,
-        kb | lb,
-        kb | lb | (nk ^ nl),
-    ]
-    minus = [
-        kb | nk,
-        kb | (nk ^ nl),
-        lb | nl,
-        lb | (nk ^ nl),
-        kb | lb | nk,
-        kb | lb | nl,
-    ]
-    dim = 1 << g.n
-    idx = np.arange(dim)
-    lam = s.lam
-    acc = np.zeros(dim)
-    for m in plus:
-        acc += lam[idx ^ m]
-    for m in minus:
-        acc -= lam[idx ^ m]
-    lam_prime = 0.25 * acc
     return PtSpectrum(lam_prime, part, float(lam_prime.min()))
 
 
@@ -438,7 +355,10 @@ class PartitionScanEntry:
     partition: Bipartition
     status: str  # "threshold" | "always_ppt" | "always_npt"
     p_crit: float  # NaN unless status == "threshold"
-    argmin_mask: int  # minimising subset at the clean end of the bracket
+    # Minimising subset at the clean end of the bracket.  When subsets tie
+    # for the minimum, which one is reported is set by the rounding of the
+    # gather in PartitionTransform.apply.
+    argmin_mask: int
     iterations: int
 
     @property

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import CapacityError, ValidationError
-from .gf2 import BitMatrix
 
 # Vertex masks are plain Python ints, so the structural cap is generous;
 # anything that allocates 2^n storage or enumerates subsets carries its own,
@@ -76,9 +75,6 @@ class Graph:
             return math.pi
         return self.weights.get((u, v), math.pi)
 
-    def adjacency_matrix(self) -> BitMatrix:
-        return BitMatrix.from_rows(list(self.adj), self.n)
-
 
 def graph_from_edges(
     n: int,
@@ -103,6 +99,20 @@ def neighborhood(g: Graph, k: int) -> int:
 
 def degree(g: Graph, k: int) -> int:
     return neighborhood(g, k).bit_count()
+
+
+def spread_bits(compact: int, mask: int) -> int:
+    """Map bit i of `compact` onto the i-th set bit of `mask`."""
+    out = 0
+    pos = 0
+    m = mask
+    while m:
+        low = m & -m
+        if (compact >> pos) & 1:
+            out |= low
+        pos += 1
+        m ^= low
+    return out
 
 
 def symdiff_neighborhoods(g: Graph, k: int, l: int) -> int:
@@ -267,6 +277,8 @@ def parse_graph_json(text: str) -> Graph:
             raise ValidationError(f"edge #{i}: require u < v, got ({u},{v})")
         edges.append((u, v))
         if len(e) == 3:
+            if not isinstance(e[2], (int, float)):
+                raise ValidationError(f"edge #{i}: phase must be a number")
             phi = float(e[2])
             if not 0.0 < phi <= math.pi:
                 raise ValidationError(f"edge #{i}: phase {phi} outside (0, pi]")
@@ -294,8 +306,12 @@ def load_graph(spec: str) -> Graph:
     """Accept a lattice spec (ring:6), inline JSON, or @path to a JSON file."""
     spec = spec.strip()
     if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            return parse_graph_json(fh.read())
+        try:
+            with open(spec[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValidationError(f"cannot read graph file: {exc}") from exc
+        return parse_graph_json(text)
     if spec.startswith("{"):
         return parse_graph_json(spec)
     return parse_lattice_spec(spec)

@@ -22,7 +22,7 @@ import numpy as np
 from .channels import ChannelFamily, minimal_dephasing_pauli
 from .errors import ValidationError
 from .graphs import Graph, degree
-from .numeric import DEFAULT_TOL, Tolerance, bisect, hermitian_spectrum
+from .numeric import DEFAULT_TOL, Tolerance, bisect, hermitian_spectrum, partial_transpose
 
 GATE_BRACKET = (1e-9, 1.0 - 1e-9)
 
@@ -87,14 +87,7 @@ class NoisyGateState:
 
     def pt_min_eig(self) -> float:
         """Smallest eigenvalue after transposing side k (bits 0 and 1)."""
-        rho = self.matrix()
-        a_mask = 0b0011
-        x = np.arange(16)
-        rows = (x[:, None] & ~a_mask) | (x[None, :] & a_mask)
-        cols = (x[None, :] & ~a_mask) | (x[:, None] & a_mask)
-        pt = np.zeros_like(rho)
-        pt[rows, cols] = rho
-        return float(hermitian_spectrum(pt)[0])
+        return float(hermitian_spectrum(partial_transpose(self.matrix(), 0b0011))[0])
 
 
 def weighted_gate_threshold(

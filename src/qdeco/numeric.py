@@ -1,4 +1,5 @@
-"""Numerical primitives: bracketed root finding and Hermitian spectra.
+"""Numerical primitives: bracketed root finding, Hermitian spectra and the
+dense partial transpose.
 
 Every threshold in this package is the root of an empirically monotone
 condition, so the bisection here insists on a certified single sign change
@@ -156,6 +157,23 @@ def hermitian_spectrum(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
     """All real eigenvalues of a Hermitian matrix, ascending."""
     m = check_hermitian(m)
     return np.linalg.eigvalsh(m)
+
+
+def partial_transpose(rho: np.ndarray, a_mask: int) -> np.ndarray:
+    """Transpose the qubits in a_mask of a 2^n x 2^n matrix; qubit k is bit k.
+
+    Entrywise, <i|rho^{T_A}|j> = rho[(i & ~a) | (j & a), (j & ~a) | (i & a)].
+    """
+    dim = rho.shape[0]
+    n = dim.bit_length() - 1
+    if rho.shape != (1 << n, 1 << n) or a_mask >> n:
+        raise ValidationError(f"mask {a_mask:#b} does not fit a {rho.shape} qubit matrix")
+    # Reshaped to (2,)*2n, row axis n-1-k and column axis 2n-1-k hold qubit k.
+    axes = list(range(2 * n))
+    for k in range(n):
+        if a_mask >> k & 1:
+            axes[n - 1 - k], axes[2 * n - 1 - k] = 2 * n - 1 - k, n - 1 - k
+    return rho.reshape((2,) * (2 * n)).transpose(axes).reshape(dim, dim)
 
 
 def min_eig(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:

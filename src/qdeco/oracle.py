@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numeric
 from .channels import SIGMA, ChannelMatrix
 from .errors import CapacityError, EvaluationError, ValidationError
-from .graphs import Bipartition, Graph, neighborhood
+from .graphs import Bipartition, Graph, neighborhood, spread_bits
 from .numeric import DEFAULT_TOL, Tolerance, hermitian_spectrum, min_eig
 
 DENSE_CAP = 8
@@ -99,11 +100,7 @@ def partial_transpose(s: DenseState, part: Bipartition) -> np.ndarray:
     """Transpose the subsystem selected by the partition's A mask."""
     if part.n != s.n:
         raise ValidationError("partition size does not match state")
-    a = part.a_mask
-    idx = np.arange(s.dim)
-    rows = (idx[:, None] & ~a) | (idx[None, :] & a)
-    cols = (idx[None, :] & ~a) | (idx[:, None] & a)
-    return s.rho[rows, cols]
+    return numeric.partial_transpose(s.rho, part.a_mask)
 
 
 def pt_min_eig(s: DenseState, part: Bipartition, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -120,27 +117,13 @@ def is_ppt_dense(
     return pt_min_eig(s, part, tol) >= tol.eig_floor(s.dim)
 
 
-def _expand_bits(compact: int, mask: int) -> int:
-    """Spread the low bits of `compact` onto the set positions of `mask`."""
-    out = 0
-    pos = 0
-    m = mask
-    while m:
-        low = m & -m
-        if compact >> pos & 1:
-            out |= low
-        m ^= low
-        pos += 1
-    return out
-
-
 def partial_trace(s: DenseState, keep_mask: int) -> DenseState:
     if keep_mask <= 0 or keep_mask >= s.dim:
         raise ValidationError("keep mask must select a proper nonempty subset")
     n_keep = keep_mask.bit_count()
     drop_mask = (s.dim - 1) ^ keep_mask
-    keep_idx = [_expand_bits(i, keep_mask) for i in range(1 << n_keep)]
-    drop_idx = [_expand_bits(e, drop_mask) for e in range(1 << (s.n - n_keep))]
+    keep_idx = [spread_bits(i, keep_mask) for i in range(1 << n_keep)]
+    drop_idx = [spread_bits(e, drop_mask) for e in range(1 << (s.n - n_keep))]
     out = np.zeros((1 << n_keep, 1 << n_keep), dtype=complex)
     for a, xa in enumerate(keep_idx):
         for b, xb in enumerate(keep_idx):

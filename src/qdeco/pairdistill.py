@@ -22,7 +22,15 @@ import numpy as np
 from .channels import SIGMA, ChannelFamily, PauliChannel
 from .errors import CapacityError, ValidationError
 from .graphs import Graph, neighborhood
-from .numeric import DEFAULT_TOL, ThresholdResult, Tolerance, bisect, hermitian_spectrum
+from .numeric import (
+    DEFAULT_TOL,
+    ThresholdResult,
+    Tolerance,
+    bisect,
+    hermitian_spectrum,
+    partial_transpose,
+)
+from .oracle import lift_operator
 
 REGION_CAP = 12  # dense simulation over N_k, N_l and the pair itself
 EDGE_BRACKET = (1e-6, 1.0 - 1e-6)
@@ -120,9 +128,7 @@ def pair_state_matrix(b: BellDiagonal) -> np.ndarray:
 
 def pair_pt_min_eig(b: BellDiagonal) -> float:
     """Smallest eigenvalue of the pair state partially transposed on k."""
-    rho = pair_state_matrix(b)
-    pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    return float(hermitian_spectrum(pt)[0])
+    return float(hermitian_spectrum(partial_transpose(pair_state_matrix(b), 1))[0])
 
 
 def edge_degrees(g: Graph, k: int, l: int) -> tuple[int, int, int]:
@@ -199,13 +205,6 @@ def universal_lower_bound(deg_k: int, deg_l: int) -> tuple[float, float]:
 # Weighted graphs: dense simulation of the local region
 
 
-def _lift(op: np.ndarray, qubit: int, m: int) -> np.ndarray:
-    out = np.array([[1.0]], dtype=complex)
-    for j in range(m - 1, -1, -1):
-        out = np.kron(out, op if j == qubit else np.eye(2))
-    return out
-
-
 def weighted_reduced_pair(
     g: Graph, k: int, l: int, ch: PauliChannel
 ) -> np.ndarray:
@@ -265,15 +264,14 @@ def weighted_reduced_pair(
     for qubit in (0, 1):
         mixed = np.zeros((4, 4), dtype=complex)
         for prob, s in zip(ch.probs, SIGMA):
-            op = _lift(np.asarray(s), qubit, 2)
+            op = lift_operator(2, qubit, s)
             mixed += prob * (op @ rho @ op.conj().T)
         rho = mixed
     return rho
 
 
 def weighted_pair_pt_min_eig(rho: np.ndarray) -> float:
-    pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    return float(hermitian_spectrum(pt)[0])
+    return float(hermitian_spectrum(partial_transpose(rho, 1))[0])
 
 
 # ---------------------------------------------------------------------------

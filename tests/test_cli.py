@@ -178,7 +178,7 @@ def test_weighted_graph_report(tmp_path):
     spec = json.dumps(
         {"n": 3, "edges": [[0, 1, math.pi], [1, 2, 1.5]]}
     )
-    code, payload = run_json(tmp_path, ["weighted", "--graph", spec])
+    code, payload = run_json(tmp_path, ["upper", "--method", "ising", "--graph", spec])
     assert code == 0
     rows = payload["results"]["rows"]
     assert [row["u"] for row in rows] == [0, 1]
@@ -308,6 +308,26 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert main(["ghz", "--blockwise", "--sweep", "1:2"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["upper", "--method", "eb", "--channel", "{bad"],
+        ["upper", "--method", "eb", "--channel", "@/nonexistent/channel.json"],
+        ["upper", "--method", "eb", "--channel", '{"kind": "depolarizing", "p": "x"}'],
+        ["lower", "--graph", "@/nonexistent/graph.json"],
+        ["lower", "--graph", '{"n": 3, "edges": [[0, 1, "x"]]}'],
+        ["ghz", "--n", "6", "--crit", "k=abc"],
+        ["ghz", "--n", "1"],
+        ["encode", "--kt", "nan"],
+    ],
+)
+def test_bad_input_exits_2_without_traceback(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_capacity_errors_exit_3(capsys):

@@ -25,12 +25,10 @@ from qdeco.graphdiag import (
     lambda_from_pauli,
     partition_transform,
     pauli_q,
-    pt_single_vertex,
     pt_spectrum,
-    pt_two_vertices,
     scan_partitions,
 )
-from qdeco.graphs import Bipartition, bipartitions, graph_from_edges, make_lattice
+from qdeco.graphs import Bipartition, bipartitions, graph_from_edges, make_lattice, neighborhood
 from qdeco.numeric import Tolerance
 from qdeco.oracle import (
     apply_uniform_channel,
@@ -177,56 +175,72 @@ def test_pt_transform_reuse_and_mismatch():
         partition_transform(g, Bipartition(0b001, 3))
 
 
-def test_single_vertex_closed_form_matches_general():
+def _one_vertex_formula(lam, k, nk):
+    """Paper's A = {k}: 1/2 (lam[U] + lam[U+N_k] + lam[U+k] - lam[U+N_k+k])."""
+    idx = np.arange(lam.shape[0])
+    kb = 1 << k
+    return 0.5 * (lam + lam[idx ^ nk] + lam[idx ^ kb] - lam[idx ^ (nk | kb)])
+
+
+def _two_vertex_formula(lam, k, l, nk, nl):
+    """Paper's A = {k, l} with outside neighbourhoods n_k = N_k - A, n_l = N_l - A
+    nonzero and distinct: a quarter of ten added and six subtracted shifts."""
+    idx = np.arange(lam.shape[0])
+    kb, lb = 1 << k, 1 << l
+    plus = [0, nk, nl, nk ^ nl, kb, kb | nl, lb, lb | nk, kb | lb, kb | lb | (nk ^ nl)]
+    minus = [kb | nk, kb | (nk ^ nl), lb | nl, lb | (nk ^ nl), kb | lb | nk, kb | lb | nl]
+    return 0.25 * (sum(lam[idx ^ m] for m in plus) - sum(lam[idx ^ m] for m in minus))
+
+
+def test_pt_spectrum_matches_one_and_two_vertex_formulas():
     g = make_lattice("grid2d", 3, 2)
     state = lambda_from_pauli(g, named_channel("depolarizing", 0.75))
     for k in range(g.n):
-        fast = pt_single_vertex(state, k)
-        general = pt_spectrum(state, Bipartition(1 << k, g.n))
-        assert np.allclose(fast.lam_prime, general.lam_prime, atol=1e-12)
-        assert fast.note == ""
+        spec = pt_spectrum(state, Bipartition(1 << k, g.n))
+        expected = _one_vertex_formula(state.lam, k, neighborhood(g, k))
+        assert np.allclose(spec.lam_prime, expected, atol=1e-12)
 
-
-def test_single_vertex_isolated_falls_back():
-    g = graph_from_edges(3, [(0, 1)])  # vertex 2 isolated
-    state = lambda_from_pauli(g, named_channel("depolarizing", 0.6))
-    spec = pt_single_vertex(state, 2)
-    assert "fallback" in spec.note
-    # An isolated vertex can never make the split NPT.
-    assert spec.min_value >= 0.0
-
-
-def test_two_vertex_closed_form_matches_general():
     g = make_lattice("ring", 6)
     state = lambda_from_pauli(g, random_pauli_channel(random.Random(5)))
-    pairs = [(0, 1), (0, 2), (0, 3), (2, 5)]  # adjacent, distance 2 and 3
-    for k, l in pairs:
-        fast = pt_two_vertices(state, k, l)
-        general = pt_spectrum(state, Bipartition((1 << k) | (1 << l), g.n))
-        assert np.allclose(fast.lam_prime, general.lam_prime, atol=1e-12)
-        assert fast.note == ""
+    for k, l in [(0, 1), (0, 2), (0, 3), (2, 5)]:  # adjacent, distance 2 and 3
+        a_mask = (1 << k) | (1 << l)
+        nk = neighborhood(g, k) & ~a_mask
+        nl = neighborhood(g, l) & ~a_mask
+        spec = pt_spectrum(state, Bipartition(a_mask, g.n))
+        expected = _two_vertex_formula(state.lam, k, l, nk, nl)
+        assert np.allclose(spec.lam_prime, expected, atol=1e-12)
 
+    # An isolated vertex can never make the split NPT: its PT is the identity.
+    g = graph_from_edges(3, [(0, 1)])
+    state = lambda_from_pauli(g, named_channel("depolarizing", 0.6))
+    spec = pt_spectrum(state, Bipartition(0b100, 3))
+    assert np.array_equal(spec.lam_prime, state.lam)
+    assert spec.min_value >= 0.0
 
-def test_two_vertex_rank_deficient_falls_back():
-    # Both leaves of a star see only the centre: n_k == n_l, rank 1.
+    # Both leaves of a star see only the centre (n_k == n_l), so the
+    # two-vertex formula does not apply; the block has rank one and the
+    # gather still matches the dense oracle.
     g = make_lattice("star", 4)
-    state = lambda_from_pauli(g, named_channel("depolarizing", 0.8))
-    spec = pt_two_vertices(state, 1, 2)
-    assert "fallback" in spec.note
-    general = pt_spectrum(state, Bipartition(0b0110, 4))
-    assert np.allclose(spec.lam_prime, general.lam_prime, atol=1e-12)
-    with pytest.raises(ValidationError):
-        pt_two_vertices(state, 1, 1)
+    ch = named_channel("depolarizing", 0.8)
+    part = Bipartition(0b0110, 4)
+    assert partition_transform(g, part).rank == 1
+    dense = apply_uniform_channel(dense_graph_state(g), ChannelMatrix.from_pauli(ch))
+    assert np.allclose(
+        np.sort(pt_spectrum(lambda_from_pauli(g, ch), part).lam_prime),
+        np.sort(pt_spectrum_dense(dense, part)),
+        atol=1e-12,
+    )
 
 
 def test_pt_spectrum_argmin_and_is_ppt():
     g = make_lattice("ring", 4)
     state = lambda_from_pauli(g, named_channel("depolarizing", 0.95))
-    spec = pt_single_vertex(state, 0)
+    part = Bipartition(0b0001, 4)
+    spec = pt_spectrum(state, part)
     assert spec.lam_prime[spec.argmin_mask] == spec.min_value
     assert not spec.is_ppt()
     mixed = lambda_from_pauli(g, named_channel("depolarizing", 0.01))
-    assert pt_single_vertex(mixed, 0).is_ppt()
+    assert pt_spectrum(mixed, part).is_ppt()
 
 
 def test_pt_spectrum_trace_validation():
@@ -308,7 +322,7 @@ def test_single_vertex_certificate_proves_ppt():
         g = random_connected_graph(rng, rng.randint(2, 6))
         state = lambda_from_pauli(g, ch)
         for k in range(g.n):
-            assert pt_single_vertex(state, k).min_value >= -1e-12
+            assert pt_spectrum(state, Bipartition(1 << k, g.n)).min_value >= -1e-12
 
 
 def test_pair_certificate_threshold():
@@ -327,7 +341,8 @@ def test_pair_certificate_proves_ppt_for_two_vertex_splits():
     state = lambda_from_pauli(g, ch)
     for k in range(g.n):
         for l in range(k + 1, g.n):
-            assert pt_two_vertices(state, k, l).min_value >= -1e-12
+            part = Bipartition((1 << k) | (1 << l), g.n)
+            assert pt_spectrum(state, part).min_value >= -1e-12
 
 
 def test_dephasing_certificate_threshold_degree_two():
@@ -348,7 +363,7 @@ def test_dephasing_certificate_proves_ppt_on_ring():
     q_star = estimate_threshold_dephasing(2).value
     for q, expect_ppt in ((q_star + 1e-3, True), (0.545, True), (0.540, False)):
         state = lambda_from_pauli(g, named_channel("dephasing", dephasing_p_from_q(q)))
-        mins = [pt_single_vertex(state, k).min_value for k in range(6)]
+        mins = [pt_spectrum(state, Bipartition(1 << k, 6)).min_value for k in range(6)]
         if expect_ppt:
             assert min(mins) >= -1e-12
         else:

@@ -6,6 +6,7 @@ import pytest
 from qdeco.channels import ChannelMatrix, named_channel
 from qdeco.errors import CapacityError, EvaluationError, ValidationError
 from qdeco.graphs import Bipartition, graph_from_edges, make_lattice
+from qdeco.numeric import partial_transpose as numeric_partial_transpose
 from qdeco.oracle import (
     apply_channels,
     apply_uniform_channel,
@@ -147,6 +148,21 @@ def test_partial_transpose_is_involution_and_trace_preserving():
 
     back = partial_transpose(DenseState(4, pt), part)
     assert np.allclose(back, s.rho, atol=1e-14)
+
+    # Entrywise definition with qubit k on bit k:
+    # <i|rho^{T_A}|j> = rho[(i & ~a) | (j & a), (j & ~a) | (i & a)].
+    rng = np.random.default_rng(4)
+    cases = [(n, a) for n in (1, 2, 3) for a in range(1 << n)] + [(4, 0b0011)]
+    for n, a in cases:
+        dim = 1 << n
+        rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        expected = np.array(
+            [
+                [rho[(i & ~a) | (j & a), (j & ~a) | (i & a)] for j in range(dim)]
+                for i in range(dim)
+            ]
+        )
+        assert np.array_equal(numeric_partial_transpose(rho, a), expected), (n, a)
 
 
 def test_partial_trace_of_ghz_is_classical_mixture():
