@@ -192,7 +192,7 @@ def _two_vertex_formula(lam, k, l, nk, nl):
     return 0.25 * (sum(lam[idx ^ m] for m in plus) - sum(lam[idx ^ m] for m in minus))
 
 
-def test_pt_spectrum_matches_one_and_two_vertex_formulas():
+def test_single_vertex_closed_form_matches_general():
     g = make_lattice("grid2d", 3, 2)
     state = lambda_from_pauli(g, named_channel("depolarizing", 0.75))
     for k in range(g.n):
@@ -200,6 +200,17 @@ def test_pt_spectrum_matches_one_and_two_vertex_formulas():
         expected = _one_vertex_formula(state.lam, k, neighborhood(g, k))
         assert np.allclose(spec.lam_prime, expected, atol=1e-12)
 
+
+def test_single_vertex_isolated_falls_back():
+    # An isolated vertex can never make the split NPT: its PT is the identity.
+    g = graph_from_edges(3, [(0, 1)])
+    state = lambda_from_pauli(g, named_channel("depolarizing", 0.6))
+    spec = pt_spectrum(state, Bipartition(0b100, 3))
+    assert np.array_equal(spec.lam_prime, state.lam)
+    assert spec.min_value >= 0.0
+
+
+def test_two_vertex_closed_form_matches_general():
     g = make_lattice("ring", 6)
     state = lambda_from_pauli(g, random_pauli_channel(random.Random(5)))
     for k, l in [(0, 1), (0, 2), (0, 3), (2, 5)]:  # adjacent, distance 2 and 3
@@ -210,13 +221,8 @@ def test_pt_spectrum_matches_one_and_two_vertex_formulas():
         expected = _two_vertex_formula(state.lam, k, l, nk, nl)
         assert np.allclose(spec.lam_prime, expected, atol=1e-12)
 
-    # An isolated vertex can never make the split NPT: its PT is the identity.
-    g = graph_from_edges(3, [(0, 1)])
-    state = lambda_from_pauli(g, named_channel("depolarizing", 0.6))
-    spec = pt_spectrum(state, Bipartition(0b100, 3))
-    assert np.array_equal(spec.lam_prime, state.lam)
-    assert spec.min_value >= 0.0
 
+def test_two_vertex_rank_deficient_falls_back():
     # Both leaves of a star see only the centre (n_k == n_l), so the
     # two-vertex formula does not apply; the block has rank one and the
     # gather still matches the dense oracle.
