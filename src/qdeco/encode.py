@@ -42,8 +42,10 @@ class CodeLevel:
     q is the no-error weight, p the depolarizing parameter, kt_eff = -ln p
     the effective elapsed time.  Deep levels underflow q to exactly 1.0 and
     kt_eff to 0.0; ln_eps and the *_log10 fields stay finite and faithful.
-    kt_approx carries the closed-form doubling approximation
-    (7.5 kt)^(2^j) / 7.5 for comparison.
+    Once the error weight reaches 3/4 (p <= 0, past full depolarisation) no
+    finite time exists and kt_eff = kt_eff_log10 = inf.  kt_approx carries
+    the closed-form doubling approximation (7.5 kt)^(2^j) / 7.5 for
+    comparison, inf where that overflows.
     """
 
     j: int
@@ -83,7 +85,9 @@ def level_recursion(kt: float, j: int) -> CodeLevel:
             eps = math.exp(ln_eps) if ln_eps > -700.0 else 0.0
 
     # kt_eff = -ln(1 - 4 eps / 3); below the switch the linear term is exact.
-    if eps > 0.0:
+    if eps >= 0.75:  # logical p <= 0: past full depolarisation, no finite time
+        kt_eff = kt_eff_log10 = math.inf
+    elif eps > 0.0:
         kt_eff = -math.log1p(-4.0 * eps / 3.0)
         kt_eff_log10 = math.log10(kt_eff)
     elif math.isinf(ln_eps):  # noiseless fixed point
@@ -97,7 +101,10 @@ def level_recursion(kt: float, j: int) -> CodeLevel:
         kt_approx, kt_approx_log10 = 0.0, -math.inf
     else:
         ln_approx = (1 << j) * math.log(7.5 * kt) - math.log(7.5)
-        kt_approx = math.exp(ln_approx) if ln_approx > -700.0 else 0.0
+        try:
+            kt_approx = math.exp(ln_approx) if ln_approx > -700.0 else 0.0
+        except OverflowError:
+            kt_approx = math.inf
         kt_approx_log10 = ln_approx / _LN10
 
     q = 1.0 - eps

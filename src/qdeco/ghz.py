@@ -16,9 +16,10 @@ import math
 from dataclasses import dataclass
 
 from .channels import QoChannel, qo_snapshot
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .numeric import DEFAULT_TOL, ThresholdResult, Tolerance, bisect
 
+GHZ_CAP = 1022  # 2^(n+1) and the binomial weights stay within float range
 _SYM_ATOL = 1e-12
 
 
@@ -48,8 +49,14 @@ class GhzDiagonal:
         return GhzDiagonal(n, tuple(lam), mu, sym)
 
 
+def _check_cap(n: int) -> None:
+    if n > GHZ_CAP:
+        raise CapacityError(f"GHZ coefficients capped at n={GHZ_CAP}, got n={n}")
+
+
 def ghz_depol_coeffs(n: int, p: float) -> GhzDiagonal:
     """Coefficients after a depolarizing channel with parameter p per qubit."""
+    _check_cap(n)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p={p} outside [0, 1]")
     lam = [
@@ -62,6 +69,7 @@ def ghz_depol_coeffs(n: int, p: float) -> GhzDiagonal:
 
 def ghz_qo_coeffs(n: int, ch: QoChannel, t: float) -> GhzDiagonal:
     """Coefficients after the quantum-optical channel for time t per qubit."""
+    _check_cap(n)
     snap = qo_snapshot(ch, t)
     a, b, c = snap.a, snap.b, snap.c
     lam = [
@@ -187,10 +195,13 @@ def blockwise_upper_M_from_kt(kt: float) -> float:
     Uses log(tanh(kt/2)) for the numerator and log1p(expm1(kt)/2) for the
     denominator so that nothing cancels when p rounds to 1.0; needed for the
     encoded-qubit pipeline where effective times reach 1e-73 and below.
+    Past kt = 709, where e^kt overflows, the denominator ln((1 + e^kt)/2) is
+    kt - ln 2 to double precision.
     """
     if kt <= 0:
         raise ValidationError("kt must be positive")
-    return -math.log(math.tanh(kt / 2.0)) / math.log1p(math.expm1(kt) / 2.0)
+    den = math.log1p(math.expm1(kt) / 2.0) if kt < 709.0 else kt - math.log(2.0)
+    return -math.log(math.tanh(kt / 2.0)) / den
 
 
 def blockwise_upper_M_small_kt(kt: float) -> float:

@@ -8,7 +8,9 @@ spectra exactly with GF(2) linear algebra (the partially transposed state
 is diagonal in the same basis, and one signed gather over shifted weights,
 PartitionTransform, gives it for every split), PPT-certifying estimates
 built from weight ratios, and a scan of every bipartition for the noise
-level where its spectrum turns nonnegative.
+level where its spectrum turns nonnegative.  The scan computes the noisy
+weights at each noise level once and shares them across its splits (per
+worker when jobs > 1).
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
@@ -384,34 +388,45 @@ class PartitionScanReport:
 
 def _scan_one(
     g: Graph,
-    family: ChannelFamily,
     part: Bipartition,
     tol: Tolerance,
+    weights: Callable[[float], np.ndarray],
 ) -> PartitionScanEntry:
     transform = partition_transform(g, part)
-    cache: dict[float, np.ndarray] = {}
 
     def min_pt(p: float) -> float:
-        lam = cache.get(p)
-        if lam is None:
-            lam = lambda_from_pauli(g, family.pauli(p)).lam
-            cache[p] = lam
-        return float(transform.apply(lam).min())
+        return float(transform.apply(weights(p)).min())
 
     lo, hi = SCAN_BRACKET
     result = bisect(min_pt, lo, hi, tol)
-    lam_hi = cache.get(hi)
-    if lam_hi is None:
-        lam_hi = lambda_from_pauli(g, family.pauli(hi)).lam
-    argmin = int(np.argmin(transform.apply(lam_hi)))
+    argmin = int(np.argmin(transform.apply(weights(hi))))
     if result.sign_change_found:
         return PartitionScanEntry(part, "threshold", result.value, argmin, result.iterations)
     status = "always_npt" if min_pt(hi) < 0.0 else "always_ppt"
     return PartitionScanEntry(part, status, math.nan, argmin, 0)
 
 
-def _scan_star(args: tuple) -> PartitionScanEntry:
-    return _scan_one(*args)
+def _scan_splits(
+    g: Graph,
+    family: ChannelFamily,
+    parts: list[Bipartition],
+    tol: Tolerance,
+) -> list[PartitionScanEntry]:
+    """Scan the given splits, computing each noisy weight vector only once.
+
+    Every split pre-scans the same grid of p, and splits related by a
+    symmetry of the graph bisect through the same points, so one p -> lam
+    dict serves the whole list.
+    """
+    cache: dict[float, np.ndarray] = {}
+
+    def weights(p: float) -> np.ndarray:
+        lam = cache.get(p)
+        if lam is None:
+            lam = cache[p] = lambda_from_pauli(g, family.pauli(p)).lam
+        return lam
+
+    return [_scan_one(g, part, tol, weights) for part in parts]
 
 
 def scan_partitions(
@@ -428,19 +443,26 @@ def scan_partitions(
     given a fake threshold.  first_ppt is the split that turns PPT first as
     p decreases (largest critical p), last_ppt the most robust one.  Output
     order and tie-breaking follow the canonical partition enumeration, so
-    results are identical for any jobs count.
+    results are identical for any jobs count.  The noisy weights at each p
+    are computed once and shared by every split of the scan (by every split
+    of a worker's slice when jobs > 1).
     """
     if g.is_weighted:
         raise ValidationError("scan needs an unweighted graph")
     if not family.is_pauli_family:
         raise ValidationError("scan sweeps a Pauli channel family parameter")
     parts = list(bipartitions(g))
-    tasks = [(g, family, part, tol) for part in parts]
+    jobs = min(jobs, len(parts))
     if jobs > 1:
+        # Interleaved slices balance the work; each worker keeps its own dict.
+        slices = [parts[i::jobs] for i in range(jobs)]
+        entries = [None] * len(parts)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_scan_star, tasks, chunksize=8))
+            chunks = pool.map(_scan_splits, repeat(g), repeat(family), slices, repeat(tol))
+            for i, chunk in enumerate(chunks):
+                entries[i::jobs] = chunk
     else:
-        entries = [_scan_one(*t) for t in tasks]
+        entries = _scan_splits(g, family, parts, tol)
     with_threshold = [e for e in entries if e.status == "threshold"]
     first = max(with_threshold, key=lambda e: e.p_crit, default=None)
     last = min(with_threshold, key=lambda e: e.p_crit, default=None)

@@ -34,8 +34,10 @@ class Tolerance:
     max_iter: int = 200
 
     def __post_init__(self) -> None:
-        if self.abs_root <= 0:
-            raise ValidationError("abs_root must be positive")
+        if not 0.0 < self.abs_root < math.inf:
+            raise ValidationError(f"abs_root must be finite and positive, got {self.abs_root}")
+        if self.eig_zero is not None and not math.isfinite(self.eig_zero):
+            raise ValidationError(f"eig_zero must be finite, got {self.eig_zero}")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be at least 1")
 

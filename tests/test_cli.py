@@ -4,8 +4,11 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from qdeco.cli import main
+from qdeco.ghz import GHZ_CAP
 
 RING6_SCAN_ROWS = 31  # 2^(6-1) - 1 bipartitions
 
@@ -321,6 +324,9 @@ def test_validation_errors_exit_2(tmp_path, capsys):
         ["ghz", "--n", "6", "--crit", "k=abc"],
         ["ghz", "--n", "1"],
         ["encode", "--kt", "nan"],
+        ["upper", "--method", "eb", "--channel", "depolarizing", "--tol-root", "nan"],
+        ["upper", "--method", "eb", "--channel", "depolarizing", "--tol-root", "inf"],
+        ["upper", "--method", "eb", "--eig-zero", "nan"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, capsys):
@@ -333,6 +339,7 @@ def test_bad_input_exits_2_without_traceback(argv, capsys):
 def test_capacity_errors_exit_3(capsys):
     assert main(["scan", "--graph", "complete:21"]) == 3
     assert main(["oracle-check", "--max-n", "9"]) == 3
+    assert main(["ghz", "--n", "100000", "--crit", "k=1"]) == 3
     assert "capacity" in capsys.readouterr().err
 
 
@@ -340,3 +347,66 @@ def test_argparse_errors_exit_2(capsys):
     assert main(["upper"]) == 2  # --method is required
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kt,levels", [("0.5", "3"), ("1", "1"), ("1e308", "6")])
+def test_encode_past_full_depolarisation_reports_inf(tmp_path, capsys, kt, levels):
+    code, _, data = run_csv(tmp_path, ["encode", "--kt", kt, "--levels", levels])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert data[0].split(",")[2] == "kt_eff_exact"
+    assert data[-1].split(",")[2] == "inf"
+
+
+# --- Numeric boundary (property-based) ----------------------------------------------
+
+BOUNDARY = settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def exit_code(argv, capsys):
+    """Run the CLI in-process; it must exit 0, 2 or 3 and never print a traceback."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code in (0, 2, 3), err
+    return code
+
+
+@BOUNDARY
+@given(kt=st.floats())
+@example(kt=math.nan)
+@example(kt=math.inf)
+@example(kt=-math.inf)
+@example(kt=0.0)
+@example(kt=0.5)
+@example(kt=1e6)
+@example(kt=1e308)
+def test_encode_kt_boundary(kt, capsys):
+    code = exit_code(["encode", f"--kt={kt!r}"], capsys)
+    if not 0.0 <= kt < math.inf:
+        assert code == 2
+
+
+@BOUNDARY
+@given(tol=st.floats())
+@example(tol=math.nan)
+@example(tol=math.inf)
+@example(tol=0.0)
+@example(tol=1e308)
+def test_tol_root_boundary(tol, capsys):
+    argv = ["upper", "--method", "eb", "--channel", "depolarizing", f"--tol-root={tol!r}"]
+    assert exit_code(argv, capsys) == (0 if 0.0 < tol < math.inf else 2)
+
+
+@BOUNDARY
+@given(n=st.integers(2, 10**6))
+@example(n=GHZ_CAP)
+@example(n=GHZ_CAP + 1)
+@example(n=100_000)
+def test_ghz_n_boundary(n, capsys):
+    code = exit_code(["ghz", "--n", str(n), "--crit", "k=1"], capsys)
+    assert code == (3 if n > GHZ_CAP else 0)

@@ -138,11 +138,31 @@ def test_underflowed_levels_keep_faithful_logs():
     assert math.isfinite(lv.ln_eps)
 
 
+def test_levels_past_full_depolarisation_have_infinite_time():
+    # At kt = 1 one level pushes the error weight past 3/4 (logical p < 0),
+    # where -ln(1 - 4 eps / 3) has no finite value.
+    lv = level_recursion(1.0, 1)
+    assert 1.0 - lv.q > 0.75 and lv.p < 0.0
+    assert lv.kt_eff == math.inf and lv.kt_eff_log10 == math.inf
+    assert lv.kt_approx == pytest.approx(7.5, rel=1e-12)
+    assert math.isfinite(lv.ln_eps)
+    assert math.isfinite(level_recursion(1.0, 0).kt_eff)
+    assert [math.isinf(level_recursion(0.5, j).kt_eff) for j in range(4)] == [
+        False, False, True, True,
+    ]
+    # A start already at eps = 3/4, and a doubling form that overflows.
+    deep = level_recursion(1e6, 6)
+    assert deep.kt_eff == math.inf and deep.kt_approx == math.inf
+    assert math.isfinite(deep.kt_approx_log10)
+
+
 # --- Blockwise bound composition ---------------------------------------------------
 
 
 def test_unencoded_bound_values():
     assert encoded_block_bound(0.01, 0) == pytest.approx(1057.02, abs=1e-1)
+    # Past kt = 709 e^kt overflows; the bound is zero there, not an error.
+    assert encoded_block_bound(1e6, 0) == 0.0
     assert encoded_block_bound(0.8049, 0) == pytest.approx(2.000, abs=5e-3)
 
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdeco.channels import ChannelMatrix, QoChannel, named_channel, qo_snapshot
-from qdeco.errors import ValidationError
+from qdeco.errors import CapacityError, ValidationError
 from qdeco.ghz import (
+    GHZ_CAP,
     GhzDiagonal,
     blockwise_lower_M,
     blockwise_qo_upper_M,
@@ -132,6 +133,18 @@ def test_lifetime_rejects_bad_group():
         ghz_lifetime(4, 4)
     with pytest.raises(ValidationError):
         ghz_lifetime(4, 1, channel="bitflip")
+
+
+def test_coefficients_capped_where_floats_overflow():
+    # 2^(n+1) stops converting to float at n = 1023.
+    assert ghz_depol_coeffs(GHZ_CAP, 0.5).n == GHZ_CAP
+    assert ghz_qo_coeffs(GHZ_CAP, QO, 0.1).n == GHZ_CAP
+    with pytest.raises(CapacityError):
+        ghz_depol_coeffs(GHZ_CAP + 1, 0.5)
+    with pytest.raises(CapacityError):
+        ghz_qo_coeffs(GHZ_CAP + 1, QO, 0.1)
+    with pytest.raises(CapacityError):
+        ghz_lifetime(100_000, 1)
 
 
 # --- Symmetrization and structure -------------------------------------------

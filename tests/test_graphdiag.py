@@ -4,12 +4,15 @@ import random
 import numpy as np
 import pytest
 
+from qdeco import graphdiag
 from qdeco.channels import ChannelFamily, ChannelMatrix, PauliChannel, named_channel
 from qdeco.cli import random_connected_graph, random_pauli_channel
 from qdeco.errors import CapacityError, ValidationError
 from qdeco.graphdiag import (
     NPT_VERDICT,
+    SCAN_BRACKET,
     GraphDiagonalState,
+    PartitionScanEntry,
     PtSpectrum,
     dephasing_p_from_q,
     depol_p_from_q,
@@ -29,7 +32,7 @@ from qdeco.graphdiag import (
     scan_partitions,
 )
 from qdeco.graphs import Bipartition, bipartitions, graph_from_edges, make_lattice, neighborhood
-from qdeco.numeric import Tolerance
+from qdeco.numeric import Tolerance, bisect
 from qdeco.oracle import (
     apply_uniform_channel,
     dense_graph_state,
@@ -425,6 +428,51 @@ def test_scan_jobs_determinism():
     assert [e.argmin_mask for e in serial.entries] == [
         e.argmin_mask for e in parallel.entries
     ]
+
+
+def _unshared_scan_entry(g, family, part):
+    """One split scanned on its own, with fresh weights at every point."""
+    transform = partition_transform(g, part)
+
+    def weights(p):
+        return lambda_from_pauli(g, family.pauli(p)).lam
+
+    def min_pt(p):
+        return float(transform.apply(weights(p)).min())
+
+    lo, hi = SCAN_BRACKET
+    result = bisect(min_pt, lo, hi)
+    argmin = int(np.argmin(transform.apply(weights(hi))))
+    if result.sign_change_found:
+        return PartitionScanEntry(part, "threshold", result.value, argmin, result.iterations)
+    status = "always_npt" if min_pt(hi) < 0.0 else "always_ppt"
+    return PartitionScanEntry(part, status, math.nan, argmin, 0)
+
+
+@pytest.mark.parametrize("kind,n", [("ring", 6), ("star", 5)])
+@pytest.mark.parametrize("family", [DEPOL, DEPHASING], ids=["depolarizing", "dephasing"])
+def test_scan_matches_unshared_per_split_reference(kind, n, family):
+    g = make_lattice(kind, n)
+    expected = tuple(_unshared_scan_entry(g, family, part) for part in bipartitions(g))
+    assert scan_partitions(g, family).entries == expected
+
+
+def test_scan_computes_each_weight_vector_once(monkeypatch):
+    seen = []
+
+    def counting(g, ch):
+        seen.append(ch.probs)
+        return lambda_from_pauli(g, ch)
+
+    monkeypatch.setattr(graphdiag, "lambda_from_pauli", counting)
+    g = make_lattice("ring", 6)
+    report = scan_partitions(g, DEPOL)
+    # Depolarizing probabilities are one-to-one in p, so a repeated tuple
+    # would be a repeated p.
+    assert len(seen) == len(set(seen))
+    # The 65 pre-scan points serve all 31 splits, and splits related by a
+    # rotation or reflection of the ring share their bisection points too.
+    assert len(seen) < 65 + sum(e.iterations for e in report.entries)
 
 
 def test_scan_rejects_weighted_and_non_pauli():

@@ -82,6 +82,14 @@ def test_threshold_result_kt_axis():
 def test_tolerance_validation():
     with pytest.raises(ValidationError):
         Tolerance(abs_root=0.0)
+    # nan <= 0 is false, so a sign test alone would let these through and
+    # bisect would return the middle of the pre-scan cell.
+    for bad in (math.nan, math.inf, -math.inf, -1e-10):
+        with pytest.raises(ValidationError):
+            Tolerance(abs_root=bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            Tolerance(eig_zero=bad)
     with pytest.raises(ValidationError):
         Tolerance(max_iter=0)
     assert Tolerance(eig_zero=-1e-9).eig_floor(4) == -1e-9
