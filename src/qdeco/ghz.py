@@ -15,12 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channels import QoChannel, qo_snapshot
 from .errors import CapacityError, ValidationError
 from .numeric import DEFAULT_TOL, ThresholdResult, Tolerance, bisect
 
 GHZ_CAP = 1022  # 2^(n+1) and the binomial weights stay within float range
 _SYM_ATOL = 1e-12
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,16 @@ def ghz_depolarize(d: GhzDiagonal) -> GhzDiagonal:
     return GhzDiagonal.from_lambdas(d.n, lam, d.mu)
 
 
+def _ln(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _log_mix(n: int, j: int, first: tuple[float, float], second: tuple[float, float]) -> float:
+    """ln(x^j y^(n-j) + u^j v^(n-j)) from first = (ln x, ln y), second = (ln u, ln v)."""
+    (lx, ly), (lu, lv) = first, second
+    return float(np.logaddexp(j * lx + (n - j) * ly, j * lu + (n - j) * lv))
+
+
 def ghz_lifetime(
     n: int,
     k: int,
@@ -108,22 +121,48 @@ def ghz_lifetime(
     quantum-optical channel it is the critical time on [0, t_max].  k = 1
     bounds distillability; k = floor(n/2) bounds full separability in the
     symmetric case.
+
+    The function bisected is ln(lam_k lam_{n-k}) - ln(mu^2), which has the
+    sign of the gap lam_k lam_{n-k} - mu^2 but does not underflow: for large
+    n both terms of the gap round to 0.0 (from n = 538 at p = 1e-9), and an
+    exact zero would be taken for the root.  Where a coefficient is exactly
+    0 (the quantum-optical channel at t = 0) the gap itself is used, and a
+    gap with both terms 0.0 raises CapacityError.
     """
     if not 1 <= k <= n - 1:
         raise ValidationError(f"group size k={k} outside 1..{n - 1}")
+    _check_cap(n)
 
     if channel == "depolarizing":
 
         def gap_p(p: float) -> float:
-            d = ghz_depol_coeffs(n, p)
-            return d.lam[k] * d.lam[n - k] - d.mu**2
+            up, down = math.log1p(p), math.log1p(-p)
+
+            def log_lam(j: int) -> float:
+                return _log_mix(n, j, (up, down), (down, up)) - (n + 1) * _LN2
+
+            return log_lam(k) + log_lam(n - k) - 2.0 * (n * math.log(p) - _LN2)
 
         return bisect(gap_p, 1e-9, 1 - 1e-9, tol)
 
     if isinstance(channel, QoChannel):
 
         def gap_t(t: float) -> float:
+            snap = qo_snapshot(channel, t)
+            a, b, c = snap.a, snap.b, snap.c
+            from_c, from_a = (_ln(c), _ln(1 - c)), (_ln(1 - a), _ln(a))
+
+            def log_lam(j: int) -> float:
+                return _log_mix(n, j, from_c, from_a) - _LN2
+
+            log_gap = log_lam(k) + log_lam(n - k) - 2.0 * (n * _ln(abs(b)) - _LN2)
+            if math.isfinite(log_gap):
+                return log_gap
             d = ghz_qo_coeffs(n, channel, t)
+            if d.lam[k] * d.lam[n - k] == 0.0 and d.mu**2 == 0.0:
+                raise CapacityError(
+                    f"both terms of the n={n}, k={k} gap are 0.0 at t={t}; its sign is lost"
+                )
             return d.lam[k] * d.lam[n - k] - d.mu**2
 
         return bisect(gap_t, 0.0, t_max, tol)

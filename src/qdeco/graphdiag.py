@@ -10,7 +10,9 @@ PartitionTransform, gives it for every split), PPT-certifying estimates
 built from weight ratios, and a scan of every bipartition for the noise
 level where its spectrum turns nonnegative.  The scan computes the noisy
 weights at each noise level once and shares them across its splits (per
-worker when jobs > 1).
+worker when jobs > 1); each split evaluates the bisection's whole pre-scan
+grid in one stacked call of PartitionTransform.apply, which keeps its
+gather index between calls.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from typing import Callable
 
@@ -27,7 +30,7 @@ from .channels import ChannelFamily, PauliChannel
 from .errors import CapacityError, ValidationError
 from .gf2 import BitMatrix, dot, image_with_preimages, kernel_basis, orthocomplement
 from .graphs import Bipartition, Graph, bipartitions, neighborhood, spread_bits
-from .numeric import DEFAULT_TOL, ThresholdResult, Tolerance, bisect
+from .numeric import DEFAULT_TOL, ThresholdResult, Tolerance, bisect, prescan_grid
 
 FAST_CAP = 20  # 2^n weight vector
 DIRECT_CAP = 14  # 4^n double sum
@@ -167,6 +170,12 @@ class PartitionTransform:
     (inside the complement), and the sign of a term is the GF(2) pairing of
     X with a preimage of Y.  There are 4^rank terms and the prefactor is
     2^-rank.
+
+    apply takes one weight vector or a stack of them, one per row; each row
+    comes out bit-for-bit as if applied alone.  The gather index of each
+    chunk of terms (every subset mask XOR every shift) is built on the first
+    call and kept while it has at most _KEPT_INDEX entries (8 MB); larger
+    transforms rebuild it per call.
     """
 
     partition: Bipartition
@@ -175,17 +184,38 @@ class PartitionTransform:
     prefactor: float
     rank: int
 
-    _CHUNK = 128
+    _CHUNK = 128  # terms per gather
+    _KEPT_INDEX = 1 << 20  # terms x 2^n index entries kept across calls
+    _BLOCK = 1 << 16  # entries of one gathered block of rows
+
+    def _chunk_index(self, start: int) -> np.ndarray:
+        idx = np.arange(1 << self.partition.n, dtype=np.intp)
+        sh = self.shifts[start : start + self._CHUNK]
+        return idx[np.newaxis, :] ^ sh[:, np.newaxis]
+
+    @cached_property
+    def _kept_index(self) -> list[np.ndarray] | None:
+        if self.shifts.shape[0] << self.partition.n > self._KEPT_INDEX:
+            return None
+        return [self._chunk_index(s) for s in range(0, self.shifts.shape[0], self._CHUNK)]
 
     def apply(self, lam: np.ndarray) -> np.ndarray:
-        dim = lam.shape[0]
-        idx = np.arange(dim, dtype=np.intp)
-        out = np.zeros(dim)
-        for start in range(0, self.shifts.shape[0], self._CHUNK):
-            sh = self.shifts[start : start + self._CHUNK]
+        """PT weights of lam, shape (2^n,) or (rows, 2^n); same shape out."""
+        dim = 1 << self.partition.n
+        if lam.ndim not in (1, 2) or lam.shape[-1] != dim:
+            raise ValidationError(f"weights of shape {lam.shape} do not fit 2^{self.partition.n}")
+        rows = lam.reshape(-1, dim)
+        out = np.zeros(rows.shape)
+        kept = self._kept_index
+        for c, start in enumerate(range(0, self.shifts.shape[0], self._CHUNK)):
+            gidx = self._chunk_index(start) if kept is None else kept[c]
             sg = self.signs[start : start + self._CHUNK]
-            out += sg @ lam[idx[np.newaxis, :] ^ sh[:, np.newaxis]]
-        return self.prefactor * out
+            # np.take gives a C-contiguous block, which matmul sums row by
+            # row in the same order as a single vector's gather.
+            step = max(1, self._BLOCK // gidx.size)
+            for r in range(0, rows.shape[0], step):
+                out[r : r + step] += sg @ np.take(rows[r : r + step], gidx, axis=1)
+        return self.prefactor * out.reshape(lam.shape)
 
 
 def partition_transform(g: Graph, part: Bipartition) -> PartitionTransform:
@@ -391,6 +421,7 @@ def _scan_one(
     part: Bipartition,
     tol: Tolerance,
     weights: Callable[[float], np.ndarray],
+    grid: np.ndarray,
 ) -> PartitionScanEntry:
     transform = partition_transform(g, part)
 
@@ -398,11 +429,12 @@ def _scan_one(
         return float(transform.apply(weights(p)).min())
 
     lo, hi = SCAN_BRACKET
-    result = bisect(min_pt, lo, hi, tol)
-    argmin = int(np.argmin(transform.apply(weights(hi))))
+    grid_pt = transform.apply(grid)
+    result = bisect(min_pt, lo, hi, tol, grid_values=grid_pt.min(axis=1).tolist())
+    argmin = int(np.argmin(grid_pt[-1]))
     if result.sign_change_found:
         return PartitionScanEntry(part, "threshold", result.value, argmin, result.iterations)
-    status = "always_npt" if min_pt(hi) < 0.0 else "always_ppt"
+    status = "always_npt" if grid_pt[-1].min() < 0.0 else "always_ppt"
     return PartitionScanEntry(part, status, math.nan, argmin, 0)
 
 
@@ -416,7 +448,8 @@ def _scan_splits(
 
     Every split pre-scans the same grid of p, and splits related by a
     symmetry of the graph bisect through the same points, so one p -> lam
-    dict serves the whole list.
+    dict serves the whole list.  The grid's weights are stacked once, and
+    each split applies its transform to the whole stack in one call.
     """
     cache: dict[float, np.ndarray] = {}
 
@@ -426,7 +459,8 @@ def _scan_splits(
             lam = cache[p] = lambda_from_pauli(g, family.pauli(p)).lam
         return lam
 
-    return [_scan_one(g, part, tol, weights) for part in parts]
+    grid = np.stack([weights(p) for p in prescan_grid(*SCAN_BRACKET)])
+    return [_scan_one(g, part, tol, weights, grid) for part in parts]
 
 
 def scan_partitions(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,11 +73,21 @@ class MultipleCrossingsError(EvaluationError):
     """The pre-scan saw more than one sign change; bisection would be ambiguous."""
 
 
-def _checked(f: Callable[[float], float], x: float) -> float:
-    y = f(x)
+def _checked(y: float, x: float) -> float:
     if not math.isfinite(y):
         raise EvaluationError(f"function evaluated to non-finite value {y!r} at {x!r}")
     return y
+
+
+def prescan_grid(lo: float, hi: float) -> list[float]:
+    """The PRESCAN_POINTS + 1 points where bisect's pre-scan evaluates f.
+
+    These are lo, the interior points lo + (hi - lo) * i / PRESCAN_POINTS and
+    hi itself; a caller that evaluates f at them in one go passes the values
+    to bisect as grid_values.
+    """
+    inner = [lo + (hi - lo) * i / PRESCAN_POINTS for i in range(1, PRESCAN_POINTS)]
+    return [lo, *inner, hi]
 
 
 def bisect(
@@ -86,6 +96,7 @@ def bisect(
     hi: float,
     tol: Tolerance = DEFAULT_TOL,
     prescan: bool = True,
+    grid_values: Sequence[float] | None = None,
 ) -> ThresholdResult:
     """Find the root of f in [lo, hi] given exactly one sign change.
 
@@ -93,20 +104,38 @@ def bisect(
     contains exactly one crossing; more than one raises MultipleCrossingsError,
     none yields sign_change_found=False with a NaN value.  Deterministic:
     identical inputs give bit-identical outputs.
+
+    grid_values, when given, are the values of f at prescan_grid(lo, hi),
+    computed by the caller (for instance in one vectorised call); the
+    pre-scan uses them instead of calling f, and f is called only to refine
+    the bracket.  Every value is checked to be finite, as f's own are.
     """
     if not lo < hi:
         raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
 
-    f_lo = _checked(f, lo)
-    f_hi = _checked(f, hi)
+    if grid_values is None:
+        f_lo = _checked(f(lo), lo)
+        f_hi = _checked(f(hi), hi)
+    else:
+        if not prescan:
+            raise ValidationError("grid_values are pre-scan values; prescan must be on")
+        if len(grid_values) != PRESCAN_POINTS + 1:
+            raise ValidationError(
+                f"need {PRESCAN_POINTS + 1} grid values, got {len(grid_values)}"
+            )
+        ys = [_checked(y, x) for y, x in zip(grid_values, prescan_grid(lo, hi))]
+        f_lo, f_hi = ys[0], ys[-1]
     if f_lo == 0.0:
         return ThresholdResult(lo, (lo, hi), 0, True)
     if f_hi == 0.0:
         return ThresholdResult(hi, (lo, hi), 0, True)
 
     if prescan:
+        # Unlike prescan_grid, xs ends at lo + (hi - lo), which can differ
+        # from hi in the last bit; the refined bracket starts from xs.
         xs = [lo + (hi - lo) * i / PRESCAN_POINTS for i in range(PRESCAN_POINTS + 1)]
-        ys = [f_lo] + [_checked(f, x) for x in xs[1:-1]] + [f_hi]
+        if grid_values is None:
+            ys = [f_lo] + [_checked(f(x), x) for x in xs[1:-1]] + [f_hi]
         crossings = []
         prev_sign = math.copysign(1.0, ys[0])
         for i in range(1, len(ys)):
@@ -133,7 +162,7 @@ def bisect(
     iterations = 0
     while b - a > tol.abs_root and iterations < tol.max_iter:
         mid = 0.5 * (a + b)
-        f_mid = _checked(f, mid)
+        f_mid = _checked(f(mid), mid)
         iterations += 1
         if f_mid == 0.0:
             a = b = mid

@@ -240,6 +240,13 @@ def test_ghz_single_split(tmp_path):
     assert rows[0]["p_crit"] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-8)
 
 
+def test_ghz_single_split_past_gap_underflow(tmp_path):
+    code, payload = run_json(tmp_path, ["ghz", "--n", "600", "--crit", "k=1"])
+    assert code == 0
+    rows = payload["results"]["rows"]
+    assert rows[0]["p_crit"] == pytest.approx(0.98410, abs=1e-5)
+
+
 def test_ghz_blockwise_sweep(tmp_path):
     code, meta, data = run_csv(
         tmp_path, ["ghz", "--blockwise", "--sweep", "0.2:1.0:0.2"]

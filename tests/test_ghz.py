@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -124,6 +125,60 @@ def test_qo_lifetime_brackets_dense_flip():
             dense_ghz(3), ChannelMatrix.from_qo_snapshot(qo_snapshot(QO, t))
         )
         assert is_ppt_dense(noisy, Bipartition(0b001, 3)) == expect_ppt
+
+
+def _exact_gap(n, k, p=None, ch=None, t=None):
+    """lam_k lam_{n-k} - mu^2 in 60-digit decimals, which do not underflow."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        if ch is None:
+            p = Decimal(p)
+            up, down = 1 + p, 1 - p
+            lam = [
+                (up**j * down ** (n - j) + up ** (n - j) * down**j) / 2 ** (n + 1)
+                for j in (k, n - k)
+            ]
+            mu = p**n / 2
+        else:
+            eb, b = (-Decimal(ch.B) * Decimal(t)).exp(), (-Decimal(ch.C) * Decimal(t)).exp()
+            s = Decimal(ch.s)
+            a, c = s + (1 - s) * eb, (1 - s) + s * eb
+            lam = [
+                (c**j * (1 - c) ** (n - j) + (1 - a) ** j * a ** (n - j)) / 2
+                for j in (k, n - k)
+            ]
+            mu = b**n / 2
+        return lam[0] * lam[1] - mu**2
+
+
+@pytest.mark.parametrize("n,k", [(538, 1), (600, 1), (GHZ_CAP, 1), (537, 268), (GHZ_CAP, 511)])
+def test_depolarizing_lifetime_where_the_gap_underflows(n, k):
+    # Both terms of the gap round to 0.0 at p = 1e-9 from n = 538 (k = 1),
+    # and mid-bracket from n = 452 (k = n // 2); neither may read as a root.
+    r = ghz_lifetime(n, k)
+    assert r.sign_change_found and r.iterations > 0
+    assert _exact_gap(n, k, p=r.value - 1e-8) > 0 > _exact_gap(n, k, p=r.value + 1e-8)
+
+
+def test_qo_lifetime_where_the_gap_underflows():
+    ch = QoChannel(B=1.0, C=0.6, s=0.4)
+    r = ghz_lifetime(800, 1, ch)
+    assert r.sign_change_found and r.iterations > 0 and r.value < 50.0
+    before = _exact_gap(800, 1, ch=ch, t=r.value - 1e-8)
+    after = _exact_gap(800, 1, ch=ch, t=r.value + 1e-8)
+    assert before < 0 < after
+
+
+def test_qo_gap_with_both_terms_zero_raises():
+    # Zero temperature, t = 800: a = 0 and 1 - c = 0 make lam_k exactly 0,
+    # and mu^2 underflows, so the gap's sign is lost rather than zero.
+    with pytest.raises(CapacityError):
+        ghz_lifetime(3, 1, QoChannel(B=1.0, C=0.5, s=0.0), t_max=800.0)
+
+
+def test_one_vs_rest_critical_p_rises_up_to_the_cap():
+    values = [ghz_lifetime(n, 1).value for n in range(100, GHZ_CAP + 1)]
+    assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_lifetime_rejects_bad_group():

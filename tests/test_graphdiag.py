@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdeco import graphdiag
 from qdeco.channels import ChannelFamily, ChannelMatrix, PauliChannel, named_channel
@@ -32,7 +34,7 @@ from qdeco.graphdiag import (
     scan_partitions,
 )
 from qdeco.graphs import Bipartition, bipartitions, graph_from_edges, make_lattice, neighborhood
-from qdeco.numeric import Tolerance, bisect
+from qdeco.numeric import PRESCAN_POINTS, Tolerance, bisect
 from qdeco.oracle import (
     apply_uniform_channel,
     dense_graph_state,
@@ -140,6 +142,77 @@ def test_pt_spectrum_matches_dense(seed):
     dense = pt_spectrum_dense(noisy, part)
     assert np.allclose(np.sort(spec.lam_prime), np.sort(dense), atol=1e-9)
     assert spec.min_value == pytest.approx(dense.min(), abs=1e-9)
+
+
+def _reference_apply(transform, lam):
+    """One weight vector through the plain chunked gather, index built per chunk."""
+    idx = np.arange(lam.shape[0], dtype=np.intp)
+    out = np.zeros(lam.shape[0])
+    for start in range(0, transform.shifts.shape[0], 128):
+        sh = transform.shifts[start : start + 128]
+        sg = transform.signs[start : start + 128]
+        out += sg @ lam[idx[np.newaxis, :] ^ sh[:, np.newaxis]]
+    return transform.prefactor * out
+
+
+def _bitwise_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_apply_rows_equal_single_rows(seed):
+    rng = random.Random(2300 + seed)
+    g = random_connected_graph(rng, rng.randint(5, 8))
+    family = rng.choice([DEPOL, DEPHASING])
+    stack = np.stack(
+        [lambda_from_pauli(g, family.pauli(p)).lam for p in np.linspace(0.0, 1.0, 70)]
+    )
+    for part in bipartitions(g):
+        transform = partition_transform(g, part)
+        rows = transform.apply(stack)
+        assert rows.shape == stack.shape
+        for lam, row in zip(stack, rows):
+            single = transform.apply(lam)
+            assert _bitwise_equal(row, single)
+            assert _bitwise_equal(single, _reference_apply(transform, lam))
+
+
+def test_apply_over_the_index_cap_keeps_no_index():
+    g = make_lattice("ring", 11)
+    alternating = Bipartition(sum(1 << k for k in range(1, 11, 2)), 11)
+    big = partition_transform(g, alternating)
+    small = partition_transform(g, Bipartition(0b11, 11))
+    assert big.rank == 5 and big.shifts.shape[0] << g.n > big._KEPT_INDEX
+    stack = np.stack([lambda_from_pauli(g, DEPOL.pauli(p)).lam for p in (0.3, 0.7, 0.95)])
+    for transform, kept in ((big, False), (small, True)):
+        rows = transform.apply(stack)
+        assert (transform._kept_index is not None) == kept
+        for lam, row in zip(stack, rows):
+            assert _bitwise_equal(row, _reference_apply(transform, lam))
+
+
+def test_apply_rejects_weights_of_the_wrong_size():
+    transform = partition_transform(make_lattice("ring", 4), Bipartition(0b1, 4))
+    for bad in (np.ones(8), np.ones((2, 8)), np.ones((2, 2, 16))):
+        with pytest.raises(ValidationError):
+            transform.apply(bad)
+
+
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(2, 6),
+    rows=st.integers(1, 4),
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_apply_matches_dense_oracle(rng, n, rows):
+    g = random_connected_graph(rng, n)
+    part = Bipartition(rng.randint(1, (1 << n) - 2), n)
+    channels = [random_pauli_channel(rng) for _ in range(rows)]
+    stack = np.stack([lambda_from_pauli(g, ch).lam for ch in channels])
+    spectra = partition_transform(g, part).apply(stack)
+    for ch, spec in zip(channels, spectra):
+        noisy = apply_uniform_channel(dense_graph_state(g), ChannelMatrix.from_pauli(ch))
+        assert np.allclose(np.sort(spec), pt_spectrum_dense(noisy, part), atol=1e-9)
 
 
 def test_pt_spectrum_same_for_side_and_complement():
@@ -473,6 +546,24 @@ def test_scan_computes_each_weight_vector_once(monkeypatch):
     # The 65 pre-scan points serve all 31 splits, and splits related by a
     # rotation or reflection of the ring share their bisection points too.
     assert len(seen) < 65 + sum(e.iterations for e in report.entries)
+
+
+def test_scan_applies_each_transform_once_to_the_stacked_grid(monkeypatch):
+    calls = {}
+    apply = graphdiag.PartitionTransform.apply
+
+    def counting(self, lam):
+        calls.setdefault(self.partition.a_mask, []).append(lam.shape)
+        return apply(self, lam)
+
+    monkeypatch.setattr(graphdiag.PartitionTransform, "apply", counting)
+    g = make_lattice("ring", 6)
+    report = scan_partitions(g, DEPOL)
+    dim = 1 << g.n
+    for e in report.entries:
+        shapes = calls[e.partition.a_mask]
+        assert shapes[0] == (PRESCAN_POINTS + 1, dim)
+        assert shapes[1:] == [(dim,)] * e.iterations
 
 
 def test_scan_rejects_weighted_and_non_pauli():

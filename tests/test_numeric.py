@@ -16,6 +16,7 @@ from qdeco.numeric import (
     hermitian_spectrum,
     is_ppt_matrix,
     min_eig,
+    prescan_grid,
 )
 
 
@@ -72,6 +73,61 @@ def test_bisect_recovers_planted_root(root):
     r = bisect(lambda x: math.tanh(x - root), 0.0, 1.0)
     assert r.sign_change_found
     assert abs(r.value - root) <= 2e-10
+
+
+BISECT_CASES = [
+    (lambda x: x - 0.3, 0.0, 1.0),
+    (lambda x: x, 0.0, 1.0),
+    (lambda x: 1.0 + x * x, -1.0, 1.0),
+    (lambda x: math.cos(3.0 * x) - 0.42, 0.0, 1.0),
+    (lambda x: math.tanh(x - 0.123456789), 0.0, 1.0),
+    (lambda x: x - 1.0 / 3.0, 1e-6, 1.0 - 1e-6),
+    (lambda x: 0.5 - x, 0.0, 1.0),  # zero at a grid point
+]
+
+
+def test_prescan_grid_ends_at_hi_itself():
+    xs = prescan_grid(1e-6, 1.0 - 1e-6)
+    assert len(xs) == 65
+    assert xs[0] == 1e-6 and xs[-1] == 1.0 - 1e-6
+    assert all(a < b for a, b in zip(xs, xs[1:]))
+
+
+@pytest.mark.parametrize("case", range(len(BISECT_CASES)))
+def test_bisect_grid_values_match_f_only_path(case):
+    f, lo, hi = BISECT_CASES[case]
+    grid = [f(x) for x in prescan_grid(lo, hi)]
+    assert bisect(f, lo, hi, grid_values=grid) == bisect(f, lo, hi)
+
+
+def test_bisect_grid_values_two_crossings_raise():
+    f = lambda x: (x - 0.2) * (x - 0.8)
+    with pytest.raises(MultipleCrossingsError):
+        bisect(f, 0.0, 1.0, grid_values=[f(x) for x in prescan_grid(0.0, 1.0)])
+
+
+def test_bisect_grid_values_are_checked():
+    f = lambda x: x - 0.3
+    grid = [f(x) for x in prescan_grid(0.0, 1.0)]
+    for bad in (math.nan, math.inf):
+        with pytest.raises(EvaluationError):
+            bisect(f, 0.0, 1.0, grid_values=grid[:40] + [bad] + grid[41:])
+    with pytest.raises(ValidationError):
+        bisect(f, 0.0, 1.0, grid_values=grid[:-1])
+    with pytest.raises(ValidationError):
+        bisect(f, 0.0, 1.0, prescan=False, grid_values=grid)
+
+
+def test_bisect_grid_values_leave_only_refinement_to_f():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 0.3
+
+    grid = [x - 0.3 for x in prescan_grid(0.0, 1.0)]
+    r = bisect(f, 0.0, 1.0, grid_values=grid)
+    assert len(calls) == r.iterations > 0
 
 
 def test_threshold_result_kt_axis():
