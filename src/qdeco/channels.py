@@ -66,14 +66,6 @@ def named_channel(kind: str, p: float) -> PauliChannel:
     raise ValidationError(f"unknown Pauli channel kind {kind!r}")
 
 
-def compose_dephasing(p_a: float, p_b: float) -> float:
-    """Sequential dephasing multiplies the retention parameters."""
-    for p in (p_a, p_b):
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"dephasing parameter {p} outside [0, 1]")
-    return p_a * p_b
-
-
 @dataclass(frozen=True)
 class QoChannel:
     """Master-equation rates: B (inversion), C (polarization), 2C >= B;
@@ -241,11 +233,6 @@ def partial_trace_out_first(rho4: np.ndarray) -> np.ndarray:
     return np.einsum("kikj->ij", r)
 
 
-def is_entanglement_breaking_pauli(ch: PauliChannel) -> bool:
-    """Separable output for every input iff no flip probability exceeds 1/2."""
-    return max(ch.probs) <= 0.5 + 1e-12
-
-
 def is_entanglement_breaking_qo(ch: QoChannel, t: float) -> bool:
     if t < 0:
         raise ValidationError("time must be non-negative")
@@ -333,10 +320,6 @@ class DephasingSplit:
     feasible: bool
 
 
-def dephasing_matrix(p_z: float) -> ChannelMatrix:
-    return ChannelMatrix.from_pauli(named_channel("dephasing", p_z))
-
-
 def extract_dephasing(
     ch: ChannelMatrix, p_z: float, tol: Tolerance = DEFAULT_TOL
 ) -> DephasingSplit:
@@ -401,16 +384,13 @@ def minimal_dephasing_matrix(
     return res.value
 
 
-def channel_matrix_from_spec(spec: dict) -> ChannelMatrix:
-    """Build a ChannelMatrix from a JSON-style channel spec (see ChannelFamily)."""
-    return ChannelFamily.from_spec(spec).fixed_matrix()
-
-
 @dataclass(frozen=True)
 class ChannelFamily:
     """A channel spec with one free axis: p for Pauli kinds, t otherwise.
 
-    kinds: depolarizing | dephasing | bitflip | pauli | qo | decay.
+    Keys accepted besides "kind": none for depolarizing | dephasing |
+    bitflip (p is the axis); p0, p1, p2, p3 for a fixed pauli channel;
+    B, C, s for qo; kappa (default 1) for decay.  Any other key is rejected.
     """
 
     kind: str
@@ -428,13 +408,13 @@ class ChannelFamily:
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"channel parameters must be numbers: {exc}") from exc
         if kind in ("depolarizing", "dephasing", "bitflip"):
-            allowed = {"p"}
+            allowed = set()
         elif kind == "pauli":
             allowed = {"p0", "p1", "p2", "p3"}
         elif kind == "qo":
-            allowed = {"B", "C", "s", "t"}
+            allowed = {"B", "C", "s"}
         elif kind == "decay":
-            allowed = {"kappa", "t"}
+            allowed = {"kappa"}
         else:
             raise ValidationError(f"unknown channel kind {kind!r}")
         if set(extra) - allowed:
@@ -477,11 +457,3 @@ class ChannelFamily:
             kappa = self.param("kappa", 1.0)
             return ChannelMatrix.from_kraus(decay_kraus(decay_gamma(kappa * x)))
         raise ValidationError(f"unknown channel kind {self.kind!r}")
-
-    def fixed_matrix(self) -> ChannelMatrix:
-        """The channel at the axis value carried in the family's own parameters."""
-        if self.is_pauli_family:
-            return self.matrix(self.param("p"))
-        if self.kind == "pauli":
-            return self.matrix(0.0)
-        return self.matrix(self.param("t"))

@@ -350,6 +350,8 @@ def _cmd_weighted(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
 def _cmd_encode(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
     if not math.isfinite(ns.kt):
         raise ValidationError(f"--kt must be finite, got {ns.kt}")
+    if ns.levels < 0:
+        raise ValidationError(f"--levels must be at least 0, got {ns.levels}")
     out = CommandOutput()
     for j in range(ns.levels + 1):
         level = level_recursion(ns.kt, j)
@@ -406,6 +408,10 @@ def random_pauli_channel(rng: random.Random) -> PauliChannel:
 
 
 def _cmd_oracle_check(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
+    if ns.cases < 1:
+        raise ValidationError(f"--cases must be at least 1, got {ns.cases}")
+    if ns.max_n < 2:
+        raise ValidationError(f"--max-n must be at least 2, got {ns.max_n}")
     if ns.max_n > DENSE_CAP:
         raise CapacityError(f"dense oracle is capped at n={DENSE_CAP}")
     rng = random.Random(ns.seed)
@@ -540,6 +546,8 @@ def main(argv: list[str] | None = None) -> int:
         },
     }
     try:
+        if ns.jobs < 1:
+            raise ValidationError(f"--jobs must be at least 1, got {ns.jobs}")
         tol = _tolerance(ns)
         out = _HANDLERS[ns.cmd](ns, tol)
     except ValidationError as exc:

@@ -102,7 +102,7 @@ def level_recursion(kt: float, j: int) -> CodeLevel:
     else:
         ln_approx = (1 << j) * math.log(7.5 * kt) - math.log(7.5)
         try:
-            kt_approx = math.exp(ln_approx) if ln_approx > -700.0 else 0.0
+            kt_approx = math.exp(ln_approx)
         except OverflowError:
             kt_approx = math.inf
         kt_approx_log10 = ln_approx / _LN10

@@ -1,9 +1,8 @@
 """GHZ-diagonal states under local decoherence.
 
 Closed-form coefficients for depolarizing and general quantum-optical
-couplings, partial-transpose positivity per group size, lifetime thresholds,
-a sufficient distillability certificate, and the blockwise (grouped-party)
-bounds obtained by re-scaling.
+couplings, lifetime thresholds of partial-transpose positivity per group
+size, and the blockwise (grouped-party) bounds obtained by re-scaling.
 
 A state here is diagonal in the computational basis -- with the coefficient
 depending only on the excitation count k -- plus a single real coherence mu
@@ -13,6 +12,7 @@ between |0...0> and |1...1>.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,22 +80,6 @@ def ghz_qo_coeffs(n: int, ch: QoChannel, t: float) -> GhzDiagonal:
         for k in range(n + 1)
     ]
     return GhzDiagonal.from_lambdas(n, lam, b**n / 2)
-
-
-def ghz_ppt_condition(d: GhzDiagonal, k: int) -> bool:
-    """Positivity of the partial transpose w.r.t. any group of k parties.
-
-    Boundary equality counts as positive.
-    """
-    if not 1 <= k <= d.n - 1:
-        raise ValidationError(f"group size k={k} outside 1..{d.n - 1}")
-    return d.mu**2 <= d.lam[k] * d.lam[d.n - k] + 1e-15
-
-
-def ghz_depolarize(d: GhzDiagonal) -> GhzDiagonal:
-    """Symmetrize lam_k <-> lam_{N-k}; reachable by local operations."""
-    lam = [(d.lam[k] + d.lam[d.n - k]) / 2 for k in range(d.n + 1)]
-    return GhzDiagonal.from_lambdas(d.n, lam, d.mu)
 
 
 def _ln(x: float) -> float:
@@ -170,34 +154,6 @@ def ghz_lifetime(
     raise ValidationError(f"unsupported channel {channel!r}")
 
 
-def ghz_qo_distillable_lower(n: int, ch: QoChannel, t: float) -> bool:
-    """Sufficient distillability certificate for the quantum-optical channel.
-
-    After local symmetrization the coherence must dominate every upper
-    estimate of the diagonal coefficients for group sizes up to floor(n/2).
-    """
-    snap = qo_snapshot(ch, t)
-    a, b, c = snap.a, snap.b, snap.c
-    for k in range(1, n // 2 + 1):
-        lam_up = max(
-            a**k * (1 - a) ** (n - k),
-            a ** (n - k) * (1 - a) ** k,
-            c**k * (1 - c) ** (n - k),
-            c ** (n - k) * (1 - c) ** k,
-        )
-        if b**n <= 2 * lam_up:
-            return False
-    return True
-
-
-def ghz_lambda_product_monotonicity(d: GhzDiagonal) -> bool:
-    """lam_k lam_{N-k} is non-increasing for k up to floor(N/2)."""
-    for k in range(1, (d.n + 1) // 2):
-        if d.lam[k] * d.lam[d.n - k] < d.lam[k + 1] * d.lam[d.n - k - 1] - 1e-15:
-            return False
-    return True
-
-
 def _check_open_unit(p: float) -> None:
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p={p} must lie strictly inside (0, 1)")
@@ -219,15 +175,6 @@ def blockwise_lower_M(p: float) -> float:
     )
 
 
-def blockwise_upper_m(n: int, p: float) -> float:
-    """Block size below which the block's partial transpose is certainly
-    positive; satisfies n / blockwise_upper_m = blockwise_upper_M."""
-    _check_open_unit(p)
-    return (
-        n * math.log(2 * p / (1 + p)) / (math.log(1 - p) - math.log(1 + p))
-    )
-
-
 def blockwise_upper_M_from_kt(kt: float) -> float:
     """blockwise_upper_M at p = e^{-kt}, stable down to kt ~ 1e-300.
 
@@ -235,10 +182,14 @@ def blockwise_upper_M_from_kt(kt: float) -> float:
     denominator so that nothing cancels when p rounds to 1.0; needed for the
     encoded-qubit pipeline where effective times reach 1e-73 and below.
     Past kt = 709, where e^kt overflows, the denominator ln((1 + e^kt)/2) is
-    kt - ln 2 to double precision.
+    kt - ln 2 to double precision.  The count is about (2/kt) ln(2/kt), which
+    exceeds the largest double from kt ~ 8e-306 down; below the smallest
+    normal double, where kt/2 loses bits or rounds to 0.0, it is inf.
     """
     if kt <= 0:
         raise ValidationError("kt must be positive")
+    if kt < sys.float_info.min:
+        return math.inf
     den = math.log1p(math.expm1(kt) / 2.0) if kt < 709.0 else kt - math.log(2.0)
     return -math.log(math.tanh(kt / 2.0)) / den
 
@@ -274,12 +225,3 @@ def blockwise_qo_upper_M(ch: QoChannel, t: float) -> float:
     if den == 0.0:
         raise ValidationError("degenerate denominator")
     return num / den
-
-
-def ghz_distill_time_estimate(n: int) -> float:
-    """Large-n estimate log(2)/n of the pair-protocol lifetime for GHZ-type
-    graphs.  This is an estimate of the threshold scale, not a certified
-    bound in either direction."""
-    if n < 2:
-        raise ValidationError("need at least two qubits")
-    return math.log(2) / n

@@ -18,6 +18,7 @@ gather index between calls.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -64,10 +65,6 @@ class GraphDiagonalState:
         return self.graph.n
 
 
-def graph_diagonal_from_lambda(g: Graph, lam: np.ndarray) -> GraphDiagonalState:
-    return GraphDiagonalState(g, np.asarray(lam, dtype=float))
-
-
 @dataclass(frozen=True, eq=False)
 class PtSpectrum:
     """Eigenvalues of the partial transpose, still indexed by subset mask."""
@@ -84,9 +81,6 @@ class PtSpectrum:
     def argmin_mask(self) -> int:
         """Subset U attaining the smallest eigenvalue."""
         return int(np.argmin(self.lam_prime))
-
-    def is_ppt(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.min_value >= tol.eig_floor(self.lam_prime.shape[0])
 
 
 def lambda_from_pauli(g: Graph, ch: PauliChannel) -> GraphDiagonalState:
@@ -479,14 +473,15 @@ def scan_partitions(
     order and tie-breaking follow the canonical partition enumeration, so
     results are identical for any jobs count.  The noisy weights at each p
     are computed once and shared by every split of the scan (by every split
-    of a worker's slice when jobs > 1).
+    of a worker's slice when jobs > 1).  At most min(jobs, splits,
+    os.cpu_count()) worker processes are started.
     """
     if g.is_weighted:
         raise ValidationError("scan needs an unweighted graph")
     if not family.is_pauli_family:
         raise ValidationError("scan sweeps a Pauli channel family parameter")
     parts = list(bipartitions(g))
-    jobs = min(jobs, len(parts))
+    jobs = min(jobs, len(parts), os.cpu_count() or 1)
     if jobs > 1:
         # Interleaved slices balance the work; each worker keeps its own dict.
         slices = [parts[i::jobs] for i in range(jobs)]

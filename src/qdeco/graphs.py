@@ -1,4 +1,4 @@
-"""Graphs with optional edge phases, lattice constructors, and partitions.
+"""Graphs with optional edge phases, lattice constructors, and bipartitions.
 
 Vertices are 0..n-1; a neighborhood is an int bit mask.  An edge weight is a
 phase in (0, pi]; pi is the plain (unweighted) edge, and absent weights mean
@@ -115,11 +115,6 @@ def spread_bits(compact: int, mask: int) -> int:
     return out
 
 
-def symdiff_neighborhoods(g: Graph, k: int, l: int) -> int:
-    """|N_k + N_l|: size of the mod-2 sum of the two neighborhoods."""
-    return (neighborhood(g, k) ^ neighborhood(g, l)).bit_count()
-
-
 @dataclass(frozen=True)
 class Bipartition:
     """One side A of an unordered split of the vertex set."""
@@ -142,29 +137,6 @@ class Bipartition:
 
     def members(self) -> list[int]:
         return [i for i in range(self.n) if (self.a_mask >> i) & 1]
-
-
-@dataclass(frozen=True)
-class MPartition:
-    """Disjoint blocks covering all vertices."""
-
-    blocks: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        union = 0
-        for b in self.blocks:
-            if b == 0:
-                raise ValidationError("empty block")
-            if union & b:
-                raise ValidationError("blocks overlap")
-            union |= b
-        if union != (1 << self.n) - 1:
-            raise ValidationError("blocks do not cover the vertex set")
-
-    @property
-    def m(self) -> int:
-        return len(self.blocks)
 
 
 def bipartitions(g: Graph) -> Iterator[Bipartition]:
@@ -287,19 +259,6 @@ def parse_graph_json(text: str) -> Graph:
     return graph_from_edges(
         n, edges, weights if any_weight else None, name=obj.get("name", "")
     )
-
-
-def emit_graph_json(g: Graph) -> str:
-    edges: list[list] = []
-    for u, v in g.edges():
-        if g.is_weighted:
-            edges.append([u, v, g.phase(u, v)])
-        else:
-            edges.append([u, v])
-    obj: dict = {"n": g.n, "edges": edges}
-    if g.name:
-        obj["name"] = g.name
-    return json.dumps(obj)
 
 
 def load_graph(spec: str) -> Graph:

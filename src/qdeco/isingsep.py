@@ -27,15 +27,6 @@ from .numeric import DEFAULT_TOL, Tolerance, bisect, hermitian_spectrum, partial
 GATE_BRACKET = (1e-9, 1.0 - 1e-9)
 
 
-def gate_separable(p_z: float, q_z: float) -> bool:
-    """A phase gate with per-side dephasing (p_z, q_z) creates no entanglement
-    iff (1 + p_z)(1 + q_z) <= 2.  Boundary counts as separable."""
-    for name, v in (("p_z", p_z), ("q_z", q_z)):
-        if not 0.0 <= v <= 1.0:
-            raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-    return (1.0 + p_z) * (1.0 + q_z) <= 2.0
-
-
 @dataclass(frozen=True)
 class NoisyGateState:
     """Output of one noisy phase gate on a pair of |+> qubits, doubled up.

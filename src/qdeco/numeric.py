@@ -17,29 +17,26 @@ import numpy as np
 from .errors import EvaluationError, ValidationError
 
 PRESCAN_POINTS = 64
+MAX_ITER = 200  # stops bisection where abs_root is below the float spacing
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical knobs shared across the package.
+    """Numerical tolerances shared across the package.
 
     abs_root: absolute bisection tolerance on the parameter axis.
     eig_zero: eigenvalues above this (negative) floor count as non-negative;
         None means the dimension-scaled default -1e-12 * dim.
-    max_iter: bisection iteration cap.
     """
 
     abs_root: float = 1e-10
     eig_zero: float | None = None
-    max_iter: int = 200
 
     def __post_init__(self) -> None:
         if not 0.0 < self.abs_root < math.inf:
             raise ValidationError(f"abs_root must be finite and positive, got {self.abs_root}")
         if self.eig_zero is not None and not math.isfinite(self.eig_zero):
             raise ValidationError(f"eig_zero must be finite, got {self.eig_zero}")
-        if self.max_iter < 1:
-            raise ValidationError("max_iter must be at least 1")
 
     def eig_floor(self, dim: int) -> float:
         if self.eig_zero is not None:
@@ -95,7 +92,6 @@ def bisect(
     lo: float,
     hi: float,
     tol: Tolerance = DEFAULT_TOL,
-    prescan: bool = True,
     grid_values: Sequence[float] | None = None,
 ) -> ThresholdResult:
     """Find the root of f in [lo, hi] given exactly one sign change.
@@ -117,8 +113,6 @@ def bisect(
         f_lo = _checked(f(lo), lo)
         f_hi = _checked(f(hi), hi)
     else:
-        if not prescan:
-            raise ValidationError("grid_values are pre-scan values; prescan must be on")
         if len(grid_values) != PRESCAN_POINTS + 1:
             raise ValidationError(
                 f"need {PRESCAN_POINTS + 1} grid values, got {len(grid_values)}"
@@ -130,37 +124,32 @@ def bisect(
     if f_hi == 0.0:
         return ThresholdResult(hi, (lo, hi), 0, True)
 
-    if prescan:
-        # Unlike prescan_grid, xs ends at lo + (hi - lo), which can differ
-        # from hi in the last bit; the refined bracket starts from xs.
-        xs = [lo + (hi - lo) * i / PRESCAN_POINTS for i in range(PRESCAN_POINTS + 1)]
-        if grid_values is None:
-            ys = [f_lo] + [_checked(f(x), x) for x in xs[1:-1]] + [f_hi]
-        crossings = []
-        prev_sign = math.copysign(1.0, ys[0])
-        for i in range(1, len(ys)):
-            if ys[i] == 0.0:
-                return ThresholdResult(xs[i], (lo, hi), 0, True)
-            sign = math.copysign(1.0, ys[i])
-            if sign != prev_sign:
-                crossings.append(i)
-                prev_sign = sign
-        if len(crossings) > 1:
-            raise MultipleCrossingsError(
-                f"{len(crossings)} sign changes in [{lo}, {hi}]; "
-                "refine the bracket before bisecting"
-            )
-        if not crossings:
-            return ThresholdResult(math.nan, (lo, hi), 0, False)
-        a, b = xs[crossings[0] - 1], xs[crossings[0]]
-        f_a = ys[crossings[0] - 1]
-    else:
-        if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
-            return ThresholdResult(math.nan, (lo, hi), 0, False)
-        a, b, f_a = lo, hi, f_lo
+    # Unlike prescan_grid, xs ends at lo + (hi - lo), which can differ from
+    # hi in the last bit; the refined bracket starts from xs.
+    xs = [lo + (hi - lo) * i / PRESCAN_POINTS for i in range(PRESCAN_POINTS + 1)]
+    if grid_values is None:
+        ys = [f_lo] + [_checked(f(x), x) for x in xs[1:-1]] + [f_hi]
+    crossings = []
+    prev_sign = math.copysign(1.0, ys[0])
+    for i in range(1, len(ys)):
+        if ys[i] == 0.0:
+            return ThresholdResult(xs[i], (lo, hi), 0, True)
+        sign = math.copysign(1.0, ys[i])
+        if sign != prev_sign:
+            crossings.append(i)
+            prev_sign = sign
+    if len(crossings) > 1:
+        raise MultipleCrossingsError(
+            f"{len(crossings)} sign changes in [{lo}, {hi}]; "
+            "refine the bracket before bisecting"
+        )
+    if not crossings:
+        return ThresholdResult(math.nan, (lo, hi), 0, False)
+    a, b = xs[crossings[0] - 1], xs[crossings[0]]
+    f_a = ys[crossings[0] - 1]
 
     iterations = 0
-    while b - a > tol.abs_root and iterations < tol.max_iter:
+    while b - a > tol.abs_root and iterations < MAX_ITER:
         mid = 0.5 * (a + b)
         f_mid = _checked(f(mid), mid)
         iterations += 1
@@ -209,8 +198,3 @@ def partial_transpose(rho: np.ndarray, a_mask: int) -> np.ndarray:
 
 def min_eig(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
     return float(hermitian_spectrum(m, tol)[0])
-
-
-def is_ppt_matrix(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether the smallest eigenvalue clears the (negative) zero floor."""
-    return min_eig(m, tol) >= tol.eig_floor(m.shape[0])

@@ -108,11 +108,6 @@ def reduced_pair_state(g: Graph, k: int, l: int, ch: PauliChannel) -> BellDiagon
     return BellDiagonal(vec)
 
 
-def pair_npt(b: BellDiagonal) -> bool:
-    """NPT (hence distillable) iff the largest weight exceeds 1/2."""
-    return max(b.c) > 0.5
-
-
 def pair_state_matrix(b: BellDiagonal) -> np.ndarray:
     """Explicit 4x4 density matrix; qubit k is bit 0 of the index, l bit 1."""
     phi = np.array([1.0, 1.0, 1.0, -1.0]) / 2.0
@@ -138,39 +133,6 @@ def edge_degrees(g: Graph, k: int, l: int) -> tuple[int, int, int]:
     if not (nk >> l) & 1:
         raise ValidationError(f"vertices {k} and {l} are not adjacent")
     return nk.bit_count(), nl.bit_count(), (nk ^ nl).bit_count()
-
-
-def closed_form_condition(
-    kind: str,
-    degrees: tuple[int, int, int],
-    p: float,
-    q: float | None = None,
-) -> bool:
-    """Per-edge distillability inequality in terms of local degrees only.
-
-    degrees = (|N_k|, |N_l|, |N_k + N_l|).  Supported kinds: depolarizing,
-    bitflip, dephasing (graph-independent), and "qo" for the zero-coherence
-    Pauli reduction of the optical channel, parameterised by its two flip
-    weights p (for x/y) and q (for z), both in [0, 1/4).
-    """
-    dk, dl, ds = degrees
-    if min(dk, dl) < 1 or ds < 0:
-        raise ValidationError(f"bad degrees {degrees}")
-    if kind == "depolarizing":
-        return p ** (dk + 1) + p**ds + p ** (dl + 1) > 1.0
-    if kind == "bitflip":
-        return p**dk + p**ds + p**dl > 1.0
-    if kind == "dephasing":
-        return DEPHASING_THRESHOLD < p <= 1.0
-    if kind == "qo":
-        if q is None:
-            raise ValidationError("qo form needs both weights p and q")
-        if not (0.0 <= p < 0.25 and 0.0 <= q < 0.25):
-            raise ValidationError("qo weights must lie in [0, 1/4)")
-        u = 1.0 - 4.0 * p
-        w = 1.0 - 2.0 * (p + q)
-        return w * (u**dk + u**dl + u ** (ds - 2) * w) > 1.0
-    raise ValidationError(f"unknown closed form kind {kind!r}")
 
 
 def closed_form_threshold(
@@ -316,13 +278,6 @@ class LowerBoundReport:
     @property
     def kt_spanning(self) -> float:
         return -math.log(self.p_spanning)
-
-    def spanning_connected_at(self, p: float) -> bool:
-        """Do the edges already NPT at noise level p connect all vertices?"""
-        edges = [
-            (e.u, e.v) for e in self.per_edge if e.found and e.p_crit < p
-        ]
-        return _connected(self.graph.n, edges)
 
 
 class _UnionFind:

@@ -12,15 +12,11 @@ from qdeco.channels import (
     DephasingSplit,
     PauliChannel,
     QoChannel,
-    channel_matrix_from_spec,
-    compose_dephasing,
     decay_gamma,
     decay_kraus,
-    dephasing_matrix,
     depolarizing_eb_threshold,
     eb_threshold,
     extract_dephasing,
-    is_entanglement_breaking_pauli,
     is_entanglement_breaking_qo,
     jamiolkowski_state,
     minimal_dephasing_matrix,
@@ -30,6 +26,7 @@ from qdeco.channels import (
     qo_snapshot,
 )
 from qdeco.errors import ValidationError
+from qdeco.numeric import DEFAULT_TOL, min_eig, partial_transpose
 
 
 def random_density(rng):
@@ -66,11 +63,13 @@ def test_named_channel_forms():
         named_channel("amplitude", 0.5)
 
 
+def dephasing(p):
+    return ChannelMatrix.from_pauli(named_channel("dephasing", p))
+
+
 def test_compose_dephasing_multiplies():
-    assert compose_dephasing(0.9, 0.8) == pytest.approx(0.72)
-    # Cross-check against matrix composition.
-    m = dephasing_matrix(0.9).compose(dephasing_matrix(0.8))
-    assert np.allclose(m.p, dephasing_matrix(0.72).p, atol=1e-12)
+    m = dephasing(0.9).compose(dephasing(0.8))
+    assert np.allclose(m.p, dephasing(0.72).p, atol=1e-12)
 
 
 def test_channel_application_matches_explicit_mixing():
@@ -159,9 +158,14 @@ def test_decay_matrix_matches_kraus_action():
 
 
 def test_pauli_breaking_predicate():
-    assert is_entanglement_breaking_pauli(named_channel("depolarizing", 0.2))
-    assert is_entanglement_breaking_pauli(named_channel("depolarizing", 1 / 3))
-    assert not is_entanglement_breaking_pauli(named_channel("depolarizing", 0.34))
+    # A qubit channel breaks entanglement iff its dual state is PPT.
+    def dual_pt_min(p):
+        ch = ChannelMatrix.from_pauli(named_channel("depolarizing", p))
+        return min_eig(partial_transpose(jamiolkowski_state(ch), 1))
+
+    assert dual_pt_min(0.2) >= DEFAULT_TOL.eig_floor(4)
+    assert dual_pt_min(1 / 3) >= DEFAULT_TOL.eig_floor(4)
+    assert dual_pt_min(0.34) < DEFAULT_TOL.eig_floor(4)
 
 
 def test_depolarizing_eb_threshold_is_exactly_one_third():
@@ -219,7 +223,7 @@ def test_extract_dephasing_recomposes_exactly():
     ch = ChannelMatrix.from_pauli(PauliChannel(*pauli_probs(rng)))
     split = extract_dephasing(ch, 0.7)
     assert isinstance(split, DephasingSplit)
-    recomposed = split.residual.compose(dephasing_matrix(0.7))
+    recomposed = split.residual.compose(dephasing(0.7))
     assert np.allclose(recomposed.p, ch.p, atol=1e-10)
 
 
@@ -278,14 +282,21 @@ def test_jamiolkowski_rejects_non_cp():
 def test_family_spec_parsing():
     fam = ChannelFamily.from_spec("depolarizing")
     assert fam.is_pauli_family and fam.kind == "depolarizing"
-    fam = ChannelFamily.from_spec({"kind": "qo", "B": 1.0, "C": 1.0, "s": 0.5, "t": 2.0})
+    fam = ChannelFamily.from_spec({"kind": "qo", "B": 1.0, "C": 1.0, "s": 0.5})
     assert not fam.is_pauli_family
-    assert fam.param("t") == 2.0
+    assert fam.param("s") == 0.5
     assert fam.param("missing", 7.0) == 7.0
     with pytest.raises(ValidationError):
         fam.param("missing")
-    with pytest.raises(ValidationError):
-        ChannelFamily.from_spec({"kind": "depolarizing", "B": 1.0})
+    # Keys that nothing reads are rejected, not silently ignored.
+    for spec in (
+        {"kind": "depolarizing", "B": 1.0},
+        {"kind": "depolarizing", "p": 0.3},
+        {"kind": "qo", "B": 1.0, "C": 1.0, "s": 0.5, "t": 2.0},
+        {"kind": "decay", "kappa": 1.0, "t": 2.0},
+    ):
+        with pytest.raises(ValidationError):
+            ChannelFamily.from_spec(spec)
     with pytest.raises(ValidationError):
         ChannelFamily.from_spec({"kind": "nonsense"})
     with pytest.raises(ValidationError):
@@ -297,8 +308,6 @@ def test_family_matrix_axes():
     assert np.allclose(
         dep.p, ChannelMatrix.from_pauli(named_channel("depolarizing", 0.4)).p
     )
-    fixed = channel_matrix_from_spec({"kind": "dephasing", "p": 0.25})
-    assert np.allclose(fixed.p, dephasing_matrix(0.25).p)
     decay = ChannelFamily.from_spec({"kind": "decay", "kappa": 2.0})
     assert np.allclose(
         decay.matrix(0.5).p,
@@ -309,7 +318,7 @@ def test_family_matrix_axes():
         {"kind": "pauli", "p0": 0.7, "p1": 0.1, "p2": 0.1, "p3": 0.1}
     )
     assert np.allclose(
-        fixed_pauli.fixed_matrix().p,
+        fixed_pauli.matrix(0.5).p,
         ChannelMatrix.from_pauli(PauliChannel(0.7, 0.1, 0.1, 0.1)).p,
     )
 

@@ -334,6 +334,14 @@ def test_validation_errors_exit_2(tmp_path, capsys):
         ["upper", "--method", "eb", "--channel", "depolarizing", "--tol-root", "nan"],
         ["upper", "--method", "eb", "--channel", "depolarizing", "--tol-root", "inf"],
         ["upper", "--method", "eb", "--eig-zero", "nan"],
+        ["oracle-check", "--max-n", "1"],
+        ["oracle-check", "--max-n", "0"],
+        ["oracle-check", "--cases", "0"],
+        ["oracle-check", "--cases", "-1"],
+        ["encode", "--kt", "0.01", "--levels", "-1"],
+        ["scan", "--graph", "ring:4", "--jobs", "0"],
+        ["scan", "--graph", "ring:4", "--jobs", "-2"],
+        ["upper", "--method", "eb", "--channel", '{"kind": "depolarizing", "p": 0.3}'],
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, capsys):
@@ -392,10 +400,11 @@ def exit_code(argv, capsys):
 @example(kt=0.5)
 @example(kt=1e6)
 @example(kt=1e308)
+@example(kt=1e-310)
+@example(kt=5e-324)
 def test_encode_kt_boundary(kt, capsys):
     code = exit_code(["encode", f"--kt={kt!r}"], capsys)
-    if not 0.0 <= kt < math.inf:
-        assert code == 2
+    assert code == (0 if 0.0 <= kt < math.inf else 2)
 
 
 @BOUNDARY

@@ -24,7 +24,6 @@ from qdeco.graphdiag import (
     estimate_threshold_dephasing,
     estimate_threshold_pair,
     estimate_threshold_single,
-    graph_diagonal_from_lambda,
     lambda_direct,
     lambda_estimation_check,
     lambda_from_pauli,
@@ -123,8 +122,8 @@ def test_state_validation():
         GraphDiagonalState(g, np.array([0.7, 0.4, -0.1, 0.0]))
     with pytest.raises(ValidationError):
         GraphDiagonalState(g, np.array([0.7, 0.4, 0.1, 0.0]))  # sums to 1.2
-    s = graph_diagonal_from_lambda(g, [0.7, 0.1, 0.1, 0.1])
-    assert s.n == 2
+    s = GraphDiagonalState(g, [0.7, 0.1, 0.1, 0.1])
+    assert s.n == 2 and s.lam.dtype == float
 
 
 # --- Partial-transpose spectra vs the dense oracle ---------------------------
@@ -320,9 +319,9 @@ def test_pt_spectrum_argmin_and_is_ppt():
     part = Bipartition(0b0001, 4)
     spec = pt_spectrum(state, part)
     assert spec.lam_prime[spec.argmin_mask] == spec.min_value
-    assert not spec.is_ppt()
+    assert spec.min_value < 0.0
     mixed = lambda_from_pauli(g, named_channel("depolarizing", 0.01))
-    assert pt_spectrum(mixed, part).is_ppt()
+    assert pt_spectrum(mixed, part).min_value >= 0.0
 
 
 def test_pt_spectrum_trace_validation():
@@ -501,6 +500,35 @@ def test_scan_jobs_determinism():
     assert [e.argmin_mask for e in serial.entries] == [
         e.argmin_mask for e in parallel.entries
     ]
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (1, None), (None, None)])
+def test_scan_workers_capped_at_cpu_count(monkeypatch, cpus, workers):
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(graphdiag, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(graphdiag.os, "cpu_count", lambda: cpus)
+    g = make_lattice("ring", 6)
+    report = scan_partitions(g, DEPHASING, jobs=1000)
+    assert _InProcessPool.sizes == ([] if workers is None else [workers])
+    assert report.entries == scan_partitions(g, DEPHASING, jobs=1).entries
 
 
 def _unshared_scan_entry(g, family, part):

@@ -9,7 +9,6 @@ from qdeco.graphs import graph_from_edges, make_lattice
 from qdeco.isingsep import (
     NoisyGateState,
     depolarizing_p_from_dephasing,
-    gate_separable,
     graph_separability_threshold,
     weighted_gate_threshold,
     weighted_graph_threshold,
@@ -23,21 +22,6 @@ BITFLIP = ChannelFamily.from_spec("bitflip")
 
 
 # --- Single-gate separability ---------------------------------------------------
-
-
-def test_gate_separable_inequality_and_boundary():
-    assert gate_separable(0.3, 0.3)
-    assert not gate_separable(0.9, 0.9)
-    # The boundary counts as separable: (1 + 1)(1 + 0) = 2 exactly.
-    assert gate_separable(1.0, 0.0)
-    assert not gate_separable(1.0, 1e-12)
-    # The analytic corner (1 + x)^2 = 2 sits at x = sqrt(2) - 1.
-    assert gate_separable(SQRT2M1 - 1e-12, SQRT2M1 - 1e-12)
-    assert not gate_separable(SQRT2M1 + 1e-9, SQRT2M1)
-    with pytest.raises(ValidationError):
-        gate_separable(-0.1, 0.5)
-    with pytest.raises(ValidationError):
-        gate_separable(0.5, 1.2)
 
 
 def test_gate_state_is_a_valid_density_matrix():
@@ -70,7 +54,7 @@ def test_gate_separable_matches_pt_sign_at_full_phase():
         for q_z in np.arange(0.05, 1.0, 0.1):
             state = NoisyGateState(float(p_z), float(q_z), math.pi)
             ppt = state.pt_min_eig() >= -2e-11
-            assert ppt == gate_separable(float(p_z), float(q_z))
+            assert ppt == ((1.0 + p_z) * (1.0 + q_z) <= 2.0)
 
 
 def test_clean_gate_is_entangled_for_any_phase():

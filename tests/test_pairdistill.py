@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from qdeco.channels import ChannelFamily, ChannelMatrix, PauliChannel, named_channel
+from qdeco.channels import ChannelFamily, ChannelMatrix, named_channel
 from qdeco.cli import random_pauli_channel
 from qdeco.errors import ValidationError
 from qdeco.graphs import Bipartition, graph_from_edges, make_lattice
@@ -18,11 +18,9 @@ from qdeco.pairdistill import (
     DEPHASING_THRESHOLD,
     BellDiagonal,
     EdgeThreshold,
-    closed_form_condition,
     closed_form_threshold,
     edge_degrees,
     lifetime_lower_bound,
-    pair_npt,
     pair_pt_min_eig,
     pair_state_matrix,
     reduced_pair_state,
@@ -105,7 +103,7 @@ def test_bell_diagonal_validation():
 
 def test_npt_boundary_state_has_zero_pt_eigenvalue():
     b = BellDiagonal((0.5, 0.3, 0.1, 0.1))
-    assert not pair_npt(b)
+    assert not max(b.c) > 0.5
     assert pair_pt_min_eig(b) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -117,7 +115,7 @@ def test_npt_predicate_equals_pt_sign():
         b = BellDiagonal(tuple(x / total for x in raw))
         if abs(max(b.c) - 0.5) < 1e-12:
             continue
-        assert pair_npt(b) == (pair_pt_min_eig(b) < 0.0)
+        assert (max(b.c) > 0.5) == (pair_pt_min_eig(b) < 0.0)
 
 
 # --- Closed-form per-edge conditions ------------------------------------------
@@ -149,19 +147,25 @@ def test_depolarizing_closed_form_roots(degrees, root, kt):
 
 
 def test_closed_form_condition_flips_at_the_root():
-    for degrees in ((2, 2, 4), (4, 4, 8), (1, 2, 3), (4, 1, 5)):
-        root = closed_form_threshold("depolarizing", degrees).value
-        assert closed_form_condition("depolarizing", degrees, root + 1e-6)
-        assert not closed_form_condition("depolarizing", degrees, root - 1e-6)
+    # Edges with degrees (2, 2, 4), (4, 4, 8), (1, 2, 3) and (4, 1, 5).
+    for g, k, l in (
+        (make_lattice("ring", 6), 0, 1),
+        (make_lattice("grid2d", 4, 4), 5, 6),
+        (make_lattice("line", 5), 0, 1),
+        (make_lattice("star", 5), 0, 2),
+    ):
+        root = closed_form_threshold("depolarizing", edge_degrees(g, k, l)).value
+        for p, npt in ((root + 1e-6, True), (root - 1e-6, False)):
+            b = reduced_pair_state(g, k, l, named_channel("depolarizing", p))
+            assert (max(b.c) > 0.5) == npt
 
 
 def test_closed_form_matches_reduced_state_on_ring():
     g = make_lattice("ring", 6)
-    degrees = edge_degrees(g, 0, 1)
+    root = closed_form_threshold("depolarizing", edge_degrees(g, 0, 1)).value
     for p in (0.60, 0.715, 0.718, 0.9):
-        cond = closed_form_condition("depolarizing", degrees, p)
         b = reduced_pair_state(g, 0, 1, named_channel("depolarizing", p))
-        assert cond == pair_npt(b)
+        assert (max(b.c) > 0.5) == (p > root)
 
 
 def test_bitflip_closed_form_matches_reduced_state():
@@ -172,7 +176,7 @@ def test_bitflip_closed_form_matches_reduced_state():
     assert res.value == pytest.approx(math.sqrt(math.sqrt(2.0) - 1.0), abs=1e-9)
     for p in (res.value - 1e-3, res.value + 1e-3):
         b = reduced_pair_state(g, 0, 1, named_channel("bitflip", p))
-        assert pair_npt(b) == closed_form_condition("bitflip", degrees, p)
+        assert (max(b.c) > 0.5) == (p > res.value)
 
 
 def test_dephasing_condition_is_graph_independent():
@@ -181,36 +185,15 @@ def test_dephasing_condition_is_graph_independent():
         make_lattice("star", 6),
         make_lattice("grid2d", 3, 2),
     ):
-        degrees = edge_degrees(g, *g.edges()[0])
         for p in (DEPHASING_THRESHOLD - 1e-6, DEPHASING_THRESHOLD + 1e-6):
-            cond = closed_form_condition("dephasing", degrees, p)
             b = reduced_pair_state(g, *g.edges()[0], named_channel("dephasing", p))
-            assert cond == pair_npt(b) == (p > DEPHASING_THRESHOLD)
-
-
-def test_qo_closed_form_matches_reduced_state():
-    # Zero-coherence reduction of the optical channel: x/y weight p, z weight
-    # q, identity 1 - 2p - q.  The w(u^dk + u^dl + u^(ds-2) w) > 1 inequality
-    # should match the reduced pair state exactly.
-    g = make_lattice("ring", 6)
-    degrees = edge_degrees(g, 0, 1)
-    for p, q in ((0.01, 0.02), (0.05, 0.01), (0.002, 0.001), (0.08, 0.08)):
-        ch = PauliChannel(1.0 - 2.0 * p - q, p, p, q)
-        cond = closed_form_condition("qo", degrees, p, q)
-        assert cond == pair_npt(reduced_pair_state(g, 0, 1, ch))
+            assert (max(b.c) > 0.5) == (p > DEPHASING_THRESHOLD)
 
 
 def test_closed_form_validation():
-    with pytest.raises(ValidationError):
-        closed_form_condition("depolarizing", (0, 2, 2), 0.5)
-    with pytest.raises(ValidationError):
-        closed_form_condition("qo", (2, 2, 4), 0.1)  # missing q
-    with pytest.raises(ValidationError):
-        closed_form_condition("qo", (2, 2, 4), 0.3, 0.1)  # weight out of range
-    with pytest.raises(ValidationError):
-        closed_form_condition("smearing", (2, 2, 4), 0.5)
-    with pytest.raises(ValidationError):
-        closed_form_threshold("dephasing", (2, 2, 4))
+    for kind in ("dephasing", "smearing"):
+        with pytest.raises(ValidationError):
+            closed_form_threshold(kind, (2, 2, 4))
 
 
 # --- Universal degree-only bound ----------------------------------------------
@@ -238,7 +221,7 @@ def test_universal_bound_is_weaker_than_exact_roots():
         assert p_uni >= root - 1e-12
         # The promise: any p above the universal value keeps the pair NPT.
         b = reduced_pair_state(g, k, l, named_channel("depolarizing", p_uni + 1e-9))
-        assert pair_npt(b)
+        assert max(b.c) > 0.5
 
 
 # --- Weighted graphs: dense local-region route ---------------------------------
@@ -329,9 +312,6 @@ def test_spanning_certificate_ignores_a_redundant_weak_edge():
     assert report.p_spanning == pytest.approx(side_root, abs=1e-8)
     assert report.p_spanning < report.p_global - 1e-3
     assert report.bottleneck_edge == (1, 4)
-    mid = 0.5 * (side_root + hub_root)
-    assert report.spanning_connected_at(mid)
-    assert not report.spanning_connected_at(side_root - 1e-3)
 
 
 def test_report_rejects_bad_inputs():
