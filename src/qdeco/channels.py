@@ -223,11 +223,6 @@ def jamiolkowski_state(
     return rho
 
 
-def partial_trace_out_second(rho4: np.ndarray) -> np.ndarray:
-    r = rho4.reshape(2, 2, 2, 2)
-    return np.einsum("ikjk->ij", r)
-
-
 def partial_trace_out_first(rho4: np.ndarray) -> np.ndarray:
     r = rho4.reshape(2, 2, 2, 2)
     return np.einsum("kikj->ij", r)

@@ -93,8 +93,8 @@ def level_recursion(kt: float, j: int) -> CodeLevel:
     elif math.isinf(ln_eps):  # noiseless fixed point
         kt_eff = 0.0
         kt_eff_log10 = -math.inf
-    else:
-        kt_eff = 0.0
+    else:  # eps flushed to 0.0; 4 eps / 3 may still be a (subnormal) double
+        kt_eff = math.exp(_LN_4_3 + ln_eps)
         kt_eff_log10 = (_LN_4_3 + ln_eps) / _LN10
 
     if kt == 0.0:

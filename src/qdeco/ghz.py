@@ -92,6 +92,40 @@ def _log_mix(n: int, j: int, first: tuple[float, float], second: tuple[float, fl
     return float(np.logaddexp(j * lx + (n - j) * ly, j * lu + (n - j) * lv))
 
 
+def _log1mexp(x: float) -> float:
+    """ln(1 - e^-x) for x >= 0, without cancellation at either end."""
+    if x > _LN2:
+        return math.log1p(-math.exp(-x))
+    return _ln(-math.expm1(-x))
+
+
+def _qo_log_gap_ratio(ch: QoChannel, n: int, k: int, t: float) -> float:
+    """ln(lam_k lam_{n-k} / mu^2) of the quantum-optical GHZ state at time t.
+
+    The ratio is a sum of four products of per-qubit factors, each built
+    from the rates rather than from qo_snapshot's rounded a, b, c: with
+    u = 1 - e^-Bt, 1 - a = (1 - s) u and 1 - c = s u, and b = e^-Ct enters
+    only through the exact ln(x / b^2) = ln x + 2Ct.  So where the factors
+    cancel (s = 0 and 2C = B give the ratio (1 - e^-Bt)^n) the logarithm
+    keeps the sign: -n e^-Bt, not a rounding residue of n Bt - 2n Ct.
+    """
+    ls, l1s = _ln(ch.s), _ln(1.0 - ch.s)
+    lu = _log1mexp(ch.B * t)
+    two_ct, net = 2.0 * ch.C * t, (2.0 * ch.C - ch.B) * t
+    la_b2 = float(np.logaddexp(ls + two_ct, l1s + net))  # ln(a / b^2)
+    lc_b2 = float(np.logaddexp(l1s + two_ct, ls + net))  # ln(c / b^2)
+    lc = float(np.logaddexp(l1s, ls - ch.B * t))
+    l1a, l1c = l1s + lu, ls + lu
+    ca, cross = lc + la_b2, l1c + l1a + two_ct  # ln(ca / b^2), ln((1-c)(1-a) / b^2)
+    terms = [
+        n * (lc_b2 + l1c),
+        k * ca + (n - k) * cross,
+        (n - k) * ca + k * cross,
+        n * (la_b2 + l1a),
+    ]
+    return float(np.logaddexp.reduce(terms))
+
+
 def ghz_lifetime(
     n: int,
     k: int,
@@ -109,9 +143,10 @@ def ghz_lifetime(
     The function bisected is ln(lam_k lam_{n-k}) - ln(mu^2), which has the
     sign of the gap lam_k lam_{n-k} - mu^2 but does not underflow: for large
     n both terms of the gap round to 0.0 (from n = 538 at p = 1e-9), and an
-    exact zero would be taken for the root.  Where a coefficient is exactly
-    0 (the quantum-optical channel at t = 0) the gap itself is used, and a
-    gap with both terms 0.0 raises CapacityError.
+    exact zero would be taken for the root.  For a quantum-optical channel
+    it is taken from the rates (see _qo_log_gap_ratio).  Where that is not
+    finite (a coefficient is exactly 0, as at t = 0) or is exactly 0.0, the
+    gap itself is used, and a gap with both terms 0.0 raises CapacityError.
     """
     if not 1 <= k <= n - 1:
         raise ValidationError(f"group size k={k} outside 1..{n - 1}")
@@ -132,15 +167,8 @@ def ghz_lifetime(
     if isinstance(channel, QoChannel):
 
         def gap_t(t: float) -> float:
-            snap = qo_snapshot(channel, t)
-            a, b, c = snap.a, snap.b, snap.c
-            from_c, from_a = (_ln(c), _ln(1 - c)), (_ln(1 - a), _ln(a))
-
-            def log_lam(j: int) -> float:
-                return _log_mix(n, j, from_c, from_a) - _LN2
-
-            log_gap = log_lam(k) + log_lam(n - k) - 2.0 * (n * _ln(abs(b)) - _LN2)
-            if math.isfinite(log_gap):
+            log_gap = _qo_log_gap_ratio(channel, n, k, t)
+            if math.isfinite(log_gap) and log_gap != 0.0:
                 return log_gap
             d = ghz_qo_coeffs(n, channel, t)
             if d.lam[k] * d.lam[n - k] == 0.0 and d.mu**2 == 0.0:

@@ -8,11 +8,17 @@ spectra exactly with GF(2) linear algebra (the partially transposed state
 is diagonal in the same basis, and one signed gather over shifted weights,
 PartitionTransform, gives it for every split), PPT-certifying estimates
 built from weight ratios, and a scan of every bipartition for the noise
-level where its spectrum turns nonnegative.  The scan computes the noisy
-weights at each noise level once and shares them across its splits (per
-worker when jobs > 1); each split evaluates the bisection's whole pre-scan
-grid in one stacked call of PartitionTransform.apply, which keeps its
-gather index between calls.
+level where its spectrum turns nonnegative.
+
+The scan bisects every split in lockstep on the sign of its smallest PT
+weight.  For the scan families (depolarizing, dephasing, bitflip) the
+Fourier form of the PT spectrum, FourierForm, gives that sign for all
+splits at once, in blocks of n butterfly passes; a value settles the sign
+only when it exceeds fourier_bound, its distance from the gather's value.
+Where it does not, and at the clean end of the bracket, which sets the
+argmin and the verdict of splits without a crossing, the gather supplies
+the value.  So every bisection takes the steps it would take on the gather
+alone, and every entry of the report is the gather's.
 """
 
 from __future__ import annotations
@@ -23,15 +29,21 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from typing import Callable
 
 import numpy as np
 
 from .channels import ChannelFamily, PauliChannel
 from .errors import CapacityError, ValidationError
-from .gf2 import BitMatrix, dot, image_with_preimages, kernel_basis, orthocomplement
+from .gf2 import BitMatrix, image_with_preimages, kernel_basis, orthocomplement
 from .graphs import Bipartition, Graph, bipartitions, neighborhood, spread_bits
-from .numeric import DEFAULT_TOL, ThresholdResult, Tolerance, bisect, prescan_grid
+from .numeric import (
+    DEFAULT_TOL,
+    ThresholdResult,
+    Tolerance,
+    bisect,
+    bisect_steps,
+    prescan_grid,
+)
 
 FAST_CAP = 20  # 2^n weight vector
 DIRECT_CAP = 14  # 4^n double sum
@@ -230,17 +242,16 @@ def partition_transform(g: Graph, part: Bipartition) -> PartitionTransform:
     xs = orthocomplement(kernel_basis(block), len(a_bits))
     ys = image_with_preimages(block)
     r = len(ys).bit_length() - 1
-    shifts = []
-    signs = []
-    for y_c, ay in ys:
-        y_full = spread_bits(y_c, c_mask)
-        for x in xs:
-            shifts.append(spread_bits(x, part.a_mask) ^ y_full)
-            signs.append(-1.0 if dot(x, ay) else 1.0)
+    # Terms run over Y (outer) and X (inner).
+    x_c = np.array(xs, dtype=np.intp)
+    x_full = np.array([spread_bits(x, part.a_mask) for x in xs], dtype=np.intp)
+    y_full = np.array([spread_bits(y, c_mask) for y, _ in ys], dtype=np.intp)
+    y_pre = np.array([ay for _, ay in ys], dtype=np.intp)
+    odd = np.bitwise_count(y_pre[:, np.newaxis] & x_c[np.newaxis, :]) & 1
     return PartitionTransform(
         part,
-        np.array(shifts, dtype=np.intp),
-        np.array(signs),
+        (y_full[:, np.newaxis] ^ x_full[np.newaxis, :]).ravel(),
+        (1.0 - 2.0 * odd).ravel(),
         prefactor=1.0 / len(xs),
         rank=r,
     )
@@ -260,6 +271,83 @@ def pt_spectrum(
         raise ValidationError("transform was built for a different partition")
     lam_prime = transform.apply(s.lam)
     return PtSpectrum(lam_prime, part, float(lam_prime.min()))
+
+
+# ---------------------------------------------------------------------------
+# Partial transposition in the Fourier domain, for the scan families
+
+
+def _walsh_hadamard(rows: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform of each row of a 2-D array.
+
+    Each of the log2(width) butterfly passes adds and subtracts adjacent
+    pairs into the two halves of a second buffer (the constant-geometry
+    form: after every bit has been passed, the order is natural again).
+    The result is one of the two buffers; rows is overwritten.
+    """
+    src, dst = rows, np.empty(rows.shape)
+    half = rows.shape[1] // 2
+    for _ in range(rows.shape[1].bit_length() - 1):
+        np.add(src[:, 0::2], src[:, 1::2], out=dst[:, :half])
+        np.subtract(src[:, 0::2], src[:, 1::2], out=dst[:, half:])
+        src, dst = dst, src
+    return src
+
+
+@dataclass(frozen=True, eq=False)
+class FourierForm:
+    """PT weights of a graph state under a scan family, in Fourier form.
+
+    Under depolarizing, dephasing or bitflip noise at parameter p the
+    Walsh-Hadamard transform H of the noisy weights is p^w(chi), where w
+    counts the vertices of chi | Gamma chi, of chi, or of Gamma chi (Gamma
+    chi is the XOR of the neighbourhoods of the vertices in chi).  The PT
+    weights of the split with side A are 2^-n H[(-1)^|chi & Gamma chi & A|
+    p^w]: n butterfly passes over 2^n entries, whatever the rank of the
+    split.  They agree with PartitionTransform.apply on lambda_from_pauli's
+    weights to within fourier_bound.
+    """
+
+    n: int
+    exponents: np.ndarray  # w(chi)
+    cross: np.ndarray  # chi & Gamma chi
+
+    @staticmethod
+    def of(g: Graph, kind: str) -> "FourierForm":
+        chi = np.arange(1 << g.n)
+        gamma = np.zeros_like(chi)
+        for k in range(g.n):
+            gamma ^= ((chi >> k) & 1) * g.adj[k]
+        support = {"depolarizing": chi | gamma, "dephasing": chi, "bitflip": gamma}[kind]
+        return FourierForm(g.n, np.bitwise_count(support).astype(np.intp), chi & gamma)
+
+    def signs(self, a_mask: int) -> np.ndarray:
+        """(-1)^|chi & Gamma chi & A| for the split with side a_mask, as int8."""
+        return (1 - 2 * (np.bitwise_count(self.cross & a_mask) & 1)).astype(np.int8)
+
+    def spectra(self, signs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        """PT weights at ps[i] of the split with sign vector signs[i].
+
+        signs has shape (rows, 2^n) and ps (rows,); the result is (rows, 2^n).
+        """
+        powers = np.power(ps[:, np.newaxis], np.arange(self.n + 1, dtype=float))
+        powers *= math.ldexp(1.0, -self.n)
+        rows = np.take(powers, self.exponents, axis=1)  # C order, unlike powers[:, w]
+        rows *= signs
+        return _walsh_hadamard(rows)
+
+
+def fourier_bound(n: int, rank: int) -> float:
+    """Bound on |FourierForm.spectra - PartitionTransform.apply| at one p.
+
+    The gather's 4^rank-term sum, scaled by the exact 2^-rank, is off by at
+    most 2^rank units of 2^-53; lambda_from_pauli's n mixing steps of
+    nonnegative terms, with rounded channel probabilities, put a relative
+    error of about 6n units on every weight; pow and the n butterfly passes
+    over entries of total size at most 1 add about n + 1 units.  The bound
+    takes 8 times (2^rank + 8n + 8) units.
+    """
+    return 8.0 * ((1 << rank) + 8 * n + 8) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +471,10 @@ class PartitionScanEntry:
     partition: Bipartition
     status: str  # "threshold" | "always_ppt" | "always_npt"
     p_crit: float  # NaN unless status == "threshold"
-    # Minimising subset at the clean end of the bracket.  When subsets tie
-    # for the minimum, which one is reported is set by the rounding of the
-    # gather in PartitionTransform.apply.
+    # Minimising subset at the clean end of the bracket, taken from the
+    # gather (PartitionTransform.apply), never from the Fourier form.  When
+    # subsets tie for the minimum, which one is reported is set by the
+    # rounding of that gather.
     argmin_mask: int
     iterations: int
 
@@ -410,26 +499,25 @@ class PartitionScanReport:
         return out
 
 
-def _scan_one(
-    g: Graph,
-    part: Bipartition,
-    tol: Tolerance,
-    weights: Callable[[float], np.ndarray],
-    grid: np.ndarray,
-) -> PartitionScanEntry:
-    transform = partition_transform(g, part)
+_FOURIER_BLOCK = 1 << 13  # entries of one block of Fourier rows
+# Gather-index entries that the transforms a scan keeps for its undecided
+# values may hold in total, as many as one transform keeps (8 MB).
+_KEPT_GATHER_INDEX = PartitionTransform._KEPT_INDEX
 
-    def min_pt(p: float) -> float:
-        return float(transform.apply(weights(p)).min())
 
-    lo, hi = SCAN_BRACKET
-    grid_pt = transform.apply(grid)
-    result = bisect(min_pt, lo, hi, tol, grid_values=grid_pt.min(axis=1).tolist())
-    argmin = int(np.argmin(grid_pt[-1]))
-    if result.sign_change_found:
-        return PartitionScanEntry(part, "threshold", result.value, argmin, result.iterations)
-    status = "always_npt" if grid_pt[-1].min() < 0.0 else "always_ppt"
-    return PartitionScanEntry(part, status, math.nan, argmin, 0)
+def _index_size(transform: PartitionTransform) -> int:
+    return transform.shifts.shape[0] << transform.partition.n
+
+
+def _fourier_mins(
+    form: FourierForm, signs: np.ndarray, split: np.ndarray, ps: np.ndarray
+) -> np.ndarray:
+    """Smallest PT weight at ps[i] of split number split[i], in blocks."""
+    out = np.empty(len(ps))
+    step = max(1, _FOURIER_BLOCK >> form.n)
+    for s in range(0, len(ps), step):
+        out[s : s + step] = form.spectra(signs[split[s : s + step]], ps[s : s + step]).min(axis=1)
+    return out
 
 
 def _scan_splits(
@@ -438,13 +526,22 @@ def _scan_splits(
     parts: list[Bipartition],
     tol: Tolerance,
 ) -> list[PartitionScanEntry]:
-    """Scan the given splits, computing each noisy weight vector only once.
+    """Scan the given splits in lockstep, steering bisection by certified signs.
 
-    Every split pre-scans the same grid of p, and splits related by a
-    symmetry of the graph bisect through the same points, so one p -> lam
-    dict serves the whole list.  The grid's weights are stacked once, and
-    each split applies its transform to the whole stack in one call.
+    A bisection step needs only the sign of the smallest PT weight.  The
+    Fourier form gives it for every split at once; a value v settles the
+    sign when |v| > fourier_bound, because the gather's value is then
+    nonzero and of the same sign.  Where it does not, the gather
+    (PartitionTransform.apply on the noisy weights) supplies the value, so
+    every bisection takes the steps it would take on the gather alone.  The
+    clean-end row, which gives the argmin and the verdict of splits without
+    a crossing, is always gathered.  A split's transform is kept only while
+    the split is still bisecting and has needed the gather, and only while
+    the kept transforms' gather indices fit in _KEPT_GATHER_INDEX entries;
+    noisy weights are computed once per p and shared by every split.
     """
+    if not parts:
+        return []
     cache: dict[float, np.ndarray] = {}
 
     def weights(p: float) -> np.ndarray:
@@ -453,8 +550,74 @@ def _scan_splits(
             lam = cache[p] = lambda_from_pauli(g, family.pauli(p)).lam
         return lam
 
-    grid = np.stack([weights(p) for p in prescan_grid(*SCAN_BRACKET)])
-    return [_scan_one(g, part, tol, weights, grid) for part in parts]
+    transforms: dict[int, PartitionTransform] = {}  # of splits that needed the gather
+    room = _KEPT_GATHER_INDEX
+
+    def gathered(i: int, p: float, transform: PartitionTransform | None = None) -> float:
+        nonlocal room
+        if i in transforms:
+            transform = transforms[i]
+        else:
+            transform = transform or partition_transform(g, parts[i])
+            if _index_size(transform) <= room:
+                transforms[i] = transform
+                room -= _index_size(transform)
+        return float(transform.apply(weights(p)).min())
+
+    def release(i: int) -> None:
+        nonlocal room
+        if i in transforms:
+            room += _index_size(transforms.pop(i))
+
+    lo, hi = SCAN_BRACKET
+    grid = prescan_grid(lo, hi)[:-1]  # the clean end hi is gathered
+    form = FourierForm.of(g, family.kind)
+    signs = np.stack([form.signs(part.a_mask) for part in parts])
+    grid_mins = _fourier_mins(
+        form, signs, np.repeat(np.arange(len(parts)), len(grid)), np.tile(grid, len(parts))
+    ).reshape(len(parts), len(grid))
+
+    entries: list[PartitionScanEntry | None] = [None] * len(parts)
+    bounds = []
+    clean_ends = []
+    active = []  # (split number, bisection steps, next point)
+
+    def advance(i: int, steps, y: float | None) -> None:
+        try:
+            x = steps.send(y)
+        except StopIteration as stop:
+            release(i)
+            entries[i] = _scan_entry(parts[i], stop.value, *clean_ends[i])
+        else:
+            active.append((i, steps, x))
+
+    for i, part in enumerate(parts):
+        transform = partition_transform(g, part)
+        clean = transform.apply(weights(hi))
+        clean_ends.append((float(clean.min()), int(np.argmin(clean))))
+        bounds.append(fourier_bound(g.n, transform.rank))
+        ys = [
+            v if abs(v) > bounds[i] else gathered(i, x, transform)
+            for x, v in zip(grid, grid_mins[i].tolist())
+        ]
+        advance(i, bisect_steps(lo, hi, tol, [*ys, clean_ends[i][0]]), None)
+
+    while active:
+        stepping, active = active, []
+        split = np.array([i for i, _, _ in stepping])
+        mins = _fourier_mins(form, signs, split, np.array([x for _, _, x in stepping]))
+        for (i, steps, x), v in zip(stepping, mins.tolist()):
+            advance(i, steps, v if abs(v) > bounds[i] else gathered(i, x))
+    return entries
+
+
+def _scan_entry(
+    part: Bipartition, result: ThresholdResult, clean_min: float, argmin: int
+) -> PartitionScanEntry:
+    if result.sign_change_found:
+        return PartitionScanEntry(part, "threshold", result.value, argmin, result.iterations)
+    status = "always_npt" if clean_min < 0.0 else "always_ppt"
+    return PartitionScanEntry(part, status, math.nan, argmin, 0)
 
 
 def scan_partitions(
@@ -471,10 +634,10 @@ def scan_partitions(
     given a fake threshold.  first_ppt is the split that turns PPT first as
     p decreases (largest critical p), last_ppt the most robust one.  Output
     order and tie-breaking follow the canonical partition enumeration, so
-    results are identical for any jobs count.  The noisy weights at each p
-    are computed once and shared by every split of the scan (by every split
-    of a worker's slice when jobs > 1).  At most min(jobs, splits,
-    os.cpu_count()) worker processes are started.
+    results are identical for any jobs count.  The splits bisect in
+    lockstep (those of a worker's slice when jobs > 1), steered by the signs
+    the Fourier form certifies; see _scan_splits.  At most min(jobs,
+    splits, os.cpu_count()) worker processes are started.
     """
     if g.is_weighted:
         raise ValidationError("scan needs an unweighted graph")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -87,31 +87,13 @@ def prescan_grid(lo: float, hi: float) -> list[float]:
     return [lo, *inner, hi]
 
 
-def bisect(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: Tolerance = DEFAULT_TOL,
-    grid_values: Sequence[float] | None = None,
-) -> ThresholdResult:
-    """Find the root of f in [lo, hi] given exactly one sign change.
-
-    A coarse pre-scan (PRESCAN_POINTS intervals) certifies that the bracket
-    contains exactly one crossing; more than one raises MultipleCrossingsError,
-    none yields sign_change_found=False with a NaN value.  Deterministic:
-    identical inputs give bit-identical outputs.
-
-    grid_values, when given, are the values of f at prescan_grid(lo, hi),
-    computed by the caller (for instance in one vectorised call); the
-    pre-scan uses them instead of calling f, and f is called only to refine
-    the bracket.  Every value is checked to be finite, as f's own are.
-    """
-    if not lo < hi:
-        raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
-
+def _prescan(
+    lo: float, hi: float, grid_values: Sequence[float] | None
+) -> Generator[float, float, ThresholdResult | tuple[float, float, float]]:
+    """bisect_steps' pre-scan: a final result, or the crossing's (a, b, f(a))."""
     if grid_values is None:
-        f_lo = _checked(f(lo), lo)
-        f_hi = _checked(f(hi), hi)
+        f_lo = _checked((yield lo), lo)
+        f_hi = _checked((yield hi), hi)
     else:
         if len(grid_values) != PRESCAN_POINTS + 1:
             raise ValidationError(
@@ -128,7 +110,10 @@ def bisect(
     # hi in the last bit; the refined bracket starts from xs.
     xs = [lo + (hi - lo) * i / PRESCAN_POINTS for i in range(PRESCAN_POINTS + 1)]
     if grid_values is None:
-        ys = [f_lo] + [_checked(f(x), x) for x in xs[1:-1]] + [f_hi]
+        ys = [f_lo]
+        for x in xs[1:-1]:
+            ys.append(_checked((yield x), x))
+        ys.append(f_hi)
     crossings = []
     prev_sign = math.copysign(1.0, ys[0])
     for i in range(1, len(ys)):
@@ -145,13 +130,39 @@ def bisect(
         )
     if not crossings:
         return ThresholdResult(math.nan, (lo, hi), 0, False)
-    a, b = xs[crossings[0] - 1], xs[crossings[0]]
-    f_a = ys[crossings[0] - 1]
+    return xs[crossings[0] - 1], xs[crossings[0]], ys[crossings[0] - 1]
+
+
+def bisect_steps(
+    lo: float,
+    hi: float,
+    tol: Tolerance = DEFAULT_TOL,
+    grid_values: Sequence[float] | None = None,
+) -> Generator[float, float, ThresholdResult]:
+    """The bisection of `bisect` as a generator, for callers that evaluate f.
+
+    It yields each point where it needs f and is sent f's value there; it
+    returns the ThresholdResult (as StopIteration.value).  Only the signs of
+    the values and whether they are exactly zero steer it, so a caller may
+    send any finite value of the right sign that is zero exactly where f is.
+    Every value sent is checked to be finite.
+
+    grid_values, when given, are the values of f at prescan_grid(lo, hi),
+    computed by the caller (for instance in one vectorised call); the
+    generator then yields only the refinement points.  While refining it
+    holds three floats, not the pre-scan's values.
+    """
+    if not lo < hi:
+        raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
+    found = yield from _prescan(lo, hi, grid_values)
+    if isinstance(found, ThresholdResult):
+        return found
+    a, b, f_a = found
 
     iterations = 0
     while b - a > tol.abs_root and iterations < MAX_ITER:
         mid = 0.5 * (a + b)
-        f_mid = _checked(f(mid), mid)
+        f_mid = _checked((yield mid), mid)
         iterations += 1
         if f_mid == 0.0:
             a = b = mid
@@ -161,6 +172,30 @@ def bisect(
         else:
             b = mid
     return ThresholdResult(0.5 * (a + b), (a, b), iterations, True)
+
+
+def bisect(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    tol: Tolerance = DEFAULT_TOL,
+) -> ThresholdResult:
+    """Find the root of f in [lo, hi] given exactly one sign change.
+
+    A coarse pre-scan (PRESCAN_POINTS intervals) certifies that the bracket
+    contains exactly one crossing; more than one raises MultipleCrossingsError,
+    none yields sign_change_found=False with a NaN value.  Deterministic:
+    identical inputs give bit-identical outputs.  This drives bisect_steps,
+    calling f at each point it yields; every value is checked to be finite.
+    """
+    steps = bisect_steps(lo, hi, tol)
+    y = None
+    try:
+        while True:
+            x = steps.send(y)
+            y = f(x)
+    except StopIteration as stop:
+        return stop.value
 
 
 def check_hermitian(m: np.ndarray, atol: float = 1e-12) -> np.ndarray:

@@ -247,6 +247,15 @@ def test_ghz_single_split_past_gap_underflow(tmp_path):
     assert rows[0]["p_crit"] == pytest.approx(0.98410, abs=1e-5)
 
 
+def test_ghz_zero_temperature_qo_reports_no_root(tmp_path):
+    # s = 0 and C = B/2: the gap a^n ((1 - a)^n - 1) / 4 is negative at
+    # every t > 0, so there is no t_crit to print.
+    channel = '{"kind": "qo", "B": 1, "C": 0.5, "s": 0}'
+    code, payload = run_json(tmp_path, ["ghz", "--n", "3", "--channel", channel])
+    assert code == 0
+    assert payload["results"]["rows"] == [{"k": 1, "t_crit": None}]
+
+
 def test_ghz_blockwise_sweep(tmp_path):
     code, meta, data = run_csv(
         tmp_path, ["ghz", "--blockwise", "--sweep", "0.2:1.0:0.2"]

@@ -138,6 +138,15 @@ def test_underflowed_levels_keep_faithful_logs():
     assert math.isfinite(lv.ln_eps)
 
 
+def test_time_below_the_flushed_error_weight_stays_nonzero():
+    # One level from kt = 1e-160 gives ln_eps = -735.1: the error weight is
+    # flushed to 0.0, but kt_eff = 4 eps / 3 = 7.5e-320 is a subnormal double.
+    lv = level_recursion(1e-160, 1)
+    assert lv.ln_eps < -700.0
+    assert lv.kt_eff > 0.0
+    assert math.log10(lv.kt_eff) == pytest.approx(lv.kt_eff_log10, abs=1e-3)
+
+
 def test_levels_past_full_depolarisation_have_infinite_time():
     # At kt = 1 one level pushes the error weight past 3/4 (logical p < 0),
     # where -ln(1 - 4 eps / 3) has no finite value.

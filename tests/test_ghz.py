@@ -162,6 +162,17 @@ def test_qo_lifetime_where_the_gap_underflows():
     assert before < 0 < after
 
 
+@pytest.mark.parametrize("s", [0.0, 1.0])
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (12, 5)])
+def test_qo_zero_temperature_gap_never_changes_sign(n, k, s):
+    # C = B/2 makes lam_k lam_{n-k} / mu^2 = (1 - e^-t)^n < 1 at every t > 0;
+    # from t = 37 on, 1 - e^-t rounds to 1.0 and the snapshot's logs cancel.
+    ch = QoChannel(B=1.0, C=0.5, s=s)
+    r = ghz_lifetime(n, k, ch)
+    assert not r.sign_change_found
+    assert _exact_gap(n, k, ch=ch, t=50.0) < 0
+
+
 def test_qo_gap_with_both_terms_zero_raises():
     # Zero temperature, t = 800: a = 0 and 1 - c = 0 make lam_k exactly 0,
     # and mu^2 underflows, so the gap's sign is lost rather than zero.

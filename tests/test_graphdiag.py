@@ -13,6 +13,7 @@ from qdeco.errors import CapacityError, ValidationError
 from qdeco.graphdiag import (
     NPT_VERDICT,
     SCAN_BRACKET,
+    FourierForm,
     GraphDiagonalState,
     PartitionScanEntry,
     PtSpectrum,
@@ -24,6 +25,7 @@ from qdeco.graphdiag import (
     estimate_threshold_dephasing,
     estimate_threshold_pair,
     estimate_threshold_single,
+    fourier_bound,
     lambda_direct,
     lambda_estimation_check,
     lambda_from_pauli,
@@ -32,8 +34,21 @@ from qdeco.graphdiag import (
     pt_spectrum,
     scan_partitions,
 )
-from qdeco.graphs import Bipartition, bipartitions, graph_from_edges, make_lattice, neighborhood
-from qdeco.numeric import PRESCAN_POINTS, Tolerance, bisect
+from qdeco.graphs import (
+    Bipartition,
+    bipartitions,
+    graph_from_edges,
+    load_graph,
+    make_lattice,
+    neighborhood,
+)
+from qdeco.numeric import (
+    MultipleCrossingsError,
+    Tolerance,
+    bisect,
+    bisect_steps,
+    prescan_grid,
+)
 from qdeco.oracle import (
     apply_uniform_channel,
     dense_graph_state,
@@ -43,6 +58,9 @@ from qdeco.oracle import (
 
 DEPOL = ChannelFamily.from_spec("depolarizing")
 DEPHASING = ChannelFamily.from_spec("dephasing")
+BITFLIP = ChannelFamily.from_spec("bitflip")
+FAMILIES = [DEPOL, DEPHASING, BITFLIP]
+FAMILY_IDS = ["depolarizing", "dephasing", "bitflip"]
 
 
 def noisy_weights(g, ch):
@@ -550,10 +568,22 @@ def _unshared_scan_entry(g, family, part):
     return PartitionScanEntry(part, status, math.nan, argmin, 0)
 
 
-@pytest.mark.parametrize("kind,n", [("ring", 6), ("star", 5)])
-@pytest.mark.parametrize("family", [DEPOL, DEPHASING], ids=["depolarizing", "dephasing"])
+SCAN_GRAPHS = [("ring", 6), ("star", 5), ("ring", 7), ("grid2d", "3x2"), ("line", 6)] + [
+    ("random", seed) for seed in range(10)
+]
+
+
+def _scan_graph(kind, size):
+    if kind == "random":
+        rng = random.Random(2300 + size)
+        return random_connected_graph(rng, rng.randint(3, 7))
+    return load_graph(f"{kind}:{size}")
+
+
+@pytest.mark.parametrize("kind,n", SCAN_GRAPHS)
+@pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
 def test_scan_matches_unshared_per_split_reference(kind, n, family):
-    g = make_lattice(kind, n)
+    g = _scan_graph(kind, n)
     expected = tuple(_unshared_scan_entry(g, family, part) for part in bipartitions(g))
     assert scan_partitions(g, family).entries == expected
 
@@ -576,22 +606,96 @@ def test_scan_computes_each_weight_vector_once(monkeypatch):
     assert len(seen) < 65 + sum(e.iterations for e in report.entries)
 
 
-def test_scan_applies_each_transform_once_to_the_stacked_grid(monkeypatch):
+def _gather_steered_points(g, family, part):
+    """The points where a scan of one split evaluates, bisecting on the
+    gather alone, without the clean end (which the scan always gathers)."""
+    transform = partition_transform(g, part)
+
+    def min_pt(p):
+        return float(transform.apply(lambda_from_pauli(g, family.pauli(p)).lam).min())
+
+    lo, hi = SCAN_BRACKET
+    grid = prescan_grid(lo, hi)
+    points = grid[:-1]
+    steps = bisect_steps(lo, hi, grid_values=[min_pt(x) for x in grid])
+    try:
+        x = next(steps)
+        while True:
+            points.append(x)
+            x = steps.send(min_pt(x))
+    except StopIteration:
+        return points, transform.rank
+
+
+def _undecided(g, family, part, points, rank):
+    """How many of the points the Fourier form leaves within its bound."""
+    form = FourierForm.of(g, family.kind)
+    signs = np.tile(form.signs(part.a_mask), (len(points), 1))
+    mins = form.spectra(signs, np.array(points)).min(axis=1)
+    return int(np.sum(np.abs(mins) <= fourier_bound(g.n, rank)))
+
+
+@pytest.mark.parametrize(
+    "kind,n,family",
+    [("ring", 6, DEPHASING), ("star", 5, BITFLIP), ("ring", 6, DEPOL)],
+    ids=["ring-6-dephasing", "star-5-bitflip", "ring-6-depolarizing"],
+)
+def test_scan_gathers_the_clean_end_and_each_undecided_value(monkeypatch, kind, n, family):
+    g = make_lattice(kind, n)
+    expected = {}
+    for part in bipartitions(g):
+        points, rank = _gather_steered_points(g, family, part)
+        expected[part.a_mask] = 1 + _undecided(g, family, part, points, rank)
     calls = {}
     apply = graphdiag.PartitionTransform.apply
 
     def counting(self, lam):
-        calls.setdefault(self.partition.a_mask, []).append(lam.shape)
+        calls.setdefault(self.partition.a_mask, []).append(lam.copy())
         return apply(self, lam)
 
     monkeypatch.setattr(graphdiag.PartitionTransform, "apply", counting)
-    g = make_lattice("ring", 6)
-    report = scan_partitions(g, DEPOL)
-    dim = 1 << g.n
-    for e in report.entries:
-        shapes = calls[e.partition.a_mask]
-        assert shapes[0] == (PRESCAN_POINTS + 1, dim)
-        assert shapes[1:] == [(dim,)] * e.iterations
+    scan_partitions(g, family)
+    assert {mask: len(lams) for mask, lams in calls.items()} == expected
+    clean = lambda_from_pauli(g, family.pauli(SCAN_BRACKET[1])).lam
+    for lams in calls.values():
+        assert np.array_equal(lams[0], clean)
+        assert all(lam.shape == clean.shape for lam in lams)
+    if family is not DEPOL:
+        assert sum(expected.values()) > len(expected)  # some values fell back
+
+
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(2, 8),
+    family=st.sampled_from(FAMILIES),
+    p=st.floats(*SCAN_BRACKET),
+)
+@settings(max_examples=60, deadline=None)
+def test_fourier_form_is_within_its_bound_of_the_gather(rng, n, family, p):
+    g = random_connected_graph(rng, n)
+    part = Bipartition(rng.randrange(1, 1 << (n - 1)) << 1, n)
+    transform = partition_transform(g, part)
+
+    def gather(q):
+        return transform.apply(lambda_from_pauli(g, family.pauli(q)).lam)
+
+    ps = [p]
+    try:
+        root = bisect(lambda q: float(gather(q).min()), *SCAN_BRACKET)
+    except MultipleCrossingsError:
+        root = None
+    if root is not None and root.sign_change_found:
+        # The points closest to the threshold, where the sign is hardest.
+        ps += [min(max(root.value + d, 0.0), 1.0) for d in (-1e-12, 0.0, 1e-12)]
+    form = FourierForm.of(g, family.kind)
+    signs = np.tile(form.signs(part.a_mask), (len(ps), 1))
+    bound = fourier_bound(n, transform.rank)
+    for q, row in zip(ps, form.spectra(signs, np.array(ps))):
+        exact = gather(q)
+        assert np.max(np.abs(row - exact)) <= bound
+        if abs(row.min()) > bound:
+            assert exact.min() != 0.0
+            assert (row.min() < 0.0) == (exact.min() < 0.0)
 
 
 def test_scan_rejects_weighted_and_non_pauli():
@@ -601,6 +705,11 @@ def test_scan_rejects_weighted_and_non_pauli():
     qo = ChannelFamily.from_spec({"kind": "qo", "B": 1.0, "C": 0.6, "s": 0.4})
     with pytest.raises(ValidationError):
         scan_partitions(make_lattice("ring", 4), qo)
+
+
+def test_scan_of_a_single_vertex_has_no_splits():
+    g = graph_from_edges(1, [])
+    assert scan_partitions(g, DEPOL).entries == ()
 
 
 def test_scan_entry_fields_and_verdict_text():

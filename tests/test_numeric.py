@@ -13,6 +13,7 @@ from qdeco.numeric import (
     Tolerance,
     ThresholdResult,
     bisect,
+    bisect_steps,
     check_hermitian,
     hermitian_spectrum,
     min_eig,
@@ -94,17 +95,45 @@ def test_prescan_grid_ends_at_hi_itself():
     assert all(a < b for a, b in zip(xs, xs[1:]))
 
 
+def _drive(f, lo, hi, tol=DEFAULT_TOL, grid_values=None):
+    """bisect_steps run by hand: the result and every point it asked for."""
+    steps = bisect_steps(lo, hi, tol, grid_values)
+    points = []
+    try:
+        x = next(steps)
+        while True:
+            points.append(x)
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value, points
+
+
+STEP_CASES = BISECT_CASES + [
+    (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0, Tolerance(abs_root=1e-300)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(STEP_CASES)))
+def test_bisect_steps_driven_by_hand_match_bisect(case):
+    f, lo, hi, *tol = STEP_CASES[case]
+    tol = tol[0] if tol else DEFAULT_TOL
+    result, points = _drive(f, lo, hi, tol)
+    calls = []
+    assert result == bisect(lambda x: calls.append(x) or f(x), lo, hi, tol)
+    assert points == calls
+
+
 @pytest.mark.parametrize("case", range(len(BISECT_CASES)))
 def test_bisect_grid_values_match_f_only_path(case):
     f, lo, hi = BISECT_CASES[case]
     grid = [f(x) for x in prescan_grid(lo, hi)]
-    assert bisect(f, lo, hi, grid_values=grid) == bisect(f, lo, hi)
+    assert _drive(f, lo, hi, grid_values=grid)[0] == bisect(f, lo, hi)
 
 
 def test_bisect_grid_values_two_crossings_raise():
     f = lambda x: (x - 0.2) * (x - 0.8)
     with pytest.raises(MultipleCrossingsError):
-        bisect(f, 0.0, 1.0, grid_values=[f(x) for x in prescan_grid(0.0, 1.0)])
+        _drive(f, 0.0, 1.0, grid_values=[f(x) for x in prescan_grid(0.0, 1.0)])
 
 
 def test_bisect_grid_values_are_checked():
@@ -112,21 +141,15 @@ def test_bisect_grid_values_are_checked():
     grid = [f(x) for x in prescan_grid(0.0, 1.0)]
     for bad in (math.nan, math.inf):
         with pytest.raises(EvaluationError):
-            bisect(f, 0.0, 1.0, grid_values=grid[:40] + [bad] + grid[41:])
+            _drive(f, 0.0, 1.0, grid_values=grid[:40] + [bad] + grid[41:])
     with pytest.raises(ValidationError):
-        bisect(f, 0.0, 1.0, grid_values=grid[:-1])
+        _drive(f, 0.0, 1.0, grid_values=grid[:-1])
 
 
 def test_bisect_grid_values_leave_only_refinement_to_f():
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return x - 0.3
-
     grid = [x - 0.3 for x in prescan_grid(0.0, 1.0)]
-    r = bisect(f, 0.0, 1.0, grid_values=grid)
-    assert len(calls) == r.iterations > 0
+    r, points = _drive(lambda x: x - 0.3, 0.0, 1.0, grid_values=grid)
+    assert len(points) == r.iterations > 0
 
 
 def test_threshold_result_kt_axis():
