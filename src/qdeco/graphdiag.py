@@ -177,11 +177,9 @@ class PartitionTransform:
     X with a preimage of Y.  There are 4^rank terms and the prefactor is
     2^-rank.
 
-    apply takes one weight vector or a stack of them, one per row; each row
-    comes out bit-for-bit as if applied alone.  The gather index of each
-    chunk of terms (every subset mask XOR every shift) is built on the first
-    call and kept while it has at most _KEPT_INDEX entries (8 MB); larger
-    transforms rebuild it per call.
+    The gather index of each chunk of terms (every subset mask XOR every
+    shift) is built on the first call to apply and kept while it has at most
+    _KEPT_INDEX entries (8 MB); larger transforms rebuild it per call.
     """
 
     partition: Bipartition
@@ -192,7 +190,6 @@ class PartitionTransform:
 
     _CHUNK = 128  # terms per gather
     _KEPT_INDEX = 1 << 20  # terms x 2^n index entries kept across calls
-    _BLOCK = 1 << 16  # entries of one gathered block of rows
 
     def _chunk_index(self, start: int) -> np.ndarray:
         idx = np.arange(1 << self.partition.n, dtype=np.intp)
@@ -206,22 +203,27 @@ class PartitionTransform:
         return [self._chunk_index(s) for s in range(0, self.shifts.shape[0], self._CHUNK)]
 
     def apply(self, lam: np.ndarray) -> np.ndarray:
-        """PT weights of lam, shape (2^n,) or (rows, 2^n); same shape out."""
-        dim = 1 << self.partition.n
-        if lam.ndim not in (1, 2) or lam.shape[-1] != dim:
+        """PT weights of one weight vector of shape (2^n,)."""
+        if lam.shape != (1 << self.partition.n,):
             raise ValidationError(f"weights of shape {lam.shape} do not fit 2^{self.partition.n}")
-        rows = lam.reshape(-1, dim)
-        out = np.zeros(rows.shape)
+        out = np.zeros(lam.shape)
         kept = self._kept_index
         for c, start in enumerate(range(0, self.shifts.shape[0], self._CHUNK)):
             gidx = self._chunk_index(start) if kept is None else kept[c]
-            sg = self.signs[start : start + self._CHUNK]
-            # np.take gives a C-contiguous block, which matmul sums row by
-            # row in the same order as a single vector's gather.
-            step = max(1, self._BLOCK // gidx.size)
-            for r in range(0, rows.shape[0], step):
-                out[r : r + step] += sg @ np.take(rows[r : r + step], gidx, axis=1)
-        return self.prefactor * out.reshape(lam.shape)
+            out += self.signs[start : start + self._CHUNK] @ np.take(lam, gidx)
+        return self.prefactor * out
+
+
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Number of set bits of each entry of an array of nonnegative masks."""
+    count = np.zeros(masks.shape, dtype=np.intp)
+    while masks.any():
+        count += _BYTE_BITS[masks & 255]
+        masks = masks >> 8
+    return count
 
 
 def partition_transform(g: Graph, part: Bipartition) -> PartitionTransform:
@@ -247,7 +249,7 @@ def partition_transform(g: Graph, part: Bipartition) -> PartitionTransform:
     x_full = np.array([spread_bits(x, part.a_mask) for x in xs], dtype=np.intp)
     y_full = np.array([spread_bits(y, c_mask) for y, _ in ys], dtype=np.intp)
     y_pre = np.array([ay for _, ay in ys], dtype=np.intp)
-    odd = np.bitwise_count(y_pre[:, np.newaxis] & x_c[np.newaxis, :]) & 1
+    odd = _popcount(y_pre[:, np.newaxis] & x_c[np.newaxis, :]) & 1
     return PartitionTransform(
         part,
         (y_full[:, np.newaxis] ^ x_full[np.newaxis, :]).ravel(),
@@ -311,6 +313,7 @@ class FourierForm:
     n: int
     exponents: np.ndarray  # w(chi)
     cross: np.ndarray  # chi & Gamma chi
+    parity: np.ndarray  # (-1)^|m| for every mask m
 
     @staticmethod
     def of(g: Graph, kind: str) -> "FourierForm":
@@ -319,33 +322,41 @@ class FourierForm:
         for k in range(g.n):
             gamma ^= ((chi >> k) & 1) * g.adj[k]
         support = {"depolarizing": chi | gamma, "dephasing": chi, "bitflip": gamma}[kind]
-        return FourierForm(g.n, np.bitwise_count(support).astype(np.intp), chi & gamma)
+        parity = 1.0 - 2.0 * (_popcount(chi) & 1)
+        return FourierForm(g.n, _popcount(support), chi & gamma, parity)
 
-    def signs(self, a_mask: int) -> np.ndarray:
-        """(-1)^|chi & Gamma chi & A| for the split with side a_mask, as int8."""
-        return (1 - 2 * (np.bitwise_count(self.cross & a_mask) & 1)).astype(np.int8)
+    def spectra(self, a_masks: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        """PT weights at ps[i] of the split with side a_masks[i].
 
-    def spectra(self, signs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-        """PT weights at ps[i] of the split with sign vector signs[i].
-
-        signs has shape (rows, 2^n) and ps (rows,); the result is (rows, 2^n).
+        a_masks and ps have shape (rows,); the result is (rows, 2^n).
         """
         powers = np.power(ps[:, np.newaxis], np.arange(self.n + 1, dtype=float))
         powers *= math.ldexp(1.0, -self.n)
         rows = np.take(powers, self.exponents, axis=1)  # C order, unlike powers[:, w]
-        rows *= signs
+        rows *= np.take(self.parity, self.cross & a_masks[:, np.newaxis])
         return _walsh_hadamard(rows)
 
 
 def fourier_bound(n: int, rank: int) -> float:
     """Bound on |FourierForm.spectra - PartitionTransform.apply| at one p.
 
-    The gather's 4^rank-term sum, scaled by the exact 2^-rank, is off by at
-    most 2^rank units of 2^-53; lambda_from_pauli's n mixing steps of
-    nonnegative terms, with rounded channel probabilities, put a relative
-    error of about 6n units on every weight; pow and the n butterfly passes
-    over entries of total size at most 1 add about n + 1 units.  The bound
-    takes 8 times (2^rank + 8n + 8) units.
+    In units of u = 2^-53, to first order, for p in SCAN_BRACKET (where
+    nothing is subnormal):
+    - The gather adds 4^rank distinct weights with signs (any order of
+      summation is off by at most 4^rank u times the sum of their sizes, at
+      most 1) and scales by the exact 2^-rank: at most 2^rank.
+    - lambda_from_pauli's weights are sums of nonnegative terms.  The
+      channel probabilities are rounded by at most 2u (relative), and each
+      of the n mixing steps puts one product and three additions on every
+      term, so every weight is off by at most 6n relative, and a signed
+      average of distinct weights by at most 6n.
+    - FourierForm: pow within 4 ulps (8), the exact scaling by 2^-n, and n
+      butterfly passes over entries whose sizes add up to at most 1 (n).
+    So the two differ by at most 2^rank + 7n + 8 units.  The bound takes 8
+    times (2^rank + 8n + 8) units, which leaves room for the second-order
+    terms (each k u above is k u / (1 - k u)).  A value of either form
+    larger than it in size therefore has the sign of the other, which is
+    nonzero.
     """
     return 8.0 * ((1 << rank) + 8 * n + 8) * 2.0**-53
 
@@ -509,14 +520,12 @@ def _index_size(transform: PartitionTransform) -> int:
     return transform.shifts.shape[0] << transform.partition.n
 
 
-def _fourier_mins(
-    form: FourierForm, signs: np.ndarray, split: np.ndarray, ps: np.ndarray
-) -> np.ndarray:
-    """Smallest PT weight at ps[i] of split number split[i], in blocks."""
+def _fourier_mins(form: FourierForm, a_masks: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Smallest PT weight at ps[i] of the split with side a_masks[i], in blocks."""
     out = np.empty(len(ps))
     step = max(1, _FOURIER_BLOCK >> form.n)
     for s in range(0, len(ps), step):
-        out[s : s + step] = form.spectra(signs[split[s : s + step]], ps[s : s + step]).min(axis=1)
+        out[s : s + step] = form.spectra(a_masks[s : s + step], ps[s : s + step]).min(axis=1)
     return out
 
 
@@ -572,9 +581,9 @@ def _scan_splits(
     lo, hi = SCAN_BRACKET
     grid = prescan_grid(lo, hi)[:-1]  # the clean end hi is gathered
     form = FourierForm.of(g, family.kind)
-    signs = np.stack([form.signs(part.a_mask) for part in parts])
+    a_masks = np.array([part.a_mask for part in parts])
     grid_mins = _fourier_mins(
-        form, signs, np.repeat(np.arange(len(parts)), len(grid)), np.tile(grid, len(parts))
+        form, np.repeat(a_masks, len(grid)), np.tile(grid, len(parts))
     ).reshape(len(parts), len(grid))
 
     entries: list[PartitionScanEntry | None] = [None] * len(parts)
@@ -605,7 +614,7 @@ def _scan_splits(
     while active:
         stepping, active = active, []
         split = np.array([i for i, _, _ in stepping])
-        mins = _fourier_mins(form, signs, split, np.array([x for _, _, x in stepping]))
+        mins = _fourier_mins(form, a_masks[split], np.array([x for _, _, x in stepping]))
         for (i, steps, x), v in zip(stepping, mins.tolist()):
             advance(i, steps, v if abs(v) > bounds[i] else gathered(i, x))
     return entries

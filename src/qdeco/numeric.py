@@ -81,7 +81,7 @@ def prescan_grid(lo: float, hi: float) -> list[float]:
 
     These are lo, the interior points lo + (hi - lo) * i / PRESCAN_POINTS and
     hi itself; a caller that evaluates f at them in one go passes the values
-    to bisect as grid_values.
+    to bisect_steps as grid_values.
     """
     inner = [lo + (hi - lo) * i / PRESCAN_POINTS for i in range(1, PRESCAN_POINTS)]
     return [lo, *inner, hi]

@@ -178,6 +178,7 @@ def _bitwise_equal(a, b):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_stacked_apply_rows_equal_single_rows(seed):
+    # A stack of weight vectors, as a scan's grid has, each applied alone.
     rng = random.Random(2300 + seed)
     g = random_connected_graph(rng, rng.randint(5, 8))
     family = rng.choice([DEPOL, DEPHASING])
@@ -186,11 +187,9 @@ def test_stacked_apply_rows_equal_single_rows(seed):
     )
     for part in bipartitions(g):
         transform = partition_transform(g, part)
-        rows = transform.apply(stack)
-        assert rows.shape == stack.shape
-        for lam, row in zip(stack, rows):
+        for lam in stack:
             single = transform.apply(lam)
-            assert _bitwise_equal(row, single)
+            assert single.shape == lam.shape
             assert _bitwise_equal(single, _reference_apply(transform, lam))
 
 
@@ -200,17 +199,16 @@ def test_apply_over_the_index_cap_keeps_no_index():
     big = partition_transform(g, alternating)
     small = partition_transform(g, Bipartition(0b11, 11))
     assert big.rank == 5 and big.shifts.shape[0] << g.n > big._KEPT_INDEX
-    stack = np.stack([lambda_from_pauli(g, DEPOL.pauli(p)).lam for p in (0.3, 0.7, 0.95)])
-    for transform, kept in ((big, False), (small, True)):
-        rows = transform.apply(stack)
-        assert (transform._kept_index is not None) == kept
-        for lam, row in zip(stack, rows):
-            assert _bitwise_equal(row, _reference_apply(transform, lam))
+    for p in (0.3, 0.7, 0.95):
+        lam = lambda_from_pauli(g, DEPOL.pauli(p)).lam
+        for transform, kept in ((big, False), (small, True)):
+            assert _bitwise_equal(transform.apply(lam), _reference_apply(transform, lam))
+            assert (transform._kept_index is not None) == kept
 
 
 def test_apply_rejects_weights_of_the_wrong_size():
     transform = partition_transform(make_lattice("ring", 4), Bipartition(0b1, 4))
-    for bad in (np.ones(8), np.ones((2, 8)), np.ones((2, 2, 16))):
+    for bad in (np.ones(8), np.ones((2, 8)), np.ones((2, 16)), np.ones((2, 2, 16))):
         with pytest.raises(ValidationError):
             transform.apply(bad)
 
@@ -224,12 +222,19 @@ def test_apply_rejects_weights_of_the_wrong_size():
 def test_stacked_apply_matches_dense_oracle(rng, n, rows):
     g = random_connected_graph(rng, n)
     part = Bipartition(rng.randint(1, (1 << n) - 2), n)
-    channels = [random_pauli_channel(rng) for _ in range(rows)]
-    stack = np.stack([lambda_from_pauli(g, ch).lam for ch in channels])
-    spectra = partition_transform(g, part).apply(stack)
-    for ch, spec in zip(channels, spectra):
+    transform = partition_transform(g, part)
+    for ch in [random_pauli_channel(rng) for _ in range(rows)]:
+        spec = transform.apply(lambda_from_pauli(g, ch).lam)
         noisy = apply_uniform_channel(dense_graph_state(g), ChannelMatrix.from_pauli(ch))
         assert np.allclose(np.sort(spec), pt_spectrum_dense(noisy, part), atol=1e-9)
+
+
+def test_popcount_counts_every_byte_of_a_mask():
+    rng = random.Random(2900)
+    masks = [0, 1, 255, 256, 65535, 65536, (1 << 20) - 1, (1 << 24) - 1]
+    masks += [rng.randrange(1 << 24) for _ in range(200)]
+    counts = graphdiag._popcount(np.array(masks, dtype=np.intp))
+    assert counts.tolist() == [m.bit_count() for m in masks]
 
 
 def test_pt_spectrum_same_for_side_and_complement():
@@ -630,8 +635,7 @@ def _gather_steered_points(g, family, part):
 def _undecided(g, family, part, points, rank):
     """How many of the points the Fourier form leaves within its bound."""
     form = FourierForm.of(g, family.kind)
-    signs = np.tile(form.signs(part.a_mask), (len(points), 1))
-    mins = form.spectra(signs, np.array(points)).min(axis=1)
+    mins = form.spectra(np.full(len(points), part.a_mask), np.array(points)).min(axis=1)
     return int(np.sum(np.abs(mins) <= fourier_bound(g.n, rank)))
 
 
@@ -664,6 +668,33 @@ def test_scan_gathers_the_clean_end_and_each_undecided_value(monkeypatch, kind, 
         assert sum(expected.values()) > len(expected)  # some values fell back
 
 
+def _check_fourier_against_gather(g, family, part, ps):
+    """At ps and at the points closest to the split's threshold, where the
+    sign is hardest, the Fourier form is within its bound of the gather and,
+    where it is beyond the bound, has the sign of the nonzero gather."""
+    transform = partition_transform(g, part)
+
+    def gather(q):
+        return transform.apply(lambda_from_pauli(g, family.pauli(q)).lam)
+
+    ps = list(ps)
+    try:
+        root = bisect(lambda q: float(gather(q).min()), *SCAN_BRACKET)
+    except MultipleCrossingsError:
+        root = None
+    if root is not None and root.sign_change_found:
+        ps += [min(max(root.value + d, 0.0), 1.0) for d in (-1e-12, 0.0, 1e-12)]
+    form = FourierForm.of(g, family.kind)
+    bound = fourier_bound(g.n, transform.rank)
+    for q, row in zip(ps, form.spectra(np.full(len(ps), part.a_mask), np.array(ps))):
+        exact = gather(q)
+        assert np.max(np.abs(row - exact)) <= bound
+        if abs(row.min()) > bound:
+            assert exact.min() != 0.0
+            assert (row.min() < 0.0) == (exact.min() < 0.0)
+    return transform.rank
+
+
 @given(
     rng=st.randoms(use_true_random=False),
     n=st.integers(2, 8),
@@ -674,28 +705,17 @@ def test_scan_gathers_the_clean_end_and_each_undecided_value(monkeypatch, kind, 
 def test_fourier_form_is_within_its_bound_of_the_gather(rng, n, family, p):
     g = random_connected_graph(rng, n)
     part = Bipartition(rng.randrange(1, 1 << (n - 1)) << 1, n)
-    transform = partition_transform(g, part)
+    _check_fourier_against_gather(g, family, part, [p])
 
-    def gather(q):
-        return transform.apply(lambda_from_pauli(g, family.pauli(q)).lam)
 
-    ps = [p]
-    try:
-        root = bisect(lambda q: float(gather(q).min()), *SCAN_BRACKET)
-    except MultipleCrossingsError:
-        root = None
-    if root is not None and root.sign_change_found:
-        # The points closest to the threshold, where the sign is hardest.
-        ps += [min(max(root.value + d, 0.0), 1.0) for d in (-1e-12, 0.0, 1e-12)]
-    form = FourierForm.of(g, family.kind)
-    signs = np.tile(form.signs(part.a_mask), (len(ps), 1))
-    bound = fourier_bound(n, transform.rank)
-    for q, row in zip(ps, form.spectra(signs, np.array(ps))):
-        exact = gather(q)
-        assert np.max(np.abs(row - exact)) <= bound
-        if abs(row.min()) > bound:
-            assert exact.min() != 0.0
-            assert (row.min() < 0.0) == (exact.min() < 0.0)
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
+def test_fourier_form_is_within_its_bound_at_the_largest_rank(n, family):
+    # The split of largest rank, floor(n / 2), has the largest gather sum.
+    g = make_lattice("ring", n)
+    part = max(bipartitions(g), key=lambda part: partition_transform(g, part).rank)
+    rank = _check_fourier_against_gather(g, family, part, prescan_grid(*SCAN_BRACKET))
+    assert rank == n // 2
 
 
 def test_scan_rejects_weighted_and_non_pauli():
