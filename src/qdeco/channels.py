@@ -218,7 +218,7 @@ def jamiolkowski_state(
     if validate:
         if abs(np.trace(rho).real - 1.0) > 1e-10:
             raise ValidationError("channel is not trace normalized")
-        if min_eig(rho, tol) < tol.eig_floor(4):
+        if min_eig(rho) < tol.eig_floor(4):
             raise ValidationError("channel matrix is not completely positive")
     return rho
 
@@ -315,9 +315,7 @@ class DephasingSplit:
     feasible: bool
 
 
-def extract_dephasing(
-    ch: ChannelMatrix, p_z: float, tol: Tolerance = DEFAULT_TOL
-) -> DephasingSplit:
+def extract_dephasing(ch: ChannelMatrix, p_z: float) -> DephasingSplit:
     """Split ch into (residual) after (dephasing with parameter p_z).
 
     The candidate residual always recomposes to ch exactly; the split is
@@ -331,7 +329,7 @@ def extract_dephasing(
     residual = ChannelMatrix(q)
     # The coefficient matrix is PSD iff the residual map is completely
     # positive (it equals the dual state written in the Bell basis).
-    feasible = min_eig(residual.p, tol) >= -1e-10
+    feasible = min_eig(residual.p) >= -1e-10
     return DephasingSplit(p_z, residual, feasible)
 
 
@@ -361,12 +359,12 @@ def minimal_dephasing_matrix(
     None means only the trivial identity split is feasible (nothing
     extractable), matching minimal_dephasing_pauli's None.
     """
-    if not extract_dephasing(ch, 1.0, tol).feasible:
+    if not extract_dephasing(ch, 1.0).feasible:
         return None
 
     def gap(p_z: float) -> float:
-        split = extract_dephasing(ch, p_z, tol)
-        return min_eig(split.residual.p, tol) + 1e-10
+        split = extract_dephasing(ch, p_z)
+        return min_eig(split.residual.p) + 1e-10
 
     lo = 1e-9
     if gap(lo) >= 0:

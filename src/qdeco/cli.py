@@ -77,7 +77,12 @@ def _parse_sweep(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError("sweep must be START:STOP:STEP")
-    start, stop, step = (float(x) for x in parts)
+    try:
+        start, stop, step = (float(x) for x in parts)
+    except ValueError:
+        raise ValidationError(f"sweep {text!r} has a non-numeric START, STOP or STEP") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValidationError(f"sweep {text!r} needs finite START, STOP and STEP")
     if step <= 0.0:
         raise ValidationError("sweep step must be positive")
     if not start < stop:

@@ -4,11 +4,12 @@ A graph state sent through independent single-qubit Pauli channels stays
 diagonal in its graph basis, so the full density matrix never has to be
 formed: the state is a vector of 2^n weights lam[U], one per vertex subset
 U.  This module propagates those weights, computes partial-transpose
-spectra exactly with GF(2) linear algebra (the partially transposed state
-is diagonal in the same basis, and one signed gather over shifted weights,
-PartitionTransform, gives it for every split), PPT-certifying estimates
-built from weight ratios, and a scan of every bipartition for the noise
-level where its spectrum turns nonnegative.
+spectra exactly (the partially transposed state is diagonal in the same
+basis, and one signed gather over shifted weights, PartitionTransform,
+gives it for every split; two column eliminations over GF(2) on the
+adjacency block between the sides give its terms), PPT-certifying
+estimates built from weight ratios, and a scan of every bipartition for
+the noise level where its spectrum turns nonnegative.
 
 The scan bisects every split in lockstep on the sign of its smallest PT
 weight.  For the scan families (depolarizing, dephasing, bitflip) the
@@ -34,7 +35,6 @@ import numpy as np
 
 from .channels import ChannelFamily, PauliChannel
 from .errors import CapacityError, ValidationError
-from .gf2 import BitMatrix, image_with_preimages, kernel_basis, orthocomplement
 from .graphs import Bipartition, Graph, bipartitions, neighborhood, spread_bits
 from .numeric import (
     DEFAULT_TOL,
@@ -174,8 +174,10 @@ class PartitionTransform:
     between the two sides: shifts are X + Y with X ranging over the
     orthocomplement of ker Gamma' (inside A) and Y over the image of Gamma'
     (inside the complement), and the sign of a term is the GF(2) pairing of
-    X with a preimage of Y.  There are 4^rank terms and the prefactor is
-    2^-rank.
+    X with a preimage of Y, the same for every preimage since X is
+    orthogonal to ker Gamma'.  There are 4^rank terms, Y-major, and the
+    prefactor is 2^-rank; Y and X each run in the _span order of the
+    bases that partition_transform's two eliminations return.
 
     The gather index of each chunk of terms (every subset mask XOR every
     shift) is built on the first call to apply and kept while it has at most
@@ -226,36 +228,71 @@ def _popcount(masks: np.ndarray) -> np.ndarray:
     return count
 
 
+def _eliminate(columns: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
+    """Column elimination over GF(2), vectors stored as int bit masks.
+
+    Column j is the image of input 1 << j.  Returns the pivots, (image,
+    input) pairs with distinct leading bits of the image, sorted by leading
+    bit from the highest; the XOR of the columns an input selects is its
+    image.  Also returns a basis of the kernel, the inputs whose columns XOR
+    to 0, in the order the columns came.
+    """
+    pivots: list[tuple[int, int]] = []
+    kernel: list[int] = []
+    for j, col in enumerate(columns):
+        src = 1 << j
+        for img, pre in pivots:
+            if col & (1 << (img.bit_length() - 1)):
+                col ^= img
+                src ^= pre
+        if col:
+            pivots.append((col, src))
+            pivots.sort(key=lambda t: t[0].bit_length(), reverse=True)
+        else:
+            kernel.append(src)
+    return pivots, kernel
+
+
+def _span(basis: list[int]) -> list[int]:
+    """All 2^len(basis) XOR combinations; bit i of the index selects basis[i]."""
+    out = [0]
+    for b in basis:
+        out += [x ^ b for x in out]
+    return out
+
+
 def partition_transform(g: Graph, part: Bipartition) -> PartitionTransform:
     if part.n != g.n:
         raise ValidationError("partition and graph sizes differ")
     a_bits = part.members()
     c_mask = part.complement_mask
     c_bits = [i for i in range(g.n) if (c_mask >> i) & 1]
-    rows = []
-    for j in c_bits:
-        nj = g.adj[j]
-        row = 0
-        for col, i in enumerate(a_bits):
-            if (nj >> i) & 1:
-                row |= 1 << col
-        rows.append(row)
-    block = BitMatrix.from_rows(rows, len(a_bits))
-    xs = orthocomplement(kernel_basis(block), len(a_bits))
-    ys = image_with_preimages(block)
-    r = len(ys).bit_length() - 1
+    # Column i of Gamma' is the neighbourhood in the complement of the i-th
+    # vertex of A, as a mask over the complement's vertices.
+    pivots, kernel = _eliminate(
+        [sum(((g.adj[i] >> j) & 1) << k for k, j in enumerate(c_bits)) for i in a_bits]
+    )
+    # X runs over the orthocomplement of ker Gamma', the kernel of the matrix
+    # whose rows are the kernel vectors.
+    _, x_basis = _eliminate(
+        [sum(((v >> col) & 1) << k for k, v in enumerate(kernel)) for col in range(len(a_bits))]
+    )
+    xs = _span(x_basis)
+    # Any preimage A_Y of Y gives the sign (-1)^<A_Y, X>: every X is
+    # orthogonal to ker Gamma', where two preimages differ.
+    ys = _span([img for img, _ in pivots])
+    y_pre = np.array(_span([pre for _, pre in pivots]), dtype=np.intp)
     # Terms run over Y (outer) and X (inner).
     x_c = np.array(xs, dtype=np.intp)
     x_full = np.array([spread_bits(x, part.a_mask) for x in xs], dtype=np.intp)
-    y_full = np.array([spread_bits(y, c_mask) for y, _ in ys], dtype=np.intp)
-    y_pre = np.array([ay for _, ay in ys], dtype=np.intp)
+    y_full = np.array([spread_bits(y, c_mask) for y in ys], dtype=np.intp)
     odd = _popcount(y_pre[:, np.newaxis] & x_c[np.newaxis, :]) & 1
     return PartitionTransform(
         part,
         (y_full[:, np.newaxis] ^ x_full[np.newaxis, :]).ravel(),
         (1.0 - 2.0 * odd).ravel(),
         prefactor=1.0 / len(xs),
-        rank=r,
+        rank=len(pivots),
     )
 
 
@@ -609,7 +646,7 @@ def _scan_splits(
             v if abs(v) > bounds[i] else gathered(i, x, transform)
             for x, v in zip(grid, grid_mins[i].tolist())
         ]
-        advance(i, bisect_steps(lo, hi, tol, [*ys, clean_ends[i][0]]), None)
+        advance(i, bisect_steps(lo, hi, [*ys, clean_ends[i][0]], tol), None)
 
     while active:
         stepping, active = active, []

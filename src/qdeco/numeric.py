@@ -80,40 +80,27 @@ def prescan_grid(lo: float, hi: float) -> list[float]:
     """The PRESCAN_POINTS + 1 points where bisect's pre-scan evaluates f.
 
     These are lo, the interior points lo + (hi - lo) * i / PRESCAN_POINTS and
-    hi itself; a caller that evaluates f at them in one go passes the values
-    to bisect_steps as grid_values.
+    hi itself; the values of f there are bisect_steps' grid_values.
     """
+    if not lo < hi:
+        raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
     inner = [lo + (hi - lo) * i / PRESCAN_POINTS for i in range(1, PRESCAN_POINTS)]
     return [lo, *inner, hi]
 
 
-def _prescan(
-    lo: float, hi: float, grid_values: Sequence[float] | None
-) -> Generator[float, float, ThresholdResult | tuple[float, float, float]]:
-    """bisect_steps' pre-scan: a final result, or the crossing's (a, b, f(a))."""
-    if grid_values is None:
-        f_lo = _checked((yield lo), lo)
-        f_hi = _checked((yield hi), hi)
-    else:
-        if len(grid_values) != PRESCAN_POINTS + 1:
-            raise ValidationError(
-                f"need {PRESCAN_POINTS + 1} grid values, got {len(grid_values)}"
-            )
-        ys = [_checked(y, x) for y, x in zip(grid_values, prescan_grid(lo, hi))]
-        f_lo, f_hi = ys[0], ys[-1]
-    if f_lo == 0.0:
+def _prescan(lo: float, hi: float, ys: list[float]) -> ThresholdResult | tuple[float, float, float]:
+    """The pre-scan of the values ys at prescan_grid(lo, hi).
+
+    Returns a final result, or the crossing's bracket and left value (a, b, f(a)).
+    """
+    if ys[0] == 0.0:
         return ThresholdResult(lo, (lo, hi), 0, True)
-    if f_hi == 0.0:
+    if ys[-1] == 0.0:
         return ThresholdResult(hi, (lo, hi), 0, True)
 
     # Unlike prescan_grid, xs ends at lo + (hi - lo), which can differ from
     # hi in the last bit; the refined bracket starts from xs.
     xs = [lo + (hi - lo) * i / PRESCAN_POINTS for i in range(PRESCAN_POINTS + 1)]
-    if grid_values is None:
-        ys = [f_lo]
-        for x in xs[1:-1]:
-            ys.append(_checked((yield x), x))
-        ys.append(f_hi)
     crossings = []
     prev_sign = math.copysign(1.0, ys[0])
     for i in range(1, len(ys)):
@@ -136,25 +123,24 @@ def _prescan(
 def bisect_steps(
     lo: float,
     hi: float,
+    grid_values: Sequence[float],
     tol: Tolerance = DEFAULT_TOL,
-    grid_values: Sequence[float] | None = None,
 ) -> Generator[float, float, ThresholdResult]:
     """The bisection of `bisect` as a generator, for callers that evaluate f.
 
-    It yields each point where it needs f and is sent f's value there; it
+    grid_values are the values of f at prescan_grid(lo, hi), computed by the
+    caller (for instance in one vectorised call).  The generator yields each
+    refinement point where it needs f and is sent f's value there; it
     returns the ThresholdResult (as StopIteration.value).  Only the signs of
     the values and whether they are exactly zero steer it, so a caller may
     send any finite value of the right sign that is zero exactly where f is.
-    Every value sent is checked to be finite.
-
-    grid_values, when given, are the values of f at prescan_grid(lo, hi),
-    computed by the caller (for instance in one vectorised call); the
-    generator then yields only the refinement points.  While refining it
+    Every value, given or sent, is checked to be finite.  While refining it
     holds three floats, not the pre-scan's values.
     """
-    if not lo < hi:
-        raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
-    found = yield from _prescan(lo, hi, grid_values)
+    grid = prescan_grid(lo, hi)
+    if len(grid_values) != len(grid):
+        raise ValidationError(f"need {len(grid)} grid values, got {len(grid_values)}")
+    found = _prescan(lo, hi, [_checked(y, x) for y, x in zip(grid_values, grid)])
     if isinstance(found, ThresholdResult):
         return found
     a, b, f_a = found
@@ -182,13 +168,14 @@ def bisect(
 ) -> ThresholdResult:
     """Find the root of f in [lo, hi] given exactly one sign change.
 
-    A coarse pre-scan (PRESCAN_POINTS intervals) certifies that the bracket
-    contains exactly one crossing; more than one raises MultipleCrossingsError,
-    none yields sign_change_found=False with a NaN value.  Deterministic:
-    identical inputs give bit-identical outputs.  This drives bisect_steps,
-    calling f at each point it yields; every value is checked to be finite.
+    A coarse pre-scan (f at the PRESCAN_POINTS + 1 points of prescan_grid)
+    certifies that the bracket contains exactly one crossing; more than one
+    raises MultipleCrossingsError, none yields sign_change_found=False with
+    a NaN value.  Deterministic: identical inputs give bit-identical
+    outputs.  This drives bisect_steps, calling f at each point it yields;
+    every value is checked to be finite.
     """
-    steps = bisect_steps(lo, hi, tol)
+    steps = bisect_steps(lo, hi, [f(x) for x in prescan_grid(lo, hi)], tol)
     y = None
     try:
         while True:
@@ -208,7 +195,7 @@ def check_hermitian(m: np.ndarray, atol: float = 1e-12) -> np.ndarray:
     return m
 
 
-def hermitian_spectrum(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     """All real eigenvalues of a Hermitian matrix, ascending."""
     m = check_hermitian(m)
     return np.linalg.eigvalsh(m)
@@ -231,5 +218,5 @@ def partial_transpose(rho: np.ndarray, a_mask: int) -> np.ndarray:
     return rho.reshape((2,) * (2 * n)).transpose(axes).reshape(dim, dim)
 
 
-def min_eig(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
-    return float(hermitian_spectrum(m, tol)[0])
+def min_eig(m: np.ndarray) -> float:
+    return float(hermitian_spectrum(m)[0])

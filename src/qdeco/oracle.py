@@ -103,8 +103,8 @@ def partial_transpose(s: DenseState, part: Bipartition) -> np.ndarray:
     return numeric.partial_transpose(s.rho, part.a_mask)
 
 
-def pt_min_eig(s: DenseState, part: Bipartition, tol: Tolerance = DEFAULT_TOL) -> float:
-    return min_eig(partial_transpose(s, part), tol)
+def pt_min_eig(s: DenseState, part: Bipartition) -> float:
+    return min_eig(partial_transpose(s, part))
 
 
 def pt_spectrum_dense(s: DenseState, part: Bipartition) -> np.ndarray:
@@ -114,7 +114,7 @@ def pt_spectrum_dense(s: DenseState, part: Bipartition) -> np.ndarray:
 def is_ppt_dense(
     s: DenseState, part: Bipartition, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
-    return pt_min_eig(s, part, tol) >= tol.eig_floor(s.dim)
+    return pt_min_eig(s, part) >= tol.eig_floor(s.dim)
 
 
 def partial_trace(s: DenseState, keep_mask: int) -> DenseState:

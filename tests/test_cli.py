@@ -351,6 +351,10 @@ def test_validation_errors_exit_2(tmp_path, capsys):
         ["scan", "--graph", "ring:4", "--jobs", "0"],
         ["scan", "--graph", "ring:4", "--jobs", "-2"],
         ["upper", "--method", "eb", "--channel", '{"kind": "depolarizing", "p": 0.3}'],
+        ["ghz", "--blockwise", "--sweep", "a:1:0.1"],
+        ["weighted", "--sweep-phi", "0.5:x:0.2"],
+        ["ghz", "--blockwise", "--sweep", "0.5:0.6:nan"],
+        ["ghz", "--blockwise", "--sweep", "0:inf:0.1"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, capsys):

@@ -237,6 +237,120 @@ def test_popcount_counts_every_byte_of_a_mask():
     assert counts.tolist() == [m.bit_count() for m in masks]
 
 
+# --- The GF(2) elimination behind partition_transform -------------------------
+
+
+def _xor(vectors):
+    out = 0
+    for v in vectors:
+        out ^= v
+    return out
+
+
+def _image(columns, x):
+    """XOR of the columns that x selects."""
+    return _xor(col for j, col in enumerate(columns) if (x >> j) & 1)
+
+
+@st.composite
+def bit_columns(draw):
+    """The columns of a binary matrix with 1-8 rows and 1-8 columns."""
+    n_rows = draw(st.integers(min_value=1, max_value=8))
+    n_cols = draw(st.integers(min_value=1, max_value=8))
+    return [draw(st.integers(min_value=0, max_value=(1 << n_rows) - 1)) for _ in range(n_cols)]
+
+
+@given(bit_columns())
+@settings(max_examples=80, deadline=None)
+def test_elimination_kernel_is_exactly_the_null_space(columns):
+    pivots, kernel = graphdiag._eliminate(columns)
+    span = graphdiag._span(kernel)
+    assert set(span) == {x for x in range(1 << len(columns)) if _image(columns, x) == 0}
+    assert len(set(span)) == len(span)  # the kernel vectors are independent
+    assert len(pivots) + len(kernel) == len(columns)  # rank-nullity
+
+
+@given(bit_columns())
+@settings(max_examples=80, deadline=None)
+def test_elimination_pivots_span_every_image_with_its_input(columns):
+    pivots, _ = graphdiag._eliminate(columns)
+    leads = [img.bit_length() for img, _ in pivots]
+    assert leads == sorted(set(leads), reverse=True) and 0 not in leads
+    images = graphdiag._span([img for img, _ in pivots])
+    inputs = graphdiag._span([pre for _, pre in pivots])
+    assert set(images) == {_image(columns, x) for x in range(1 << len(columns))}
+    assert len(set(images)) == len(images)
+    for y, a in zip(images, inputs):
+        assert _image(columns, a) == y
+
+
+@given(bit_columns())
+@settings(max_examples=60, deadline=None)
+def test_second_elimination_gives_the_orthocomplement(rows):
+    # rows are the vectors to be orthogonal to, each of length 8.
+    length = 8
+    columns = [sum(((v >> j) & 1) << i for i, v in enumerate(rows)) for j in range(length)]
+    _, basis = graphdiag._eliminate(columns)
+    got = graphdiag._span(basis)
+    expected = {
+        x for x in range(1 << length) if all((x & v).bit_count() % 2 == 0 for v in rows)
+    }
+    assert set(got) == expected
+    assert len(got) == len(expected)  # no duplicates in the enumeration
+
+
+def test_orthocomplement_of_nothing_is_everything():
+    _, basis = graphdiag._eliminate([0, 0, 0])
+    assert set(graphdiag._span(basis)) == set(range(8))
+
+
+def test_elimination_output_order_is_deterministic():
+    # Worked by hand: column 2 reduces to 0 against the other two.
+    assert graphdiag._eliminate([0b011, 0b101, 0b110]) == (
+        [(0b101, 0b010), (0b011, 0b001)],
+        [0b111],
+    )
+    assert graphdiag._span([0b101, 0b011]) == [0, 0b101, 0b011, 0b110]
+    rng = random.Random(11)
+    columns = [rng.randrange(1 << 5) for _ in range(6)]
+    assert graphdiag._eliminate(columns) == graphdiag._eliminate(list(columns))
+
+
+def _brute_force_terms(g, part, rng):
+    """(shift, sign) of every PT term, built from the definitions by enumeration.
+
+    Each Y of the image of Gamma' gets a preimage chosen at random among all
+    of them; the sign of a term does not depend on that choice.
+    """
+    a, c = part.a_mask, part.complement_mask
+    subsets = [x for x in range(1 << g.n) if x & ~a == 0]
+    gamma = {x: _xor(g.adj[k] for k in range(g.n) if (x >> k) & 1) & c for x in subsets}
+    preimages = {}
+    for x in subsets:
+        preimages.setdefault(gamma[x], []).append(x)
+    kernel = preimages[0]
+    xs = [x for x in subsets if all((x & k).bit_count() % 2 == 0 for k in kernel)]
+    terms = []
+    for y, pre in preimages.items():
+        a_y = rng.choice(pre)
+        terms += [(y ^ x, 1.0 - 2.0 * ((a_y & x).bit_count() % 2)) for x in xs]
+    return sorted(terms), len(xs), len(preimages)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_transform_terms_match_a_build_from_any_preimage(seed):
+    rng = random.Random(3100 + seed)
+    n = rng.randint(2, 7)
+    g = graph_from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    )
+    for part in bipartitions(g):
+        transform = partition_transform(g, part)
+        terms, n_x, n_y = _brute_force_terms(g, part, rng)
+        assert sorted(zip(transform.shifts.tolist(), transform.signs.tolist())) == terms
+        assert transform.prefactor == 1.0 / n_x and n_y == 1 << transform.rank
+
+
 def test_pt_spectrum_same_for_side_and_complement():
     g = make_lattice("grid2d", 3, 2)
     state = lambda_from_pauli(g, named_channel("depolarizing", 0.8))

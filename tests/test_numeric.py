@@ -96,8 +96,13 @@ def test_prescan_grid_ends_at_hi_itself():
 
 
 def _drive(f, lo, hi, tol=DEFAULT_TOL, grid_values=None):
-    """bisect_steps run by hand: the result and every point it asked for."""
-    steps = bisect_steps(lo, hi, tol, grid_values)
+    """bisect_steps run by hand: the result and every point it asked for.
+
+    grid_values default to f at prescan_grid(lo, hi).
+    """
+    if grid_values is None:
+        grid_values = [f(x) for x in prescan_grid(lo, hi)]
+    steps = bisect_steps(lo, hi, grid_values, tol)
     points = []
     try:
         x = next(steps)
@@ -120,14 +125,15 @@ def test_bisect_steps_driven_by_hand_match_bisect(case):
     result, points = _drive(f, lo, hi, tol)
     calls = []
     assert result == bisect(lambda x: calls.append(x) or f(x), lo, hi, tol)
-    assert points == calls
+    # bisect evaluates the whole pre-scan grid first, then each point asked for.
+    assert calls == prescan_grid(lo, hi) + points
 
 
-@pytest.mark.parametrize("case", range(len(BISECT_CASES)))
-def test_bisect_grid_values_match_f_only_path(case):
-    f, lo, hi = BISECT_CASES[case]
-    grid = [f(x) for x in prescan_grid(lo, hi)]
-    assert _drive(f, lo, hi, grid_values=grid)[0] == bisect(f, lo, hi)
+def test_bisect_checks_the_bracket_before_evaluating_f():
+    calls = []
+    with pytest.raises(ValidationError):
+        bisect(lambda x: calls.append(x) or x, 1.0, 0.0)
+    assert calls == []
 
 
 def test_bisect_grid_values_two_crossings_raise():
