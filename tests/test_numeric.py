@@ -129,6 +129,15 @@ def test_bisect_steps_driven_by_hand_match_bisect(case):
     assert calls == prescan_grid(lo, hi) + points
 
 
+@pytest.mark.parametrize("case", range(len(BISECT_CASES)))
+def test_bisect_grid_values_match_f_only_path(case):
+    # Grid values computed outside bisect_steps give the same result as
+    # bisect, which evaluates f on the grid itself.
+    f, lo, hi = BISECT_CASES[case]
+    grid = [f(x) for x in prescan_grid(lo, hi)]
+    assert _drive(f, lo, hi, grid_values=grid)[0] == bisect(f, lo, hi)
+
+
 def test_bisect_checks_the_bracket_before_evaluating_f():
     calls = []
     with pytest.raises(ValidationError):
