@@ -47,6 +47,9 @@ from .pairdistill import lifetime_lower_bound
 from .isingsep import graph_separability_threshold, weighted_gate_threshold, weighted_graph_threshold
 
 
+SWEEP_CAP = 100_000  # points of one --sweep / --sweep-phi axis
+
+
 @dataclass
 class CommandOutput:
     rows: list[dict] = field(default_factory=list)
@@ -87,15 +90,20 @@ def _parse_sweep(text: str) -> list[float]:
         raise ValidationError("sweep step must be positive")
     if not start < stop:
         raise ValidationError("sweep needs START < STOP")
+    # The axis below has ceil((STOP - START) / STEP + 1/2) points.
+    if (stop - start) / step + 0.5 > SWEEP_CAP:
+        raise CapacityError(f"sweep {text!r} has more than {SWEEP_CAP} points")
     return [float(x) for x in np.arange(start, stop + step / 2.0, step)]
 
 
 def _tolerance(ns: argparse.Namespace) -> Tolerance:
-    if ns.tol_root is None and ns.eig_zero is None:
+    tol_root = getattr(ns, "tol_root", None)
+    eig_zero = getattr(ns, "eig_zero", None)
+    if tol_root is None and eig_zero is None:
         return DEFAULT_TOL
     return Tolerance(
-        abs_root=ns.tol_root if ns.tol_root is not None else DEFAULT_TOL.abs_root,
-        eig_zero=ns.eig_zero,
+        abs_root=tol_root if tol_root is not None else DEFAULT_TOL.abs_root,
+        eig_zero=eig_zero,
     )
 
 
@@ -480,6 +488,16 @@ _HANDLERS = {
 }
 
 
+# Flags shared by some subcommands; each subcommand registers only those it reads.
+_SHARED_FLAGS = {
+    "--graph": dict(default=None, help="lattice spec (ring:N, line:N, grid2d:WxH, grid3d:WxHxD, star:N, complete:N), inline JSON, or @file"),
+    "--channel": dict(default="depolarizing", help="channel name, inline JSON spec, or @file"),
+    "--jobs": dict(type=int, default=1, help="worker processes"),
+    "--tol-root": dict(type=float, default=None, help="bisection tolerance override"),
+    "--eig-zero": dict(type=float, default=None, help="eigenvalue zero floor override"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdeco",
@@ -488,51 +506,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p: argparse.ArgumentParser, graph: bool = False) -> None:
-        p.add_argument("--channel", default="depolarizing", help="channel name, inline JSON spec, or @file")
+    def add(name: str, summary: str, *shared: str) -> argparse.ArgumentParser:
+        """A subcommand with the output flags and the shared flags it reads."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
-        p.add_argument("--tol-root", type=float, default=None, help="bisection tolerance override")
-        p.add_argument("--eig-zero", type=float, default=None, help="eigenvalue zero floor override")
-        if graph:
-            p.add_argument("--graph", default=None, help="lattice spec (ring:N, line:N, grid2d:WxH, grid3d:WxHxD, star:N, complete:N), inline JSON, or @file")
+        for flag in shared:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        return p
 
-    p = sub.add_parser("ghz", help="star-graph lifetimes and blockwise bounds")
+    p = add("ghz", "star-graph lifetimes and blockwise bounds", "--channel", "--tol-root")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--crit", default=None, help='which split, e.g. "k=1"')
     p.add_argument("--blockwise", action="store_true")
     p.add_argument("--sweep", default=None, help="START:STOP:STEP")
     p.add_argument("--axis", choices=("kt", "p"), default="kt")
-    common(p)
 
-    p = sub.add_parser("lower", help="pair-distillation lifetime lower bound")
-    common(p, graph=True)
+    add("lower", "pair-distillation lifetime lower bound", "--graph", "--channel", "--tol-root")
 
-    p = sub.add_parser("upper", help="lifetime upper bounds")
+    p = add(
+        "upper", "lifetime upper bounds",
+        "--graph", "--channel", "--jobs", "--tol-root", "--eig-zero",
+    )
     p.add_argument("--method", choices=("eb", "ising", "ppt"), required=True)
     p.add_argument("--via", choices=("analytic", "jamiolkowski"), default="analytic")
-    common(p, graph=True)
 
-    p = sub.add_parser("scan", help="critical noise per bipartition")
-    common(p, graph=True)
+    add("scan", "critical noise per bipartition", "--graph", "--channel", "--jobs", "--tol-root")
 
-    p = sub.add_parser("weighted", help="weighted-gate separability thresholds")
+    p = add("weighted", "weighted-gate separability thresholds", "--tol-root", "--eig-zero")
     p.add_argument("--sweep-phi", required=True, help="START:STOP:STEP over the gate phase")
     p.add_argument("--deg", type=int, default=1, help="degree of both gate ends")
-    common(p)
 
-    p = sub.add_parser("encode", help="concatenated-code level tables")
+    p = add("encode", "concatenated-code level tables", "--tol-root")
     p.add_argument("--kt", type=float, required=True)
     p.add_argument("--levels", type=int, default=6)
     p.add_argument("--target-m", type=float, default=None, help="also solve lifetimes at this group count")
-    common(p)
 
-    p = sub.add_parser("oracle-check", help="cross-validate fast paths against the dense oracle")
+    p = add("oracle-check", "cross-validate fast paths against the dense oracle")
     p.add_argument("--cases", type=int, default=20)
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--seed", type=int, default=7)
-    common(p)
 
     return parser
 
@@ -551,7 +564,7 @@ def main(argv: list[str] | None = None) -> int:
         },
     }
     try:
-        if ns.jobs < 1:
+        if getattr(ns, "jobs", 1) < 1:
             raise ValidationError(f"--jobs must be at least 1, got {ns.jobs}")
         tol = _tolerance(ns)
         out = _HANDLERS[ns.cmd](ns, tol)

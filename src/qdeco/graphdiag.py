@@ -19,7 +19,9 @@ only when it exceeds fourier_bound, its distance from the gather's value.
 Where it does not, and at the clean end of the bracket, which sets the
 argmin and the verdict of splits without a crossing, the gather supplies
 the value.  So every bisection takes the steps it would take on the gather
-alone, and every entry of the report is the gather's.
+alone, and every entry of the report is the gather's.  Each split's
+transform is built once, for its clean end, and kept until its bisection
+ends; the gather keeps no index between calls.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -179,9 +180,9 @@ class PartitionTransform:
     prefactor is 2^-rank; Y and X each run in the _span order of the
     bases that partition_transform's two eliminations return.
 
-    The gather index of each chunk of terms (every subset mask XOR every
-    shift) is built on the first call to apply and kept while it has at most
-    _KEPT_INDEX entries (8 MB); larger transforms rebuild it per call.
+    apply gathers _CHUNK terms at a time: the index of a chunk (every subset
+    mask XOR every shift) and the weights it gathers go into two buffers
+    allocated once per call and reused for every chunk.
     """
 
     partition: Bipartition
@@ -191,28 +192,25 @@ class PartitionTransform:
     rank: int
 
     _CHUNK = 128  # terms per gather
-    _KEPT_INDEX = 1 << 20  # terms x 2^n index entries kept across calls
-
-    def _chunk_index(self, start: int) -> np.ndarray:
-        idx = np.arange(1 << self.partition.n, dtype=np.intp)
-        sh = self.shifts[start : start + self._CHUNK]
-        return idx[np.newaxis, :] ^ sh[:, np.newaxis]
-
-    @cached_property
-    def _kept_index(self) -> list[np.ndarray] | None:
-        if self.shifts.shape[0] << self.partition.n > self._KEPT_INDEX:
-            return None
-        return [self._chunk_index(s) for s in range(0, self.shifts.shape[0], self._CHUNK)]
 
     def apply(self, lam: np.ndarray) -> np.ndarray:
         """PT weights of one weight vector of shape (2^n,)."""
-        if lam.shape != (1 << self.partition.n,):
+        dim = 1 << self.partition.n
+        if lam.shape != (dim,):
             raise ValidationError(f"weights of shape {lam.shape} do not fit 2^{self.partition.n}")
-        out = np.zeros(lam.shape)
-        kept = self._kept_index
-        for c, start in enumerate(range(0, self.shifts.shape[0], self._CHUNK)):
-            gidx = self._chunk_index(start) if kept is None else kept[c]
-            out += self.signs[start : start + self._CHUNK] @ np.take(lam, gidx)
+        masks = np.arange(dim, dtype=np.intp)
+        rows = min(self._CHUNK, self.shifts.shape[0])
+        index = np.empty((rows, dim), dtype=np.intp)
+        gathered = np.empty((rows, dim))
+        out = np.zeros(dim)
+        for start in range(0, self.shifts.shape[0], self._CHUNK):
+            sh = self.shifts[start : start + self._CHUNK]
+            k = sh.shape[0]
+            np.bitwise_xor(masks, sh[:, np.newaxis], out=index[:k])
+            # Every index is in range; mode="wrap" only lets take write
+            # straight into the buffer, where the default mode buffers out.
+            np.take(lam, index[:k], out=gathered[:k], mode="wrap")
+            out += self.signs[start : start + self._CHUNK] @ gathered[:k]
         return self.prefactor * out
 
 
@@ -548,13 +546,6 @@ class PartitionScanReport:
 
 
 _FOURIER_BLOCK = 1 << 13  # entries of one block of Fourier rows
-# Gather-index entries that the transforms a scan keeps for its undecided
-# values may hold in total, as many as one transform keeps (8 MB).
-_KEPT_GATHER_INDEX = PartitionTransform._KEPT_INDEX
-
-
-def _index_size(transform: PartitionTransform) -> int:
-    return transform.shifts.shape[0] << transform.partition.n
 
 
 def _fourier_mins(form: FourierForm, a_masks: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -581,10 +572,9 @@ def _scan_splits(
     (PartitionTransform.apply on the noisy weights) supplies the value, so
     every bisection takes the steps it would take on the gather alone.  The
     clean-end row, which gives the argmin and the verdict of splits without
-    a crossing, is always gathered.  A split's transform is kept only while
-    the split is still bisecting and has needed the gather, and only while
-    the kept transforms' gather indices fit in _KEPT_GATHER_INDEX entries;
-    noisy weights are computed once per p and shared by every split.
+    a crossing, is always gathered.  The transform built for that row is kept
+    until the split's bisection ends, so partition_transform runs once per
+    split; noisy weights are computed once per p and shared by every split.
     """
     if not parts:
         return []
@@ -596,24 +586,10 @@ def _scan_splits(
             lam = cache[p] = lambda_from_pauli(g, family.pauli(p)).lam
         return lam
 
-    transforms: dict[int, PartitionTransform] = {}  # of splits that needed the gather
-    room = _KEPT_GATHER_INDEX
+    transforms: dict[int, PartitionTransform] = {}  # of splits still bisecting
 
-    def gathered(i: int, p: float, transform: PartitionTransform | None = None) -> float:
-        nonlocal room
-        if i in transforms:
-            transform = transforms[i]
-        else:
-            transform = transform or partition_transform(g, parts[i])
-            if _index_size(transform) <= room:
-                transforms[i] = transform
-                room -= _index_size(transform)
-        return float(transform.apply(weights(p)).min())
-
-    def release(i: int) -> None:
-        nonlocal room
-        if i in transforms:
-            room += _index_size(transforms.pop(i))
+    def gathered(i: int, p: float) -> float:
+        return float(transforms[i].apply(weights(p)).min())
 
     lo, hi = SCAN_BRACKET
     grid = prescan_grid(lo, hi)[:-1]  # the clean end hi is gathered
@@ -632,18 +608,18 @@ def _scan_splits(
         try:
             x = steps.send(y)
         except StopIteration as stop:
-            release(i)
+            del transforms[i]
             entries[i] = _scan_entry(parts[i], stop.value, *clean_ends[i])
         else:
             active.append((i, steps, x))
 
     for i, part in enumerate(parts):
-        transform = partition_transform(g, part)
+        transform = transforms[i] = partition_transform(g, part)
         clean = transform.apply(weights(hi))
         clean_ends.append((float(clean.min()), int(np.argmin(clean))))
         bounds.append(fourier_bound(g.n, transform.rank))
         ys = [
-            v if abs(v) > bounds[i] else gathered(i, x, transform)
+            v if abs(v) > bounds[i] else gathered(i, x)
             for x, v in zip(grid, grid_mins[i].tolist())
         ]
         advance(i, bisect_steps(lo, hi, [*ys, clean_ends[i][0]], tol), None)

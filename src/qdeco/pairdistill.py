@@ -327,6 +327,8 @@ def lifetime_lower_bound(
             "dephasing, bitflip)"
         )
     all_edges = g.edges()
+    if not all_edges:
+        raise ValidationError("graph has no edges")
     if not _connected(g.n, all_edges):
         raise ValidationError("graph is not connected; no global certificate")
 

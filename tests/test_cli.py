@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qdeco.cli import main
+from qdeco.cli import SWEEP_CAP, _parse_sweep, main
+from qdeco.errors import CapacityError
 from qdeco.ghz import GHZ_CAP
 
 RING6_SCAN_ROWS = 31  # 2^(6-1) - 1 bipartitions
@@ -355,6 +356,7 @@ def test_validation_errors_exit_2(tmp_path, capsys):
         ["weighted", "--sweep-phi", "0.5:x:0.2"],
         ["ghz", "--blockwise", "--sweep", "0.5:0.6:nan"],
         ["ghz", "--blockwise", "--sweep", "0:inf:0.1"],
+        ["lower", "--graph", '{"n": 1, "edges": []}'],
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, capsys):
@@ -369,6 +371,53 @@ def test_capacity_errors_exit_3(capsys):
     assert main(["oracle-check", "--max-n", "9"]) == 3
     assert main(["ghz", "--n", "100000", "--crit", "k=1"]) == 3
     assert "capacity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weighted", "--sweep-phi", "0.5:3.14:1e-15"],
+        ["ghz", "--blockwise", "--sweep", "0.01:0.8:1e-13"],
+        ["ghz", "--blockwise", "--sweep=-1e308:1e308:1"],
+        ["ghz", "--blockwise", "--sweep", "0:1:5e-324"],
+    ],
+)
+def test_oversized_sweeps_exit_3_in_one_line(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: ") and err.count("\n") == 1
+
+
+def test_sweep_cap_counts_the_points_of_the_axis():
+    assert len(_parse_sweep(f"0:{SWEEP_CAP - 1}:1")) == SWEEP_CAP
+    with pytest.raises(CapacityError):
+        _parse_sweep(f"0:{SWEEP_CAP}:1")
+
+
+# Each subcommand registers only the shared flags it reads; argparse rejects the rest.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ghz", "--n", "4", "--jobs", "2"],
+        ["ghz", "--n", "4", "--eig-zero", "-1e-9"],
+        ["lower", "--graph", "ring:4", "--jobs", "2"],
+        ["lower", "--graph", "ring:4", "--eig-zero", "-1e-9"],
+        ["scan", "--graph", "ring:4", "--eig-zero", "5"],
+        ["weighted", "--sweep-phi", "1:2:0.5", "--channel", "dephasing"],
+        ["weighted", "--sweep-phi", "1:2:0.5", "--jobs", "2"],
+        ["encode", "--kt", "0.01", "--channel", "dephasing"],
+        ["encode", "--kt", "0.01", "--jobs", "2"],
+        ["encode", "--kt", "0.01", "--eig-zero", "-1e-9"],
+        ["oracle-check", "--channel", "dephasing"],
+        ["oracle-check", "--jobs", "2"],
+        ["oracle-check", "--tol-root", "1e-3"],
+        ["oracle-check", "--eig-zero", "-1e-9"],
+        ["weighted", "--sweep-phi", "1:2:0.5", "--graph", "ring:4"],
+    ],
+)
+def test_unread_flags_are_rejected(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
 
 
 def test_argparse_errors_exit_2(capsys):

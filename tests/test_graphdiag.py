@@ -198,12 +198,13 @@ def test_apply_over_the_index_cap_keeps_no_index():
     alternating = Bipartition(sum(1 << k for k in range(1, 11, 2)), 11)
     big = partition_transform(g, alternating)
     small = partition_transform(g, Bipartition(0b11, 11))
-    assert big.rank == 5 and big.shifts.shape[0] << g.n > big._KEPT_INDEX
+    # 4^5 terms are 8 chunks of 128; the small split has fewer than one chunk.
+    assert big.rank == 5 and big.shifts.shape[0] == 8 * 128
+    assert small.shifts.shape[0] < 128
     for p in (0.3, 0.7, 0.95):
         lam = lambda_from_pauli(g, DEPOL.pauli(p)).lam
-        for transform, kept in ((big, False), (small, True)):
+        for transform in (big, small):
             assert _bitwise_equal(transform.apply(lam), _reference_apply(transform, lam))
-            assert (transform._kept_index is not None) == kept
 
 
 def test_apply_rejects_weights_of_the_wrong_size():
@@ -723,6 +724,31 @@ def test_scan_computes_each_weight_vector_once(monkeypatch):
     # The 65 pre-scan points serve all 31 splits, and splits related by a
     # rotation or reflection of the ring share their bisection points too.
     assert len(seen) < 65 + sum(e.iterations for e in report.entries)
+
+
+def test_scan_builds_each_transform_once(monkeypatch):
+    built = []
+
+    def counting(g, part):
+        built.append(part.a_mask)
+        return partition_transform(g, part)
+
+    monkeypatch.setattr(graphdiag, "partition_transform", counting)
+    scan_partitions(make_lattice("ring", 9), DEPHASING)
+    assert len(built) == len(set(built)) == 255
+
+
+def test_scan_and_pt_spectrum_without_numpy_bitwise_count(monkeypatch):
+    # NumPy 1.x has no bitwise_count; the bit counts must not need it.
+    g = make_lattice("ring", 6)
+    expected_pt = pt_spectrum(lambda_from_pauli(g, DEPOL.pauli(0.4)), Bipartition(0b101, 6))
+    expected = {family.kind: scan_partitions(g, family).entries for family in FAMILIES}
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert not hasattr(np, "bitwise_count")
+    spec = pt_spectrum(lambda_from_pauli(g, DEPOL.pauli(0.4)), Bipartition(0b101, 6))
+    assert _bitwise_equal(spec.lam_prime, expected_pt.lam_prime)
+    for family in FAMILIES:
+        assert scan_partitions(g, family).entries == expected[family.kind]
 
 
 def _gather_steered_points(g, family, part):

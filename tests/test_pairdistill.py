@@ -317,6 +317,8 @@ def test_spanning_certificate_ignores_a_redundant_weak_edge():
 def test_report_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         lifetime_lower_bound(graph_from_edges(4, [(0, 1), (2, 3)]), DEPOL)
+    with pytest.raises(ValidationError, match="no edges"):
+        lifetime_lower_bound(graph_from_edges(1, []), DEPOL)
     qo = ChannelFamily.from_spec({"kind": "qo", "B": 1.0, "C": 0.6, "s": 0.4})
     with pytest.raises(ValidationError):
         lifetime_lower_bound(make_lattice("ring", 4), qo)
