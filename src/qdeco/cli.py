@@ -262,6 +262,8 @@ def _cmd_lower(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
 
 
 def _cmd_upper(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
+    if ns.eig_zero is not None and ns.method != "ising":
+        raise ValidationError(f"--eig-zero is read only by --method ising, not {ns.method}")
     family = _parse_channel(ns.channel)
     out = CommandOutput()
     if ns.method == "eb":

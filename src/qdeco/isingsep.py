@@ -26,6 +26,13 @@ from .numeric import DEFAULT_TOL, Tolerance, bisect, hermitian_spectrum, partial
 
 GATE_BRACKET = (1e-9, 1.0 - 1e-9)
 
+# Logical Z on side k (read from bit 1) and side l (bit 3) of the doubled pair.
+_Z_K = np.array([-1.0 if (x >> 1) & 1 else 1.0 for x in range(16)])
+_Z_L = np.array([-1.0 if (x >> 3) & 1 else 1.0 for x in range(16)])
+# Order 1, Z_l, Z_k, both: lam is ordered (++, +-, -+, --) in (p_z, q_z); the
+# q_z sign flips with Z_l on side l and the p_z sign with Z_k on side k.
+_GATE_FRAMES = (np.ones(16), _Z_L, _Z_K, _Z_K * _Z_L)
+
 
 @dataclass(frozen=True)
 class NoisyGateState:
@@ -65,13 +72,8 @@ class NoisyGateState:
         base[0b0011] = 0.5  # side k logical 1
         base[0b1100] = 0.5  # side l logical 1
         base[0b1111] = 0.5 * np.exp(1j * self.phi)
-        z_k = np.array([-1.0 if (x >> 1) & 1 else 1.0 for x in range(16)])
-        z_l = np.array([-1.0 if (x >> 3) & 1 else 1.0 for x in range(16)])
-        frames = (np.ones(16), z_l, z_k, z_k * z_l)  # order: 1, Z_l, Z_k, both
-        # lam ordering is (++, +-, -+, --) in (p_z, q_z); the q_z sign flips
-        # with Z_l on side l and the p_z sign with Z_k on side k.
         rho = np.zeros((16, 16), dtype=complex)
-        for w, frame in zip(self.lam, frames):
+        for w, frame in zip(self.lam, _GATE_FRAMES):
             v = frame * base
             rho += w * np.outer(v, v.conj())
         return rho

@@ -74,6 +74,40 @@ def _z_flip(index: int, strength: float) -> tuple:
     return tuple(out)
 
 
+def _pair_class(g: Graph, k: int, l: int) -> tuple[int, int, int]:
+    """(side_k, side_l, common): the only graph data `reduced_pair_state` reads.
+
+    side_k counts the neighbours of k alone (l excluded), side_l those of l
+    alone, common those of both.  The tuple is ordered: swapping k and l
+    swaps the first two entries and the XOR-convolution order with them.
+    """
+    if g.is_weighted:
+        raise ValidationError("closed-form reduction needs an unweighted graph; "
+                              "use weighted_reduced_pair")
+    nk = neighborhood(g, k)
+    nl = neighborhood(g, l)
+    if not (nk >> l) & 1:
+        raise ValidationError(f"vertices {k} and {l} are not adjacent")
+    return (
+        (nk & ~nl & ~(1 << l)).bit_count(),
+        (nl & ~nk & ~(1 << k)).bit_count(),
+        (nk & nl).bit_count(),
+    )
+
+
+def _class_pair_state(cls: tuple[int, int, int], ch: PauliChannel) -> BellDiagonal:
+    side_k, side_l, common = cls
+    p0, p1, p2, p3 = ch.probs
+    vec = (1.0, 0.0, 0.0, 0.0)
+    vec = _convolve(vec, (p0, p3, p1, p2))  # channel on k
+    vec = _convolve(vec, (p0, p1, p3, p2))  # channel on l
+    strength = 1.0 - 2.0 * (p1 + p2)
+    vec = _convolve(vec, _z_flip(_ZK, strength**side_k))
+    vec = _convolve(vec, _z_flip(_ZL, strength**side_l))
+    vec = _convolve(vec, _z_flip(_ZKZL, strength**common))
+    return BellDiagonal(vec)
+
+
 def reduced_pair_state(g: Graph, k: int, l: int, ch: PauliChannel) -> BellDiagonal:
     """Two-qubit state left on the adjacent pair {k, l} after the protocol.
 
@@ -85,27 +119,10 @@ def reduced_pair_state(g: Graph, k: int, l: int, ch: PauliChannel) -> BellDiagon
     single-sided phase flip with strength 1 - 2(p1 + p2); noise on a common
     neighbour flips both signs together with the same strength.  Composition
     is XOR-convolution, and m independent flips of the same type merge into
-    one of strength (1 - 2f)^m.
+    one of strength (1 - 2f)^m.  So the state depends on the graph only
+    through the edge's class (side_k, side_l, common).
     """
-    if g.is_weighted:
-        raise ValidationError("closed-form reduction needs an unweighted graph; "
-                              "use weighted_reduced_pair")
-    nk = neighborhood(g, k)
-    nl = neighborhood(g, l)
-    if not (nk >> l) & 1:
-        raise ValidationError(f"vertices {k} and {l} are not adjacent")
-    p0, p1, p2, p3 = ch.probs
-    vec = (1.0, 0.0, 0.0, 0.0)
-    vec = _convolve(vec, (p0, p3, p1, p2))  # channel on k
-    vec = _convolve(vec, (p0, p1, p3, p2))  # channel on l
-    strength = 1.0 - 2.0 * (p1 + p2)
-    side_k = (nk & ~nl & ~(1 << l)).bit_count()
-    side_l = (nl & ~nk & ~(1 << k)).bit_count()
-    common = (nk & nl).bit_count()
-    vec = _convolve(vec, _z_flip(_ZK, strength**side_k))
-    vec = _convolve(vec, _z_flip(_ZL, strength**side_l))
-    vec = _convolve(vec, _z_flip(_ZKZL, strength**common))
-    return BellDiagonal(vec)
+    return _class_pair_state(_pair_class(g, k, l), ch)
 
 
 def pair_state_matrix(b: BellDiagonal) -> np.ndarray:
@@ -167,18 +184,20 @@ def universal_lower_bound(deg_k: int, deg_l: int) -> tuple[float, float]:
 # Weighted graphs: dense simulation of the local region
 
 
-def weighted_reduced_pair(
-    g: Graph, k: int, l: int, ch: PauliChannel
-) -> np.ndarray:
-    """Reduced pair state on a weighted graph by simulating the local region.
+# The Paulis on qubit k (bit 0) and l (bit 1) of the pair, in SIGMA order.
+_PAIR_PAULIS = tuple(tuple(lift_operator(2, q, s) for s in SIGMA) for q in (0, 1))
+
+
+def _region_grams(g: Graph, k: int, l: int) -> np.ndarray:
+    """p-independent part of the reduced pair state on a weighted graph.
 
     Only the region I = N_k u N_l u {k, l} matters: gates leaving it act on
     qubits that are measured anyway and cancel from the pair state.  The
     region state starts as |+..+> with one controlled-phase per internal
-    edge; each measured qubit is projected on outcome 0 after its noise,
-    which splits every pure branch in two (kept value 0 with weight p0+p3,
-    kept value 1 with weight p1+p2); finally the full channels act on k and
-    l.  Returns the normalised 4x4 matrix with qubit k as bit 0, l as bit 1.
+    edge, over the labels (k, l, rest in order), so k is bit 0 and l bit 1.
+    Row r of V = vec.reshape(-1, 4) is the pair's branch when the measured
+    qubits read r.  Returns G with G[j] = sum over popcount(r) = j of
+    |V_r><V_r|, shape (m - 1, 4, 4) for a region of m qubits.
     """
     nk = neighborhood(g, k)
     nl = neighborhood(g, l)
@@ -202,34 +221,51 @@ def weighted_reduced_pair(
             mask = (idx & both) == both
             vec = np.where(mask, vec * np.exp(1j * g.phase(u, v)), vec)
 
+    branches = vec.reshape(-1, 4)
+    popcount = np.array([r.bit_count() for r in range(len(branches))])
+    grams = np.empty((m - 1, 4, 4), dtype=complex)
+    for j in range(m - 1):
+        rows = branches[popcount == j]
+        grams[j] = rows.T @ rows.conj()
+    return grams
+
+
+def _pair_from_grams(grams: np.ndarray, ch: PauliChannel) -> np.ndarray:
+    """Reduced pair state at channel `ch` from the region's Gram matrices.
+
+    Each measured qubit is projected on outcome 0 after its noise, so
+    branch r keeps weight keep^(m-2-j) flip^j with j = popcount(r),
+    keep = p0 + p3 and flip = p1 + p2; then the full channels act on k and l.
+    """
     p0, p1, p2, p3 = ch.probs
     keep, flip = p0 + p3, p1 + p2
-    branches: list[tuple[float, np.ndarray]] = [(1.0, vec)]
-    for _ in range(m - 1, 1, -1):  # peel the highest label down to qubit 2
-        nxt: list[tuple[float, np.ndarray]] = []
-        for w, v in branches:
-            halves = v.reshape(2, -1)
-            if keep > 0.0:
-                nxt.append((w * keep, halves[0]))
-            if flip > 0.0:
-                nxt.append((w * flip, halves[1]))
-        branches = nxt
-
-    rho = np.zeros((4, 4), dtype=complex)
-    for w, v in branches:
-        rho += w * np.outer(v, v.conj())
+    measured = len(grams) - 1
+    weights = [keep ** (measured - j) * flip**j for j in range(measured + 1)]
+    rho = np.tensordot(weights, grams, axes=1)
     trace = rho.trace().real
     if trace < 1e-14:
         raise ValidationError("branch weights vanished; channel is degenerate")
     rho /= trace
 
-    for qubit in (0, 1):
+    for paulis in _PAIR_PAULIS:
         mixed = np.zeros((4, 4), dtype=complex)
-        for prob, s in zip(ch.probs, SIGMA):
-            op = lift_operator(2, qubit, s)
+        for prob, op in zip(ch.probs, paulis):
             mixed += prob * (op @ rho @ op.conj().T)
         rho = mixed
     return rho
+
+
+def weighted_reduced_pair(
+    g: Graph, k: int, l: int, ch: PauliChannel
+) -> np.ndarray:
+    """Reduced pair state on a weighted graph by simulating the local region.
+
+    The region's state and its per-popcount Gram matrices do not depend on
+    the channel (`_region_grams`); the channel only weights them
+    (`_pair_from_grams`).  Returns the normalised 4x4 matrix with qubit k
+    as bit 0, l as bit 1.
+    """
+    return _pair_from_grams(_region_grams(g, k, l), ch)
 
 
 def weighted_pair_pt_min_eig(rho: np.ndarray) -> float:
@@ -315,7 +351,12 @@ def lifetime_lower_bound(
     """Per-edge NPT thresholds and the two global certificates for a graph.
 
     Works along the channel-family parameter p (clean at 1): each edge gets
-    a bisection for the level where its reduced pair stops being NPT; the
+    the level where its reduced pair stops being NPT, from one bisection per
+    distinct problem.  On an unweighted graph the pair state depends only on
+    the edge's ordered class (side_k, side_l, common), so edges of one class
+    share one bisection (a constant-degree lattice has a handful of classes
+    at any size).  On a weighted graph each edge's region and Gram matrices
+    are built once and every evaluation only reweights them.  The
     global number takes the maximum (the protocol's weakest link), and the
     spanning variant takes the smallest p at which the NPT edges alone
     connect the graph (the bottleneck edge of a maximum-threshold-last
@@ -332,16 +373,28 @@ def lifetime_lower_bound(
     if not _connected(g.n, all_edges):
         raise ValidationError("graph is not connected; no global certificate")
 
+    classes: dict[tuple[int, int, int], ThresholdResult] = {}
+
+    def solve(u: int, v: int) -> ThresholdResult:
+        if g.is_weighted:
+            grams = _region_grams(g, u, v)
+
+            def gap(p: float) -> float:
+                return weighted_pair_pt_min_eig(_pair_from_grams(grams, family.pauli(p)))
+
+            return bisect(gap, EDGE_BRACKET[0], EDGE_BRACKET[1], tol)
+        cls = _pair_class(g, u, v)
+        if cls not in classes:
+
+            def gap(p: float) -> float:
+                return max(_class_pair_state(cls, family.pauli(p)).c) - 0.5
+
+            classes[cls] = bisect(gap, EDGE_BRACKET[0], EDGE_BRACKET[1], tol)
+        return classes[cls]
+
     per_edge: list[EdgeThreshold] = []
     for u, v in all_edges:
-        if g.is_weighted:
-            def gap(p: float, _u=u, _v=v) -> float:
-                rho = weighted_reduced_pair(g, _u, _v, family.pauli(p))
-                return weighted_pair_pt_min_eig(rho)
-        else:
-            def gap(p: float, _u=u, _v=v) -> float:
-                return max(reduced_pair_state(g, _u, _v, family.pauli(p)).c) - 0.5
-        result = bisect(gap, EDGE_BRACKET[0], EDGE_BRACKET[1], tol)
+        result = solve(u, v)
         per_edge.append(
             EdgeThreshold(
                 u,

@@ -394,30 +394,46 @@ def test_sweep_cap_counts_the_points_of_the_axis():
         _parse_sweep(f"0:{SWEEP_CAP}:1")
 
 
-# Each subcommand registers only the shared flags it reads; argparse rejects the rest.
+# Each subcommand registers only the shared flags it reads; argparse rejects the
+# rest.  `upper` registers --eig-zero for --method ising; the other methods
+# reject it with one error line.
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ["ghz", "--n", "4", "--jobs", "2"],
-        ["ghz", "--n", "4", "--eig-zero", "-1e-9"],
-        ["lower", "--graph", "ring:4", "--jobs", "2"],
-        ["lower", "--graph", "ring:4", "--eig-zero", "-1e-9"],
-        ["scan", "--graph", "ring:4", "--eig-zero", "5"],
-        ["weighted", "--sweep-phi", "1:2:0.5", "--channel", "dephasing"],
-        ["weighted", "--sweep-phi", "1:2:0.5", "--jobs", "2"],
-        ["encode", "--kt", "0.01", "--channel", "dephasing"],
-        ["encode", "--kt", "0.01", "--jobs", "2"],
-        ["encode", "--kt", "0.01", "--eig-zero", "-1e-9"],
-        ["oracle-check", "--channel", "dephasing"],
-        ["oracle-check", "--jobs", "2"],
-        ["oracle-check", "--tol-root", "1e-3"],
-        ["oracle-check", "--eig-zero", "-1e-9"],
-        ["weighted", "--sweep-phi", "1:2:0.5", "--graph", "ring:4"],
+        (argv, "unrecognized arguments: " + argv[-2])
+        for argv in (
+            ["ghz", "--n", "4", "--jobs", "2"],
+            ["ghz", "--n", "4", "--eig-zero", "-1e-9"],
+            ["lower", "--graph", "ring:4", "--jobs", "2"],
+            ["lower", "--graph", "ring:4", "--eig-zero", "-1e-9"],
+            ["scan", "--graph", "ring:4", "--eig-zero", "5"],
+            ["weighted", "--sweep-phi", "1:2:0.5", "--channel", "dephasing"],
+            ["weighted", "--sweep-phi", "1:2:0.5", "--jobs", "2"],
+            ["encode", "--kt", "0.01", "--channel", "dephasing"],
+            ["encode", "--kt", "0.01", "--jobs", "2"],
+            ["encode", "--kt", "0.01", "--eig-zero", "-1e-9"],
+            ["oracle-check", "--channel", "dephasing"],
+            ["oracle-check", "--jobs", "2"],
+            ["oracle-check", "--tol-root", "1e-3"],
+            ["oracle-check", "--eig-zero", "-1e-9"],
+            ["weighted", "--sweep-phi", "1:2:0.5", "--graph", "ring:4"],
+        )
+    ]
+    + [
+        (["upper", "--method", "eb", "--eig-zero", "1e-9"],
+         "error: --eig-zero is read only by --method ising, not eb"),
+        (["upper", "--method", "eb", "--via", "jamiolkowski", "--eig-zero", "1e-9"],
+         "error: --eig-zero is read only by --method ising, not eb"),
+        (["upper", "--method", "ppt", "--graph", "ring:4", "--eig-zero", "1e-9"],
+         "error: --eig-zero is read only by --method ising, not ppt"),
     ],
 )
-def test_unread_flags_are_rejected(argv, capsys):
+def test_unread_flags_are_rejected(argv, message, capsys):
     assert main(argv) == 2
-    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err.splitlines()[-1]
+    if message.startswith("error:"):
+        assert err == message + "\n"
 
 
 def test_argparse_errors_exit_2(capsys):

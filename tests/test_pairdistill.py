@@ -1,21 +1,26 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qdeco.channels import ChannelFamily, ChannelMatrix, named_channel
+from qdeco import pairdistill
+from qdeco.channels import SIGMA, ChannelFamily, ChannelMatrix, PauliChannel, named_channel
 from qdeco.cli import random_pauli_channel
 from qdeco.errors import ValidationError
-from qdeco.graphs import Bipartition, graph_from_edges, make_lattice
+from qdeco.graphs import Bipartition, graph_from_edges, make_lattice, neighborhood
+from qdeco.numeric import bisect
 from qdeco.oracle import (
     apply_uniform_channel,
     dense_graph_state,
+    lift_operator,
     partial_trace,
     project_z_normalized,
 )
 from qdeco.pairdistill import (
     DEPHASING_THRESHOLD,
+    EDGE_BRACKET,
     BellDiagonal,
     EdgeThreshold,
     closed_form_threshold,
@@ -340,3 +345,151 @@ def test_weighted_graph_report_uses_dense_route():
 def test_edge_threshold_kt_property():
     e = EdgeThreshold(0, 1, math.pi, 0.5, True, 40)
     assert e.kt_crit == pytest.approx(math.log(2.0))
+
+
+# --- One solve per edge problem, against the per-edge route ---------------------
+
+PAIR_PAULIS = [[lift_operator(2, q, s) for s in SIGMA] for q in (0, 1)]
+
+
+def branch_list_pair(g, k, l, ch):
+    """Reference: the weighted pair state built one measured-qubit branch at a time.
+
+    Each measured qubit, highest label first, splits every pure branch into
+    its outcome-0 half (weight p0 + p3) and outcome-1 half (weight p1 + p2);
+    the branches' projectors are summed one by one.
+    """
+    nk, nl = neighborhood(g, k), neighborhood(g, l)
+    region_mask = nk | nl | (1 << k) | (1 << l)
+    labels = [k, l] + [v for v in range(g.n) if (region_mask >> v) & 1 and v not in (k, l)]
+    position = {v: i for i, v in enumerate(labels)}
+    m = len(labels)
+    dim = 1 << m
+    vec = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+    idx = np.arange(dim)
+    for u, v in g.edges():
+        if (region_mask >> u) & 1 and (region_mask >> v) & 1:
+            both = (1 << position[u]) | (1 << position[v])
+            vec = np.where((idx & both) == both, vec * np.exp(1j * g.phase(u, v)), vec)
+    p0, p1, p2, p3 = ch.probs
+    keep, flip = p0 + p3, p1 + p2
+    branches = [(1.0, vec)]
+    for _ in range(m - 2):
+        nxt = []
+        for w, v in branches:
+            halves = v.reshape(2, -1)
+            if keep > 0.0:
+                nxt.append((w * keep, halves[0]))
+            if flip > 0.0:
+                nxt.append((w * flip, halves[1]))
+        branches = nxt
+    rho = np.zeros((4, 4), dtype=complex)
+    for w, v in branches:
+        rho += w * np.outer(v, v.conj())
+    trace = rho.trace().real
+    if trace < 1e-14:
+        raise ValidationError("branch weights vanished")
+    rho /= trace
+    for paulis in PAIR_PAULIS:
+        mixed = np.zeros((4, 4), dtype=complex)
+        for prob, op in zip(ch.probs, paulis):
+            mixed += prob * (op @ rho @ op.conj().T)
+        rho = mixed
+    return rho
+
+
+def per_edge_reference(g, family):
+    """Reference report: one bisection per edge, then the same two certificates."""
+    per_edge = []
+    for u, v in g.edges():
+        if g.is_weighted:
+            def gap(p, u=u, v=v):
+                return weighted_pair_pt_min_eig(branch_list_pair(g, u, v, family.pauli(p)))
+        else:
+            def gap(p, u=u, v=v):
+                return max(reduced_pair_state(g, u, v, family.pauli(p)).c) - 0.5
+        r = bisect(gap, EDGE_BRACKET[0], EDGE_BRACKET[1])
+        p_crit = r.value if r.sign_change_found else math.nan
+        per_edge.append(EdgeThreshold(u, v, g.phase(u, v), p_crit, r.sign_change_found, r.iterations))
+    found = [e for e in per_edge if e.found]
+    p_global, critical = math.nan, None
+    if len(found) == len(per_edge):
+        worst = max(found, key=lambda e: e.p_crit)
+        p_global, critical = worst.p_crit, (worst.u, worst.v)
+    p_spanning, bottleneck = math.nan, None
+    component = list(range(g.n))
+    for e in sorted(found, key=lambda e: e.p_crit):
+        old, new = component[e.u], component[e.v]
+        component = [new if c == old else c for c in component]
+        if len(set(component)) == 1:
+            p_spanning, bottleneck = e.p_crit, (e.u, e.v)
+            break
+    return tuple(per_edge), p_global, p_spanning, critical, bottleneck
+
+
+def seeded_phase_graph(spec, seed):
+    g = make_lattice(*spec)
+    rng = random.Random(seed)
+    weights = {e: rng.uniform(0.3, math.pi) for e in g.edges()}
+    return graph_from_edges(g.n, g.edges(), weights=weights)
+
+
+@pytest.mark.parametrize("family", [DEPOL, DEPHASING, BITFLIP], ids=lambda f: f.kind)
+def test_lower_bound_matches_per_edge_reference(family):
+    graphs = [
+        make_lattice(*spec)
+        for spec in (
+            ("ring", 4), ("ring", 30), ("line", 7), ("star", 6),
+            ("grid2d", 3, 4), ("grid2d", 5, 5), ("grid3d", 3, 3, 3),
+        )
+    ] + [
+        seeded_phase_graph(spec, seed)
+        for spec in (("grid2d", 2, 3), ("ring", 5), ("grid2d", 3, 3))
+        for seed in range(1, 6)
+    ]
+    for g in graphs:
+        report = lifetime_lower_bound(g, family)
+        got = (report.per_edge, report.p_global, report.p_spanning,
+               report.critical_edge, report.bottleneck_edge)
+        assert got == per_edge_reference(g, family), g.name
+
+
+@pytest.mark.parametrize("spec,bisections", [
+    (("ring", 30), 1), (("grid2d", 5, 5), 6), (("grid2d", 10, 10), 6),
+])
+def test_lower_bound_bisects_each_edge_class_once(monkeypatch, spec, bisections):
+    calls = []
+
+    def counting_bisect(*args, **kwargs):
+        calls.append(args)
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(pairdistill, "bisect", counting_bisect)
+    g = make_lattice(*spec)
+    report = lifetime_lower_bound(g, DEPOL)
+    assert len(calls) == bisections
+    assert len(report.per_edge) == len(g.edges())
+
+
+def test_weighted_route_matches_branch_construction():
+    # Edge (0, 1) with five more neighbours on each end: a 12-qubit region,
+    # plus a ring whose pair has two neighbours joined by an internal edge.
+    star_edges = [(0, 1)] + [(0, v) for v in range(2, 7)] + [(1, v) for v in range(7, 12)]
+    double_star = graph_from_edges(
+        12, star_edges, weights={e: 0.4 + 0.2 * i for i, e in enumerate(star_edges)}
+    )
+    ring_edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    square = graph_from_edges(4, ring_edges, weights=dict(zip(ring_edges, (2.0, 1.1, 0.7, 2.9))))
+    channels = [
+        named_channel("depolarizing", 0.8),
+        named_channel("dephasing", 0.3),  # flip = 0
+        PauliChannel(0.0, 0.7, 0.3, 0.0),  # keep = 0
+    ]
+    for g in (double_star, square):
+        for ch in channels:
+            got = weighted_reduced_pair(g, 0, 1, ch)
+            want = branch_list_pair(g, 0, 1, ch)
+            assert np.abs(got - want).max() <= 1e-14
+    vanished = SimpleNamespace(probs=(0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(ValidationError, match="vanished"):
+        weighted_reduced_pair(double_star, 0, 1, vanished)
