@@ -557,6 +557,13 @@ def _fourier_mins(form: FourierForm, a_masks: np.ndarray, ps: np.ndarray) -> np.
     return out
 
 
+def _ppt_signed(v: float) -> float:
+    """A PT minimum as bisect_steps reads it: negative exactly when v is,
+    and 1.0 for an exact zero, which is PPT (as _scan_entry's verdict reads
+    it) rather than a root."""
+    return v if v != 0.0 else 1.0
+
+
 def _scan_splits(
     g: Graph,
     family: ChannelFamily,
@@ -575,6 +582,14 @@ def _scan_splits(
     a crossing, is always gathered.  The transform built for that row is kept
     until the split's bisection ends, so partition_transform runs once per
     split; noisy weights are computed once per p and shared by every split.
+
+    Under bitflip noise the minimum of some splits is exactly 0.0 over a
+    whole range of p.  A split whose pre-scan meets an exact zero reads
+    every zero as PPT (_ppt_signed), not as a root.  Other splits keep
+    bisect's rule, under which a zero met while refining is the root: near
+    the multiple roots of dephasing splits such a zero is rounding noise
+    either way, and reading it as PPT would move those values by up to a
+    few 1e-9 without making them exact.
     """
     if not parts:
         return []
@@ -587,9 +602,11 @@ def _scan_splits(
         return lam
 
     transforms: dict[int, PartitionTransform] = {}  # of splits still bisecting
+    zero_is_ppt: set[int] = set()  # splits whose pre-scan met an exact zero
 
     def gathered(i: int, p: float) -> float:
-        return float(transforms[i].apply(weights(p)).min())
+        v = float(transforms[i].apply(weights(p)).min())
+        return _ppt_signed(v) if i in zero_is_ppt else v
 
     lo, hi = SCAN_BRACKET
     grid = prescan_grid(lo, hi)[:-1]  # the clean end hi is gathered
@@ -622,7 +639,11 @@ def _scan_splits(
             v if abs(v) > bounds[i] else gathered(i, x)
             for x, v in zip(grid, grid_mins[i].tolist())
         ]
-        advance(i, bisect_steps(lo, hi, [*ys, clean_ends[i][0]], tol), None)
+        ys.append(clean_ends[i][0])
+        if 0.0 in ys:
+            zero_is_ppt.add(i)
+            ys = [_ppt_signed(y) for y in ys]
+        advance(i, bisect_steps(lo, hi, ys, tol), None)
 
     while active:
         stepping, active = active, []

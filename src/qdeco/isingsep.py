@@ -22,7 +22,14 @@ import numpy as np
 from .channels import ChannelFamily, minimal_dephasing_pauli
 from .errors import ValidationError
 from .graphs import Graph, degree
-from .numeric import DEFAULT_TOL, Tolerance, bisect, hermitian_spectrum, partial_transpose
+from .numeric import (
+    DEFAULT_TOL,
+    Tolerance,
+    bisect,
+    bisect_stacked,
+    hermitian_spectrum,
+    partial_transpose,
+)
 
 GATE_BRACKET = (1e-9, 1.0 - 1e-9)
 
@@ -31,7 +38,51 @@ _Z_K = np.array([-1.0 if (x >> 1) & 1 else 1.0 for x in range(16)])
 _Z_L = np.array([-1.0 if (x >> 3) & 1 else 1.0 for x in range(16)])
 # Order 1, Z_l, Z_k, both: lam is ordered (++, +-, -+, --) in (p_z, q_z); the
 # q_z sign flips with Z_l on side l and the p_z sign with Z_k on side k.
-_GATE_FRAMES = (np.ones(16), _Z_L, _Z_K, _Z_K * _Z_L)
+_GATE_FRAMES = np.array([np.ones(16), _Z_L, _Z_K, _Z_K * _Z_L])
+_PLUS_MINUS = np.array([1.0, -1.0])
+
+
+def _check_phase(phi: float) -> None:
+    if not 0.0 < phi <= math.pi:
+        raise ValidationError(f"phase must lie in (0, pi], got {phi}")
+
+
+def _frame_weights(p_z: np.ndarray, q_z: np.ndarray) -> np.ndarray:
+    """The (P, 4) frame weights lam_ij = (1 +- p_z)(1 +- q_z)/4, one row per
+    entry of the equal-length arrays p_z and q_z, each checked to lie in [0, 1]."""
+    sides = []
+    for name, v in (("p_z", p_z), ("q_z", q_z)):
+        inside = (0.0 <= v) & (v <= 1.0)
+        if not inside.all():
+            raise ValidationError(f"{name} must lie in [0, 1], got {v[~inside][0]}")
+        sides.append(1 + v[:, None] * _PLUS_MINUS)  # (1 + v, 1 - v)
+    a, b = sides
+    return (a[:, :, None] * b[:, None, :]).reshape(-1, 4) / 4
+
+
+def _frame_outers(phi: float) -> np.ndarray:
+    """The four 16x16 outers |f_w b><f_w b| of a phase-phi gate, in
+    _GATE_FRAMES order; the state at frame weights lam is sum_w lam_w M_w.
+    Side k is qubits (bit0, bit1), side l (bit2, bit3)."""
+    _check_phase(phi)
+    base = np.zeros(16, dtype=complex)
+    base[0b0000] = 0.5
+    base[0b0011] = 0.5  # side k logical 1
+    base[0b1100] = 0.5  # side l logical 1
+    base[0b1111] = 0.5 * np.exp(1j * phi)
+    v = _GATE_FRAMES * base
+    return v[:, :, None] * v[:, None, :].conj()
+
+
+def _gate_states(lam: np.ndarray, outers: np.ndarray) -> np.ndarray:
+    """The states sum_w lam[..., w] M_w for frame weights lam (..., 4) and
+    the outers M of _frame_outers."""
+    return np.dot(lam, outers.reshape(4, 256)).reshape(lam.shape[:-1] + (16, 16))
+
+
+def _pt_min_eigs(rho: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each state after transposing side k (bits 0 and 1)."""
+    return hermitian_spectrum(partial_transpose(rho, 0b0011))[..., 0]
 
 
 @dataclass(frozen=True)
@@ -51,36 +102,17 @@ class NoisyGateState:
     lam: tuple[float, float, float, float] = field(init=False)
 
     def __post_init__(self) -> None:
-        for name, v in (("p_z", self.p_z), ("q_z", self.q_z)):
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-        if not 0.0 < self.phi <= math.pi:
-            raise ValidationError(f"phase must lie in (0, pi], got {self.phi}")
-        a, b = self.p_z, self.q_z
-        lam = (
-            (1 + a) * (1 + b) / 4,
-            (1 + a) * (1 - b) / 4,
-            (1 - a) * (1 + b) / 4,
-            (1 - a) * (1 - b) / 4,
-        )
-        object.__setattr__(self, "lam", lam)
+        lam = _frame_weights(np.array([self.p_z]), np.array([self.q_z]))[0]
+        _check_phase(self.phi)
+        object.__setattr__(self, "lam", tuple(lam.tolist()))
 
     def matrix(self) -> np.ndarray:
         """16x16 density matrix; side k is qubits (bit0, bit1), side l (bit2, bit3)."""
-        base = np.zeros(16, dtype=complex)
-        base[0b0000] = 0.5
-        base[0b0011] = 0.5  # side k logical 1
-        base[0b1100] = 0.5  # side l logical 1
-        base[0b1111] = 0.5 * np.exp(1j * self.phi)
-        rho = np.zeros((16, 16), dtype=complex)
-        for w, frame in zip(self.lam, _GATE_FRAMES):
-            v = frame * base
-            rho += w * np.outer(v, v.conj())
-        return rho
+        return _gate_states(np.array(self.lam), _frame_outers(self.phi))
 
     def pt_min_eig(self) -> float:
         """Smallest eigenvalue after transposing side k (bits 0 and 1)."""
-        return float(hermitian_spectrum(partial_transpose(self.matrix(), 0b0011))[0])
+        return float(_pt_min_eigs(self.matrix()))
 
 
 def weighted_gate_threshold(
@@ -92,20 +124,25 @@ def weighted_gate_threshold(
     Each side receives the fraction p_z^(1/deg) of its vertex's dephasing.
     The boundary is located by bisecting the PT minimum eigenvalue of the
     explicit two-ququart state; at phi = pi it reproduces the closed form
-    (sqrt(2) - 1)^m for equal degrees m.
+    (sqrt(2) - 1)^m for equal degrees m.  The frame outers are built once
+    and the pre-scan grid's states are formed and diagonalised as one stack.
     """
     if min(deg_k, deg_l) < 1:
         raise ValidationError("degrees must be at least 1")
+    outers = _frame_outers(phi)
 
     # The support-4 state has exact zero PT eigenvalues on the separable
     # side, so shift by the eigenvalue floor to get a real sign change.
     floor = tol.eig_floor(16)
 
-    def gap(p_z: float) -> float:
-        state = NoisyGateState(p_z ** (1.0 / deg_k), p_z ** (1.0 / deg_l), phi)
-        return state.pt_min_eig() - floor
+    def gaps(ps: list[float]) -> list[float]:
+        lam = _frame_weights(
+            np.array([p ** (1.0 / deg_k) for p in ps]),
+            np.array([p ** (1.0 / deg_l) for p in ps]),
+        )
+        return (_pt_min_eigs(_gate_states(lam, outers)) - floor).tolist()
 
-    result = bisect(gap, GATE_BRACKET[0], GATE_BRACKET[1], tol)
+    result = bisect_stacked(gaps, GATE_BRACKET[0], GATE_BRACKET[1], tol)
     if not result.sign_change_found:
         # The gate never entangles inside the bracket (phi ~ 0).
         return 1.0

@@ -3,7 +3,12 @@ dense partial transpose.
 
 Every threshold in this package is the root of an empirically monotone
 condition, so the bisection here insists on a certified single sign change
-(via a coarse pre-scan) before it refines the bracket.
+(via a coarse pre-scan) before it refines the bracket.  One driver loop
+serves every caller: bisect_stacked hands f the whole pre-scan grid as one
+list and then each refinement point as a one-point list, so a caller whose
+f is a matrix computation evaluates the grid as one stack; bisect is the
+same loop calling a scalar f point by point.  The Hermitian check, the
+spectra and the partial transpose take stacks (..., d, d) of matrices.
 """
 
 from __future__ import annotations
@@ -160,6 +165,34 @@ def bisect_steps(
     return ThresholdResult(0.5 * (a + b), (a, b), iterations, True)
 
 
+def _drive(
+    steps: Generator[float, float, ThresholdResult], f: Callable[[float], float]
+) -> ThresholdResult:
+    """Run bisect_steps to its result, sending f's value at each point it yields."""
+    y = None
+    try:
+        while True:
+            y = f(steps.send(y))
+    except StopIteration as stop:
+        return stop.value
+
+
+def bisect_stacked(
+    f: Callable[[list[float]], Sequence[float]],
+    lo: float,
+    hi: float,
+    tol: Tolerance = DEFAULT_TOL,
+) -> ThresholdResult:
+    """bisect for an f that maps a list of points to their values.
+
+    f is called once on prescan_grid(lo, hi), so a caller can evaluate the
+    whole pre-scan as one stack, and then once per refinement point, on a
+    one-point list.  Every value is checked to be finite.
+    """
+    steps = bisect_steps(lo, hi, f(prescan_grid(lo, hi)), tol)
+    return _drive(steps, lambda x: f([x])[0])
+
+
 def bisect(
     f: Callable[[float], float],
     lo: float,
@@ -172,50 +205,49 @@ def bisect(
     certifies that the bracket contains exactly one crossing; more than one
     raises MultipleCrossingsError, none yields sign_change_found=False with
     a NaN value.  Deterministic: identical inputs give bit-identical
-    outputs.  This drives bisect_steps, calling f at each point it yields;
-    every value is checked to be finite.
+    outputs.  This is bisect_stacked's driver loop calling f point by
+    point, in the order of the points; every value is checked to be finite.
     """
-    steps = bisect_steps(lo, hi, [f(x) for x in prescan_grid(lo, hi)], tol)
-    y = None
-    try:
-        while True:
-            x = steps.send(y)
-            y = f(x)
-    except StopIteration as stop:
-        return stop.value
+    return _drive(bisect_steps(lo, hi, [f(x) for x in prescan_grid(lo, hi)], tol), f)
 
 
 def check_hermitian(m: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+    """m as a complex array, checked to be a stack (..., d, d) of Hermitian
+    matrices: max |m - m^H| <= atol, so NaN and inf entries are rejected."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if not np.allclose(m, m.conj().T, atol=atol, rtol=0.0):
-        worst = float(np.max(np.abs(m - m.conj().T)))
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValidationError(f"expected square matrices, got shape {m.shape}")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected below
+        worst = float(np.max(np.abs(m - m.swapaxes(-1, -2).conj()), initial=0.0))
+    if not worst <= atol:
         raise ValidationError(f"matrix is not Hermitian (max asymmetry {worst:.3e})")
     return m
 
 
 def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
-    """All real eigenvalues of a Hermitian matrix, ascending."""
-    m = check_hermitian(m)
-    return np.linalg.eigvalsh(m)
+    """All real eigenvalues of each Hermitian matrix of a stack, ascending."""
+    return np.linalg.eigvalsh(check_hermitian(m))
 
 
 def partial_transpose(rho: np.ndarray, a_mask: int) -> np.ndarray:
-    """Transpose the qubits in a_mask of a 2^n x 2^n matrix; qubit k is bit k.
+    """Transpose the qubits in a_mask of each 2^n x 2^n matrix of a stack
+    (..., 2^n, 2^n); qubit k is bit k.
 
     Entrywise, <i|rho^{T_A}|j> = rho[(i & ~a) | (j & a), (j & ~a) | (i & a)].
     """
-    dim = rho.shape[0]
+    lead, dim = rho.shape[:-2], rho.shape[-1]
     n = dim.bit_length() - 1
-    if rho.shape != (1 << n, 1 << n) or a_mask >> n:
+    if rho.shape[-2:] != (1 << n, 1 << n) or a_mask >> n:
         raise ValidationError(f"mask {a_mask:#b} does not fit a {rho.shape} qubit matrix")
-    # Reshaped to (2,)*2n, row axis n-1-k and column axis 2n-1-k hold qubit k.
-    axes = list(range(2 * n))
+    # Reshaped to lead + (2,)*2n, row axis n-1-k and column axis 2n-1-k
+    # (after the lead axes) hold qubit k.
+    s = len(lead)
+    axes = list(range(s + 2 * n))
     for k in range(n):
         if a_mask >> k & 1:
-            axes[n - 1 - k], axes[2 * n - 1 - k] = 2 * n - 1 - k, n - 1 - k
-    return rho.reshape((2,) * (2 * n)).transpose(axes).reshape(dim, dim)
+            row, col = s + n - 1 - k, s + 2 * n - 1 - k
+            axes[row], axes[col] = col, row
+    return rho.reshape(lead + (2,) * (2 * n)).transpose(axes).reshape(rho.shape)
 
 
 def min_eig(m: np.ndarray) -> float:

@@ -27,6 +27,7 @@ from .numeric import (
     ThresholdResult,
     Tolerance,
     bisect,
+    bisect_stacked,
     hermitian_spectrum,
     partial_transpose,
 )
@@ -184,8 +185,12 @@ def universal_lower_bound(deg_k: int, deg_l: int) -> tuple[float, float]:
 # Weighted graphs: dense simulation of the local region
 
 
-# The Paulis on qubit k (bit 0) and l (bit 1) of the pair, in SIGMA order.
-_PAIR_PAULIS = tuple(tuple(lift_operator(2, q, s) for s in SIGMA) for q in (0, 1))
+# The Paulis on qubit k (bit 0) and l (bit 1) of the pair, in SIGMA order,
+# each as a (4, 4, 4) stack, with the stack of their adjoints.
+_PAIR_PAULIS = tuple(
+    (ops, ops.conj().swapaxes(-1, -2))
+    for ops in (np.array([lift_operator(2, q, s) for s in SIGMA]) for q in (0, 1))
+)
 
 
 def _region_grams(g: Graph, k: int, l: int) -> np.ndarray:
@@ -230,28 +235,29 @@ def _region_grams(g: Graph, k: int, l: int) -> np.ndarray:
     return grams
 
 
-def _pair_from_grams(grams: np.ndarray, ch: PauliChannel) -> np.ndarray:
-    """Reduced pair state at channel `ch` from the region's Gram matrices.
+def _pairs_from_grams(grams: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Reduced pair states from the region's Gram matrices, one per channel.
 
-    Each measured qubit is projected on outcome 0 after its noise, so
-    branch r keeps weight keep^(m-2-j) flip^j with j = popcount(r),
-    keep = p0 + p3 and flip = p1 + p2; then the full channels act on k and l.
+    probs is a (P, 4) array whose rows are Pauli probabilities in SIGMA
+    order; the result is the (P, 4, 4) stack of pair states.  Each measured
+    qubit is projected on outcome 0 after its noise, so branch r keeps
+    weight keep^(m-2-j) flip^j with j = popcount(r), keep = p0 + p3 and
+    flip = p1 + p2; then the full channels act on k and l.
     """
-    p0, p1, p2, p3 = ch.probs
-    keep, flip = p0 + p3, p1 + p2
-    measured = len(grams) - 1
-    weights = [keep ** (measured - j) * flip**j for j in range(measured + 1)]
-    rho = np.tensordot(weights, grams, axes=1)
-    trace = rho.trace().real
-    if trace < 1e-14:
+    keep = probs[:, 0] + probs[:, 3]
+    flip = probs[:, 1] + probs[:, 2]
+    j = np.arange(len(grams))
+    weights = keep[:, None] ** (len(grams) - 1 - j) * flip[:, None] ** j
+    rho = np.dot(weights, grams.reshape(len(grams), 16)).reshape(-1, 4, 4)
+    trace = np.trace(rho, axis1=1, axis2=2).real
+    if np.any(trace < 1e-14):
         raise ValidationError("branch weights vanished; channel is degenerate")
-    rho /= trace
+    rho /= trace[:, None, None]
 
-    for paulis in _PAIR_PAULIS:
-        mixed = np.zeros((4, 4), dtype=complex)
-        for prob, op in zip(ch.probs, paulis):
-            mixed += prob * (op @ rho @ op.conj().T)
-        rho = mixed
+    # The sum over axis 1 adds the four Pauli terms in SIGMA order.
+    probs = probs[:, :, None, None]
+    for ops, adjoints in _PAIR_PAULIS:
+        rho = (probs * (ops @ rho[:, None] @ adjoints)).sum(axis=1)
     return rho
 
 
@@ -262,10 +268,10 @@ def weighted_reduced_pair(
 
     The region's state and its per-popcount Gram matrices do not depend on
     the channel (`_region_grams`); the channel only weights them
-    (`_pair_from_grams`).  Returns the normalised 4x4 matrix with qubit k
-    as bit 0, l as bit 1.
+    (`_pairs_from_grams`, here a one-channel stack).  Returns the
+    normalised 4x4 matrix with qubit k as bit 0, l as bit 1.
     """
-    return _pair_from_grams(_region_grams(g, k, l), ch)
+    return _pairs_from_grams(_region_grams(g, k, l), np.array([ch.probs]))[0]
 
 
 def weighted_pair_pt_min_eig(rho: np.ndarray) -> float:
@@ -356,7 +362,8 @@ def lifetime_lower_bound(
     the edge's ordered class (side_k, side_l, common), so edges of one class
     share one bisection (a constant-degree lattice has a handful of classes
     at any size).  On a weighted graph each edge's region and Gram matrices
-    are built once and every evaluation only reweights them.  The
+    are built once and every evaluation only reweights them; the pre-scan
+    grid is reweighted and diagonalised as one stack.  The
     global number takes the maximum (the protocol's weakest link), and the
     spanning variant takes the smallest p at which the NPT edges alone
     connect the graph (the bottleneck edge of a maximum-threshold-last
@@ -379,10 +386,12 @@ def lifetime_lower_bound(
         if g.is_weighted:
             grams = _region_grams(g, u, v)
 
-            def gap(p: float) -> float:
-                return weighted_pair_pt_min_eig(_pair_from_grams(grams, family.pauli(p)))
+            def gaps(ps: list[float]) -> list[float]:
+                probs = np.array([family.pauli(p).probs for p in ps])
+                rho = _pairs_from_grams(grams, probs)
+                return hermitian_spectrum(partial_transpose(rho, 1))[:, 0].tolist()
 
-            return bisect(gap, EDGE_BRACKET[0], EDGE_BRACKET[1], tol)
+            return bisect_stacked(gaps, EDGE_BRACKET[0], EDGE_BRACKET[1], tol)
         cls = _pair_class(g, u, v)
         if cls not in classes:
 

@@ -669,6 +669,14 @@ def test_scan_workers_capped_at_cpu_count(monkeypatch, cpus, workers):
     assert report.entries == scan_partitions(g, DEPHASING, jobs=1).entries
 
 
+def _zero_as_ppt_if_prescan_zero(f, lo, hi):
+    """f, or f with every exact zero read as PPT (1.0) when f is exactly
+    zero somewhere on the pre-scan grid, the scan's sign rule."""
+    if 0.0 not in [f(x) for x in prescan_grid(lo, hi)]:
+        return f
+    return lambda p: f(p) or 1.0
+
+
 def _unshared_scan_entry(g, family, part):
     """One split scanned on its own, with fresh weights at every point."""
     transform = partition_transform(g, part)
@@ -680,7 +688,7 @@ def _unshared_scan_entry(g, family, part):
         return float(transform.apply(weights(p)).min())
 
     lo, hi = SCAN_BRACKET
-    result = bisect(min_pt, lo, hi)
+    result = bisect(_zero_as_ppt_if_prescan_zero(min_pt, lo, hi), lo, hi)
     argmin = int(np.argmin(transform.apply(weights(hi))))
     if result.sign_change_found:
         return PartitionScanEntry(part, "threshold", result.value, argmin, result.iterations)
@@ -706,6 +714,27 @@ def test_scan_matches_unshared_per_split_reference(kind, n, family):
     g = _scan_graph(kind, n)
     expected = tuple(_unshared_scan_entry(g, family, part) for part in bipartitions(g))
     assert scan_partitions(g, family).entries == expected
+
+
+def test_bitflip_scan_reads_an_exact_zero_minimum_as_ppt():
+    # Under bitflip noise the alternating split of ring:6 has a PT minimum of
+    # exactly 0.0 up to p = 1/sqrt(3) and a negative one above it.  The zero
+    # is PPT, so the threshold is 1/sqrt(3), not the bracket end.
+    g = make_lattice("ring", 6)
+    part = Bipartition(0b101010, 6)
+    (entry,) = [e for e in scan_partitions(g, BITFLIP).entries if e.partition == part]
+    root = 1.0 / math.sqrt(3.0)
+    assert entry.status == "threshold"
+    assert abs(entry.p_crit - root) <= Tolerance().abs_root
+
+    def dense_min(p):
+        noisy = apply_uniform_channel(dense_graph_state(g), ChannelMatrix.from_pauli(BITFLIP.pauli(p)))
+        return pt_spectrum_dense(noisy, part)[0]
+
+    for p in (0.3, root - 1e-3):
+        assert abs(dense_min(p)) <= 1e-12
+    for p in (root + 1e-3, 0.9):
+        assert dense_min(p) < -1e-5
 
 
 def test_scan_computes_each_weight_vector_once(monkeypatch):
@@ -760,6 +789,7 @@ def _gather_steered_points(g, family, part):
         return float(transform.apply(lambda_from_pauli(g, family.pauli(p)).lam).min())
 
     lo, hi = SCAN_BRACKET
+    min_pt = _zero_as_ppt_if_prescan_zero(min_pt, lo, hi)
     grid = prescan_grid(lo, hi)
     points = grid[:-1]
     steps = bisect_steps(lo, hi, grid_values=[min_pt(x) for x in grid])

@@ -1,19 +1,23 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from qdeco import isingsep
+
 from qdeco.channels import ChannelFamily, minimal_dephasing_pauli, named_channel
 from qdeco.errors import ValidationError
-from qdeco.graphs import graph_from_edges, make_lattice
+from qdeco.graphs import degree, graph_from_edges, make_lattice
 from qdeco.isingsep import (
+    GATE_BRACKET,
     NoisyGateState,
     depolarizing_p_from_dephasing,
     graph_separability_threshold,
     weighted_gate_threshold,
     weighted_graph_threshold,
 )
-from qdeco.numeric import DEFAULT_TOL, hermitian_spectrum
+from qdeco.numeric import DEFAULT_TOL, bisect, hermitian_spectrum
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 DEPOL = ChannelFamily.from_spec("depolarizing")
@@ -85,6 +89,55 @@ def test_asymmetric_degrees_match_inequality_route():
     assert weighted_gate_threshold(math.pi, 1, 2) == pytest.approx(
         by_edge[(0, 1)], abs=1e-8
     )
+
+
+@pytest.mark.parametrize("spec", [("grid2d", 2, 3), ("ring", 5)], ids=str)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stacked_gate_threshold_matches_scalar_bisection(monkeypatch, spec, seed):
+    # Each pre-scan grid is one stack of gate states; bisecting the
+    # one-state route point by point gives the same results bit for bit.
+    g = make_lattice(*spec)
+    rng = random.Random(seed)
+    g = graph_from_edges(g.n, g.edges(), weights={e: rng.uniform(0.3, math.pi) for e in g.edges()})
+    results = []
+    stacked = isingsep.bisect_stacked
+
+    def recording(*args, **kwargs):
+        results.append(stacked(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(isingsep, "bisect_stacked", recording)
+    floor = DEFAULT_TOL.eig_floor(16)
+    for u, v in g.edges():
+        phi = g.phase(u, v)
+        dk, dl = sorted((degree(g, u), degree(g, v)))
+
+        def gap(p_z):
+            return NoisyGateState(p_z ** (1.0 / dk), p_z ** (1.0 / dl), phi).pt_min_eig() - floor
+
+        expected = bisect(gap, GATE_BRACKET[0], GATE_BRACKET[1])
+        got = weighted_gate_threshold(phi, dk, dl)
+        assert results[-1] == expected, (u, v)
+        assert got == (expected.value if expected.sign_change_found else 1.0)
+
+
+def test_stacked_gate_path_validates_every_point():
+    with pytest.raises(ValidationError, match="q_z"):
+        isingsep._frame_weights(np.array([0.5, 0.5]), np.array([0.5, 1.5]))
+    with pytest.raises(ValidationError, match="p_z"):
+        isingsep._frame_weights(np.array([math.nan, 0.5]), np.array([0.5, 0.5]))
+    for phi in (0.0, -1.0, 3.5, math.nan):
+        with pytest.raises(ValidationError, match="phase"):
+            weighted_gate_threshold(phi, 1, 2)
+
+
+def test_gate_matrix_is_the_frame_sum():
+    state = NoisyGateState(0.4, 0.7, 2.0)
+    outers = isingsep._frame_outers(2.0)
+    expected = sum(w * m for w, m in zip(state.lam, outers))
+    assert np.abs(state.matrix() - expected).max() <= 1e-16
+    stack = np.tensordot(isingsep._frame_weights(np.array([0.4, 1.0]), np.array([0.7, 0.2])), outers, axes=1)
+    assert np.abs(stack[0] - state.matrix()).max() <= 1e-16
 
 
 def test_weaker_phase_tolerates_more_dephasing():

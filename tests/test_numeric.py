@@ -13,10 +13,12 @@ from qdeco.numeric import (
     Tolerance,
     ThresholdResult,
     bisect,
+    bisect_stacked,
     bisect_steps,
     check_hermitian,
     hermitian_spectrum,
     min_eig,
+    partial_transpose,
     prescan_grid,
 )
 
@@ -138,6 +140,30 @@ def test_bisect_grid_values_match_f_only_path(case):
     assert _drive(f, lo, hi, grid_values=grid)[0] == bisect(f, lo, hi)
 
 
+@pytest.mark.parametrize("case", range(len(STEP_CASES)))
+def test_bisect_stacked_matches_bisect(case):
+    # The stacked f sees the whole grid as one list, then one-point lists
+    # at exactly the points bisect evaluates one by one.
+    f, lo, hi, *tol = STEP_CASES[case]
+    tol = tol[0] if tol else DEFAULT_TOL
+    calls = []
+
+    def stacked(xs):
+        calls.append(list(xs))
+        return [f(x) for x in xs]
+
+    result, points = _drive(f, lo, hi, tol)
+    assert bisect_stacked(stacked, lo, hi, tol) == bisect(f, lo, hi, tol) == result
+    assert calls == [prescan_grid(lo, hi)] + [[x] for x in points]
+
+
+def test_bisect_stacked_accepts_array_values_and_checks_them():
+    r = bisect_stacked(lambda xs: np.asarray(xs) - 0.3, 0.0, 1.0)
+    assert r == bisect(lambda x: x - 0.3, 0.0, 1.0)
+    with pytest.raises(EvaluationError):
+        bisect_stacked(lambda xs: [math.nan] * len(xs), 0.0, 1.0)
+
+
 def test_bisect_checks_the_bracket_before_evaluating_f():
     calls = []
     with pytest.raises(ValidationError):
@@ -238,3 +264,59 @@ def test_check_hermitian_rejects():
         check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError):
         check_hermitian(np.zeros((2, 3)))
+
+
+def _random_stack(rng, shape, hermitian=False):
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return m + m.swapaxes(-1, -2).conj() if hermitian else m
+
+
+def test_partial_transpose_of_a_stack_is_per_matrix():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        dim = 1 << n
+        stack = _random_stack(rng, (2, 3, dim, dim))
+        for a in range(1 << n):
+            got = partial_transpose(stack, a)
+            expected = np.array([[partial_transpose(m, a) for m in row] for row in stack])
+            assert np.array_equal(got, expected), (n, a)
+
+
+def test_partial_transpose_rejects_a_mask_beyond_the_qubits():
+    with pytest.raises(ValidationError):
+        partial_transpose(np.zeros((5, 4, 4)), 0b100)
+
+
+def test_check_hermitian_accepts_and_returns_a_stack():
+    stack = _random_stack(np.random.default_rng(12), (7, 4, 4), hermitian=True)
+    assert np.array_equal(check_hermitian(stack), stack)
+    assert check_hermitian(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+
+def test_check_hermitian_rejects_bad_stacks():
+    stack = _random_stack(np.random.default_rng(13), (5, 4, 4), hermitian=True)
+    one_off = stack.copy()
+    one_off[3, 0, 1] += 1e-9
+    nan = stack.copy()
+    nan[1, 2, 2] = math.nan
+    inf = stack.copy()
+    inf[4, 0, 0] = math.inf
+    for bad in (one_off, nan, inf, np.zeros((5, 4, 3)), np.zeros(4)):
+        with pytest.raises(ValidationError):
+            check_hermitian(bad)
+
+
+def test_check_hermitian_tolerance_is_absolute():
+    m = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
+    assert np.array_equal(check_hermitian(m), m)
+    with pytest.raises(ValidationError):
+        check_hermitian(m, atol=1e-14)
+
+
+def test_hermitian_spectrum_of_a_stack_is_per_matrix():
+    rng = np.random.default_rng(14)
+    for dim in (1, 4, 16):
+        stack = _random_stack(rng, (9, dim, dim), hermitian=True)
+        got = hermitian_spectrum(stack)
+        assert got.shape == (9, dim)
+        assert np.array_equal(got, np.array([hermitian_spectrum(m) for m in stack]))

@@ -493,3 +493,36 @@ def test_weighted_route_matches_branch_construction():
     vanished = SimpleNamespace(probs=(0.0, 0.0, 0.0, 0.0))
     with pytest.raises(ValidationError, match="vanished"):
         weighted_reduced_pair(double_star, 0, 1, vanished)
+
+
+@pytest.mark.parametrize("family", [DEPOL, DEPHASING, BITFLIP], ids=lambda f: f.kind)
+def test_stacked_lower_bound_matches_scalar_bisection(family):
+    # The weighted route evaluates each pre-scan grid as one stack; bisecting
+    # the one-matrix route point by point gives the same results bit for bit.
+    for spec in (("grid2d", 2, 3), ("ring", 5)):
+        for seed in (1, 2, 3):
+            g = seeded_phase_graph(spec, seed)
+            expected = []
+            for u, v in g.edges():
+                def gap(p, u=u, v=v):
+                    return weighted_pair_pt_min_eig(weighted_reduced_pair(g, u, v, family.pauli(p)))
+
+                r = bisect(gap, EDGE_BRACKET[0], EDGE_BRACKET[1])
+                p_crit = r.value if r.sign_change_found else math.nan
+                expected.append(EdgeThreshold(u, v, g.phase(u, v), p_crit, r.sign_change_found, r.iterations))
+            assert lifetime_lower_bound(g, family).per_edge == tuple(expected), (spec, seed)
+
+
+def test_stacked_pair_builder_matches_one_channel_builds():
+    g = seeded_phase_graph(("grid2d", 2, 3), 4)
+    grams = pairdistill._region_grams(g, 0, 1)
+    channels = [named_channel("depolarizing", 0.8), named_channel("dephasing", 0.3),
+                PauliChannel(0.0, 0.7, 0.3, 0.0), named_channel("bitflip", 1.0)]
+    stack = pairdistill._pairs_from_grams(grams, np.array([ch.probs for ch in channels]))
+    assert stack.shape == (4, 4, 4)
+    for rho, ch in zip(stack, channels):
+        assert np.abs(rho - weighted_reduced_pair(g, 0, 1, ch)).max() <= 1e-15
+    # One vanished point in a stack is rejected, as a lone one is.
+    probs = np.array([channels[0].probs, (0.0, 0.0, 0.0, 0.0)])
+    with pytest.raises(ValidationError, match="vanished"):
+        pairdistill._pairs_from_grams(grams, probs)
