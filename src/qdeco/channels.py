@@ -53,17 +53,23 @@ class PauliChannel:
         return (self.p0, self.p1, self.p2, self.p3)
 
 
+def named_probs(kind: str, p):
+    """(p0, p1, p2, p3) of a named channel, for a float p or element by
+    element for an array of them; p is not checked."""
+    if kind == "depolarizing":
+        return (1 + 3 * p) / 4, (1 - p) / 4, (1 - p) / 4, (1 - p) / 4
+    if kind == "dephasing":
+        return (1 + p) / 2, 0.0, 0.0, (1 - p) / 2
+    if kind == "bitflip":
+        return (1 + p) / 2, (1 - p) / 2, 0.0, 0.0
+    raise ValidationError(f"unknown Pauli channel kind {kind!r}")
+
+
 def named_channel(kind: str, p: float) -> PauliChannel:
     """depolarizing / dephasing / bitflip at fidelity-like parameter p."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p={p} outside [0, 1]")
-    if kind == "depolarizing":
-        return PauliChannel((1 + 3 * p) / 4, (1 - p) / 4, (1 - p) / 4, (1 - p) / 4)
-    if kind == "dephasing":
-        return PauliChannel((1 + p) / 2, 0.0, 0.0, (1 - p) / 2)
-    if kind == "bitflip":
-        return PauliChannel((1 + p) / 2, (1 - p) / 2, 0.0, 0.0)
-    raise ValidationError(f"unknown Pauli channel kind {kind!r}")
+    return PauliChannel(*named_probs(kind, p))
 
 
 @dataclass(frozen=True)

@@ -153,9 +153,12 @@ def _emit(config: dict, out: CommandOutput, fmt: str, path: str | None) -> None:
         text = "\n".join(lines + buffer) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write --out: {exc}") from exc
 
 
 def _format_cell(value) -> str:
@@ -184,6 +187,8 @@ def _cmd_ghz(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
                     {"t": t, "upper_M_qo": blockwise_qo_upper_M(ch, t)}
                 )
         elif family.kind == "depolarizing":
+            if ns.axis == "p" and not axis[0] > 0.0:
+                raise ValidationError(f"--axis p needs p > 0, got {axis[0]}")
             for x in axis:
                 kt = x if ns.axis == "kt" else -math.log(x)
                 p = math.exp(-kt)
@@ -234,8 +239,14 @@ def _cmd_ghz(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
     return out
 
 
+def _graph(ns: argparse.Namespace) -> Graph:
+    if ns.graph is None:
+        raise ValidationError(f"{ns.cmd} needs --graph")
+    return load_graph(ns.graph)
+
+
 def _cmd_lower(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
-    g = load_graph(ns.graph)
+    g = _graph(ns)
     family = _parse_channel(ns.channel)
     report = lifetime_lower_bound(g, family, tol)
     out = CommandOutput()
@@ -331,7 +342,7 @@ def _cmd_upper(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
 
 
 def _cmd_scan(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
-    g = load_graph(ns.graph)
+    g = _graph(ns)
     family = _parse_channel(ns.channel)
     report = scan_partitions(g, family, tol, jobs=ns.jobs)
     out = CommandOutput()
@@ -570,6 +581,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ValidationError(f"--jobs must be at least 1, got {ns.jobs}")
         tol = _tolerance(ns)
         out = _HANDLERS[ns.cmd](ns, tol)
+        fmt = ns.format
+        if fmt is None:
+            fmt = "json" if (ns.out or "").endswith(".json") else "csv"
+        _emit(config, out, fmt, ns.out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -579,10 +594,6 @@ def main(argv: list[str] | None = None) -> int:
     except EvaluationError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
-    fmt = ns.format
-    if fmt is None:
-        fmt = "json" if (ns.out or "").endswith(".json") else "csv"
-    _emit(config, out, fmt, ns.out)
     if ns.cmd == "oracle-check" and not out.summary.get("ok", True):
         return 1
     return 0

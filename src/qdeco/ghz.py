@@ -19,7 +19,14 @@ import numpy as np
 
 from .channels import QoChannel, qo_snapshot
 from .errors import CapacityError, ValidationError
-from .numeric import DEFAULT_TOL, ThresholdResult, Tolerance, bisect
+from .numeric import (
+    DEFAULT_TOL,
+    ThresholdResult,
+    Tolerance,
+    bisect,
+    bisect_from_grid,
+    prescan_grid,
+)
 
 GHZ_CAP = 1022  # 2^(n+1) and the binomial weights stay within float range
 _SYM_ATOL = 1e-12
@@ -86,10 +93,21 @@ def _ln(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
-def _log_mix(n: int, j: int, first: tuple[float, float], second: tuple[float, float]) -> float:
-    """ln(x^j y^(n-j) + u^j v^(n-j)) from first = (ln x, ln y), second = (ln u, ln v)."""
-    (lx, ly), (lu, lv) = first, second
-    return float(np.logaddexp(j * lx + (n - j) * ly, j * lu + (n - j) * lv))
+def _logaddexp(x: float, y: float) -> float:
+    """np.logaddexp of two floats, bit for bit, in math alone.
+
+    It follows numpy's npy_logaddexp: ln 2 added to x when x == y (which
+    also keeps two infinities of one sign), else the larger plus
+    log1p(exp(-|x - y|)), and NaN when x - y is NaN.
+    """
+    if x == y:
+        return x + _LN2
+    d = x - y
+    if d > 0.0:
+        return x + math.log1p(math.exp(-d))
+    if d <= 0.0:
+        return y + math.log1p(math.exp(d))
+    return d
 
 
 def _log1mexp(x: float) -> float:
@@ -143,26 +161,30 @@ def ghz_lifetime(
     The function bisected is ln(lam_k lam_{n-k}) - ln(mu^2), which has the
     sign of the gap lam_k lam_{n-k} - mu^2 but does not underflow: for large
     n both terms of the gap round to 0.0 (from n = 538 at p = 1e-9), and an
-    exact zero would be taken for the root.  For a quantum-optical channel
-    it is taken from the rates (see _qo_log_gap_ratio).  Where that is not
-    finite (a coefficient is exactly 0, as at t = 0) or is exactly 0.0, the
-    gap itself is used, and a gap with both terms 0.0 raises CapacityError.
+    exact zero would be taken for the root.  For the depolarizing channel
+    the pre-scan grid is evaluated in one array pass and each refinement
+    point in scalar arithmetic.  For a quantum-optical channel it is taken
+    from the rates (see _qo_log_gap_ratio).  Where that is not finite (a
+    coefficient is exactly 0, as at t = 0) or is exactly 0.0, the gap itself
+    is used, and a gap with both terms 0.0 raises CapacityError.
     """
     if not 1 <= k <= n - 1:
         raise ValidationError(f"group size k={k} outside 1..{n - 1}")
     _check_cap(n)
 
     if channel == "depolarizing":
+        # lam_k = lam_{n-k}, so the log gap is 2 ln lam_k - ln mu^2; one
+        # formula for a float p (math) and for the whole grid (numpy).
+        def log_gap(p, log1p, log, logaddexp):
+            up, down = log1p(p), log1p(-p)
+            log_lam = logaddexp(k * up + (n - k) * down, k * down + (n - k) * up)
+            return 2.0 * (log_lam - (n + 1) * _LN2) - 2.0 * (n * log(p) - _LN2)
 
-        def gap_p(p: float) -> float:
-            up, down = math.log1p(p), math.log1p(-p)
-
-            def log_lam(j: int) -> float:
-                return _log_mix(n, j, (up, down), (down, up)) - (n + 1) * _LN2
-
-            return log_lam(k) + log_lam(n - k) - 2.0 * (n * math.log(p) - _LN2)
-
-        return bisect(gap_p, 1e-9, 1 - 1e-9, tol)
+        lo, hi = 1e-9, 1 - 1e-9
+        grid = log_gap(np.array(prescan_grid(lo, hi)), np.log1p, np.log, np.logaddexp)
+        return bisect_from_grid(
+            lambda p: log_gap(p, math.log1p, math.log, _logaddexp), lo, hi, grid.tolist(), tol
+        )
 
     if isinstance(channel, QoChannel):
 

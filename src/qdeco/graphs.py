@@ -236,6 +236,8 @@ def parse_graph_json(text: str) -> Graph:
     n = obj["n"]
     if not isinstance(n, int):
         raise ValidationError('"n" must be an integer')
+    if not isinstance(obj["edges"], list):
+        raise ValidationError('"edges" must be a list')
     edges: list[tuple[int, int]] = []
     weights: dict[tuple[int, int], float] = {}
     any_weight = False

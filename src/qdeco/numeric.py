@@ -3,12 +3,15 @@ dense partial transpose.
 
 Every threshold in this package is the root of an empirically monotone
 condition, so the bisection here insists on a certified single sign change
-(via a coarse pre-scan) before it refines the bracket.  One driver loop
-serves every caller: bisect_stacked hands f the whole pre-scan grid as one
-list and then each refinement point as a one-point list, so a caller whose
-f is a matrix computation evaluates the grid as one stack; bisect is the
-same loop calling a scalar f point by point.  The Hermitian check, the
-spectra and the partial transpose take stacks (..., d, d) of matrices.
+(via a coarse pre-scan) before it refines the bracket.  One entry point
+serves every caller: bisect_from_grid takes the values of f on the
+pre-scan grid, however the caller computed them (one array pass, one stack
+of matrices), and refines with a scalar f.  bisect is bisect_from_grid
+with the grid evaluated point by point; bisect_stacked hands f the whole
+grid as one list and then each refinement point as a one-point list.
+bisect_steps is the same bisection as a generator, for a caller that
+drives many roots at once.  The Hermitian check, the spectra and the
+partial transpose take stacks (..., d, d) of matrices.
 """
 
 from __future__ import annotations
@@ -165,10 +168,22 @@ def bisect_steps(
     return ThresholdResult(0.5 * (a + b), (a, b), iterations, True)
 
 
-def _drive(
-    steps: Generator[float, float, ThresholdResult], f: Callable[[float], float]
+def bisect_from_grid(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    grid_values: Sequence[float],
+    tol: Tolerance = DEFAULT_TOL,
 ) -> ThresholdResult:
-    """Run bisect_steps to its result, sending f's value at each point it yields."""
+    """bisect, given the values of f at prescan_grid(lo, hi).
+
+    The caller computes grid_values however it likes (for instance in one
+    array pass); each refinement point is then evaluated by the scalar f.
+    Only the signs of the values and whether they are exactly zero steer
+    the bisection, and every value, given or computed, is checked to be
+    finite.
+    """
+    steps = bisect_steps(lo, hi, grid_values, tol)
     y = None
     try:
         while True:
@@ -189,8 +204,7 @@ def bisect_stacked(
     whole pre-scan as one stack, and then once per refinement point, on a
     one-point list.  Every value is checked to be finite.
     """
-    steps = bisect_steps(lo, hi, f(prescan_grid(lo, hi)), tol)
-    return _drive(steps, lambda x: f([x])[0])
+    return bisect_from_grid(lambda x: f([x])[0], lo, hi, f(prescan_grid(lo, hi)), tol)
 
 
 def bisect(
@@ -205,10 +219,10 @@ def bisect(
     certifies that the bracket contains exactly one crossing; more than one
     raises MultipleCrossingsError, none yields sign_change_found=False with
     a NaN value.  Deterministic: identical inputs give bit-identical
-    outputs.  This is bisect_stacked's driver loop calling f point by
-    point, in the order of the points; every value is checked to be finite.
+    outputs.  This is bisect_from_grid with f evaluated point by point, in
+    the order of the points; every value is checked to be finite.
     """
-    return _drive(bisect_steps(lo, hi, [f(x) for x in prescan_grid(lo, hi)], tol), f)
+    return bisect_from_grid(f, lo, hi, [f(x) for x in prescan_grid(lo, hi)], tol)
 
 
 def check_hermitian(m: np.ndarray, atol: float = 1e-12) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import SIGMA, ChannelFamily, PauliChannel
+from .channels import SIGMA, ChannelFamily, PauliChannel, named_probs
 from .errors import CapacityError, ValidationError
 from .graphs import Graph, neighborhood
 from .numeric import (
@@ -27,9 +27,11 @@ from .numeric import (
     ThresholdResult,
     Tolerance,
     bisect,
+    bisect_from_grid,
     bisect_stacked,
     hermitian_spectrum,
     partial_transpose,
+    prescan_grid,
 )
 from .oracle import lift_operator
 
@@ -61,18 +63,30 @@ class BellDiagonal:
 
 
 def _convolve(a: tuple, b: tuple) -> tuple:
-    """XOR-convolution over the phase group Z2 x Z2."""
+    """XOR-convolution over the phase group Z2 x Z2, of floats or arrays.
+
+    Each entry is summed from 0 in the order of x, as sum() over x would.
+    """
     return tuple(
-        sum(a[x] * b[m ^ x] for x in range(4)) for m in range(4)
+        0 + a[0] * b[m] + a[1] * b[m ^ 1] + a[2] * b[m ^ 2] + a[3] * b[m ^ 3]
+        for m in range(4)
     )
 
 
-def _z_flip(index: int, strength: float) -> tuple:
+def _z_flip(index: int, strength) -> tuple:
     """Distribution of a phase flip on group element `index` with 1-2f = strength."""
     out = [0.0, 0.0, 0.0, 0.0]
     out[_I] = (1.0 + strength) / 2.0
     out[index] += (1.0 - strength) / 2.0
     return tuple(out)
+
+
+def _power(x, m: int):
+    """x ** m, element by element for an array as for a float: numpy's
+    array power can differ from the float one in the last bit."""
+    if isinstance(x, np.ndarray):
+        return np.array([v**m for v in x.tolist()])
+    return x**m
 
 
 def _pair_class(g: Graph, k: int, l: int) -> tuple[int, int, int]:
@@ -96,17 +110,37 @@ def _pair_class(g: Graph, k: int, l: int) -> tuple[int, int, int]:
     )
 
 
-def _class_pair_state(cls: tuple[int, int, int], ch: PauliChannel) -> BellDiagonal:
+def _class_weights(cls: tuple[int, int, int], p0, p1, p2, p3) -> tuple:
+    """Weights over (1, Z_k, Z_l, Z_k Z_l) of an edge class's pair state
+    under the Pauli channel (p0, p1, p2, p3): four floats, or four arrays
+    when the probabilities are arrays (element by element, bit for bit the
+    floats' values).  See reduced_pair_state."""
     side_k, side_l, common = cls
-    p0, p1, p2, p3 = ch.probs
     vec = (1.0, 0.0, 0.0, 0.0)
     vec = _convolve(vec, (p0, p3, p1, p2))  # channel on k
     vec = _convolve(vec, (p0, p1, p3, p2))  # channel on l
     strength = 1.0 - 2.0 * (p1 + p2)
-    vec = _convolve(vec, _z_flip(_ZK, strength**side_k))
-    vec = _convolve(vec, _z_flip(_ZL, strength**side_l))
-    vec = _convolve(vec, _z_flip(_ZKZL, strength**common))
-    return BellDiagonal(vec)
+    vec = _convolve(vec, _z_flip(_ZK, _power(strength, side_k)))
+    vec = _convolve(vec, _z_flip(_ZL, _power(strength, side_l)))
+    vec = _convolve(vec, _z_flip(_ZKZL, _power(strength, common)))
+    return vec
+
+
+def _class_pair_state(cls: tuple[int, int, int], ch: PauliChannel) -> BellDiagonal:
+    return BellDiagonal(_class_weights(cls, *ch.probs))
+
+
+def _checked_weight_rows(w: np.ndarray) -> np.ndarray:
+    """w, a (P, 4) array of pair weights, with each row checked as
+    BellDiagonal checks its four weights."""
+    low = w.min(axis=1)
+    if np.any(low < -1e-12):
+        raise ValidationError(f"negative weight {low.min()}")
+    total = w[:, 0] + w[:, 1] + w[:, 2] + w[:, 3]
+    off = np.abs(total - 1.0) > 1e-12
+    if np.any(off):
+        raise ValidationError(f"weights sum to {total[off][0]}, not 1")
+    return w
 
 
 def reduced_pair_state(g: Graph, k: int, l: int, ch: PauliChannel) -> BellDiagonal:
@@ -361,13 +395,14 @@ def lifetime_lower_bound(
     distinct problem.  On an unweighted graph the pair state depends only on
     the edge's ordered class (side_k, side_l, common), so edges of one class
     share one bisection (a constant-degree lattice has a handful of classes
-    at any size).  On a weighted graph each edge's region and Gram matrices
-    are built once and every evaluation only reweights them; the pre-scan
-    grid is reweighted and diagonalised as one stack.  The
-    global number takes the maximum (the protocol's weakest link), and the
-    spanning variant takes the smallest p at which the NPT edges alone
-    connect the graph (the bottleneck edge of a maximum-threshold-last
-    union-find sweep).
+    at any size); each class's pre-scan grid is one array pass of the
+    class's weights and each refinement point is scalar arithmetic.  On a
+    weighted graph each edge's region and Gram matrices are built once and
+    every evaluation only reweights them; the pre-scan grid is reweighted
+    and diagonalised as one stack.  The global number takes the maximum
+    (the protocol's weakest link), and the spanning variant takes the
+    smallest p at which the NPT edges alone connect the graph (the
+    bottleneck edge of a maximum-threshold-last union-find sweep).
     """
     if not family.is_pauli_family:
         raise ValidationError(
@@ -398,7 +433,11 @@ def lifetime_lower_bound(
             def gap(p: float) -> float:
                 return max(_class_pair_state(cls, family.pauli(p)).c) - 0.5
 
-            classes[cls] = bisect(gap, EDGE_BRACKET[0], EDGE_BRACKET[1], tol)
+            lo, hi = EDGE_BRACKET
+            probs = named_probs(family.kind, np.array(prescan_grid(lo, hi)))
+            weights = _checked_weight_rows(np.stack(_class_weights(cls, *probs), axis=1))
+            grid = weights.max(axis=1) - 0.5
+            classes[cls] = bisect_from_grid(gap, lo, hi, grid.tolist(), tol)
         return classes[cls]
 
     per_edge: list[EdgeThreshold] = []

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from importlib import resources
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qdeco.cli import SWEEP_CAP, _parse_sweep, main
+from qdeco.cli import SWEEP_CAP, _parse_sweep, build_parser, main
 from qdeco.errors import CapacityError
 from qdeco.ghz import GHZ_CAP
 
@@ -357,6 +358,11 @@ def test_validation_errors_exit_2(tmp_path, capsys):
         ["ghz", "--blockwise", "--sweep", "0.5:0.6:nan"],
         ["ghz", "--blockwise", "--sweep", "0:inf:0.1"],
         ["lower", "--graph", '{"n": 1, "edges": []}'],
+        ["lower"],
+        ["scan"],
+        ["lower", "--graph", '{"n": 3, "edges": 5}'],
+        ["ghz", "--blockwise", "--sweep", "0:1:0.5", "--axis", "p"],
+        ["ghz", "--n", "4", "--out", "/nonexistent/dir/out.csv"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, capsys):
@@ -454,12 +460,13 @@ BOUNDARY = settings(
 )
 
 
-def exit_code(argv, capsys):
-    """Run the CLI in-process; it must exit 0, 2 or 3 and never print a traceback."""
+def exit_code(argv, capsys, codes=(0, 2, 3)):
+    """Run the CLI in-process; it must exit with one of codes (by default 0,
+    2 or 3) and never print a traceback."""
     code = main(argv)
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert code in (0, 2, 3), err
+    assert code in codes, err
     return code
 
 
@@ -498,3 +505,92 @@ def test_tol_root_boundary(tol, capsys):
 def test_ghz_n_boundary(n, capsys):
     code = exit_code(["ghz", "--n", str(n), "--crit", "k=1"], capsys)
     assert code == (3 if n > GHZ_CAP else 0)
+
+
+# --- Argv fuzz of ghz and lower (property-based) ---------------------------------
+
+# Values tried for each flag that takes one, valid and invalid; flags with
+# choices also get each choice.  Every run stays at n <= 30.
+FUZZ_VALUES = {
+    "--n": ["2", "3", "17", "30", "1", "0", "-4", "2.5", "x"],
+    "--crit": ["k=1", "k=2", "k=15", "k=0", "k=29", "k=-1", "k=1.5", "x=1", "k=", "="],
+    "--sweep": ["0.1:2:0.5", "0.5:0.95:0.15", "0:1:0.25", "0:3:1", "1:0:1", "0:1:0",
+                "0:1:-0.1", "nan:1:0.1", "a:b:c", "0:1"],
+    "--channel": [
+        "depolarizing", "dephasing", "bitflip", "qo", "decay", "amplitude",
+        '{"kind": "qo", "B": 1.0, "C": 0.8, "s": 0.3}',
+        '{"kind": "qo", "B": 1.0, "C": 0.5, "s": 0.0}',
+        '{"kind": "qo", "B": 0.0, "C": 0.5, "s": 0.5}',
+        '{"kind": "qo", "B": 1.0, "C": 0.1, "s": 2.0}',
+        '{"kind": "qo", "B": "a"}',
+        '{"kind": "pauli", "p0": 0.7, "p1": 0.1, "p2": 0.1, "p3": 0.1}',
+        '{"kind": "depolarizing", "x": 1}', '{"kind": 3}', "[]", '"depolarizing"', "{",
+        "@no-such-file.json",
+    ],
+    "--graph": [
+        "ring:5", "ring:30", "line:2", "star:6", "grid2d:5x5", "grid3d:3x3x3",
+        "complete:5", "ring:2", "ring:0", "line:1", "grid2d:0x3", "ring:-1",
+        "torus:3", "ring:x",
+        '{"n": 3, "edges": [[0, 1], [1, 2]]}',
+        '{"n": 4, "edges": [[0, 1, 0.5], [1, 2, 1.0], [2, 3, 3.14159]]}',
+        '{"n": 3, "edges": [[0, 1]]}', '{"n": 2, "edges": []}',
+        '{"n": 3, "edges": 5}', '{"n": 3, "edges": [[1, 0]]}', '{"n": 3}', "{",
+        "@no-such-file.json",
+    ],
+    "--tol-root": ["1e-10", "1e-6", "0.1", "0", "-1", "nan", "inf", "abc"],
+    "--out": ["{tmp}/out.csv", "{tmp}/out.json", "{tmp}/out", "{tmp}",
+              "{tmp}/no-such-dir/out.csv"],
+}
+FUZZ_JUNK = ["", "-1", "nan", "junk"]
+
+
+def registered_flags(cmd):
+    """The options build_parser registers for one subcommand, by flag."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[-1]: a for a in sub.choices[cmd]._actions if a.option_strings}
+
+
+def flag_tokens(flag, action):
+    if action.nargs == 0:  # --blockwise, --help
+        return st.just([flag])
+    junk = [] if flag == "--out" else FUZZ_JUNK  # --out writes only under tmp_path
+    values = FUZZ_VALUES.get(flag, []) + list(action.choices or ()) + junk
+    value = st.sampled_from(values)
+    return st.one_of(value.map(lambda v: [flag, v]), value.map(lambda v: [f"{flag}={v}"]))
+
+
+def fuzz_argv(cmd):
+    flags = registered_flags(cmd)
+    token = st.one_of(
+        *(flag_tokens(flag, action) for flag, action in sorted(flags.items())),
+        st.sampled_from([["--no-such-flag"], ["stray"]]),
+    )
+    return st.lists(token, max_size=6).map(lambda groups: [cmd] + sum(groups, []))
+
+
+def test_fuzz_values_cover_only_registered_flags():
+    registered = set(registered_flags("ghz")) | set(registered_flags("lower"))
+    assert set(FUZZ_VALUES) <= registered
+
+
+@BOUNDARY
+@given(argv=fuzz_argv("ghz"))
+@example(argv=["ghz", "--n", "30"])
+@example(argv=["ghz", "--n", "30", "--channel", '{"kind": "qo", "B": 1.0, "C": 0.8, "s": 0.3}'])
+@example(argv=["ghz", "--blockwise", "--sweep", "0:3:1", "--axis", "p"])
+@example(argv=["ghz", "--n", "5", "--out", "{tmp}"])
+def test_ghz_argv_fuzz(argv, tmp_path, capsys):
+    argv = [t.replace("{tmp}", str(tmp_path)) for t in argv]
+    exit_code(argv, capsys, codes=(0, 1, 2, 3))
+
+
+@BOUNDARY
+@given(argv=fuzz_argv("lower"))
+@example(argv=["lower", "--graph", "ring:30"])
+@example(argv=["lower", "--graph", '{"n": 3, "edges": [[0, 1, 0.5], [1, 2, 1.0]]}'])
+@example(argv=["lower", "--graph", '{"n": 3, "edges": 5}'])
+@example(argv=["lower", "--graph", "ring:5", "--out", "{tmp}/no-such-dir/out.csv"])
+@example(argv=["lower"])
+def test_lower_argv_fuzz(argv, tmp_path, capsys):
+    argv = [t.replace("{tmp}", str(tmp_path)) for t in argv]
+    exit_code(argv, capsys, codes=(0, 1, 2, 3))

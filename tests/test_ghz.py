@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdeco import ghz
 from qdeco.channels import ChannelMatrix, QoChannel, named_channel, qo_snapshot
 from qdeco.errors import CapacityError, ValidationError
 from qdeco.ghz import (
@@ -21,6 +22,7 @@ from qdeco.ghz import (
     ghz_qo_coeffs,
 )
 from qdeco.graphs import Bipartition
+from qdeco.numeric import bisect
 from qdeco.oracle import (
     apply_uniform_channel,
     dense_ghz,
@@ -109,6 +111,52 @@ def test_lifetime_shrinks_with_n_for_one_vs_rest():
     assert all(a < b for a, b in zip(values, values[1:]))
     assert ghz_lifetime(3, 1).value == pytest.approx(0.55669, abs=1e-4)
     assert ghz_lifetime(3, 1).value < ghz_lifetime(2, 1).value
+
+
+def test_math_logaddexp_is_numpy_logaddexp_bit_for_bit():
+    rng = np.random.default_rng(12)
+    scale = 10.0 ** rng.integers(-12, 4, size=(100_000, 1))
+    pairs = (rng.standard_normal((100_000, 2)) * scale).tolist()
+    pairs += [(x, x + d) for x, d in zip(rng.uniform(-50, 50, 2000).tolist(),
+                                         rng.standard_normal(2000).tolist())]
+    inf, nan = math.inf, math.nan
+    pairs += [(0.0, 0.0), (-0.0, 0.0), (1.5, 1.5), (-745.0, -745.0), (700.0, -700.0),
+              (inf, inf), (inf, 3.0), (3.0, inf), (-inf, 3.0), (3.0, -inf),
+              (-inf, -inf), (inf, -inf), (-inf, inf),
+              (nan, 1.0), (1.0, nan), (nan, nan), (nan, inf), (-inf, nan)]
+    for x, y in pairs:
+        with np.errstate(invalid="ignore"):  # NaN inputs
+            want = float(np.logaddexp(x, y))
+        got = ghz._logaddexp(x, y)
+        if math.isnan(want):
+            assert math.isnan(got), (x, y)
+        else:
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (x, y)
+
+
+def _scalar_log_gap(n, k):
+    """The depolarizing log gap point by point, as ln lam_k + ln lam_{n-k} - ln mu^2."""
+    ln2 = math.log(2.0)
+
+    def gap(p):
+        up, down = math.log1p(p), math.log1p(-p)
+
+        def log_lam(j):
+            mix = float(np.logaddexp(j * up + (n - j) * down, j * down + (n - j) * up))
+            return mix - (n + 1) * ln2
+
+        return log_lam(k) + log_lam(n - k) - 2.0 * (n * math.log(p) - ln2)
+
+    return gap
+
+
+def test_depolarizing_lifetime_equals_a_scalar_bisection():
+    # The grid is one array pass (whose log1p may differ from math.log1p in
+    # the last bit), refinement is scalar: results must not move.
+    for n in range(2, 41):
+        for k in range(1, n):
+            want = bisect(_scalar_log_gap(n, k), 1e-9, 1 - 1e-9)
+            assert ghz_lifetime(n, k) == want, (n, k)
 
 
 def test_qo_lifetime_brackets_dense_flip():

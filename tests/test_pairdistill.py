@@ -6,11 +6,18 @@ import numpy as np
 import pytest
 
 from qdeco import pairdistill
-from qdeco.channels import SIGMA, ChannelFamily, ChannelMatrix, PauliChannel, named_channel
+from qdeco.channels import (
+    SIGMA,
+    ChannelFamily,
+    ChannelMatrix,
+    PauliChannel,
+    named_channel,
+    named_probs,
+)
 from qdeco.cli import random_pauli_channel
 from qdeco.errors import ValidationError
 from qdeco.graphs import Bipartition, graph_from_edges, make_lattice, neighborhood
-from qdeco.numeric import bisect
+from qdeco.numeric import bisect, prescan_grid
 from qdeco.oracle import (
     apply_uniform_channel,
     dense_graph_state,
@@ -458,17 +465,56 @@ def test_lower_bound_matches_per_edge_reference(family):
     (("ring", 30), 1), (("grid2d", 5, 5), 6), (("grid2d", 10, 10), 6),
 ])
 def test_lower_bound_bisects_each_edge_class_once(monkeypatch, spec, bisections):
+    # Each class's bisection starts from its grid values computed in one
+    # array pass, so solves are counted at bisect_from_grid.
     calls = []
+    solve = pairdistill.bisect_from_grid
 
-    def counting_bisect(*args, **kwargs):
+    def counting_solve(*args, **kwargs):
         calls.append(args)
-        return bisect(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(pairdistill, "bisect", counting_bisect)
+    monkeypatch.setattr(pairdistill, "bisect_from_grid", counting_solve)
     g = make_lattice(*spec)
     report = lifetime_lower_bound(g, DEPOL)
     assert len(calls) == bisections
     assert len(report.per_edge) == len(g.edges())
+
+
+CLASS_GRAPHS = [("ring", 30), ("grid2d", 5, 5), ("grid3d", 3, 3, 3), ("star", 6), ("complete", 5)]
+
+
+def edge_classes(spec):
+    g = make_lattice(*spec)
+    return sorted({pairdistill._pair_class(g, u, v) for u, v in g.edges()})
+
+
+@pytest.mark.parametrize("family", [DEPOL, DEPHASING, BITFLIP], ids=lambda f: f.kind)
+def test_class_weights_on_arrays_equal_the_float_form(family):
+    # The unweighted grid is one array pass of _class_weights; at every grid
+    # point it must give the float form's weights bit for bit.
+    ps = prescan_grid(*EDGE_BRACKET)
+    probs = named_probs(family.kind, np.array(ps))
+    classes = {cls for spec in CLASS_GRAPHS for cls in edge_classes(spec)}
+    for cls in sorted(classes):
+        stacked = np.stack(pairdistill._class_weights(cls, *probs), axis=1)
+        assert stacked.shape == (len(ps), 4)
+        for row, p in zip(stacked.tolist(), ps):
+            assert tuple(row) == pairdistill._class_pair_state(cls, family.pauli(p)).c, (cls, p)
+
+
+def test_stacked_weight_rows_are_checked_as_bell_diagonal_checks_them():
+    good = pairdistill._class_weights((2, 1, 1), *named_probs("depolarizing", 0.7))
+    negative = (1.0 + 1e-9, -1e-9, 0.0, 0.0)
+    off_sum = (0.5, 0.25, 0.25, 1e-9)
+    for bad, message in ((negative, "negative weight"), (off_sum, "not 1")):
+        with pytest.raises(ValidationError, match=message):
+            BellDiagonal(bad)
+        with pytest.raises(ValidationError, match=message):
+            pairdistill._checked_weight_rows(np.array([good, bad, good]))
+    rows = np.array([good, (1.0 - 1e-13, 1e-13, -1e-13, 1e-13)])
+    assert pairdistill._checked_weight_rows(rows) is rows
+    BellDiagonal(tuple(rows[1]))
 
 
 def test_weighted_route_matches_branch_construction():
