@@ -13,7 +13,6 @@ oracle-check), 2 validation/usage error, 3 capacity error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import random
@@ -44,7 +43,12 @@ from .oracle import (
     pt_spectrum_dense,
 )
 from .pairdistill import lifetime_lower_bound
-from .isingsep import graph_separability_threshold, weighted_gate_threshold, weighted_graph_threshold
+from .isingsep import (
+    graph_separability_threshold,
+    native_parameter,
+    weighted_gate_threshold,
+    weighted_graph_threshold,
+)
 
 
 SWEEP_CAP = 100_000  # points of one --sweep / --sweep-phi axis
@@ -308,16 +312,16 @@ def _cmd_upper(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
             report = graph_separability_threshold(g, tol)
             for u, v, p_z in report.per_edge:
                 out.rows.append({"u": u, "v": v, "phi": math.pi, "p_z": p_z})
-            native = weighted_graph_threshold(g, family, tol)
+            native, note = native_parameter(family, report.p_threshold, tol)
             out.summary = {
                 "p_z_threshold": report.p_threshold,
                 "weak_bound": report.weak_bound,
-                "native_p": native.native_p,
-                "applicable": native.applicable,
+                "native_p": native,
+                "applicable": native is not None,
                 "critical_edge": str(report.critical_edge),
             }
-            if not native.applicable:
-                out.warnings.append("method inapplicable: " + native.note)
+            if native is None:
+                out.warnings.append("method inapplicable: " + note)
         out.summary["method"] = "gate-separability"
         return out
     if ns.method == "ppt":

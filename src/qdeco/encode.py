@@ -167,8 +167,8 @@ def encoded_lifetime(
     inverts the (monotone below break-even) level map kt -> kt_eff(kt, j)
     around it.  The default pipeline inverts the exact recursion.
     """
-    if M < 2.0:
-        raise ValidationError(f"group count must be at least 2, got {M}")
+    if not 2.0 <= M < math.inf:
+        raise ValidationError(f"group count must be finite and at least 2, got {M}")
     if not 0 <= j <= LEVEL_CAP:
         raise ValidationError(f"level must lie in 0..{LEVEL_CAP}, got {j}")
     target = bisect(

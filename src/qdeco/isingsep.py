@@ -6,16 +6,17 @@ ends, the gate stops being able to create entanglement at all, and the
 whole state is certifiably fully separable.  Splitting a vertex's physical
 dephasing p_z evenly over its incident gates (one factor p_z^(1/deg) each)
 turns this into a per-edge inequality; for arbitrary gate phases the
-separability boundary of a single noisy gate is found numerically on an
-explicit two-ququart (16x16, support-4) matrix.  Appendix-style channel
-splitting (channels.minimal_dephasing_*) translates the dephasing
-thresholds into the native parameter of other channels.
+separability boundary of a single noisy gate is found numerically on its
+explicit 4x4 two-qubit state, the pure gate state psi psi^dagger with each
+entry damped by the dephasing.  Appendix-style channel splitting
+(channels.minimal_dephasing_*) translates the dephasing thresholds into the
+native parameter of other channels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,13 +34,19 @@ from .numeric import (
 
 GATE_BRACKET = (1e-9, 1.0 - 1e-9)
 
-# Logical Z on side k (read from bit 1) and side l (bit 3) of the doubled pair.
-_Z_K = np.array([-1.0 if (x >> 1) & 1 else 1.0 for x in range(16)])
-_Z_L = np.array([-1.0 if (x >> 3) & 1 else 1.0 for x in range(16)])
-# Order 1, Z_l, Z_k, both: lam is ordered (++, +-, -+, --) in (p_z, q_z); the
-# q_z sign flips with Z_l on side l and the p_z sign with Z_k on side k.
-_GATE_FRAMES = np.array([np.ones(16), _Z_L, _Z_K, _Z_K * _Z_L])
-_PLUS_MINUS = np.array([1.0, -1.0])
+# Entry (a, b) of a two-qubit matrix, with qubit k as bit 0 of the index and
+# qubit l as bit 1: D_K[a, b] = a_k - b_k and D_L[a, b] = a_l - b_l.
+_BITS = np.arange(4)
+D_K = (_BITS & 1)[:, None] - (_BITS & 1)[None, :]
+D_L = (_BITS >> 1)[:, None] - (_BITS >> 1)[None, :]
+
+
+def gate_outer(phi: float) -> np.ndarray:
+    """psi psi^dagger for psi = (1, 1, 1, e^(i phi)) / 2: a phase-phi gate
+    on |++>, qubit k as bit 0 and l as bit 1.  A phase flip on k with
+    probability (1 - p) / 2 multiplies entry (a, b) by p^|D_K[a, b]|."""
+    psi = np.array([1.0, 1.0, 1.0, np.exp(1j * phi)]) / 2.0
+    return np.outer(psi, psi.conj())
 
 
 def _check_phase(phi: float) -> None:
@@ -47,71 +54,55 @@ def _check_phase(phi: float) -> None:
         raise ValidationError(f"phase must lie in (0, pi], got {phi}")
 
 
-def _frame_weights(p_z: np.ndarray, q_z: np.ndarray) -> np.ndarray:
-    """The (P, 4) frame weights lam_ij = (1 +- p_z)(1 +- q_z)/4, one row per
-    entry of the equal-length arrays p_z and q_z, each checked to lie in [0, 1]."""
-    sides = []
+def _check_dephasing(p_z: np.ndarray, q_z: np.ndarray) -> None:
     for name, v in (("p_z", p_z), ("q_z", q_z)):
         inside = (0.0 <= v) & (v <= 1.0)
         if not inside.all():
             raise ValidationError(f"{name} must lie in [0, 1], got {v[~inside][0]}")
-        sides.append(1 + v[:, None] * _PLUS_MINUS)  # (1 + v, 1 - v)
-    a, b = sides
-    return (a[:, :, None] * b[:, None, :]).reshape(-1, 4) / 4
 
 
-def _frame_outers(phi: float) -> np.ndarray:
-    """The four 16x16 outers |f_w b><f_w b| of a phase-phi gate, in
-    _GATE_FRAMES order; the state at frame weights lam is sum_w lam_w M_w.
-    Side k is qubits (bit0, bit1), side l (bit2, bit3)."""
-    _check_phase(phi)
-    base = np.zeros(16, dtype=complex)
-    base[0b0000] = 0.5
-    base[0b0011] = 0.5  # side k logical 1
-    base[0b1100] = 0.5  # side l logical 1
-    base[0b1111] = 0.5 * np.exp(1j * phi)
-    v = _GATE_FRAMES * base
-    return v[:, :, None] * v[:, None, :].conj()
-
-
-def _gate_states(lam: np.ndarray, outers: np.ndarray) -> np.ndarray:
-    """The states sum_w lam[..., w] M_w for frame weights lam (..., 4) and
-    the outers M of _frame_outers."""
-    return np.dot(lam, outers.reshape(4, 256)).reshape(lam.shape[:-1] + (16, 16))
+def _gate_states(outer: np.ndarray, p_z: np.ndarray, q_z: np.ndarray) -> np.ndarray:
+    """The (P, 4, 4) states outer * p_z^|D_K| * q_z^|D_L|, one per entry of the
+    equal-length arrays p_z (dephasing on k) and q_z (on l), each checked to
+    lie in [0, 1]."""
+    _check_dephasing(p_z, q_z)
+    damp_k = p_z[:, None, None] ** np.abs(D_K)
+    damp_l = q_z[:, None, None] ** np.abs(D_L)
+    return outer * damp_k * damp_l
 
 
 def _pt_min_eigs(rho: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each state after transposing side k (bits 0 and 1)."""
-    return hermitian_spectrum(partial_transpose(rho, 0b0011))[..., 0]
+    """Smallest eigenvalue of each state after transposing qubit k (bit 0)."""
+    return hermitian_spectrum(partial_transpose(rho, 1))[..., 0]
 
 
 @dataclass(frozen=True)
 class NoisyGateState:
-    """Output of one noisy phase gate on a pair of |+> qubits, doubled up.
+    """Output of one noisy phase gate on a pair of |+> qubits.
 
-    Each side carries two qubits so that the state stays pure per branch:
-    logical |0> = |00>, |1> = |11>.  The four weights lam correspond to the
-    logical phase-flip frame {1, Z_k, Z_l, Z_k Z_l} and follow the product
-    form lam_ij = (1 +- p_z)(1 +- q_z)/4.  The gate phase phi only enters
-    the stabiliser-frame vector, not the weights.
+    Dephasing p_z on k and q_z on l before the gate (a phase flip with
+    probability (1 - p_z) / 2 and (1 - q_z) / 2) damps each off-diagonal
+    entry of the pure gate state: rho = psi psi^dagger * p_z^|d_k| q_z^|d_l|
+    with d = a - b per qubit for entry (a, b).  The gate phase phi only
+    enters psi.
     """
 
     p_z: float
     q_z: float
     phi: float
-    lam: tuple[float, float, float, float] = field(init=False)
 
     def __post_init__(self) -> None:
-        lam = _frame_weights(np.array([self.p_z]), np.array([self.q_z]))[0]
+        _check_dephasing(np.array([self.p_z]), np.array([self.q_z]))
         _check_phase(self.phi)
-        object.__setattr__(self, "lam", tuple(lam.tolist()))
 
     def matrix(self) -> np.ndarray:
-        """16x16 density matrix; side k is qubits (bit0, bit1), side l (bit2, bit3)."""
-        return _gate_states(np.array(self.lam), _frame_outers(self.phi))
+        """4x4 density matrix; qubit k is bit 0 of the index, l bit 1."""
+        return _gate_states(
+            gate_outer(self.phi), np.array([self.p_z]), np.array([self.q_z])
+        )[0]
 
     def pt_min_eig(self) -> float:
-        """Smallest eigenvalue after transposing side k (bits 0 and 1)."""
+        """Smallest eigenvalue after transposing qubit k (bit 0)."""
         return float(_pt_min_eigs(self.matrix()))
 
 
@@ -123,24 +114,29 @@ def weighted_gate_threshold(
 
     Each side receives the fraction p_z^(1/deg) of its vertex's dephasing.
     The boundary is located by bisecting the PT minimum eigenvalue of the
-    explicit two-ququart state; at phi = pi it reproduces the closed form
-    (sqrt(2) - 1)^m for equal degrees m.  The frame outers are built once
+    gate's 4x4 state; at phi = pi it reproduces the closed form
+    (sqrt(2) - 1)^m for equal degrees m.  The pure gate state is built once
     and the pre-scan grid's states are formed and diagonalised as one stack.
     """
     if min(deg_k, deg_l) < 1:
         raise ValidationError("degrees must be at least 1")
-    outers = _frame_outers(phi)
+    _check_phase(phi)
+    outer = gate_outer(phi)
 
-    # The support-4 state has exact zero PT eigenvalues on the separable
-    # side, so shift by the eigenvalue floor to get a real sign change.
+    # The gap is shifted by the eigenvalue floor of a 16-dimensional matrix:
+    # every recorded root was solved against it, on a doubled 16x16 form of
+    # this state.  The 4x4 state has full rank for p_z < 1, so no PT
+    # eigenvalue is an exact zero; the floor stays so that each root (and
+    # the effect of --eig-zero, which replaces it) is where it was.
     floor = tol.eig_floor(16)
 
     def gaps(ps: list[float]) -> list[float]:
-        lam = _frame_weights(
+        rho = _gate_states(
+            outer,
             np.array([p ** (1.0 / deg_k) for p in ps]),
             np.array([p ** (1.0 / deg_l) for p in ps]),
         )
-        return (_pt_min_eigs(_gate_states(lam, outers)) - floor).tolist()
+        return (_pt_min_eigs(rho) - floor).tolist()
 
     result = bisect_stacked(gaps, GATE_BRACKET[0], GATE_BRACKET[1], tol)
     if not result.sign_change_found:
@@ -233,6 +229,33 @@ def depolarizing_p_from_dephasing(p_z: float) -> float:
     return p_z / (2.0 - p_z)
 
 
+def native_parameter(
+    family: ChannelFamily, p_z: float, tol: Tolerance = DEFAULT_TOL
+) -> tuple[float | None, str]:
+    """The family's own parameter at the vertex dephasing threshold p_z.
+
+    Maps through the largest dephasing channel extractable from the family:
+    analytically for depolarizing noise (p = p_z / (2 - p_z)), by bisection
+    otherwise.  Returns (native_p, "") or, for a family without a
+    dephasing component (bitflip) or a non-Pauli one, (None, why).
+    """
+    if not family.is_pauli_family:
+        return None, "separability mapping needs a Pauli channel family"
+    if minimal_dephasing_pauli(family.pauli(0.5)) is None:
+        return None, f"no dephasing component extractable from {family.kind}"
+    if family.kind == "depolarizing":
+        return depolarizing_p_from_dephasing(p_z), ""
+
+    def gap(p: float) -> float:
+        extracted = minimal_dephasing_pauli(family.pauli(p))
+        return (1.0 if extracted is None else extracted) - p_z
+
+    result = bisect(gap, 1e-9, 1.0 - 1e-9, tol)
+    if not result.sign_change_found:
+        return None, "dephasing threshold not reachable along this family"
+    return result.value, ""
+
+
 def weighted_graph_threshold(
     g: Graph,
     family: ChannelFamily,
@@ -241,11 +264,9 @@ def weighted_graph_threshold(
     """Full-separability threshold of a (weighted) graph state in the native
     parameter of a Pauli channel family.
 
-    Per edge, the two-ququart bisection gives the admissible vertex
+    Per edge, the gate-state bisection gives the admissible vertex
     dephasing for that gate phase and degree pair; the global p_z is the
-    minimum.  The result is mapped to the family's own parameter through
-    the largest dephasing channel extractable from it: analytically for
-    depolarizing noise (p = p_z / (2 - p_z)), by bisection otherwise.
+    minimum, mapped to the family's own parameter by native_parameter.
     Families without a dephasing component (bitflip) are reported as
     inapplicable rather than given a fake number.
     """
@@ -262,34 +283,7 @@ def weighted_graph_threshold(
             cache[key] = weighted_gate_threshold(phi, degs[0], degs[1], tol)
         per_edge.append((u, v, phi, cache[key]))
     worst = min(per_edge, key=lambda e: e[3])
-    p_z = worst[3]
-    critical = (worst[0], worst[1])
-
-    if not family.is_pauli_family:
-        return WeightedSeparabilityReport(
-            tuple(per_edge), p_z, critical, None, False,
-            "separability mapping needs a Pauli channel family",
-        )
-    probe = minimal_dephasing_pauli(family.pauli(0.5))
-    if probe is None:
-        return WeightedSeparabilityReport(
-            tuple(per_edge), p_z, critical, None, False,
-            f"no dephasing component extractable from {family.kind}",
-        )
-    if family.kind == "depolarizing":
-        native = depolarizing_p_from_dephasing(p_z)
-    else:
-        def gap(p: float) -> float:
-            extracted = minimal_dephasing_pauli(family.pauli(p))
-            return (1.0 if extracted is None else extracted) - p_z
-
-        result = bisect(gap, 1e-9, 1.0 - 1e-9, tol)
-        if not result.sign_change_found:
-            return WeightedSeparabilityReport(
-                tuple(per_edge), p_z, critical, None, False,
-                "dephasing threshold not reachable along this family",
-            )
-        native = result.value
+    native, note = native_parameter(family, worst[3], tol)
     return WeightedSeparabilityReport(
-        tuple(per_edge), p_z, critical, native, True
+        tuple(per_edge), worst[3], (worst[0], worst[1]), native, native is not None, note
     )

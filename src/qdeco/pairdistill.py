@@ -6,10 +6,11 @@ Bell-like basis generated by {1, Z_k, Z_l, Z_k Z_l} on the ideal pair.  As
 long as that state is NPT for every edge of a spanning connected subgraph,
 entanglement can be distilled between any two vertices, which certifies
 multiparty distillability of the whole state.  This module computes the
-reduced pair states (closed form on unweighted graphs, dense local
-simulation on weighted ones), the per-edge noise thresholds, closed-form
-threshold inequalities, a universal degree-only bound, and the aggregated
-per-graph report.
+reduced pair states (closed form per edge class on unweighted graphs; on
+weighted ones the edge's pure gate state with each entry damped by the
+measured neighbours), the per-edge noise thresholds, closed-form threshold
+inequalities, a universal degree-only bound, and the aggregated per-graph
+report.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import SIGMA, ChannelFamily, PauliChannel, named_probs
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .graphs import Graph, neighborhood
+from .isingsep import D_K, D_L, gate_outer
 from .numeric import (
     DEFAULT_TOL,
     ThresholdResult,
@@ -35,7 +37,6 @@ from .numeric import (
 )
 from .oracle import lift_operator
 
-REGION_CAP = 12  # dense simulation over N_k, N_l and the pair itself
 EDGE_BRACKET = (1e-6, 1.0 - 1e-6)
 
 # Dephasing noise gives a graph-independent pair threshold.
@@ -216,7 +217,7 @@ def universal_lower_bound(deg_k: int, deg_l: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Weighted graphs: dense simulation of the local region
+# Weighted graphs: the gate state damped by the measured neighbours
 
 
 # The Paulis on qubit k (bit 0) and l (bit 1) of the pair, in SIGMA order,
@@ -227,62 +228,42 @@ _PAIR_PAULIS = tuple(
 )
 
 
-def _region_grams(g: Graph, k: int, l: int) -> np.ndarray:
+def _edge_phases(g: Graph, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     """p-independent part of the reduced pair state on a weighted graph.
 
-    Only the region I = N_k u N_l u {k, l} matters: gates leaving it act on
-    qubits that are measured anyway and cancel from the pair state.  The
-    region state starts as |+..+> with one controlled-phase per internal
-    edge, over the labels (k, l, rest in order), so k is bit 0 and l bit 1.
-    Row r of V = vec.reshape(-1, 4) is the pair's branch when the measured
-    qubits read r.  Returns G with G[j] = sum over popcount(r) = j of
-    |V_r><V_r|, shape (m - 1, 4, 4) for a region of m qubits.
+    Returns the pure gate state psi psi^dagger of the edge and, stacked
+    over the other neighbours j of k or l, the (4, 4) phases
+    e^(i (phi_kj d_k + phi_lj d_l)) that a flipped outcome on j puts on
+    entry (a, b), with d = a - b per qubit and phi = 0 off the edges.
+    Gates between measured qubits only give each branch a global phase,
+    so they cancel.
     """
     nk = neighborhood(g, k)
     nl = neighborhood(g, l)
     if not (nk >> l) & 1:
         raise ValidationError(f"vertices {k} and {l} are not adjacent")
-    region_mask = nk | nl | (1 << k) | (1 << l)
-    labels = [k, l] + sorted(
-        v for v in range(g.n) if (region_mask >> v) & 1 and v not in (k, l)
-    )
-    m = len(labels)
-    if m > REGION_CAP:
-        raise CapacityError(f"region has {m} qubits; cap is {REGION_CAP}")
-    position = {v: i for i, v in enumerate(labels)}
-
-    dim = 1 << m
-    vec = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-    idx = np.arange(dim)
-    for u, v in g.edges():
-        if (region_mask >> u) & 1 and (region_mask >> v) & 1:
-            both = (1 << position[u]) | (1 << position[v])
-            mask = (idx & both) == both
-            vec = np.where(mask, vec * np.exp(1j * g.phase(u, v)), vec)
-
-    branches = vec.reshape(-1, 4)
-    popcount = np.array([r.bit_count() for r in range(len(branches))])
-    grams = np.empty((m - 1, 4, 4), dtype=complex)
-    for j in range(m - 1):
-        rows = branches[popcount == j]
-        grams[j] = rows.T @ rows.conj()
-    return grams
+    others = [j for j in range(g.n) if ((nk | nl) >> j) & 1 and j not in (k, l)]
+    phi_k = np.array([g.phase(k, j) if (nk >> j) & 1 else 0.0 for j in others])
+    phi_l = np.array([g.phase(l, j) if (nl >> j) & 1 else 0.0 for j in others])
+    theta = phi_k[:, None, None] * D_K + phi_l[:, None, None] * D_L
+    return gate_outer(g.phase(k, l)), np.exp(1j * theta)
 
 
-def _pairs_from_grams(grams: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Reduced pair states from the region's Gram matrices, one per channel.
+def _damped_pairs(
+    outer: np.ndarray, phases: np.ndarray, probs: np.ndarray
+) -> np.ndarray:
+    """Reduced pair states of one edge, one per channel.
 
     probs is a (P, 4) array whose rows are Pauli probabilities in SIGMA
     order; the result is the (P, 4, 4) stack of pair states.  Each measured
-    qubit is projected on outcome 0 after its noise, so branch r keeps
-    weight keep^(m-2-j) flip^j with j = popcount(r), keep = p0 + p3 and
-    flip = p1 + p2; then the full channels act on k and l.
+    qubit j is projected on outcome 0 after its noise, which reads 0 with
+    weight keep = p0 + p3 and 1 with flip = p1 + p2, so entry (a, b) of
+    the gate state is multiplied by prod_j (keep + flip phases[j, a, b]);
+    then the full channels act on k and l.
     """
-    keep = probs[:, 0] + probs[:, 3]
-    flip = probs[:, 1] + probs[:, 2]
-    j = np.arange(len(grams))
-    weights = keep[:, None] ** (len(grams) - 1 - j) * flip[:, None] ** j
-    rho = np.dot(weights, grams.reshape(len(grams), 16)).reshape(-1, 4, 4)
+    keep = (probs[:, 0] + probs[:, 3])[:, None, None, None]
+    flip = (probs[:, 1] + probs[:, 2])[:, None, None, None]
+    rho = outer * (keep + flip * phases).prod(axis=1)
     trace = np.trace(rho, axis1=1, axis2=2).real
     if np.any(trace < 1e-14):
         raise ValidationError("branch weights vanished; channel is degenerate")
@@ -298,14 +279,16 @@ def _pairs_from_grams(grams: np.ndarray, probs: np.ndarray) -> np.ndarray:
 def weighted_reduced_pair(
     g: Graph, k: int, l: int, ch: PauliChannel
 ) -> np.ndarray:
-    """Reduced pair state on a weighted graph by simulating the local region.
+    """Reduced pair state on a weighted graph.
 
-    The region's state and its per-popcount Gram matrices do not depend on
-    the channel (`_region_grams`); the channel only weights them
-    (`_pairs_from_grams`, here a one-channel stack).  Returns the
-    normalised 4x4 matrix with qubit k as bit 0, l as bit 1.
+    Only the neighbours of k and l matter: the edge's pure gate state has
+    entry (a, b) damped by one factor per measured neighbour
+    (`_edge_phases`, independent of the channel), and the channel weights
+    those factors (`_damped_pairs`, here a one-channel stack).  At phase pi
+    everywhere this is the class route's (1 - 2f)^count flips.  Returns
+    the normalised 4x4 matrix with qubit k as bit 0, l as bit 1.
     """
-    return _pairs_from_grams(_region_grams(g, k, l), np.array([ch.probs]))[0]
+    return _damped_pairs(*_edge_phases(g, k, l), np.array([ch.probs]))[0]
 
 
 def weighted_pair_pt_min_eig(rho: np.ndarray) -> float:
@@ -397,11 +380,11 @@ def lifetime_lower_bound(
     share one bisection (a constant-degree lattice has a handful of classes
     at any size); each class's pre-scan grid is one array pass of the
     class's weights and each refinement point is scalar arithmetic.  On a
-    weighted graph each edge's region and Gram matrices are built once and
-    every evaluation only reweights them; the pre-scan grid is reweighted
-    and diagonalised as one stack.  The global number takes the maximum
-    (the protocol's weakest link), and the spanning variant takes the
-    smallest p at which the NPT edges alone connect the graph (the
+    weighted graph each edge's gate state and neighbour phases are built
+    once and every evaluation only reweights them; the pre-scan grid is
+    reweighted and diagonalised as one stack.  The global number takes the
+    maximum (the protocol's weakest link), and the spanning variant takes
+    the smallest p at which the NPT edges alone connect the graph (the
     bottleneck edge of a maximum-threshold-last union-find sweep).
     """
     if not family.is_pauli_family:
@@ -419,11 +402,11 @@ def lifetime_lower_bound(
 
     def solve(u: int, v: int) -> ThresholdResult:
         if g.is_weighted:
-            grams = _region_grams(g, u, v)
+            outer, phases = _edge_phases(g, u, v)
 
             def gaps(ps: list[float]) -> list[float]:
                 probs = np.array([family.pauli(p).probs for p in ps])
-                rho = _pairs_from_grams(grams, probs)
+                rho = _damped_pairs(outer, phases, probs)
                 return hermitian_spectrum(partial_transpose(rho, 1))[:, 0].tolist()
 
             return bisect_stacked(gaps, EDGE_BRACKET[0], EDGE_BRACKET[1], tol)

@@ -363,6 +363,8 @@ def test_validation_errors_exit_2(tmp_path, capsys):
         ["lower", "--graph", '{"n": 3, "edges": 5}'],
         ["ghz", "--blockwise", "--sweep", "0:1:0.5", "--axis", "p"],
         ["ghz", "--n", "4", "--out", "/nonexistent/dir/out.csv"],
+        ["encode", "--kt", "0.5", "--target-m", "nan"],
+        ["encode", "--kt", "0.5", "--target-m", "inf"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, capsys):
@@ -377,6 +379,16 @@ def test_capacity_errors_exit_3(capsys):
     assert main(["oracle-check", "--max-n", "9"]) == 3
     assert main(["ghz", "--n", "100000", "--crit", "k=1"]) == 3
     assert "capacity" in capsys.readouterr().err
+
+
+def test_weighted_lower_has_no_neighbourhood_cap(tmp_path):
+    # Edge (0, 1) with eight more neighbours per end: 18 qubits around it.
+    edges = [[0, 1, 2.0]] + [[end, v, 0.3 + 0.1 * v] for end in (0, 1)
+                             for v in range(2 + 8 * end, 10 + 8 * end)]
+    graph = json.dumps({"n": 18, "edges": edges})
+    code, _, data = run_csv(tmp_path, ["lower", "--graph", graph])
+    assert code == 0
+    assert len(data) == 1 + len(edges)
 
 
 @pytest.mark.parametrize(
@@ -507,10 +519,11 @@ def test_ghz_n_boundary(n, capsys):
     assert code == (3 if n > GHZ_CAP else 0)
 
 
-# --- Argv fuzz of ghz and lower (property-based) ---------------------------------
+# --- Argv fuzz of every subcommand but oracle-check (property-based) --------------
 
 # Values tried for each flag that takes one, valid and invalid; flags with
-# choices also get each choice.  Every run stays at n <= 30.
+# choices also get each choice.  Every run stays at n <= 30, every sweep at
+# a few dozen points and --jobs at 2 workers.
 FUZZ_VALUES = {
     "--n": ["2", "3", "17", "30", "1", "0", "-4", "2.5", "x"],
     "--crit": ["k=1", "k=2", "k=15", "k=0", "k=29", "k=-1", "k=1.5", "x=1", "k=", "="],
@@ -538,6 +551,14 @@ FUZZ_VALUES = {
         "@no-such-file.json",
     ],
     "--tol-root": ["1e-10", "1e-6", "0.1", "0", "-1", "nan", "inf", "abc"],
+    "--jobs": ["1", "2", "0", "-3", "1.5"],
+    "--eig-zero": ["-1e-11", "0", "1e-3", "-0.5", "nan", "inf", "x"],
+    "--sweep-phi": ["0.5:3.1:0.5", "0.1:3.14159:1", "3:3.2:0.1", "1e-12:1e-9:1e-10",
+                    "0:1:0.25", "1:4:1", "1:0:1", "0.5:1:0", "nan:1:0.1", "a:b:c", "0:1"],
+    "--deg": ["1", "2", "5", "1000", "0", "-1", "x"],
+    "--kt": ["0.5", "0.01", "1", "0", "1e-310", "1e308", "-1", "nan", "inf"],
+    "--levels": ["0", "3", "6", "12", "13", "-1", "2.5"],
+    "--target-m": ["2", "5", "1057", "1e308", "1.5", "0", "nan", "inf", "-inf"],
     "--out": ["{tmp}/out.csv", "{tmp}/out.json", "{tmp}/out", "{tmp}",
               "{tmp}/no-such-dir/out.csv"],
 }
@@ -559,17 +580,23 @@ def flag_tokens(flag, action):
     return st.one_of(value.map(lambda v: [flag, v]), value.map(lambda v: [f"{flag}={v}"]))
 
 
-def fuzz_argv(cmd):
+def fuzz_argv(cmd, *required):
+    """argv for cmd: each flag of `required` first, then up to six more groups."""
     flags = registered_flags(cmd)
     token = st.one_of(
         *(flag_tokens(flag, action) for flag, action in sorted(flags.items())),
         st.sampled_from([["--no-such-flag"], ["stray"]]),
     )
-    return st.lists(token, max_size=6).map(lambda groups: [cmd] + sum(groups, []))
+    head = st.tuples(*(flag_tokens(flag, flags[flag]) for flag in required))
+    groups = st.tuples(head, st.lists(token, max_size=6))
+    return groups.map(lambda g: [cmd] + sum(g[0], []) + sum(g[1], []))
+
+
+FUZZED = ("ghz", "lower", "upper", "weighted", "encode")
 
 
 def test_fuzz_values_cover_only_registered_flags():
-    registered = set(registered_flags("ghz")) | set(registered_flags("lower"))
+    registered = set().union(*(registered_flags(cmd) for cmd in FUZZED))
     assert set(FUZZ_VALUES) <= registered
 
 
@@ -592,5 +619,41 @@ def test_ghz_argv_fuzz(argv, tmp_path, capsys):
 @example(argv=["lower", "--graph", "ring:5", "--out", "{tmp}/no-such-dir/out.csv"])
 @example(argv=["lower"])
 def test_lower_argv_fuzz(argv, tmp_path, capsys):
+    argv = [t.replace("{tmp}", str(tmp_path)) for t in argv]
+    exit_code(argv, capsys, codes=(0, 1, 2, 3))
+
+
+@BOUNDARY
+@given(argv=fuzz_argv("upper", "--method"))
+@example(argv=["upper", "--method", "ising", "--graph", "ring:30"])
+@example(argv=["upper", "--method", "ising", "--graph", "ring:5", "--channel", "bitflip"])
+@example(argv=["upper", "--method", "ising", "--graph",
+               '{"n": 4, "edges": [[0, 1, 0.5], [1, 2, 1.0], [2, 3, 3.14159]]}'])
+@example(argv=["upper", "--method", "ppt", "--graph", "grid3d:3x3x3"])
+@example(argv=["upper", "--method", "ppt", "--graph", "star:6", "--jobs", "2"])
+@example(argv=["upper", "--method", "eb", "--via", "jamiolkowski", "--channel", "qo"])
+@example(argv=["upper", "--method", "ising"])
+def test_upper_argv_fuzz(argv, tmp_path, capsys):
+    argv = [t.replace("{tmp}", str(tmp_path)) for t in argv]
+    exit_code(argv, capsys, codes=(0, 1, 2, 3))
+
+
+@BOUNDARY
+@given(argv=fuzz_argv("weighted", "--sweep-phi"))
+@example(argv=["weighted", "--sweep-phi", "0.5:3.1:0.5", "--deg", "1000"])
+@example(argv=["weighted", "--sweep-phi", "1e-12:1e-9:1e-10", "--eig-zero", "0"])
+@example(argv=["weighted", "--sweep-phi", "3:3.2:0.1"])
+def test_weighted_argv_fuzz(argv, tmp_path, capsys):
+    argv = [t.replace("{tmp}", str(tmp_path)) for t in argv]
+    exit_code(argv, capsys, codes=(0, 1, 2, 3))
+
+
+@BOUNDARY
+@given(argv=fuzz_argv("encode", "--kt"))
+@example(argv=["encode", "--kt", "0.5", "--target-m", "nan"])
+@example(argv=["encode", "--kt", "0.5", "--target-m", "inf"])
+@example(argv=["encode", "--kt", "0.01", "--levels", "12", "--target-m", "1057"])
+@example(argv=["encode", "--kt", "1e308", "--target-m", "1e308"])
+def test_encode_argv_fuzz(argv, tmp_path, capsys):
     argv = [t.replace("{tmp}", str(tmp_path)) for t in argv]
     exit_code(argv, capsys, codes=(0, 1, 2, 3))

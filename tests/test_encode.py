@@ -224,3 +224,10 @@ def test_lifetime_errors():
         encoded_lifetime(5.0, 2, pipeline="exact")
     # The doubling approximation has a closed inverse with no such limit.
     assert encoded_lifetime(5.0, 2, pipeline="approx") > 0.0
+
+
+@pytest.mark.parametrize("M", [math.nan, math.inf, -math.inf])
+def test_lifetime_rejects_a_non_finite_group_count(M):
+    for j, pipeline in ((0, "exact"), (2, "exact"), (2, "approx")):
+        with pytest.raises(ValidationError, match="finite"):
+            encoded_lifetime(M, j, pipeline=pipeline)

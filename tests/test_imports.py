@@ -1,0 +1,46 @@
+"""Every name a module imports is read somewhere in that module.
+
+A stand-in for pyflakes' unused-import check, on the standard library's
+ast alone.  Package __init__ files are skipped: their imports are the
+package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    path
+    for folder in ("src/qdeco", "tests")
+    for path in (ROOT / folder).glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement of source that no expression reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # `import a.b` binds a.
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in read]
+
+
+def test_checker_finds_an_unused_import():
+    source = "import csv\nimport os.path\nfrom math import pi, tau as t\nprint(os.sep, t)\n"
+    assert unused_imports(source) == ["csv (line 1)", "pi (line 3)"]
+    assert unused_imports("from __future__ import annotations\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_module_reads_every_name_it_imports(path):
+    assert unused_imports(path.read_text()) == []

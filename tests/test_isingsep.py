@@ -17,7 +17,7 @@ from qdeco.isingsep import (
     weighted_gate_threshold,
     weighted_graph_threshold,
 )
-from qdeco.numeric import DEFAULT_TOL, bisect, hermitian_spectrum
+from qdeco.numeric import DEFAULT_TOL, bisect, hermitian_spectrum, partial_transpose
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 DEPOL = ChannelFamily.from_spec("depolarizing")
@@ -33,10 +33,10 @@ def test_gate_state_is_a_valid_density_matrix():
     rho = state.matrix()
     assert np.allclose(rho, rho.conj().T)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-    spectrum = hermitian_spectrum(rho)
-    assert spectrum[0] >= -1e-12
-    # Support never exceeds the four branch vectors.
-    assert np.sum(spectrum > 1e-12) <= 4
+    assert rho.shape == (4, 4)
+    # psi psi^dagger damped by a positive definite mask: full rank for
+    # p_z, q_z < 1.
+    assert hermitian_spectrum(rho)[0] > 1e-3
 
 
 def test_gate_state_validation():
@@ -51,9 +51,9 @@ def test_gate_state_validation():
 
 
 def test_gate_separable_matches_pt_sign_at_full_phase():
-    # The inequality and the explicit two-ququart PT must agree on a grid.
-    # On the separable side the smallest PT eigenvalue is exactly zero (the
-    # state is rank four), so classify with a small floor.
+    # The inequality and the explicit 4x4 PT must agree on a grid.  Off the
+    # boundary the separable side is PPT with a margin (here at least 0.01),
+    # so a small floor only absorbs rounding.
     for p_z in np.arange(0.05, 1.0, 0.1):
         for q_z in np.arange(0.05, 1.0, 0.1):
             state = NoisyGateState(float(p_z), float(q_z), math.pi)
@@ -81,7 +81,7 @@ def test_threshold_validation():
 
 
 def test_asymmetric_degrees_match_inequality_route():
-    # Dual route: the 16x16 PT bisection against the closed inequality
+    # Dual route: the 4x4 PT bisection against the closed inequality
     # (1 + x^(1/dk))(1 + x^(1/dl)) = 2 solved inside the unweighted report.
     g = make_lattice("line", 3)  # edge (0,1) has degrees (1, 2)
     report = graph_separability_threshold(g)
@@ -122,22 +122,86 @@ def test_stacked_gate_threshold_matches_scalar_bisection(monkeypatch, spec, seed
 
 
 def test_stacked_gate_path_validates_every_point():
+    outer = isingsep.gate_outer(1.0)
     with pytest.raises(ValidationError, match="q_z"):
-        isingsep._frame_weights(np.array([0.5, 0.5]), np.array([0.5, 1.5]))
+        isingsep._gate_states(outer, np.array([0.5, 0.5]), np.array([0.5, 1.5]))
     with pytest.raises(ValidationError, match="p_z"):
-        isingsep._frame_weights(np.array([math.nan, 0.5]), np.array([0.5, 0.5]))
+        isingsep._gate_states(outer, np.array([math.nan, 0.5]), np.array([0.5, 0.5]))
     for phi in (0.0, -1.0, 3.5, math.nan):
         with pytest.raises(ValidationError, match="phase"):
             weighted_gate_threshold(phi, 1, 2)
 
 
+def frame_weights(p_z, q_z):
+    """lam = (1 +- p_z)(1 +- q_z)/4 over the frames (1, Z_l, Z_k, Z_k Z_l)."""
+    return np.array([(1 + a * p_z) * (1 + b * q_z) / 4 for a in (1, -1) for b in (1, -1)])
+
+
 def test_gate_matrix_is_the_frame_sum():
+    # The damped gate state is the mixture of the pure one under the four
+    # phase-flip frames, with the product weights lam.
     state = NoisyGateState(0.4, 0.7, 2.0)
-    outers = isingsep._frame_outers(2.0)
-    expected = sum(w * m for w, m in zip(state.lam, outers))
+    z_k = np.array([1.0, -1.0, 1.0, -1.0])
+    z_l = np.array([1.0, 1.0, -1.0, -1.0])
+    outer = isingsep.gate_outer(2.0)
+    frames = (np.ones(4), z_l, z_k, z_k * z_l)
+    expected = sum(w * np.outer(f, f) * outer for w, f in zip(frame_weights(0.4, 0.7), frames))
     assert np.abs(state.matrix() - expected).max() <= 1e-16
-    stack = np.tensordot(isingsep._frame_weights(np.array([0.4, 1.0]), np.array([0.7, 0.2])), outers, axes=1)
-    assert np.abs(stack[0] - state.matrix()).max() <= 1e-16
+    stack = isingsep._gate_states(outer, np.array([0.4, 1.0]), np.array([0.7, 0.2]))
+    assert np.array_equal(stack[0], state.matrix())
+
+
+# --- Reference: the doubled 16x16 gate state --------------------------------------
+
+# Each side of the doubled pair carries two qubits, logical |0> = |00> and
+# |1> = |11>: side k is bits 0 and 1, side l bits 2 and 3, so the logical
+# basis states are these four indices.
+LOGICAL = [0b0000, 0b0011, 0b1100, 0b1111]
+Z_K16 = np.array([-1.0 if (x >> 1) & 1 else 1.0 for x in range(16)])
+Z_L16 = np.array([-1.0 if (x >> 3) & 1 else 1.0 for x in range(16)])
+FRAMES16 = np.array([np.ones(16), Z_L16, Z_K16, Z_K16 * Z_L16])
+
+
+def doubled_gate_matrix(p_z, q_z, phi):
+    """sum_w lam_w |f_w b><f_w b| over the frames, b the doubled gate vector."""
+    base = np.zeros(16, dtype=complex)
+    base[LOGICAL] = 0.5
+    base[0b1111] = 0.5 * np.exp(1j * phi)
+    v = FRAMES16 * base
+    outers = v[:, :, None] * v[:, None, :].conj()
+    return np.dot(frame_weights(p_z, q_z), outers.reshape(4, 256)).reshape(16, 16)
+
+
+def doubled_pt_min_eig(p_z, q_z, phi):
+    rho = doubled_gate_matrix(p_z, q_z, phi)
+    return float(hermitian_spectrum(partial_transpose(rho, 0b0011))[0])
+
+
+@pytest.mark.parametrize("phi", [0.4, 2.0, math.pi])
+def test_gate_matrix_is_the_logical_block_of_the_doubled_state(phi):
+    for p_z, q_z in ((0.4, 0.7), (1.0, 0.2), (0.0, 1.0), (0.93, 0.93)):
+        doubled = doubled_gate_matrix(p_z, q_z, phi)
+        block = doubled[np.ix_(LOGICAL, LOGICAL)]
+        assert np.abs(block - NoisyGateState(p_z, q_z, phi).matrix()).max() <= 1e-16
+        off = np.ones((16, 16), dtype=bool)
+        off[np.ix_(LOGICAL, LOGICAL)] = False
+        assert not doubled[off].any()
+
+
+@pytest.mark.parametrize("degrees", [(1, 1), (1, 2), (2, 2), (1, 4), (3, 5)], ids=str)
+def test_gate_threshold_equals_the_doubled_state_bisection(degrees):
+    # The 4x4 route gives the root of the doubled 16x16 PT bisection bit
+    # for bit, under the same 16-dimensional floor.
+    dk, dl = degrees
+    floor = DEFAULT_TOL.eig_floor(16)
+    for phi in (1e-12, 1e-9, 0.05, 0.3, 1.0, 1.7, 2.5, 3.0, math.pi):
+
+        def gap(p_z):
+            return doubled_pt_min_eig(p_z ** (1.0 / dk), p_z ** (1.0 / dl), phi) - floor
+
+        expected = bisect(gap, GATE_BRACKET[0], GATE_BRACKET[1])
+        want = expected.value if expected.sign_change_found else 1.0
+        assert weighted_gate_threshold(phi, dk, dl) == want, phi
 
 
 def test_weaker_phase_tolerates_more_dephasing():

@@ -16,7 +16,7 @@ from qdeco.channels import (
 )
 from qdeco.cli import random_pauli_channel
 from qdeco.errors import ValidationError
-from qdeco.graphs import Bipartition, graph_from_edges, make_lattice, neighborhood
+from qdeco.graphs import graph_from_edges, make_lattice, neighborhood
 from qdeco.numeric import bisect, prescan_grid
 from qdeco.oracle import (
     apply_uniform_channel,
@@ -236,7 +236,7 @@ def test_universal_bound_is_weaker_than_exact_roots():
         assert max(b.c) > 0.5
 
 
-# --- Weighted graphs: dense local-region route ---------------------------------
+# --- Weighted graphs: the damped gate state ------------------------------------
 
 
 def test_weighted_route_agrees_with_closed_form_at_phase_pi():
@@ -253,8 +253,8 @@ def test_weighted_route_agrees_with_closed_form_at_phase_pi():
 
 
 def test_weighted_route_matches_full_dense_simulation():
-    # Region truncation must be exact: compare against simulating the whole
-    # weighted graph, including an edge that leaves the pair's neighbourhood.
+    # Only the pair's neighbours may matter: compare against simulating the
+    # whole weighted graph, including an edge that leaves the neighbourhood.
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]
     weights = {(0, 1): math.pi, (1, 2): 2.0, (2, 3): 1.2, (0, 3): math.pi, (3, 4): 0.7}
     g = graph_from_edges(5, edges, weights=weights)
@@ -262,6 +262,46 @@ def test_weighted_route_matches_full_dense_simulation():
         got = weighted_reduced_pair(g, 0, 1, ch)
         want = dense_pair_matrix(g, 0, 1, ch)
         assert np.allclose(got, want, atol=1e-12)
+
+
+def test_weighted_route_with_k_above_l_matches_dense():
+    # Qubit k is bit 0 of the result whichever label is larger; the dense
+    # oracle keeps label order, so its two qubits are swapped back.
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (1, 4)]
+    weights = dict(zip(edges, (2.3, math.pi, 1.2, 0.8, 2.9, 1.7)))
+    g = graph_from_edges(5, edges, weights=weights)
+    swap = [0, 2, 1, 3]  # exchanges bit 0 and bit 1
+    for ch in (named_channel("depolarizing", 0.75), PauliChannel(0.6, 0.1, 0.2, 0.1)):
+        for k, l in ((1, 0), (3, 2), (4, 1)):
+            got = weighted_reduced_pair(g, k, l, ch)
+            want = dense_pair_matrix(g, l, k, ch)[np.ix_(swap, swap)]
+            assert np.abs(got - want).max() <= 1e-12, (k, l)
+
+
+def double_star(leaves, weights=None):
+    """Edge (0, 1) whose ends each carry `leaves` more neighbours."""
+    edges = [(0, 1)] + [(0, v) for v in range(2, 2 + leaves)]
+    edges += [(1, v) for v in range(2 + leaves, 2 + 2 * leaves)]
+    if weights is not None:
+        weights = {e: weights(i) for i, e in enumerate(edges)}
+    return graph_from_edges(2 + 2 * leaves, edges, weights=weights)
+
+
+def test_weighted_route_runs_a_22_qubit_region_at_phase_pi():
+    # Ten leaves per end: a 22-qubit region.  At phase pi everywhere the
+    # weighted route is the class route's (1 - 2f)^count flips.
+    g = double_star(10)
+    wg = double_star(10, weights=lambda i: math.pi)
+    for ch in (named_channel("depolarizing", 0.8), named_channel("bitflip", 0.9),
+               PauliChannel(0.6, 0.1, 0.2, 0.1)):
+        want = pair_state_matrix(reduced_pair_state(g, 0, 1, ch))
+        assert np.abs(weighted_reduced_pair(wg, 0, 1, ch) - want).max() <= 1e-15
+    for family in (DEPOL, DEPHASING, BITFLIP):
+        weighted = lifetime_lower_bound(wg, family)
+        assert all(e.found for e in weighted.per_edge)
+        for w, c in zip(weighted.per_edge, lifetime_lower_bound(g, family).per_edge):
+            assert (w.u, w.v) == (c.u, c.v)
+            assert w.p_crit == pytest.approx(c.p_crit, abs=1e-12)
 
 
 def test_weighted_pt_min_eig_sign_tracks_noise():
@@ -520,10 +560,7 @@ def test_stacked_weight_rows_are_checked_as_bell_diagonal_checks_them():
 def test_weighted_route_matches_branch_construction():
     # Edge (0, 1) with five more neighbours on each end: a 12-qubit region,
     # plus a ring whose pair has two neighbours joined by an internal edge.
-    star_edges = [(0, 1)] + [(0, v) for v in range(2, 7)] + [(1, v) for v in range(7, 12)]
-    double_star = graph_from_edges(
-        12, star_edges, weights={e: 0.4 + 0.2 * i for i, e in enumerate(star_edges)}
-    )
+    star = double_star(5, weights=lambda i: 0.4 + 0.2 * i)
     ring_edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
     square = graph_from_edges(4, ring_edges, weights=dict(zip(ring_edges, (2.0, 1.1, 0.7, 2.9))))
     channels = [
@@ -531,14 +568,14 @@ def test_weighted_route_matches_branch_construction():
         named_channel("dephasing", 0.3),  # flip = 0
         PauliChannel(0.0, 0.7, 0.3, 0.0),  # keep = 0
     ]
-    for g in (double_star, square):
+    for g in (star, square):
         for ch in channels:
             got = weighted_reduced_pair(g, 0, 1, ch)
             want = branch_list_pair(g, 0, 1, ch)
             assert np.abs(got - want).max() <= 1e-14
     vanished = SimpleNamespace(probs=(0.0, 0.0, 0.0, 0.0))
     with pytest.raises(ValidationError, match="vanished"):
-        weighted_reduced_pair(double_star, 0, 1, vanished)
+        weighted_reduced_pair(star, 0, 1, vanished)
 
 
 @pytest.mark.parametrize("family", [DEPOL, DEPHASING, BITFLIP], ids=lambda f: f.kind)
@@ -561,14 +598,15 @@ def test_stacked_lower_bound_matches_scalar_bisection(family):
 
 def test_stacked_pair_builder_matches_one_channel_builds():
     g = seeded_phase_graph(("grid2d", 2, 3), 4)
-    grams = pairdistill._region_grams(g, 0, 1)
+    outer, phases = pairdistill._edge_phases(g, 0, 1)
+    assert phases.shape == (2, 4, 4)  # the other neighbours 2 and 3
     channels = [named_channel("depolarizing", 0.8), named_channel("dephasing", 0.3),
                 PauliChannel(0.0, 0.7, 0.3, 0.0), named_channel("bitflip", 1.0)]
-    stack = pairdistill._pairs_from_grams(grams, np.array([ch.probs for ch in channels]))
+    stack = pairdistill._damped_pairs(outer, phases, np.array([ch.probs for ch in channels]))
     assert stack.shape == (4, 4, 4)
     for rho, ch in zip(stack, channels):
         assert np.abs(rho - weighted_reduced_pair(g, 0, 1, ch)).max() <= 1e-15
     # One vanished point in a stack is rejected, as a lone one is.
     probs = np.array([channels[0].probs, (0.0, 0.0, 0.0, 0.0)])
     with pytest.raises(ValidationError, match="vanished"):
-        pairdistill._pairs_from_grams(grams, probs)
+        pairdistill._damped_pairs(outer, phases, probs)
