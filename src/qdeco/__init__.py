@@ -32,6 +32,7 @@ from .graphs import Bipartition, Graph, graph_from_edges, load_graph, make_latti
 from .isingsep import (
     graph_separability_threshold,
     weighted_gate_threshold,
+    weighted_gate_thresholds,
     weighted_graph_threshold,
 )
 from .pairdistill import (
@@ -76,6 +77,7 @@ __all__ = [
     "scan_partitions",
     "universal_lower_bound",
     "weighted_gate_threshold",
+    "weighted_gate_thresholds",
     "weighted_graph_threshold",
     "__version__",
 ]

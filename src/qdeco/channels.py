@@ -72,6 +72,24 @@ def named_channel(kind: str, p: float) -> PauliChannel:
     return PauliChannel(*named_probs(kind, p))
 
 
+def named_prob_rows(kind: str, ps: np.ndarray) -> np.ndarray:
+    """The (P, 4) array whose row i is named_channel(kind, ps[i]).probs, with
+    every row checked as named_channel and PauliChannel check one channel."""
+    if not (ps.min(initial=0.0) >= 0.0 and ps.max(initial=1.0) <= 1.0):  # NaN fails too
+        raise ValidationError(f"p={ps[~((0.0 <= ps) & (ps <= 1.0))][0]} outside [0, 1]")
+    rows = np.empty((len(ps), 4))
+    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = named_probs(kind, ps)
+    # Finite from here on, so the extremes find every row out of range.
+    if rows.min(initial=0.0) < -_PROB_ATOL or rows.max(initial=1.0) > 1 + _PROB_ATOL:
+        bad = ((rows < -_PROB_ATOL) | (rows > 1 + _PROB_ATOL)).any(axis=1)
+        raise ValidationError(f"probabilities outside [0,1]: {tuple(rows[bad][0].tolist())}")
+    total = rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
+    off = np.abs(total - 1.0) > _PROB_ATOL
+    if off.any():
+        raise ValidationError(f"probabilities sum to {total[off][0]}, not 1")
+    return rows
+
+
 @dataclass(frozen=True)
 class QoChannel:
     """Master-equation rates: B (inversion), C (polarization), 2C >= B;

@@ -46,7 +46,7 @@ from .pairdistill import lifetime_lower_bound
 from .isingsep import (
     graph_separability_threshold,
     native_parameter,
-    weighted_gate_threshold,
+    weighted_gate_thresholds,
     weighted_graph_threshold,
 )
 
@@ -365,14 +365,9 @@ def _cmd_scan(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
 def _cmd_weighted(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
     out = CommandOutput()
     phis = _parse_sweep(ns.sweep_phi)
-    for phi in phis:
-        out.rows.append(
-            {
-                "phi": phi,
-                "degree": ns.deg,
-                "p_crit": weighted_gate_threshold(phi, ns.deg, ns.deg, tol),
-            }
-        )
+    thresholds = weighted_gate_thresholds([(phi, ns.deg, ns.deg) for phi in phis], tol)
+    for phi, p_crit in zip(phis, thresholds):
+        out.rows.append({"phi": phi, "degree": ns.deg, "p_crit": p_crit})
     out.summary["degree"] = ns.deg
     return out
 

@@ -27,7 +27,7 @@ from .numeric import (
     DEFAULT_TOL,
     Tolerance,
     bisect,
-    bisect_stacked,
+    bisect_lockstep,
     hermitian_spectrum,
     partial_transpose,
 )
@@ -106,6 +106,9 @@ class NoisyGateState:
         return float(_pt_min_eigs(self.matrix()))
 
 
+_GATE_BLOCK = 1 << 7  # gate states in one stacked evaluation
+
+
 def weighted_gate_threshold(
     phi: float, deg_k: int, deg_l: int, tol: Tolerance = DEFAULT_TOL
 ) -> float:
@@ -115,13 +118,27 @@ def weighted_gate_threshold(
     Each side receives the fraction p_z^(1/deg) of its vertex's dephasing.
     The boundary is located by bisecting the PT minimum eigenvalue of the
     gate's 4x4 state; at phi = pi it reproduces the closed form
-    (sqrt(2) - 1)^m for equal degrees m.  The pure gate state is built once
-    and the pre-scan grid's states are formed and diagonalised as one stack.
+    (sqrt(2) - 1)^m for equal degrees m.  This is weighted_gate_thresholds
+    for one gate.
     """
-    if min(deg_k, deg_l) < 1:
-        raise ValidationError("degrees must be at least 1")
-    _check_phase(phi)
-    outer = gate_outer(phi)
+    return weighted_gate_thresholds([(phi, deg_k, deg_l)], tol)[0]
+
+
+def weighted_gate_thresholds(
+    gates: list[tuple[float, int, int]], tol: Tolerance = DEFAULT_TOL
+) -> list[float]:
+    """weighted_gate_threshold of every (phi, deg_k, deg_l) in gates.
+
+    Every gate is checked first, in order.  The gates then bisect in
+    lockstep, in groups of _GATE_BLOCK, with every pre-scan grid and
+    refinement round formed and diagonalised as stacks of at most
+    _GATE_BLOCK gate states.  A gate whose state never turns separable
+    inside the bracket (phi ~ 0) gets 1.0.
+    """
+    for phi, deg_k, deg_l in gates:
+        if min(deg_k, deg_l) < 1:
+            raise ValidationError("degrees must be at least 1")
+        _check_phase(phi)
 
     # The gap is shifted by the eigenvalue floor of a 16-dimensional matrix:
     # every recorded root was solved against it, on a doubled 16x16 form of
@@ -129,20 +146,21 @@ def weighted_gate_threshold(
     # eigenvalue is an exact zero; the floor stays so that each root (and
     # the effect of --eig-zero, which replaces it) is where it was.
     floor = tol.eig_floor(16)
+    thresholds = []
+    for s in range(0, len(gates), _GATE_BLOCK):
+        group = gates[s : s + _GATE_BLOCK]
+        outers = np.array([gate_outer(phi) for phi, _, _ in group])
 
-    def gaps(ps: list[float]) -> list[float]:
-        rho = _gate_states(
-            outer,
-            np.array([p ** (1.0 / deg_k) for p in ps]),
-            np.array([p ** (1.0 / deg_l) for p in ps]),
-        )
-        return (_pt_min_eigs(rho) - floor).tolist()
+        def gaps(problems, ps, group=group, outers=outers) -> list[float]:
+            degs = [group[i][1:] for i in problems.tolist()]
+            p_z = [p ** (1.0 / deg_k) for p, (deg_k, _) in zip(ps.tolist(), degs)]
+            q_z = [p ** (1.0 / deg_l) for p, (_, deg_l) in zip(ps.tolist(), degs)]
+            rho = _gate_states(outers[problems], np.array(p_z), np.array(q_z))
+            return (_pt_min_eigs(rho) - floor).tolist()
 
-    result = bisect_stacked(gaps, GATE_BRACKET[0], GATE_BRACKET[1], tol)
-    if not result.sign_change_found:
-        # The gate never entangles inside the bracket (phi ~ 0).
-        return 1.0
-    return result.value
+        results = bisect_lockstep(gaps, len(group), *GATE_BRACKET, tol, _GATE_BLOCK)
+        thresholds += [r.value if r.sign_change_found else 1.0 for r in results]
+    return thresholds
 
 
 @dataclass(frozen=True)
@@ -265,23 +283,23 @@ def weighted_graph_threshold(
     parameter of a Pauli channel family.
 
     Per edge, the gate-state bisection gives the admissible vertex
-    dephasing for that gate phase and degree pair; the global p_z is the
-    minimum, mapped to the family's own parameter by native_parameter.
+    dephasing for that gate phase and degree pair; the distinct
+    (phi, deg_k, deg_l) keys of the graph are solved once each, all in one
+    lockstep (weighted_gate_thresholds).  The global p_z is the minimum,
+    mapped to the family's own parameter by native_parameter.
     Families without a dephasing component (bitflip) are reported as
     inapplicable rather than given a fake number.
     """
     edges = g.edges()
     if not edges:
         raise ValidationError("graph has no edges")
-    per_edge = []
-    cache: dict[tuple[float, int, int], float] = {}
+    keys = []
     for u, v in edges:
-        phi = g.phase(u, v)
         degs = sorted((degree(g, u), degree(g, v)))
-        key = (phi, degs[0], degs[1])
-        if key not in cache:
-            cache[key] = weighted_gate_threshold(phi, degs[0], degs[1], tol)
-        per_edge.append((u, v, phi, cache[key]))
+        keys.append((g.phase(u, v), degs[0], degs[1]))
+    distinct = list(dict.fromkeys(keys))
+    solved = dict(zip(distinct, weighted_gate_thresholds(distinct, tol)))
+    per_edge = [(u, v, key[0], solved[key]) for (u, v), key in zip(edges, keys)]
     worst = min(per_edge, key=lambda e: e[3])
     native, note = native_parameter(family, worst[3], tol)
     return WeightedSeparabilityReport(

@@ -5,13 +5,14 @@ Every threshold in this package is the root of an empirically monotone
 condition, so the bisection here insists on a certified single sign change
 (via a coarse pre-scan) before it refines the bracket.  One entry point
 serves every caller: bisect_from_grid takes the values of f on the
-pre-scan grid, however the caller computed them (one array pass, one stack
-of matrices), and refines with a scalar f.  bisect is bisect_from_grid
-with the grid evaluated point by point; bisect_stacked hands f the whole
-grid as one list and then each refinement point as a one-point list.
-bisect_steps is the same bisection as a generator, for a caller that
-drives many roots at once.  The Hermitian check, the spectra and the
-partial transpose take stacks (..., d, d) of matrices.
+pre-scan grid, however the caller computed them (one array pass), and
+refines with a scalar f.  bisect is bisect_from_grid with the grid
+evaluated point by point.  bisect_steps is the same bisection as a
+generator, for a caller that drives many roots at once; bisect_lockstep
+drives any number of them over one bracket, so that f sees every
+problem's pre-scan grid as one stack and then, once per refinement round,
+the midpoint of every problem still bisecting.  The Hermitian check, the
+spectra and the partial transpose take stacks (..., d, d) of matrices.
 """
 
 from __future__ import annotations
@@ -192,19 +193,56 @@ def bisect_from_grid(
         return stop.value
 
 
-def bisect_stacked(
-    f: Callable[[list[float]], Sequence[float]],
+def bisect_lockstep(
+    f: Callable[[np.ndarray, np.ndarray], Sequence[float]],
+    count: int,
     lo: float,
     hi: float,
     tol: Tolerance = DEFAULT_TOL,
-) -> ThresholdResult:
-    """bisect for an f that maps a list of points to their values.
+    block: int | None = None,
+) -> list[ThresholdResult]:
+    """bisect of count problems on one bracket, driven in lockstep.
 
-    f is called once on prescan_grid(lo, hi), so a caller can evaluate the
-    whole pre-scan as one stack, and then once per refinement point, on a
-    one-point list.  Every value is checked to be finite.
+    f(problems, points) returns the value of problem problems[i] at
+    points[i] for every i.  It is called on every problem's
+    prescan_grid(lo, hi), problem by problem, then once per refinement
+    round on the midpoint of every problem still bisecting; block caps the
+    points of one call.  Result i is bisect's for problem i, iterations
+    included.  Where bisecting the problems in order would raise an
+    EvaluationError, this raises it: that of the first problem to fail.
     """
-    return bisect_from_grid(lambda x: f([x])[0], lo, hi, f(prescan_grid(lo, hi)), tol)
+    grid = prescan_grid(lo, hi)
+    results: list[ThresholdResult | None] = [None] * count
+    failed: tuple[int, EvaluationError] | None = None
+    active = []  # (problem, bisection steps, next point)
+
+    def evaluate(problems: np.ndarray, points: np.ndarray) -> list[float]:
+        step = block or max(1, len(points))
+        calls = range(0, len(points), step)
+        return [y for s in calls for y in f(problems[s : s + step], points[s : s + step])]
+
+    def advance(i: int, steps, y: float | None) -> None:
+        nonlocal failed
+        if failed is not None and i > failed[0]:
+            return  # a bisection before this one has failed
+        try:
+            active.append((i, steps, steps.send(y)))
+        except StopIteration as stop:
+            results[i] = stop.value
+        except EvaluationError as exc:
+            failed = (i, exc)
+
+    ys = evaluate(np.repeat(np.arange(count), len(grid)), np.tile(grid, count))
+    for i in range(count):
+        advance(i, bisect_steps(lo, hi, ys[i * len(grid) : (i + 1) * len(grid)], tol), None)
+    while active:
+        stepping, active = active, []
+        ys = evaluate(np.array([i for i, _, _ in stepping]), np.array([x for _, _, x in stepping]))
+        for (i, steps, _), y in zip(stepping, ys):
+            advance(i, steps, y)
+    if failed is not None:
+        raise failed[1]
+    return results
 
 
 def bisect(

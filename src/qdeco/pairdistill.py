@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import SIGMA, ChannelFamily, PauliChannel, named_probs
+from .channels import SIGMA, ChannelFamily, PauliChannel, named_prob_rows, named_probs
 from .errors import ValidationError
 from .graphs import Graph, neighborhood
 from .isingsep import D_K, D_L, gate_outer
@@ -30,7 +30,7 @@ from .numeric import (
     Tolerance,
     bisect,
     bisect_from_grid,
-    bisect_stacked,
+    bisect_lockstep,
     hermitian_spectrum,
     partial_transpose,
     prescan_grid,
@@ -250,20 +250,26 @@ def _edge_phases(g: Graph, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _damped_pairs(
-    outer: np.ndarray, phases: np.ndarray, probs: np.ndarray
+    outer: np.ndarray, phases: np.ndarray, probs: np.ndarray, pad: np.ndarray | None = None
 ) -> np.ndarray:
-    """Reduced pair states of one edge, one per channel.
+    """Reduced pair states, one per channel.
 
     probs is a (P, 4) array whose rows are Pauli probabilities in SIGMA
-    order; the result is the (P, 4, 4) stack of pair states.  Each measured
-    qubit j is projected on outcome 0 after its noise, which reads 0 with
-    weight keep = p0 + p3 and 1 with flip = p1 + p2, so entry (a, b) of
-    the gate state is multiplied by prod_j (keep + flip phases[j, a, b]);
-    then the full channels act on k and l.
+    order; the result is the (P, 4, 4) stack of pair states.  outer and
+    phases are one edge's or one per row; a factor where the (P, W) mask
+    pad is set is exactly 1.  Each measured qubit j is projected on
+    outcome 0 after its noise, which reads 0 with weight keep = p0 + p3
+    and 1 with flip = p1 + p2, so entry (a, b) of the gate state is
+    multiplied by prod_j (keep + flip phases[j, a, b]); then the full
+    channels act on k and l.
     """
     keep = (probs[:, 0] + probs[:, 3])[:, None, None, None]
     flip = (probs[:, 1] + probs[:, 2])[:, None, None, None]
-    rho = outer * (keep + flip * phases).prod(axis=1)
+    factors = phases * flip  # in place below: a large stack is held once
+    factors += keep
+    if pad is not None:
+        factors[pad] = 1.0
+    rho = outer * factors.prod(axis=1)
     trace = np.trace(rho, axis1=1, axis2=2).real
     if np.any(trace < 1e-14):
         raise ValidationError("branch weights vanished; channel is degenerate")
@@ -293,6 +299,40 @@ def weighted_reduced_pair(
 
 def weighted_pair_pt_min_eig(rho: np.ndarray) -> float:
     return float(hermitian_spectrum(partial_transpose(rho, 1))[0])
+
+
+_PAIR_BLOCK = 1 << 9  # 4x4 matrices in one stacked evaluation
+
+
+def _weighted_edge_thresholds(
+    g: Graph, edges: list[tuple[int, int]], kind: str, tol: Tolerance
+) -> list[ThresholdResult]:
+    """One bisection per edge of a weighted graph, all in lockstep.
+
+    With w the most other neighbours of an edge, the edges bisect in groups
+    whose neighbour phases (padded to w per edge) fit in _PAIR_BLOCK 4x4
+    matrices, and each stacked evaluation holds at most that many factors
+    and Pauli terms (w + 4 per point), so memory stays bounded.
+    """
+    width = max((neighborhood(g, u) | neighborhood(g, v)).bit_count() - 2 for u, v in edges)
+    size = max(1, _PAIR_BLOCK // max(1, width))
+    block = max(1, _PAIR_BLOCK // (width + 4))
+    results = []
+    for s in range(0, len(edges), size):
+        group = [_edge_phases(g, u, v) for u, v in edges[s : s + size]]
+        outers = np.array([outer for outer, _ in group])
+        phases = np.ones((len(group), width, 4, 4), dtype=complex)
+        pad = np.ones((len(group), width), dtype=bool)
+        for e, (_, own) in enumerate(group):
+            phases[e, : len(own)], pad[e, : len(own)] = own, False
+
+        def gaps(problems, ps, outers=outers, phases=phases, pad=pad) -> list[float]:
+            probs = named_prob_rows(kind, ps)
+            rho = _damped_pairs(outers[problems], phases[problems], probs, pad[problems])
+            return hermitian_spectrum(partial_transpose(rho, 1))[:, 0].tolist()
+
+        results += bisect_lockstep(gaps, len(group), *EDGE_BRACKET, tol, block)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +421,10 @@ def lifetime_lower_bound(
     at any size); each class's pre-scan grid is one array pass of the
     class's weights and each refinement point is scalar arithmetic.  On a
     weighted graph each edge's gate state and neighbour phases are built
-    once and every evaluation only reweights them; the pre-scan grid is
-    reweighted and diagonalised as one stack.  The global number takes the
+    once and every evaluation only reweights them; the edges bisect in
+    lockstep, each pre-scan grid and refinement round reweighted and
+    diagonalised as stacks of bounded size (_weighted_edge_thresholds).
+    The global number takes the
     maximum (the protocol's weakest link), and the spanning variant takes
     the smallest p at which the NPT edges alone connect the graph (the
     bottleneck edge of a maximum-threshold-last union-find sweep).
@@ -398,44 +440,30 @@ def lifetime_lower_bound(
     if not _connected(g.n, all_edges):
         raise ValidationError("graph is not connected; no global certificate")
 
-    classes: dict[tuple[int, int, int], ThresholdResult] = {}
+    if g.is_weighted:
+        results = _weighted_edge_thresholds(g, all_edges, family.kind, tol)
+    else:
+        classes: dict[tuple[int, int, int], ThresholdResult] = {}
+        results = []
+        for u, v in all_edges:
+            cls = _pair_class(g, u, v)
+            if cls not in classes:
 
-    def solve(u: int, v: int) -> ThresholdResult:
-        if g.is_weighted:
-            outer, phases = _edge_phases(g, u, v)
+                def gap(p: float) -> float:
+                    return max(_class_pair_state(cls, family.pauli(p)).c) - 0.5
 
-            def gaps(ps: list[float]) -> list[float]:
-                probs = np.array([family.pauli(p).probs for p in ps])
-                rho = _damped_pairs(outer, phases, probs)
-                return hermitian_spectrum(partial_transpose(rho, 1))[:, 0].tolist()
+                lo, hi = EDGE_BRACKET
+                probs = named_probs(family.kind, np.array(prescan_grid(lo, hi)))
+                weights = _checked_weight_rows(np.stack(_class_weights(cls, *probs), axis=1))
+                grid = weights.max(axis=1) - 0.5
+                classes[cls] = bisect_from_grid(gap, lo, hi, grid.tolist(), tol)
+            results.append(classes[cls])
 
-            return bisect_stacked(gaps, EDGE_BRACKET[0], EDGE_BRACKET[1], tol)
-        cls = _pair_class(g, u, v)
-        if cls not in classes:
-
-            def gap(p: float) -> float:
-                return max(_class_pair_state(cls, family.pauli(p)).c) - 0.5
-
-            lo, hi = EDGE_BRACKET
-            probs = named_probs(family.kind, np.array(prescan_grid(lo, hi)))
-            weights = _checked_weight_rows(np.stack(_class_weights(cls, *probs), axis=1))
-            grid = weights.max(axis=1) - 0.5
-            classes[cls] = bisect_from_grid(gap, lo, hi, grid.tolist(), tol)
-        return classes[cls]
-
-    per_edge: list[EdgeThreshold] = []
-    for u, v in all_edges:
-        result = solve(u, v)
-        per_edge.append(
-            EdgeThreshold(
-                u,
-                v,
-                g.phase(u, v),
-                result.value if result.sign_change_found else math.nan,
-                result.sign_change_found,
-                result.iterations,
-            )
-        )
+    per_edge = [
+        EdgeThreshold(u, v, g.phase(u, v), r.value if r.sign_change_found else math.nan,
+                      r.sign_change_found, r.iterations)
+        for (u, v), r in zip(all_edges, results)
+    ]
 
     found = [e for e in per_edge if e.found]
     if len(found) == len(per_edge):

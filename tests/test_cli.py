@@ -9,8 +9,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qdeco.cli import SWEEP_CAP, _parse_sweep, build_parser, main
-from qdeco.errors import CapacityError
+from qdeco.errors import CapacityError, ValidationError
 from qdeco.ghz import GHZ_CAP
+from qdeco.isingsep import weighted_gate_threshold
 
 RING6_SCAN_ROWS = 31  # 2^(6-1) - 1 bipartitions
 
@@ -200,6 +201,21 @@ def test_weighted_phase_sweep(tmp_path):
     values = [float(line.split(",")[2]) for line in data[1:]]
     assert len(values) == 5
     assert all(b < a for a, b in zip(values, values[1:]))  # stronger gate, lower p_z
+    # The swept phases bisect in lockstep; each row is the one-gate solve.
+    code, payload = run_json(tmp_path, ["weighted", "--sweep-phi", "1.0:3.0:0.5", "--deg", "2"])
+    rows = payload["results"]["rows"]
+    assert [row["p_crit"] for row in rows] == [
+        weighted_gate_threshold(row["phi"], 2, 2) for row in rows
+    ]
+
+
+def test_weighted_sweep_with_a_bad_phase_names_the_first(capsys):
+    # 3.0, 3.1, 3.2, 3.3: the message names 3.2, the first past pi.
+    first_bad = next(phi for phi in _parse_sweep("3:3.3:0.1") if phi > math.pi)
+    with pytest.raises(ValidationError) as exc:
+        weighted_gate_threshold(first_bad, 1, 1)
+    assert main(["weighted", "--sweep-phi", "3:3.3:0.1"]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 def test_encode_table(tmp_path):
@@ -519,11 +535,12 @@ def test_ghz_n_boundary(n, capsys):
     assert code == (3 if n > GHZ_CAP else 0)
 
 
-# --- Argv fuzz of every subcommand but oracle-check (property-based) --------------
+# --- Argv fuzz of every subcommand (property-based) ---------------------------------
 
 # Values tried for each flag that takes one, valid and invalid; flags with
-# choices also get each choice.  Every run stays at n <= 30, every sweep at
-# a few dozen points and --jobs at 2 workers.
+# choices also get each choice.  Every run stays at n <= 30 (n <= 6 for scan
+# and oracle-check), every sweep at a few dozen points, --jobs at 2 workers
+# and --cases at 5.
 FUZZ_VALUES = {
     "--n": ["2", "3", "17", "30", "1", "0", "-4", "2.5", "x"],
     "--crit": ["k=1", "k=2", "k=15", "k=0", "k=29", "k=-1", "k=1.5", "x=1", "k=", "="],
@@ -561,7 +578,20 @@ FUZZ_VALUES = {
     "--target-m": ["2", "5", "1057", "1e308", "1.5", "0", "nan", "inf", "-inf"],
     "--out": ["{tmp}/out.csv", "{tmp}/out.json", "{tmp}/out", "{tmp}",
               "{tmp}/no-such-dir/out.csv"],
+    "--cases": ["1", "3", "5", "0", "-2", "2.5", "x"],
+    "--max-n": ["2", "4", "6", "1", "0", "9", "-3", "6.0"],
+    "--seed": ["0", "7", "-1", "12345678901234567890", "1.5", "x"],
 }
+# The --graph values of the scan fuzz: those of at most six vertices.
+SMALL_GRAPHS = [
+    "ring:5", "ring:6", "line:2", "line:4", "star:6", "grid2d:2x3", "complete:5", "ring:2",
+    "ring:0", "line:1", "grid2d:0x3", "ring:-1", "torus:3", "ring:x",
+    '{"n": 3, "edges": [[0, 1], [1, 2]]}',
+    '{"n": 4, "edges": [[0, 1, 0.5], [1, 2, 1.0], [2, 3, 3.14159]]}',
+    '{"n": 3, "edges": [[0, 1]]}', '{"n": 2, "edges": []}',
+    '{"n": 3, "edges": 5}', '{"n": 3, "edges": [[1, 0]]}', '{"n": 3}', "{",
+    "@no-such-file.json",
+]
 FUZZ_JUNK = ["", "-1", "nan", "junk"]
 
 
@@ -571,33 +601,35 @@ def registered_flags(cmd):
     return {a.option_strings[-1]: a for a in sub.choices[cmd]._actions if a.option_strings}
 
 
-def flag_tokens(flag, action):
+def flag_tokens(flag, action, fuzz_values):
     if action.nargs == 0:  # --blockwise, --help
         return st.just([flag])
     junk = [] if flag == "--out" else FUZZ_JUNK  # --out writes only under tmp_path
-    values = FUZZ_VALUES.get(flag, []) + list(action.choices or ()) + junk
+    values = fuzz_values.get(flag, []) + list(action.choices or ()) + junk
     value = st.sampled_from(values)
     return st.one_of(value.map(lambda v: [flag, v]), value.map(lambda v: [f"{flag}={v}"]))
 
 
-def fuzz_argv(cmd, *required):
+def fuzz_argv(cmd, *required, fuzz_values=FUZZ_VALUES):
     """argv for cmd: each flag of `required` first, then up to six more groups."""
     flags = registered_flags(cmd)
     token = st.one_of(
-        *(flag_tokens(flag, action) for flag, action in sorted(flags.items())),
+        *(flag_tokens(flag, action, fuzz_values) for flag, action in sorted(flags.items())),
         st.sampled_from([["--no-such-flag"], ["stray"]]),
     )
-    head = st.tuples(*(flag_tokens(flag, flags[flag]) for flag in required))
+    head = st.tuples(*(flag_tokens(flag, flags[flag], fuzz_values) for flag in required))
     groups = st.tuples(head, st.lists(token, max_size=6))
     return groups.map(lambda g: [cmd] + sum(g[0], []) + sum(g[1], []))
 
 
-FUZZED = ("ghz", "lower", "upper", "weighted", "encode")
+FUZZED = ("ghz", "lower", "upper", "weighted", "encode", "scan", "oracle-check")
 
 
 def test_fuzz_values_cover_only_registered_flags():
     registered = set().union(*(registered_flags(cmd) for cmd in FUZZED))
     assert set(FUZZ_VALUES) <= registered
+    assert {"--graph", "--jobs"} <= set(registered_flags("scan"))
+    assert {"--cases", "--max-n", "--seed"} <= set(registered_flags("oracle-check"))
 
 
 @BOUNDARY
@@ -655,5 +687,30 @@ def test_weighted_argv_fuzz(argv, tmp_path, capsys):
 @example(argv=["encode", "--kt", "0.01", "--levels", "12", "--target-m", "1057"])
 @example(argv=["encode", "--kt", "1e308", "--target-m", "1e308"])
 def test_encode_argv_fuzz(argv, tmp_path, capsys):
+    argv = [t.replace("{tmp}", str(tmp_path)) for t in argv]
+    exit_code(argv, capsys, codes=(0, 1, 2, 3))
+
+
+@BOUNDARY
+@given(argv=fuzz_argv("scan", "--graph", fuzz_values={**FUZZ_VALUES, "--graph": SMALL_GRAPHS}))
+@example(argv=["scan", "--graph", "star:6", "--jobs", "2"])
+@example(argv=["scan", "--graph", "complete:5", "--channel", "bitflip"])
+@example(argv=["scan", "--graph", '{"n": 4, "edges": [[0, 1, 0.5], [1, 2, 1.0], [2, 3, 3.14159]]}'])
+@example(argv=["scan", "--graph", "ring:5", "--tol-root", "0.1", "--out", "{tmp}/out.json"])
+@example(argv=["scan"])
+def test_scan_argv_fuzz(argv, tmp_path, capsys):
+    argv = [t.replace("{tmp}", str(tmp_path)) for t in argv]
+    exit_code(argv, capsys, codes=(0, 1, 2, 3))
+
+
+@BOUNDARY
+@given(argv=fuzz_argv("oracle-check"))
+@example(argv=["oracle-check", "--cases", "5", "--max-n", "6"])
+@example(argv=["oracle-check", "--max-n", "9"])
+@example(argv=["oracle-check", "--cases", "1", "--seed", "12345678901234567890"])
+def test_oracle_check_argv_fuzz(argv, tmp_path, capsys):
+    # --cases defaults to 20: the fuzz always sets it (at most 5).
+    if not any(t.startswith("--cases") for t in argv):
+        argv = argv + ["--cases", "2"]
     argv = [t.replace("{tmp}", str(tmp_path)) for t in argv]
     exit_code(argv, capsys, codes=(0, 1, 2, 3))

@@ -7,7 +7,7 @@ import pytest
 from qdeco import isingsep
 
 from qdeco.channels import ChannelFamily, minimal_dephasing_pauli, named_channel
-from qdeco.errors import ValidationError
+from qdeco.errors import EvaluationError, ValidationError
 from qdeco.graphs import degree, graph_from_edges, make_lattice
 from qdeco.isingsep import (
     GATE_BRACKET,
@@ -100,13 +100,13 @@ def test_stacked_gate_threshold_matches_scalar_bisection(monkeypatch, spec, seed
     rng = random.Random(seed)
     g = graph_from_edges(g.n, g.edges(), weights={e: rng.uniform(0.3, math.pi) for e in g.edges()})
     results = []
-    stacked = isingsep.bisect_stacked
+    lockstep = isingsep.bisect_lockstep
 
     def recording(*args, **kwargs):
-        results.append(stacked(*args, **kwargs))
+        results.append(lockstep(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(isingsep, "bisect_stacked", recording)
+    monkeypatch.setattr(isingsep, "bisect_lockstep", recording)
     floor = DEFAULT_TOL.eig_floor(16)
     for u, v in g.edges():
         phi = g.phase(u, v)
@@ -117,8 +117,89 @@ def test_stacked_gate_threshold_matches_scalar_bisection(monkeypatch, spec, seed
 
         expected = bisect(gap, GATE_BRACKET[0], GATE_BRACKET[1])
         got = weighted_gate_threshold(phi, dk, dl)
-        assert results[-1] == expected, (u, v)
+        assert results[-1] == [expected], (u, v)
         assert got == (expected.value if expected.sign_change_found else 1.0)
+
+
+LOCKSTEP_GRAPHS = [("grid2d", 2, 3), ("ring", 5), ("grid2d", 3, 3), ("star", 6), ("line", 5)]
+
+
+def seeded_phase_graph(spec, seed):
+    g = make_lattice(*spec)
+    rng = random.Random(seed)
+    return graph_from_edges(g.n, g.edges(), weights={e: rng.uniform(0.3, math.pi) for e in g.edges()})
+
+
+def scalar_gate_threshold(phi, dk, dl):
+    """One scalar bisection of the one-state route, as weighted_gate_threshold reports it."""
+    floor = DEFAULT_TOL.eig_floor(16)
+
+    def gap(p_z):
+        return NoisyGateState(p_z ** (1.0 / dk), p_z ** (1.0 / dl), phi).pt_min_eig() - floor
+
+    r = bisect(gap, GATE_BRACKET[0], GATE_BRACKET[1])
+    return r.value if r.sign_change_found else 1.0
+
+
+@pytest.mark.parametrize("family", [DEPOL, DEPHASING, BITFLIP], ids=lambda f: f.kind)
+def test_weighted_report_matches_edge_by_edge_scalar_bisection(family):
+    # All distinct (phi, deg_k, deg_l) keys bisect in lockstep; each edge's
+    # p_z equals the scalar bisection of its gate, bit for bit.
+    for spec in LOCKSTEP_GRAPHS:
+        for seed in (1, 2, 3, 4):
+            g = seeded_phase_graph(spec, seed)
+            expected = []
+            for u, v in g.edges():
+                dk, dl = sorted((degree(g, u), degree(g, v)))
+                phi = g.phase(u, v)
+                expected.append((u, v, phi, scalar_gate_threshold(phi, dk, dl)))
+            report = weighted_graph_threshold(g, family)
+            assert report.per_edge == tuple(expected), (spec, seed)
+            worst = min(expected, key=lambda e: e[3])
+            assert (report.p_z_threshold, report.critical_edge) == (worst[3], worst[:2])
+            assert report.native_p == isingsep.native_parameter(family, worst[3])[0]
+
+
+def test_gate_block_size_does_not_move_results(monkeypatch):
+    # A block of one state bisects each gate alone; a block of 100 puts one
+    # gate's pre-scan grid (65 states) in each group.
+    gates = [(phi, dk, dl) for phi in (1e-12, 0.3, 1.0, 2.0, math.pi)
+             for dk, dl in ((1, 1), (1, 3), (2, 2), (4, 5))]
+    graphs = [seeded_phase_graph(spec, 5) for spec in LOCKSTEP_GRAPHS]
+    default = isingsep.weighted_gate_thresholds(gates)
+    reports = [weighted_graph_threshold(g, DEPOL) for g in graphs]
+    assert default == [scalar_gate_threshold(*gate) for gate in gates]
+    for block in (1, 100):
+        monkeypatch.setattr(isingsep, "_GATE_BLOCK", block)
+        assert isingsep.weighted_gate_thresholds(gates) == default, block
+        assert [weighted_graph_threshold(g, DEPOL) for g in graphs] == reports, block
+
+
+def test_gate_batch_raises_what_a_gate_by_gate_loop_raises(monkeypatch):
+    gates = [(1.0, 2, 2), (0.5, 0, 2), (4.0, 1, 1)]
+    for bad in ([(1.0, 2, 2), (4.0, 1, 1), (0.5, 0, 2)], gates, [(math.nan, 1, 1)]):
+        with pytest.raises(ValidationError) as batch:
+            isingsep.weighted_gate_thresholds(bad)
+        with pytest.raises(ValidationError) as loop:
+            for gate in bad:
+                weighted_gate_threshold(*gate)
+        assert str(batch.value) == str(loop.value)
+
+    # A non-finite PT minimum met while refining.
+    pt_min_eigs = isingsep._pt_min_eigs
+
+    def poisoned(rho):
+        low = pt_min_eigs(rho)
+        return np.where((-1e-5 < low) & (low < -1e-7), math.nan, low)
+
+    monkeypatch.setattr(isingsep, "_pt_min_eigs", poisoned)
+    gates = [(0.3, 1, 1), (2.0, 2, 3), (math.pi, 1, 2)]
+    with pytest.raises(EvaluationError) as batch:
+        isingsep.weighted_gate_thresholds(gates)
+    with pytest.raises(EvaluationError) as loop:
+        for gate in gates:
+            scalar_gate_threshold(*gate)
+    assert (type(batch.value), str(batch.value)) == (type(loop.value), str(loop.value))
 
 
 def test_stacked_gate_path_validates_every_point():

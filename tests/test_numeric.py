@@ -13,7 +13,7 @@ from qdeco.numeric import (
     Tolerance,
     ThresholdResult,
     bisect,
-    bisect_stacked,
+    bisect_lockstep,
     bisect_steps,
     check_hermitian,
     hermitian_spectrum,
@@ -140,28 +140,108 @@ def test_bisect_grid_values_match_f_only_path(case):
     assert _drive(f, lo, hi, grid_values=grid)[0] == bisect(f, lo, hi)
 
 
-@pytest.mark.parametrize("case", range(len(STEP_CASES)))
-def test_bisect_stacked_matches_bisect(case):
-    # The stacked f sees the whole grid as one list, then one-point lists
-    # at exactly the points bisect evaluates one by one.
-    f, lo, hi, *tol = STEP_CASES[case]
-    tol = tol[0] if tol else DEFAULT_TOL
+def _outcome(f, lo, hi, tol=DEFAULT_TOL):
+    """bisect's result for f, or the class and message of what it raises."""
+    try:
+        return bisect(f, lo, hi, tol)
+    except EvaluationError as exc:
+        return type(exc), str(exc)
+
+
+def _lockstep(fs, lo, hi, tol=DEFAULT_TOL, block=None):
+    """bisect_lockstep over the scalar functions fs, recording each call."""
     calls = []
 
-    def stacked(xs):
-        calls.append(list(xs))
-        return [f(x) for x in xs]
+    def f(problems, points):
+        assert len(problems) == len(points) and len(points) <= (block or len(points))
+        calls.append(list(zip(problems.tolist(), points.tolist())))
+        return [fs[i](x) for i, x in zip(problems.tolist(), points.tolist())]
 
+    try:
+        return bisect_lockstep(f, len(fs), lo, hi, tol, block), calls
+    except EvaluationError as exc:
+        return (type(exc), str(exc)), calls
+
+
+@pytest.mark.parametrize("case", range(len(STEP_CASES)))
+def test_bisect_stacked_matches_bisect(case):
+    # bisect_lockstep of one problem: the stacked f sees the whole grid as
+    # one call, then one-point calls at exactly the points bisect evaluates
+    # one by one.
+    f, lo, hi, *tol = STEP_CASES[case]
+    tol = tol[0] if tol else DEFAULT_TOL
     result, points = _drive(f, lo, hi, tol)
-    assert bisect_stacked(stacked, lo, hi, tol) == bisect(f, lo, hi, tol) == result
-    assert calls == [prescan_grid(lo, hi)] + [[x] for x in points]
+    got, calls = _lockstep([f], lo, hi, tol)
+    assert got == [bisect(f, lo, hi, tol)] == [result]
+    assert calls == [[(0, x) for x in prescan_grid(lo, hi)]] + [[(0, x)] for x in points]
+
+
+# Problems on [0, 1] of each kind bisect_lockstep must keep apart.
+LOCKSTEP_CASES = {
+    "root": lambda x: x - 0.3,
+    "slow root": lambda x: math.tanh(x - 0.123456789),
+    "no crossing": lambda x: 1.0 + x * x,
+    "zero on the grid": lambda x: 0.5 - x,
+    "zero while refining": lambda x: x - 0.30859375,  # 19.75 / 64
+    "step": lambda x: -1.0 if x < 0.3 else 1.0,
+    "non-finite on the grid": lambda x: math.inf if x > 0.9 else x - 0.3,
+    "non-finite while refining": lambda x: math.nan if 0.1999 < x < 0.2003 else x - 0.2001,
+    "two crossings": lambda x: (x - 0.2) * (x - 0.8),
+}
+FAILING = {"non-finite on the grid", "non-finite while refining", "two crossings"}
+PROBLEM_SETS = [
+    ["root", "no crossing", "zero on the grid", "zero while refining", "step", "slow root"],
+    ["step", "root", "root", "no crossing"],
+    ["root", "non-finite while refining", "two crossings"],
+    ["two crossings", "non-finite while refining"],
+    ["slow root", "non-finite on the grid", "root"],
+    ["zero while refining", "two crossings", "non-finite while refining"],
+    ["non-finite while refining", "non-finite on the grid"],
+]
+
+
+def test_lockstep_cases_are_what_they_say():
+    assert _outcome(LOCKSTEP_CASES["zero on the grid"], 0.0, 1.0).iterations == 0
+    r = _outcome(LOCKSTEP_CASES["zero while refining"], 0.0, 1.0)
+    assert r.value == 0.30859375 and r.iterations == 2
+    assert not _outcome(LOCKSTEP_CASES["no crossing"], 0.0, 1.0).sign_change_found
+    for name in FAILING:
+        f = LOCKSTEP_CASES[name]
+        assert _outcome(f, 0.0, 1.0)[0] == (
+            MultipleCrossingsError if name == "two crossings" else EvaluationError
+        )
+        grid = [f(x) for x in prescan_grid(0.0, 1.0)]
+        assert all(map(math.isfinite, grid)) == (name != "non-finite on the grid")
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("names", PROBLEM_SETS, ids=lambda names: "+".join(names))
+def test_bisect_lockstep_matches_bisect_per_problem(names, block):
+    # Each result equals bisect's (value, bracket and iterations); a set
+    # with a failing problem raises what bisecting in order raises first.
+    fs = [LOCKSTEP_CASES[name] for name in names]
+    expected = [_outcome(f, 0.0, 1.0) for f in fs]
+    failures = [e for e in expected if not isinstance(e, ThresholdResult)]
+    got, calls = _lockstep(fs, 0.0, 1.0, block=block)
+    assert got == (failures[0] if failures else expected)
+    if block is None:
+        # Every grid in one call, problem by problem, then one call a round.
+        grid = prescan_grid(0.0, 1.0)
+        assert calls[0] == [(i, x) for i in range(len(fs)) for x in grid]
+        if not failures:
+            assert len(calls) == 1 + max(r.iterations for r in expected)
+    if not failures:
+        points = len(fs) * len(prescan_grid(0.0, 1.0)) + sum(r.iterations for r in expected)
+        assert sum(len(c) for c in calls) == points
 
 
 def test_bisect_stacked_accepts_array_values_and_checks_them():
-    r = bisect_stacked(lambda xs: np.asarray(xs) - 0.3, 0.0, 1.0)
-    assert r == bisect(lambda x: x - 0.3, 0.0, 1.0)
+    # bisect_lockstep's f may return an array; every value is checked.
+    rs = bisect_lockstep(lambda problems, xs: xs - 0.3 - 0.1 * problems, 3, 0.0, 1.0)
+    assert rs == [bisect(lambda x, i=i: x - 0.3 - 0.1 * i, 0.0, 1.0) for i in range(3)]
     with pytest.raises(EvaluationError):
-        bisect_stacked(lambda xs: [math.nan] * len(xs), 0.0, 1.0)
+        bisect_lockstep(lambda problems, xs: [math.nan] * len(xs), 2, 0.0, 1.0)
+    assert bisect_lockstep(lambda problems, xs: xs, 0, 0.0, 1.0) == []
 
 
 def test_bisect_checks_the_bracket_before_evaluating_f():

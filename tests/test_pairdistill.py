@@ -15,7 +15,7 @@ from qdeco.channels import (
     named_probs,
 )
 from qdeco.cli import random_pauli_channel
-from qdeco.errors import ValidationError
+from qdeco.errors import EvaluationError, ValidationError
 from qdeco.graphs import graph_from_edges, make_lattice, neighborhood
 from qdeco.numeric import bisect, prescan_grid
 from qdeco.oracle import (
@@ -578,22 +578,77 @@ def test_weighted_route_matches_branch_construction():
         weighted_reduced_pair(star, 0, 1, vanished)
 
 
+LOCKSTEP_GRAPHS = [("grid2d", 2, 3), ("ring", 5), ("grid2d", 3, 3), ("star", 6), ("line", 5)]
+
+
+def scalar_edge_results(g, family):
+    """One scalar bisection per edge over weighted_reduced_pair, in edge order."""
+    per_edge = []
+    for u, v in g.edges():
+        def gap(p, u=u, v=v):
+            return weighted_pair_pt_min_eig(weighted_reduced_pair(g, u, v, family.pauli(p)))
+
+        r = bisect(gap, EDGE_BRACKET[0], EDGE_BRACKET[1])
+        p_crit = r.value if r.sign_change_found else math.nan
+        per_edge.append(EdgeThreshold(u, v, g.phase(u, v), p_crit, r.sign_change_found, r.iterations))
+    return tuple(per_edge)
+
+
 @pytest.mark.parametrize("family", [DEPOL, DEPHASING, BITFLIP], ids=lambda f: f.kind)
 def test_stacked_lower_bound_matches_scalar_bisection(family):
-    # The weighted route evaluates each pre-scan grid as one stack; bisecting
-    # the one-matrix route point by point gives the same results bit for bit.
-    for spec in (("grid2d", 2, 3), ("ring", 5)):
-        for seed in (1, 2, 3):
+    # The weighted route bisects every edge in lockstep, each pre-scan grid
+    # and refinement round as one stack; bisecting the one-matrix route
+    # point by point, edge by edge, gives the same results bit for bit.
+    for spec in LOCKSTEP_GRAPHS:
+        for seed in (1, 2, 3, 4):
             g = seeded_phase_graph(spec, seed)
-            expected = []
-            for u, v in g.edges():
-                def gap(p, u=u, v=v):
-                    return weighted_pair_pt_min_eig(weighted_reduced_pair(g, u, v, family.pauli(p)))
+            got = lifetime_lower_bound(g, family).per_edge
+            assert got == scalar_edge_results(g, family), (spec, seed)
 
-                r = bisect(gap, EDGE_BRACKET[0], EDGE_BRACKET[1])
-                p_crit = r.value if r.sign_change_found else math.nan
-                expected.append(EdgeThreshold(u, v, g.phase(u, v), p_crit, r.sign_change_found, r.iterations))
-            assert lifetime_lower_bound(g, family).per_edge == tuple(expected), (spec, seed)
+
+@pytest.mark.parametrize("family", [DEPOL, DEPHASING, BITFLIP], ids=lambda f: f.kind)
+def test_weighted_route_block_size_does_not_move_results(monkeypatch, family):
+    # A block of one matrix bisects each edge alone, one point per call; a
+    # block of 40 splits the edges into groups and the stacks into pieces.
+    graphs = [seeded_phase_graph(spec, seed) for spec in LOCKSTEP_GRAPHS for seed in (5, 6)]
+    default = [lifetime_lower_bound(g, family) for g in graphs]
+    for block in (1, 40):
+        monkeypatch.setattr(pairdistill, "_PAIR_BLOCK", block)
+        assert [lifetime_lower_bound(g, family) for g in graphs] == default, block
+
+
+def poisoned_spectra(window, value):
+    """hermitian_spectrum, with every smallest eigenvalue inside window
+    replaced by value."""
+    spectrum = pairdistill.hermitian_spectrum
+
+    def poisoned(m):
+        eigs = spectrum(m)
+        low = eigs[..., 0]
+        eigs[..., 0] = np.where((window[0] < low) & (low < window[1]), value, low)
+        return eigs
+
+    return poisoned
+
+
+@pytest.mark.parametrize("window,value", [
+    ((-0.002, -0.001), math.nan),  # met while refining
+    ((0.05, 0.06), -1.0),  # an extra sign change on some pre-scan grids
+    ((-0.3, -0.2), math.inf),  # on the pre-scan grid
+], ids=["nan", "crossings", "inf"])
+def test_weighted_route_raises_what_the_edge_by_edge_route_raises(monkeypatch, window, value):
+    monkeypatch.setattr(pairdistill, "hermitian_spectrum", poisoned_spectra(window, value))
+    for spec in LOCKSTEP_GRAPHS:
+        g = seeded_phase_graph(spec, 1)
+        outcomes = []
+        for route in (lambda: lifetime_lower_bound(g, DEPOL).per_edge,
+                      lambda: scalar_edge_results(g, DEPOL)):
+            try:
+                outcomes.append(route())
+            except EvaluationError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert isinstance(outcomes[1], tuple), spec  # the poison does make it raise
+        assert outcomes[0] == outcomes[1], spec
 
 
 def test_stacked_pair_builder_matches_one_channel_builds():
