@@ -278,9 +278,11 @@ def eb_threshold(
     the dual state, which works for every channel kind.  A result with
     sign_change_found=False means the family never crosses the boundary in
     the bracket; in particular the decay channel never breaks, which the
-    analytic route reports exactly, while the dual-state route loses the
+    analytic route reports exactly.  The dual-state route loses the
     surviving coherence to round-off once exp(-kappa t) drops below double
-    precision (around kappa t ~ 37) and stops being informative there.
+    precision (around kappa t ~ 37), where the PT minimum becomes exactly
+    0.0; that zero is not certified PPT, so this route reads it as not
+    breaking and reports no crossing there either.
     """
     if family.kind in ("pauli",):
         raise ValidationError("a fixed pauli channel has no axis to solve along")
@@ -290,7 +292,8 @@ def eb_threshold(
         lo, hi = 1e-9, 50.0
     if via == "jamiolkowski":
         def gap(x: float) -> float:
-            return min_eig(partial_transpose(jamiolkowski_state(family.matrix(x)), 1))
+            v = min_eig(partial_transpose(jamiolkowski_state(family.matrix(x)), 1))
+            return v if v != 0.0 else -1.0
     elif via == "analytic":
         if family.is_pauli_family:
             def gap(p: float) -> float:

@@ -19,9 +19,11 @@ only when it exceeds fourier_bound, its distance from the gather's value.
 Where it does not, and at the clean end of the bracket, which sets the
 argmin and the verdict of splits without a crossing, the gather supplies
 the value.  So every bisection takes the steps it would take on the gather
-alone, and every entry of the report is the gather's.  Each split's
-transform is built once, for its clean end, and kept until its bisection
-ends; the gather keeps no index between calls.
+alone, and every entry of the report is the gather's.  The splits bisect
+through numeric.bisect_lockstep.  Each split's transform is built once,
+for its clean end, and kept only while the split can still refine: a
+split whose pre-scan shows no sign change drops it at once, the others
+when the scan returns.  The gather keeps no index between calls.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .numeric import (
     ThresholdResult,
     Tolerance,
     bisect,
-    bisect_steps,
+    bisect_lockstep,
     prescan_grid,
 )
 
@@ -558,9 +560,9 @@ def _fourier_mins(form: FourierForm, a_masks: np.ndarray, ps: np.ndarray) -> np.
 
 
 def _ppt_signed(v: float) -> float:
-    """A PT minimum as bisect_steps reads it: negative exactly when v is,
-    and 1.0 for an exact zero, which is PPT (as _scan_entry's verdict reads
-    it) rather than a root."""
+    """A PT minimum as bisection reads it: negative exactly when v is, and
+    1.0 for an exact zero, which is PPT (as _scan_entry's verdict reads it)
+    rather than a root."""
     return v if v != 0.0 else 1.0
 
 
@@ -579,9 +581,12 @@ def _scan_splits(
     (PartitionTransform.apply on the noisy weights) supplies the value, so
     every bisection takes the steps it would take on the gather alone.  The
     clean-end row, which gives the argmin and the verdict of splits without
-    a crossing, is always gathered.  The transform built for that row is kept
-    until the split's bisection ends, so partition_transform runs once per
-    split; noisy weights are computed once per p and shared by every split.
+    a crossing, is always gathered.  bisect_lockstep draws the splits' grids
+    one at a time and refines them together.  partition_transform runs once
+    per split, for the clean end, and a split keeps its transform only while
+    it can still refine: one whose pre-scan shows no sign change drops it
+    at once, the others when the scan returns.  Noisy weights are computed
+    once per p and shared by every split.
 
     Under bitflip noise the minimum of some splits is exactly 0.0 over a
     whole range of p.  A split whose pre-scan meets an exact zero reads
@@ -591,8 +596,6 @@ def _scan_splits(
     either way, and reading it as PPT would move those values by up to a
     few 1e-9 without making them exact.
     """
-    if not parts:
-        return []
     cache: dict[float, np.ndarray] = {}
 
     def weights(p: float) -> np.ndarray:
@@ -601,8 +604,10 @@ def _scan_splits(
             lam = cache[p] = lambda_from_pauli(g, family.pauli(p)).lam
         return lam
 
-    transforms: dict[int, PartitionTransform] = {}  # of splits still bisecting
+    transforms: dict[int, PartitionTransform] = {}  # of splits with a sign change
     zero_is_ppt: set[int] = set()  # splits whose pre-scan met an exact zero
+    bounds = []
+    clean_ends = []
 
     def gathered(i: int, p: float) -> float:
         v = float(transforms[i].apply(weights(p)).min())
@@ -616,42 +621,28 @@ def _scan_splits(
         form, np.repeat(a_masks, len(grid)), np.tile(grid, len(parts))
     ).reshape(len(parts), len(grid))
 
-    entries: list[PartitionScanEntry | None] = [None] * len(parts)
-    bounds = []
-    clean_ends = []
-    active = []  # (split number, bisection steps, next point)
+    def grids():
+        for i, part in enumerate(parts):
+            transform = transforms[i] = partition_transform(g, part)
+            clean = transform.apply(weights(hi))
+            clean_ends.append((float(clean.min()), int(np.argmin(clean))))
+            bounds.append(fourier_bound(g.n, transform.rank))
+            fourier = zip(grid, grid_mins[i].tolist())
+            ys = [v if abs(v) > bounds[i] else gathered(i, x) for x, v in fourier]
+            ys.append(clean_ends[i][0])
+            if 0.0 in ys:
+                zero_is_ppt.add(i)
+                ys = [_ppt_signed(y) for y in ys]
+            if min(ys) > 0.0 or max(ys) < 0.0:
+                del transforms[i]  # no sign change: nothing to refine
+            yield ys
 
-    def advance(i: int, steps, y: float | None) -> None:
-        try:
-            x = steps.send(y)
-        except StopIteration as stop:
-            del transforms[i]
-            entries[i] = _scan_entry(parts[i], stop.value, *clean_ends[i])
-        else:
-            active.append((i, steps, x))
+    def refine(split: np.ndarray, ps: np.ndarray) -> list[float]:
+        fourier = zip(split.tolist(), ps.tolist(), _fourier_mins(form, a_masks[split], ps).tolist())
+        return [v if abs(v) > bounds[i] else gathered(i, x) for i, x, v in fourier]
 
-    for i, part in enumerate(parts):
-        transform = transforms[i] = partition_transform(g, part)
-        clean = transform.apply(weights(hi))
-        clean_ends.append((float(clean.min()), int(np.argmin(clean))))
-        bounds.append(fourier_bound(g.n, transform.rank))
-        ys = [
-            v if abs(v) > bounds[i] else gathered(i, x)
-            for x, v in zip(grid, grid_mins[i].tolist())
-        ]
-        ys.append(clean_ends[i][0])
-        if 0.0 in ys:
-            zero_is_ppt.add(i)
-            ys = [_ppt_signed(y) for y in ys]
-        advance(i, bisect_steps(lo, hi, ys, tol), None)
-
-    while active:
-        stepping, active = active, []
-        split = np.array([i for i, _, _ in stepping])
-        mins = _fourier_mins(form, a_masks[split], np.array([x for _, _, x in stepping]))
-        for (i, steps, x), v in zip(stepping, mins.tolist()):
-            advance(i, steps, v if abs(v) > bounds[i] else gathered(i, x))
-    return entries
+    results = bisect_lockstep(refine, grids(), lo, hi, tol)
+    return [_scan_entry(part, r, *clean) for part, r, clean in zip(parts, results, clean_ends)]
 
 
 def _scan_entry(

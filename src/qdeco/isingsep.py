@@ -30,6 +30,7 @@ from .numeric import (
     bisect_lockstep,
     hermitian_spectrum,
     partial_transpose,
+    prescan_grid,
 )
 
 GATE_BRACKET = (1e-9, 1.0 - 1e-9)
@@ -130,10 +131,10 @@ def weighted_gate_thresholds(
     """weighted_gate_threshold of every (phi, deg_k, deg_l) in gates.
 
     Every gate is checked first, in order.  The gates then bisect in
-    lockstep, in groups of _GATE_BLOCK, with every pre-scan grid and
-    refinement round formed and diagonalised as stacks of at most
-    _GATE_BLOCK gate states.  A gate whose state never turns separable
-    inside the bracket (phi ~ 0) gets 1.0.
+    lockstep, every pre-scan grid and refinement round formed and
+    diagonalised as stacks of at most _GATE_BLOCK gate states.  A gate
+    whose state never turns separable inside the bracket (phi ~ 0) gets
+    1.0.
     """
     for phi, deg_k, deg_l in gates:
         if min(deg_k, deg_l) < 1:
@@ -146,21 +147,23 @@ def weighted_gate_thresholds(
     # eigenvalue is an exact zero; the floor stays so that each root (and
     # the effect of --eig-zero, which replaces it) is where it was.
     floor = tol.eig_floor(16)
-    thresholds = []
-    for s in range(0, len(gates), _GATE_BLOCK):
-        group = gates[s : s + _GATE_BLOCK]
-        outers = np.array([gate_outer(phi) for phi, _, _ in group])
+    outers = np.array([gate_outer(phi) for phi, _, _ in gates])
 
-        def gaps(problems, ps, group=group, outers=outers) -> list[float]:
-            degs = [group[i][1:] for i in problems.tolist()]
-            p_z = [p ** (1.0 / deg_k) for p, (deg_k, _) in zip(ps.tolist(), degs)]
-            q_z = [p ** (1.0 / deg_l) for p, (_, deg_l) in zip(ps.tolist(), degs)]
-            rho = _gate_states(outers[problems], np.array(p_z), np.array(q_z))
-            return (_pt_min_eigs(rho) - floor).tolist()
+    def gaps(problems, ps) -> list[float]:
+        out = []
+        for s in range(0, len(ps), _GATE_BLOCK):
+            at, at_ps = problems[s : s + _GATE_BLOCK], ps[s : s + _GATE_BLOCK].tolist()
+            degs = [gates[i][1:] for i in at.tolist()]
+            p_z = [p ** (1.0 / deg_k) for p, (deg_k, _) in zip(at_ps, degs)]
+            q_z = [p ** (1.0 / deg_l) for p, (_, deg_l) in zip(at_ps, degs)]
+            rho = _gate_states(outers[at], np.array(p_z), np.array(q_z))
+            out += (_pt_min_eigs(rho) - floor).tolist()
+        return out
 
-        results = bisect_lockstep(gaps, len(group), *GATE_BRACKET, tol, _GATE_BLOCK)
-        thresholds += [r.value if r.sign_change_found else 1.0 for r in results]
-    return thresholds
+    grid = np.array(prescan_grid(*GATE_BRACKET))
+    grids = (gaps(np.full(len(grid), i), grid) for i in range(len(gates)))
+    results = bisect_lockstep(gaps, grids, *GATE_BRACKET, tol)
+    return [r.value if r.sign_change_found else 1.0 for r in results]
 
 
 @dataclass(frozen=True)

@@ -3,23 +3,21 @@ dense partial transpose.
 
 Every threshold in this package is the root of an empirically monotone
 condition, so the bisection here insists on a certified single sign change
-(via a coarse pre-scan) before it refines the bracket.  One entry point
-serves every caller: bisect_from_grid takes the values of f on the
-pre-scan grid, however the caller computed them (one array pass), and
-refines with a scalar f.  bisect is bisect_from_grid with the grid
-evaluated point by point.  bisect_steps is the same bisection as a
-generator, for a caller that drives many roots at once; bisect_lockstep
-drives any number of them over one bracket, so that f sees every
-problem's pre-scan grid as one stack and then, once per refinement round,
-the midpoint of every problem still bisecting.  The Hermitian check, the
-spectra and the partial transpose take stacks (..., d, d) of matrices.
+(via a coarse pre-scan) before it refines the bracket.  The entry points
+are prescan_grid, the points of that pre-scan; bisect_from_grid, which
+takes the values of f there, however the caller computed them (one array
+pass), and refines with a scalar f; bisect, which is bisect_from_grid with
+the grid evaluated point by point; and bisect_lockstep, bisect_from_grid
+of many problems on one bracket, which calls f once per refinement round
+on the midpoint of every problem still bisecting.  The Hermitian check,
+the spectra and the partial transpose take stacks (..., d, d) of matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, Sequence
+from typing import Callable, Generator, Iterable, Sequence
 
 import numpy as np
 
@@ -89,7 +87,7 @@ def prescan_grid(lo: float, hi: float) -> list[float]:
     """The PRESCAN_POINTS + 1 points where bisect's pre-scan evaluates f.
 
     These are lo, the interior points lo + (hi - lo) * i / PRESCAN_POINTS and
-    hi itself; the values of f there are bisect_steps' grid_values.
+    hi itself; the values of f there are bisect_from_grid's grid_values.
     """
     if not lo < hi:
         raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
@@ -129,27 +127,28 @@ def _prescan(lo: float, hi: float, ys: list[float]) -> ThresholdResult | tuple[f
     return xs[crossings[0] - 1], xs[crossings[0]], ys[crossings[0] - 1]
 
 
-def bisect_steps(
+def _bisect_steps(
     lo: float,
     hi: float,
     grid_values: Sequence[float],
     tol: Tolerance = DEFAULT_TOL,
 ) -> Generator[float, float, ThresholdResult]:
-    """The bisection of `bisect` as a generator, for callers that evaluate f.
+    """The bisection of `bisect` as a generator, for loops that evaluate f.
 
-    grid_values are the values of f at prescan_grid(lo, hi), computed by the
-    caller (for instance in one vectorised call).  The generator yields each
-    refinement point where it needs f and is sent f's value there; it
-    returns the ThresholdResult (as StopIteration.value).  Only the signs of
-    the values and whether they are exactly zero steer it, so a caller may
-    send any finite value of the right sign that is zero exactly where f is.
-    Every value, given or sent, is checked to be finite.  While refining it
-    holds three floats, not the pre-scan's values.
+    grid_values are the values of f at prescan_grid(lo, hi).  The generator
+    yields each refinement point where it needs f and is sent f's value
+    there; it returns the ThresholdResult (as StopIteration.value).  Only
+    the signs of the values and whether they are exactly zero steer it, so
+    a caller may send any finite value of the right sign that is zero
+    exactly where f is.  Every value, given or sent, is checked to be
+    finite.  While refining it holds three floats, not the pre-scan's
+    values.
     """
     grid = prescan_grid(lo, hi)
     if len(grid_values) != len(grid):
         raise ValidationError(f"need {len(grid)} grid values, got {len(grid_values)}")
     found = _prescan(lo, hi, [_checked(y, x) for y, x in zip(grid_values, grid)])
+    del grid, grid_values
     if isinstance(found, ThresholdResult):
         return found
     a, b, f_a = found
@@ -184,7 +183,7 @@ def bisect_from_grid(
     the bisection, and every value, given or computed, is checked to be
     finite.
     """
-    steps = bisect_steps(lo, hi, grid_values, tol)
+    steps = _bisect_steps(lo, hi, grid_values, tol)
     y = None
     try:
         while True:
@@ -195,31 +194,26 @@ def bisect_from_grid(
 
 def bisect_lockstep(
     f: Callable[[np.ndarray, np.ndarray], Sequence[float]],
-    count: int,
+    grids: Iterable[Sequence[float]],
     lo: float,
     hi: float,
     tol: Tolerance = DEFAULT_TOL,
-    block: int | None = None,
 ) -> list[ThresholdResult]:
-    """bisect of count problems on one bracket, driven in lockstep.
+    """bisect_from_grid of many problems on one bracket, driven in lockstep.
 
-    f(problems, points) returns the value of problem problems[i] at
-    points[i] for every i.  It is called on every problem's
-    prescan_grid(lo, hi), problem by problem, then once per refinement
-    round on the midpoint of every problem still bisecting; block caps the
-    points of one call.  Result i is bisect's for problem i, iterations
-    included.  Where bisecting the problems in order would raise an
-    EvaluationError, this raises it: that of the first problem to fail.
+    grids yields, problem by problem, the values of each problem at
+    prescan_grid(lo, hi); it is consumed in order, one grid at a time, and
+    each grid is checked before the next is drawn.  f(problems, points)
+    returns the value of problem problems[i] at points[i] for every i; it
+    is called once per refinement round, on the midpoint of every problem
+    still bisecting.  Result i is bisect_from_grid's for problem i,
+    iterations included.  Where bisecting the problems in order would raise
+    an EvaluationError, this raises it: that of the first problem to fail;
+    no grid after that problem's is drawn.
     """
-    grid = prescan_grid(lo, hi)
-    results: list[ThresholdResult | None] = [None] * count
+    results: list[ThresholdResult | None] = []
     failed: tuple[int, EvaluationError] | None = None
     active = []  # (problem, bisection steps, next point)
-
-    def evaluate(problems: np.ndarray, points: np.ndarray) -> list[float]:
-        step = block or max(1, len(points))
-        calls = range(0, len(points), step)
-        return [y for s in calls for y in f(problems[s : s + step], points[s : s + step])]
 
     def advance(i: int, steps, y: float | None) -> None:
         nonlocal failed
@@ -232,12 +226,14 @@ def bisect_lockstep(
         except EvaluationError as exc:
             failed = (i, exc)
 
-    ys = evaluate(np.repeat(np.arange(count), len(grid)), np.tile(grid, count))
-    for i in range(count):
-        advance(i, bisect_steps(lo, hi, ys[i * len(grid) : (i + 1) * len(grid)], tol), None)
+    for i, ys in enumerate(grids):
+        results.append(None)
+        advance(i, _bisect_steps(lo, hi, ys, tol), None)
+        if failed is not None:
+            break
     while active:
         stepping, active = active, []
-        ys = evaluate(np.array([i for i, _, _ in stepping]), np.array([x for _, _, x in stepping]))
+        ys = f(np.array([i for i, _, _ in stepping]), np.array([x for _, _, x in stepping]))
         for (i, steps, _), y in zip(stepping, ys):
             advance(i, steps, y)
     if failed is not None:

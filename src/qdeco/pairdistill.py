@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import SIGMA, ChannelFamily, PauliChannel, named_prob_rows, named_probs
+from .channels import ChannelFamily, PauliChannel, named_prob_rows, named_probs
 from .errors import ValidationError
 from .graphs import Graph, neighborhood
 from .isingsep import D_K, D_L, gate_outer
@@ -35,7 +35,6 @@ from .numeric import (
     partial_transpose,
     prescan_grid,
 )
-from .oracle import lift_operator
 
 EDGE_BRACKET = (1e-6, 1.0 - 1e-6)
 
@@ -220,14 +219,6 @@ def universal_lower_bound(deg_k: int, deg_l: int) -> tuple[float, float]:
 # Weighted graphs: the gate state damped by the measured neighbours
 
 
-# The Paulis on qubit k (bit 0) and l (bit 1) of the pair, in SIGMA order,
-# each as a (4, 4, 4) stack, with the stack of their adjoints.
-_PAIR_PAULIS = tuple(
-    (ops, ops.conj().swapaxes(-1, -2))
-    for ops in (np.array([lift_operator(2, q, s) for s in SIGMA]) for q in (0, 1))
-)
-
-
 def _edge_phases(g: Graph, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     """p-independent part of the reduced pair state on a weighted graph.
 
@@ -261,7 +252,7 @@ def _damped_pairs(
     outcome 0 after its noise, which reads 0 with weight keep = p0 + p3
     and 1 with flip = p1 + p2, so entry (a, b) of the gate state is
     multiplied by prod_j (keep + flip phases[j, a, b]); then the full
-    channels act on k and l.
+    channels act on k and l, each Pauli by its index structure.
     """
     keep = (probs[:, 0] + probs[:, 3])[:, None, None, None]
     flip = (probs[:, 1] + probs[:, 2])[:, None, None, None]
@@ -275,10 +266,15 @@ def _damped_pairs(
         raise ValidationError("branch weights vanished; channel is degenerate")
     rho /= trace[:, None, None]
 
-    # The sum over axis 1 adds the four Pauli terms in SIGMA order.
-    probs = probs[:, :, None, None]
-    for ops, adjoints in _PAIR_PAULIS:
-        rho = (probs * (ops @ rho[:, None] @ adjoints)).sum(axis=1)
+    # On qubit mask m, X and Y move entry (a, b) to (a ^ m, b ^ m), and Y
+    # and Z sign it (-1)^|d| with d = a - b on the qubit; the four terms add
+    # in SIGMA order (I, X, Y, Z), as the sum of P rho P^dagger would.
+    p0, p1, p2, p3 = probs.T[:, :, None, None]
+    for m, d in ((1, D_K), (2, D_L)):
+        sign = 1.0 - 2.0 * np.abs(d)
+        flip = np.arange(4) ^ m
+        moved = rho[:, flip][:, :, flip]
+        rho = p0 * rho + p1 * moved + p2 * (sign * moved) + p3 * (sign * rho)
     return rho
 
 
@@ -311,12 +307,15 @@ def _weighted_edge_thresholds(
 
     With w the most other neighbours of an edge, the edges bisect in groups
     whose neighbour phases (padded to w per edge) fit in _PAIR_BLOCK 4x4
-    matrices, and each stacked evaluation holds at most that many factors
-    and Pauli terms (w + 4 per point), so memory stays bounded.
+    matrices.  Every pre-scan grid and refinement round is evaluated by one
+    stacked gap function, which reweights at most _PAIR_BLOCK // (w + 4)
+    points at a time, so each stack holds at most that many factors and
+    Pauli terms (w + 4 per point) and memory stays bounded.
     """
     width = max((neighborhood(g, u) | neighborhood(g, v)).bit_count() - 2 for u, v in edges)
     size = max(1, _PAIR_BLOCK // max(1, width))
     block = max(1, _PAIR_BLOCK // (width + 4))
+    grid = np.array(prescan_grid(*EDGE_BRACKET))
     results = []
     for s in range(0, len(edges), size):
         group = [_edge_phases(g, u, v) for u, v in edges[s : s + size]]
@@ -327,11 +326,16 @@ def _weighted_edge_thresholds(
             phases[e, : len(own)], pad[e, : len(own)] = own, False
 
         def gaps(problems, ps, outers=outers, phases=phases, pad=pad) -> list[float]:
-            probs = named_prob_rows(kind, ps)
-            rho = _damped_pairs(outers[problems], phases[problems], probs, pad[problems])
-            return hermitian_spectrum(partial_transpose(rho, 1))[:, 0].tolist()
+            out = []
+            for c in range(0, len(ps), block):
+                at = problems[c : c + block]
+                probs = named_prob_rows(kind, ps[c : c + block])
+                rho = _damped_pairs(outers[at], phases[at], probs, pad[at])
+                out += hermitian_spectrum(partial_transpose(rho, 1))[:, 0].tolist()
+            return out
 
-        results += bisect_lockstep(gaps, len(group), *EDGE_BRACKET, tol, block)
+        grids = (gaps(np.full(len(grid), e), grid) for e in range(len(group)))
+        results += bisect_lockstep(gaps, grids, *EDGE_BRACKET, tol)
     return results
 
 

@@ -211,21 +211,27 @@ def test_eb_threshold_routes_agree_for_qo():
 
 
 def test_decay_never_breaks():
-    fam = ChannelFamily.from_spec({"kind": "decay", "kappa": 1.0})
-    res = eb_threshold(fam, via="analytic")
-    assert not res.sign_change_found
-    # The dual-state route certifies strict NPT wherever round-off still
-    # resolves the surviving coherence.
     from qdeco.numeric import min_eig
 
     idx = np.arange(4)
     rows = (idx[:, None] & ~1) | (idx[None, :] & 1)
     cols = (idx[None, :] & ~1) | (idx[:, None] & 1)
-    for t in np.linspace(0.1, 30.0, 16):
-        state = jamiolkowski_state(fam.matrix(float(t)))
-        pt = np.zeros_like(state)
-        pt[rows, cols] = state
-        assert min_eig(pt) < 0.0
+    for kappa in (1.0, 3.0):
+        fam = ChannelFamily.from_spec({"kind": "decay", "kappa": kappa})
+        res = eb_threshold(fam, via="analytic")
+        assert not res.sign_change_found
+        # Past kappa t ~ 38 the dual state's PT minimum underflows to
+        # exactly 0.0, which is not certified PPT: the dual-state route
+        # reports no crossing either, not the bracket end.
+        res = eb_threshold(fam, via="jamiolkowski")
+        assert not res.sign_change_found and math.isnan(res.value)
+        # The dual-state route certifies strict NPT wherever round-off still
+        # resolves the surviving coherence.
+        for t in np.linspace(0.1, 30.0, 16) / kappa:
+            state = jamiolkowski_state(fam.matrix(float(t)))
+            pt = np.zeros_like(state)
+            pt[rows, cols] = state
+            assert min_eig(pt) < 0.0
 
 
 def test_dephasing_never_breaks_for_positive_p():

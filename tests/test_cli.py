@@ -145,6 +145,15 @@ def test_upper_eb_decay_never_breaks(tmp_path):
     assert any("never becomes entanglement breaking" in w for w in payload["warnings"])
 
 
+def test_upper_eb_decay_never_breaks_on_the_dual_state_route(tmp_path):
+    code, meta, data = run_csv(
+        tmp_path, ["upper", "--method", "eb", "--channel", "decay", "--via", "jamiolkowski"]
+    )
+    assert code == 0
+    assert data == ["axis,threshold", "t,"]
+    assert any("never becomes entanglement breaking" in line for line in meta)
+
+
 def test_upper_ising_ring(tmp_path):
     code, payload = run_json(tmp_path, ["upper", "--method", "ising", "--graph", "ring:4"])
     assert code == 0

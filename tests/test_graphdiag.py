@@ -1,5 +1,6 @@
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -46,7 +47,6 @@ from qdeco.numeric import (
     MultipleCrossingsError,
     Tolerance,
     bisect,
-    bisect_steps,
     prescan_grid,
 )
 from qdeco.oracle import (
@@ -767,6 +767,27 @@ def test_scan_builds_each_transform_once(monkeypatch):
     assert len(built) == len(set(built)) == 255
 
 
+@pytest.mark.parametrize("spec,most", [("ring:8", 3), ("line:7", 9)])
+def test_scan_holds_a_transform_only_while_its_split_can_refine(monkeypatch, spec, most):
+    # A split whose pre-scan shows no sign change drops its transform, so
+    # few are alive at once; holding every one would reach 127 on ring:8.
+    live = weakref.WeakSet()
+    peak = 0
+
+    def counting(g, part):
+        nonlocal peak
+        transform = partition_transform(g, part)
+        live.add(transform)
+        peak = max(peak, len(live))
+        return transform
+
+    monkeypatch.setattr(graphdiag, "partition_transform", counting)
+    g = load_graph(spec)
+    report = scan_partitions(g, BITFLIP)
+    assert 0 < peak <= most
+    assert len(report.entries) == 2 ** (g.n - 1) - 1
+
+
 def test_scan_and_pt_spectrum_without_numpy_bitwise_count(monkeypatch):
     # NumPy 1.x has no bitwise_count; the bit counts must not need it.
     g = make_lattice("ring", 6)
@@ -790,16 +811,11 @@ def _gather_steered_points(g, family, part):
 
     lo, hi = SCAN_BRACKET
     min_pt = _zero_as_ppt_if_prescan_zero(min_pt, lo, hi)
-    grid = prescan_grid(lo, hi)
-    points = grid[:-1]
-    steps = bisect_steps(lo, hi, grid_values=[min_pt(x) for x in grid])
-    try:
-        x = next(steps)
-        while True:
-            points.append(x)
-            x = steps.send(min_pt(x))
-    except StopIteration:
-        return points, transform.rank
+    points = []
+    bisect(lambda p: points.append(p) or min_pt(p), lo, hi)
+    # bisect evaluates the whole pre-scan grid, hi last, then each midpoint.
+    del points[len(prescan_grid(lo, hi)) - 1]
+    return points, transform.rank
 
 
 def _undecided(g, family, part, points, rank):

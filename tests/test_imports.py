@@ -1,8 +1,11 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and no
+library module but the command line imports the test oracle.
 
 A stand-in for pyflakes' unused-import check, on the standard library's
 ast alone.  Package __init__ files are skipped: their imports are the
-package's re-exports.
+package's re-exports.  The dense oracle (qdeco.oracle) checks the library
+from outside; a library module that imports it no longer can be checked
+against it independently.
 """
 
 import ast
@@ -44,3 +47,42 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Every module an import statement of source names, relative ones with
+    their leading dots."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            out.add(base)
+            if node.module is None:  # from . import oracle
+                out.update(base + alias.name for alias in node.names)
+    return out
+
+
+def imports_oracle(source: str) -> bool:
+    return bool({".oracle", "qdeco.oracle"} & imported_modules(source))
+
+
+def test_oracle_checker_finds_every_form_of_import():
+    for source in (
+        "from .oracle import lift_operator\n",
+        "from . import oracle\n",
+        "import qdeco.oracle\n",
+        "from qdeco.oracle import dense_graph_state\n",
+    ):
+        assert imports_oracle(source), source
+    assert not imports_oracle("from .channels import SIGMA\nfrom . import numeric\n")
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in (ROOT / "src/qdeco").glob("*.py") if p.name not in ("cli.py", "oracle.py")],
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_library_module_does_not_import_the_oracle(path):
+    assert not imports_oracle(path.read_text())

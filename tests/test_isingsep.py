@@ -161,8 +161,9 @@ def test_weighted_report_matches_edge_by_edge_scalar_bisection(family):
 
 
 def test_gate_block_size_does_not_move_results(monkeypatch):
-    # A block of one state bisects each gate alone; a block of 100 puts one
-    # gate's pre-scan grid (65 states) in each group.
+    # A block of one state evaluates every point alone; a block of 100
+    # evaluates each gate's pre-scan grid (65 states) in one call and the
+    # larger refinement rounds in pieces.
     gates = [(phi, dk, dl) for phi in (1e-12, 0.3, 1.0, 2.0, math.pi)
              for dk, dl in ((1, 1), (1, 3), (2, 2), (4, 5))]
     graphs = [seeded_phase_graph(spec, 5) for spec in LOCKSTEP_GRAPHS]

@@ -12,9 +12,9 @@ from qdeco.numeric import (
     MultipleCrossingsError,
     Tolerance,
     ThresholdResult,
+    _bisect_steps,
     bisect,
     bisect_lockstep,
-    bisect_steps,
     check_hermitian,
     hermitian_spectrum,
     min_eig,
@@ -98,13 +98,13 @@ def test_prescan_grid_ends_at_hi_itself():
 
 
 def _drive(f, lo, hi, tol=DEFAULT_TOL, grid_values=None):
-    """bisect_steps run by hand: the result and every point it asked for.
+    """_bisect_steps run by hand: the result and every point it asked for.
 
     grid_values default to f at prescan_grid(lo, hi).
     """
     if grid_values is None:
         grid_values = [f(x) for x in prescan_grid(lo, hi)]
-    steps = bisect_steps(lo, hi, grid_values, tol)
+    steps = _bisect_steps(lo, hi, grid_values, tol)
     points = []
     try:
         x = next(steps)
@@ -133,7 +133,7 @@ def test_bisect_steps_driven_by_hand_match_bisect(case):
 
 @pytest.mark.parametrize("case", range(len(BISECT_CASES)))
 def test_bisect_grid_values_match_f_only_path(case):
-    # Grid values computed outside bisect_steps give the same result as
+    # Grid values computed outside _bisect_steps give the same result as
     # bisect, which evaluates f on the grid itself.
     f, lo, hi = BISECT_CASES[case]
     grid = [f(x) for x in prescan_grid(lo, hi)]
@@ -148,32 +148,50 @@ def _outcome(f, lo, hi, tol=DEFAULT_TOL):
         return type(exc), str(exc)
 
 
-def _lockstep(fs, lo, hi, tol=DEFAULT_TOL, block=None):
-    """bisect_lockstep over the scalar functions fs, recording each call."""
+def _lockstep(fs, lo, hi, tol=DEFAULT_TOL):
+    """bisect_lockstep over the scalar functions fs, each grid evaluated
+    point by point: the result (or the class and message of what it
+    raises), each refinement call and the number of grids drawn."""
     calls = []
+    drawn = []
+
+    def grids():
+        for f in fs:
+            drawn.append(f)
+            yield [f(x) for x in prescan_grid(lo, hi)]
 
     def f(problems, points):
-        assert len(problems) == len(points) and len(points) <= (block or len(points))
+        assert len(problems) == len(points)
         calls.append(list(zip(problems.tolist(), points.tolist())))
         return [fs[i](x) for i, x in zip(problems.tolist(), points.tolist())]
 
     try:
-        return bisect_lockstep(f, len(fs), lo, hi, tol, block), calls
+        return bisect_lockstep(f, grids(), lo, hi, tol), calls, len(drawn)
     except EvaluationError as exc:
-        return (type(exc), str(exc)), calls
+        return (type(exc), str(exc)), calls, len(drawn)
+
+
+def _midpoints(f, lo, hi, tol=DEFAULT_TOL):
+    """The points where bisect refines f, up to where it ends or fails."""
+    points = []
+    grid = prescan_grid(lo, hi)
+    try:
+        bisect(lambda x: points.append(x) or f(x), lo, hi, tol)
+    except EvaluationError:
+        pass
+    return points[len(grid) :]
 
 
 @pytest.mark.parametrize("case", range(len(STEP_CASES)))
 def test_bisect_stacked_matches_bisect(case):
-    # bisect_lockstep of one problem: the stacked f sees the whole grid as
-    # one call, then one-point calls at exactly the points bisect evaluates
-    # one by one.
+    # bisect_lockstep of one problem: f sees one-point calls at exactly the
+    # points bisect evaluates one by one after the grid.
     f, lo, hi, *tol = STEP_CASES[case]
     tol = tol[0] if tol else DEFAULT_TOL
     result, points = _drive(f, lo, hi, tol)
-    got, calls = _lockstep([f], lo, hi, tol)
+    got, calls, drawn = _lockstep([f], lo, hi, tol)
     assert got == [bisect(f, lo, hi, tol)] == [result]
-    assert calls == [[(0, x) for x in prescan_grid(lo, hi)]] + [[(0, x)] for x in points]
+    assert calls == [[(0, x)] for x in points] and drawn == 1
 
 
 # Problems on [0, 1] of each kind bisect_lockstep must keep apart.
@@ -189,6 +207,7 @@ LOCKSTEP_CASES = {
     "two crossings": lambda x: (x - 0.2) * (x - 0.8),
 }
 FAILING = {"non-finite on the grid", "non-finite while refining", "two crossings"}
+FAILING_ON_THE_GRID = {"non-finite on the grid", "two crossings"}
 PROBLEM_SETS = [
     ["root", "no crossing", "zero on the grid", "zero while refining", "step", "slow root"],
     ["step", "root", "root", "no crossing"],
@@ -214,34 +233,46 @@ def test_lockstep_cases_are_what_they_say():
         assert all(map(math.isfinite, grid)) == (name != "non-finite on the grid")
 
 
-@pytest.mark.parametrize("block", [None, 1, 7])
 @pytest.mark.parametrize("names", PROBLEM_SETS, ids=lambda names: "+".join(names))
-def test_bisect_lockstep_matches_bisect_per_problem(names, block):
+def test_bisect_lockstep_matches_bisect_per_problem(names):
     # Each result equals bisect's (value, bracket and iterations); a set
-    # with a failing problem raises what bisecting in order raises first.
+    # with a failing problem raises what bisecting in order raises first,
+    # and no grid is drawn after the first one that fails its pre-scan.
     fs = [LOCKSTEP_CASES[name] for name in names]
     expected = [_outcome(f, 0.0, 1.0) for f in fs]
     failures = [e for e in expected if not isinstance(e, ThresholdResult)]
-    got, calls = _lockstep(fs, 0.0, 1.0, block=block)
+    got, calls, drawn = _lockstep(fs, 0.0, 1.0)
     assert got == (failures[0] if failures else expected)
-    if block is None:
-        # Every grid in one call, problem by problem, then one call a round.
-        grid = prescan_grid(0.0, 1.0)
-        assert calls[0] == [(i, x) for i in range(len(fs)) for x in grid]
-        if not failures:
-            assert len(calls) == 1 + max(r.iterations for r in expected)
+    prescan_failing = [i for i, name in enumerate(names) if name in FAILING_ON_THE_GRID]
+    assert drawn == (prescan_failing + [len(fs) - 1])[0] + 1
+    # Refinement round r holds the r-th midpoint of problems still
+    # bisecting, in problem order: all of them when no problem fails.
+    midpoints = [_midpoints(f, 0.0, 1.0) for f in fs]
+    for r, call in enumerate(calls):
+        bisecting = [(i, m[r]) for i, m in enumerate(midpoints) if r < len(m)]
+        if failures:
+            assert set(call) <= set(bisecting)
+        else:
+            assert call == bisecting
     if not failures:
-        points = len(fs) * len(prescan_grid(0.0, 1.0)) + sum(r.iterations for r in expected)
-        assert sum(len(c) for c in calls) == points
+        assert len(calls) == max(r.iterations for r in expected)
 
 
 def test_bisect_stacked_accepts_array_values_and_checks_them():
-    # bisect_lockstep's f may return an array; every value is checked.
-    rs = bisect_lockstep(lambda problems, xs: xs - 0.3 - 0.1 * problems, 3, 0.0, 1.0)
+    # bisect_lockstep's grids and f may be arrays; every value is checked.
+    def f(problems, xs):
+        return xs - 0.3 - 0.1 * problems
+
+    grid = np.array(prescan_grid(0.0, 1.0))
+    rs = bisect_lockstep(f, (f(np.full(len(grid), i), grid) for i in range(3)), 0.0, 1.0)
     assert rs == [bisect(lambda x, i=i: x - 0.3 - 0.1 * i, 0.0, 1.0) for i in range(3)]
     with pytest.raises(EvaluationError):
-        bisect_lockstep(lambda problems, xs: [math.nan] * len(xs), 2, 0.0, 1.0)
-    assert bisect_lockstep(lambda problems, xs: xs, 0, 0.0, 1.0) == []
+        bisect_lockstep(f, [grid - 0.3, grid * math.nan], 0.0, 1.0)
+    with pytest.raises(EvaluationError):
+        bisect_lockstep(lambda problems, xs: [math.nan] * len(xs), [grid - 0.3] * 2, 0.0, 1.0)
+    with pytest.raises(ValidationError):
+        bisect_lockstep(f, [grid[:-1]], 0.0, 1.0)
+    assert bisect_lockstep(f, [], 0.0, 1.0) == []
 
 
 def test_bisect_checks_the_bracket_before_evaluating_f():
