@@ -43,7 +43,7 @@ class PauliChannel:
 
     def __post_init__(self) -> None:
         probs = self.probs
-        if any(p < -_PROB_ATOL or p > 1 + _PROB_ATOL for p in probs):
+        if not all(-_PROB_ATOL <= p <= 1 + _PROB_ATOL for p in probs):  # NaN fails too
             raise ValidationError(f"probabilities outside [0,1]: {probs}")
         if abs(sum(probs) - 1.0) > _PROB_ATOL:
             raise ValidationError(f"probabilities sum to {sum(probs)}, not 1")
@@ -101,10 +101,11 @@ class QoChannel:
     s: float
 
     def __post_init__(self) -> None:
-        if self.B < 0:
-            raise ValidationError("B must be non-negative")
-        if 2 * self.C < self.B - 1e-15:
-            raise ValidationError("need 2C >= B")
+        # Written so that NaN and inf fail too.
+        if not 0.0 <= self.B < math.inf:
+            raise ValidationError(f"B must be finite and non-negative, got {self.B}")
+        if not self.B - 1e-15 <= 2 * self.C < math.inf:
+            raise ValidationError(f"need 2C >= B and C finite, got C={self.C}")
         if not 0.0 <= self.s <= 1.0:
             raise ValidationError("s must lie in [0, 1]")
 
@@ -230,9 +231,7 @@ _BELL0[0] = _BELL0[3] = 1 / math.sqrt(2)
 _PHI = [np.kron(s, np.eye(2)) @ _BELL0 for s in SIGMA]
 
 
-def jamiolkowski_state(
-    ch: ChannelMatrix, tol: Tolerance = DEFAULT_TOL, validate: bool = True
-) -> np.ndarray:
+def jamiolkowski_state(ch: ChannelMatrix, validate: bool = True) -> np.ndarray:
     """The 4x4 state dual to the channel: sum_ij P[i,j] |Phi_i><Phi_j|."""
     rho = np.zeros((4, 4), dtype=complex)
     for i in range(4):
@@ -242,7 +241,7 @@ def jamiolkowski_state(
     if validate:
         if abs(np.trace(rho).real - 1.0) > 1e-10:
             raise ValidationError("channel is not trace normalized")
-        if min_eig(rho) < tol.eig_floor(4):
+        if min_eig(rho) < DEFAULT_TOL.eig_floor(4):
             raise ValidationError("channel matrix is not completely positive")
     return rho
 
@@ -427,6 +426,8 @@ class ChannelFamily:
             extra = {k: float(v) for k, v in spec.items() if k != "kind"}
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"channel parameters must be numbers: {exc}") from exc
+        if not all(map(math.isfinite, extra.values())):
+            raise ValidationError(f"channel parameters must be finite, got {extra}")
         if kind in ("depolarizing", "dephasing", "bitflip"):
             allowed = set()
         elif kind == "pauli":

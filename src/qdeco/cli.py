@@ -102,13 +102,7 @@ def _parse_sweep(text: str) -> list[float]:
 
 def _tolerance(ns: argparse.Namespace) -> Tolerance:
     tol_root = getattr(ns, "tol_root", None)
-    eig_zero = getattr(ns, "eig_zero", None)
-    if tol_root is None and eig_zero is None:
-        return DEFAULT_TOL
-    return Tolerance(
-        abs_root=tol_root if tol_root is not None else DEFAULT_TOL.abs_root,
-        eig_zero=eig_zero,
-    )
+    return DEFAULT_TOL if tol_root is None else Tolerance(abs_root=tol_root)
 
 
 def _qo_channel(family: ChannelFamily) -> QoChannel:
@@ -276,9 +270,16 @@ def _cmd_lower(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
     return out
 
 
+# The flags of `upper` that only some methods read, with their defaults, and
+# the ones each method reads; a method exits 2 on any other one given.
+_UPPER_OPTIONAL = {"graph": None, "jobs": 1, "via": "analytic"}
+_UPPER_READS = {"eb": {"via"}, "ising": {"graph"}, "ppt": {"graph", "jobs"}}
+
+
 def _cmd_upper(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
-    if ns.eig_zero is not None and ns.method != "ising":
-        raise ValidationError(f"--eig-zero is read only by --method ising, not {ns.method}")
+    for name, default in _UPPER_OPTIONAL.items():
+        if name not in _UPPER_READS[ns.method] and getattr(ns, name) != default:
+            raise ValidationError(f"--method {ns.method} does not read --{name}")
     family = _parse_channel(ns.channel)
     out = CommandOutput()
     if ns.method == "eb":
@@ -506,7 +507,6 @@ _SHARED_FLAGS = {
     "--channel": dict(default="depolarizing", help="channel name, inline JSON spec, or @file"),
     "--jobs": dict(type=int, default=1, help="worker processes"),
     "--tol-root": dict(type=float, default=None, help="bisection tolerance override"),
-    "--eig-zero": dict(type=float, default=None, help="eigenvalue zero floor override"),
 }
 
 
@@ -538,14 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add(
         "upper", "lifetime upper bounds",
-        "--graph", "--channel", "--jobs", "--tol-root", "--eig-zero",
+        "--graph", "--channel", "--jobs", "--tol-root",
     )
     p.add_argument("--method", choices=("eb", "ising", "ppt"), required=True)
     p.add_argument("--via", choices=("analytic", "jamiolkowski"), default="analytic")
 
     add("scan", "critical noise per bipartition", "--graph", "--channel", "--jobs", "--tol-root")
 
-    p = add("weighted", "weighted-gate separability thresholds", "--tol-root", "--eig-zero")
+    p = add("weighted", "weighted-gate separability thresholds", "--tol-root")
     p.add_argument("--sweep-phi", required=True, help="START:STOP:STEP over the gate phase")
     p.add_argument("--deg", type=int, default=1, help="degree of both gate ends")
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -680,6 +679,8 @@ def scan_partitions(
     parts = list(bipartitions(g))
     jobs = min(jobs, len(parts), os.cpu_count() or 1)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled scan loads it
+
         # Interleaved slices balance the work; each worker keeps its own dict.
         slices = [parts[i::jobs] for i in range(jobs)]
         entries = [None] * len(parts)

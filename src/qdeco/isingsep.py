@@ -109,6 +109,13 @@ class NoisyGateState:
 
 _GATE_BLOCK = 1 << 7  # gate states in one stacked evaluation
 
+# A gate is separable once its PT minimum reaches this (DEFAULT_TOL's floor
+# for dimension 16), not 0: near phi = 0 eigvalsh round-off is as large as
+# the gap.  With a zero floor the root at phi = 1e-8 moves from 1 - 5e-9
+# (true: 1 - phi/2) to 1 - 1.3e-8, and phi = 1e-15 gets a root below 1; at
+# phi >= 0.5 the floor moves a root by at most 1.2e-10, near abs_root.
+GATE_FLOOR = -16e-12
+
 
 def weighted_gate_threshold(
     phi: float, deg_k: int, deg_l: int, tol: Tolerance = DEFAULT_TOL
@@ -132,21 +139,15 @@ def weighted_gate_thresholds(
 
     Every gate is checked first, in order.  The gates then bisect in
     lockstep, every pre-scan grid and refinement round formed and
-    diagonalised as stacks of at most _GATE_BLOCK gate states.  A gate
-    whose state never turns separable inside the bracket (phi ~ 0) gets
-    1.0.
+    diagonalised as stacks of at most _GATE_BLOCK gate states.  A gate is
+    separable where its PT minimum is at least GATE_FLOOR; a gate whose
+    state never turns separable inside the bracket (phi ~ 0) gets 1.0.
     """
     for phi, deg_k, deg_l in gates:
         if min(deg_k, deg_l) < 1:
             raise ValidationError("degrees must be at least 1")
         _check_phase(phi)
 
-    # The gap is shifted by the eigenvalue floor of a 16-dimensional matrix:
-    # every recorded root was solved against it, on a doubled 16x16 form of
-    # this state.  The 4x4 state has full rank for p_z < 1, so no PT
-    # eigenvalue is an exact zero; the floor stays so that each root (and
-    # the effect of --eig-zero, which replaces it) is where it was.
-    floor = tol.eig_floor(16)
     outers = np.array([gate_outer(phi) for phi, _, _ in gates])
 
     def gaps(problems, ps) -> list[float]:
@@ -157,7 +158,7 @@ def weighted_gate_thresholds(
             p_z = [p ** (1.0 / deg_k) for p, (deg_k, _) in zip(at_ps, degs)]
             q_z = [p ** (1.0 / deg_l) for p, (_, deg_l) in zip(at_ps, degs)]
             rho = _gate_states(outers[at], np.array(p_z), np.array(q_z))
-            out += (_pt_min_eigs(rho) - floor).tolist()
+            out += (_pt_min_eigs(rho) - GATE_FLOOR).tolist()
         return out
 
     grid = np.array(prescan_grid(*GATE_BRACKET))

@@ -32,22 +32,17 @@ class Tolerance:
     """Numerical tolerances shared across the package.
 
     abs_root: absolute bisection tolerance on the parameter axis.
-    eig_zero: eigenvalues above this (negative) floor count as non-negative;
-        None means the dimension-scaled default -1e-12 * dim.
+    eig_floor(dim) is fixed: eigenvalues of a dim x dim matrix above
+    -1e-12 * dim count as non-negative, since round-off leaves them there.
     """
 
     abs_root: float = 1e-10
-    eig_zero: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.abs_root < math.inf:
             raise ValidationError(f"abs_root must be finite and positive, got {self.abs_root}")
-        if self.eig_zero is not None and not math.isfinite(self.eig_zero):
-            raise ValidationError(f"eig_zero must be finite, got {self.eig_zero}")
 
     def eig_floor(self, dim: int) -> float:
-        if self.eig_zero is not None:
-            return self.eig_zero
         return -1e-12 * dim
 
 

@@ -19,7 +19,7 @@ from . import numeric
 from .channels import SIGMA, ChannelMatrix
 from .errors import CapacityError, EvaluationError, ValidationError
 from .graphs import Bipartition, Graph, neighborhood, spread_bits
-from .numeric import DEFAULT_TOL, Tolerance, hermitian_spectrum, min_eig
+from .numeric import DEFAULT_TOL, hermitian_spectrum, min_eig
 
 DENSE_CAP = 8
 
@@ -111,10 +111,8 @@ def pt_spectrum_dense(s: DenseState, part: Bipartition) -> np.ndarray:
     return hermitian_spectrum(partial_transpose(s, part))
 
 
-def is_ppt_dense(
-    s: DenseState, part: Bipartition, tol: Tolerance = DEFAULT_TOL
-) -> bool:
-    return pt_min_eig(s, part) >= tol.eig_floor(s.dim)
+def is_ppt_dense(s: DenseState, part: Bipartition) -> bool:
+    return pt_min_eig(s, part) >= DEFAULT_TOL.eig_floor(s.dim)
 
 
 def partial_trace(s: DenseState, keep_mask: int) -> DenseState:

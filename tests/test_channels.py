@@ -327,6 +327,26 @@ def test_family_spec_parsing():
         ChannelFamily.from_spec({"p": 0.5})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "nan"])
+def test_non_finite_channel_parameters_are_rejected(bad):
+    for spec in (
+        {"kind": "qo", "B": bad, "C": 1.0, "s": 0.5},
+        {"kind": "qo", "B": 1.0, "C": bad, "s": 0.5},
+        {"kind": "decay", "kappa": bad},
+        {"kind": "pauli", "p0": bad, "p1": 0.0, "p2": 0.0, "p3": 0.0},
+    ):
+        with pytest.raises(ValidationError, match="must be finite"):
+            ChannelFamily.from_spec(spec)
+    bad = float(bad)
+    with pytest.raises(ValidationError):
+        PauliChannel(bad, 0.0, 0.0, 0.0)
+    with pytest.raises(ValidationError):
+        PauliChannel(0.5, 0.5, 0.0, bad)
+    for rates in ((bad, 1.0, 0.5), (1.0, bad, 0.5), (bad, bad, 0.5), (1.0, 1.0, bad)):
+        with pytest.raises(ValidationError):
+            QoChannel(*rates)
+
+
 def test_family_matrix_axes():
     dep = ChannelFamily.from_spec("depolarizing").matrix(0.4)
     assert np.allclose(

@@ -1,7 +1,10 @@
 import argparse
 import json
 import math
+import re
+import shlex
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -30,6 +33,24 @@ def run_json(tmp_path, argv, name="out.json"):
     code = main(argv + ["--out", str(path)])
     payload = json.loads(path.read_text()) if path.exists() else None
     return code, payload
+
+
+def readme_commands():
+    """The argv of every `qdeco` line in README's sh blocks."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = "".join(re.findall(r"```sh\n(.*?)```", readme, flags=re.S)).splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("qdeco ")]
+
+
+def test_readme_has_an_example_of_every_subcommand():
+    assert {argv[0] for argv in readme_commands()} == set(FUZZED)
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_example_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def summary_value(meta, key):
@@ -369,7 +390,7 @@ def test_validation_errors_exit_2(tmp_path, capsys):
         ["encode", "--kt", "nan"],
         ["upper", "--method", "eb", "--channel", "depolarizing", "--tol-root", "nan"],
         ["upper", "--method", "eb", "--channel", "depolarizing", "--tol-root", "inf"],
-        ["upper", "--method", "eb", "--eig-zero", "nan"],
+        ["upper", "--method", "eb", "--channel", '{"kind": "qo", "B": NaN, "C": 1, "s": 0.5}'],
         ["oracle-check", "--max-n", "1"],
         ["oracle-check", "--max-n", "0"],
         ["oracle-check", "--cases", "0"],
@@ -390,6 +411,14 @@ def test_validation_errors_exit_2(tmp_path, capsys):
         ["ghz", "--n", "4", "--out", "/nonexistent/dir/out.csv"],
         ["encode", "--kt", "0.5", "--target-m", "nan"],
         ["encode", "--kt", "0.5", "--target-m", "inf"],
+        ["ghz", "--blockwise", "--sweep", "0.1:0.5:0.2",
+         "--channel", '{"kind": "qo", "B": NaN, "C": 1, "s": 0.5}'],
+        ["ghz", "--n", "4", "--channel", '{"kind": "qo", "B": NaN, "C": 1, "s": 0.5}'],
+        ["ghz", "--n", "4", "--channel", '{"kind": "qo", "B": 1, "C": Infinity, "s": 0.5}'],
+        ["upper", "--method", "eb", "--via", "jamiolkowski",
+         "--channel", '{"kind": "decay", "kappa": "nan"}'],
+        ["upper", "--method", "eb", "--channel",
+         '{"kind": "pauli", "p0": NaN, "p1": 0, "p2": 0, "p3": 0}'],
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, capsys):
@@ -438,39 +467,62 @@ def test_sweep_cap_counts_the_points_of_the_axis():
 
 
 # Each subcommand registers only the shared flags it reads; argparse rejects the
-# rest.  `upper` registers --eig-zero for --method ising; the other methods
-# reject it with one error line.
+# rest, and no subcommand takes --eig-zero.  `upper` registers --graph, --jobs
+# and --via for the methods that read them; another method exits 2 on one given
+# a value other than its default, naming the first in that order.
 @pytest.mark.parametrize(
     "argv",
     [
         ["ghz", "--n", "4", "--jobs", "2"],
-        ["ghz", "--n", "4", "--eig-zero", "-1e-9"],
         ["lower", "--graph", "ring:4", "--jobs", "2"],
-        ["lower", "--graph", "ring:4", "--eig-zero", "-1e-9"],
-        ["scan", "--graph", "ring:4", "--eig-zero", "5"],
         ["weighted", "--sweep-phi", "1:2:0.5", "--channel", "dephasing"],
         ["weighted", "--sweep-phi", "1:2:0.5", "--jobs", "2"],
         ["encode", "--kt", "0.01", "--channel", "dephasing"],
         ["encode", "--kt", "0.01", "--jobs", "2"],
-        ["encode", "--kt", "0.01", "--eig-zero", "-1e-9"],
         ["oracle-check", "--channel", "dephasing"],
         ["oracle-check", "--jobs", "2"],
         ["oracle-check", "--tol-root", "1e-3"],
-        ["oracle-check", "--eig-zero", "-1e-9"],
         ["weighted", "--sweep-phi", "1:2:0.5", "--graph", "ring:4"],
+        ["ghz", "--n", "4", "--eig-zero", "-1e-9"],
+        ["lower", "--graph", "ring:4", "--eig-zero", "-1e-9"],
+        ["upper", "--method", "ising", "--graph", "ring:4", "--eig-zero", "5"],
         ["upper", "--method", "eb", "--eig-zero", "1e-9"],
-        ["upper", "--method", "eb", "--via", "jamiolkowski", "--eig-zero", "1e-9"],
-        ["upper", "--method", "ppt", "--graph", "ring:4", "--eig-zero", "1e-9"],
+        ["scan", "--graph", "ring:4", "--eig-zero", "5"],
+        ["weighted", "--sweep-phi", "3.14159:3.1416:1", "--deg", "2", "--eig-zero", "0.5"],
+        ["encode", "--kt", "0.01", "--eig-zero", "-1e-9"],
+        ["oracle-check", "--eig-zero", "-1e-9"],
+        ["upper", "--method", "eb", "--graph", "ring:4"],
+        ["upper", "--method", "eb", "--jobs", "2"],
+        ["upper", "--method", "eb", "--jobs", "2", "--graph", "ring:4"],
+        ["upper", "--method", "ising", "--graph", "ring:4", "--jobs", "2"],
+        ["upper", "--method", "ising", "--graph", "ring:4", "--via", "jamiolkowski"],
+        ["upper", "--method", "ising", "--graph", "ring:4", "--via", "jamiolkowski",
+         "--jobs", "2"],
+        ["upper", "--method", "ppt", "--graph", "ring:4", "--via", "jamiolkowski"],
     ],
 )
 def test_unread_flags_are_rejected(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
-    if argv[0] == "upper":
+    if argv[0] == "upper" and argv[-2] != "--eig-zero":
         method = argv[argv.index("--method") + 1]
-        assert err == f"error: --eig-zero is read only by --method ising, not {method}\n"
+        assert err == f"error: --method {method} does not read {argv[-2]}\n"
     else:
-        assert "unrecognized arguments: " + argv[-2] in err
+        assert err.count("\n") == 2  # argparse's usage line and its error line
+        assert err.endswith("unrecognized arguments: " + " ".join(argv[-2:]) + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["upper", "--method", "eb", "--jobs", "1", "--via", "jamiolkowski"],
+        ["upper", "--method", "ising", "--graph", "ring:4", "--jobs", "1", "--via", "analytic"],
+        ["upper", "--method", "ppt", "--graph", "ring:4", "--jobs", "2", "--via", "analytic"],
+    ],
+)
+def test_upper_accepts_the_default_of_a_flag_its_method_does_not_read(argv, capsys):
+    assert main(argv) == 0
+    capsys.readouterr()
 
 
 def test_argparse_errors_exit_2(capsys):
@@ -561,6 +613,7 @@ FUZZ_VALUES = {
         '{"kind": "qo", "B": 1.0, "C": 0.5, "s": 0.0}',
         '{"kind": "qo", "B": 0.0, "C": 0.5, "s": 0.5}',
         '{"kind": "qo", "B": 1.0, "C": 0.1, "s": 2.0}',
+        '{"kind": "qo", "B": NaN, "C": 1.0, "s": 0.5}', '{"kind": "decay", "kappa": "inf"}',
         '{"kind": "qo", "B": "a"}',
         '{"kind": "pauli", "p0": 0.7, "p1": 0.1, "p2": 0.1, "p3": 0.1}',
         '{"kind": "depolarizing", "x": 1}', '{"kind": 3}', "[]", '"depolarizing"', "{",
@@ -578,7 +631,6 @@ FUZZ_VALUES = {
     ],
     "--tol-root": ["1e-10", "1e-6", "0.1", "0", "-1", "nan", "inf", "abc"],
     "--jobs": ["1", "2", "0", "-3", "1.5"],
-    "--eig-zero": ["-1e-11", "0", "1e-3", "-0.5", "nan", "inf", "x"],
     "--sweep-phi": ["0.5:3.1:0.5", "0.1:3.14159:1", "3:3.2:0.1", "1e-12:1e-9:1e-10",
                     "0:1:0.25", "1:4:1", "1:0:1", "0.5:1:0", "nan:1:0.1", "a:b:c", "0:1"],
     "--deg": ["1", "2", "5", "1000", "0", "-1", "x"],
@@ -682,7 +734,7 @@ def test_upper_argv_fuzz(argv, tmp_path, capsys):
 @BOUNDARY
 @given(argv=fuzz_argv("weighted", "--sweep-phi"))
 @example(argv=["weighted", "--sweep-phi", "0.5:3.1:0.5", "--deg", "1000"])
-@example(argv=["weighted", "--sweep-phi", "1e-12:1e-9:1e-10", "--eig-zero", "0"])
+@example(argv=["weighted", "--sweep-phi", "1e-12:1e-9:1e-10"])
 @example(argv=["weighted", "--sweep-phi", "3:3.2:0.1"])
 def test_weighted_argv_fuzz(argv, tmp_path, capsys):
     argv = [t.replace("{tmp}", str(tmp_path)) for t in argv]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import random
 import weakref
@@ -661,7 +662,8 @@ class _InProcessPool:
 @pytest.mark.parametrize("cpus, workers", [(3, 3), (1, None), (None, None)])
 def test_scan_workers_capped_at_cpu_count(monkeypatch, cpus, workers):
     monkeypatch.setattr(_InProcessPool, "sizes", [])
-    monkeypatch.setattr(graphdiag, "ProcessPoolExecutor", _InProcessPool)
+    # scan_partitions imports the pool class when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(graphdiag.os, "cpu_count", lambda: cpus)
     g = make_lattice("ring", 6)
     report = scan_partitions(g, DEPHASING, jobs=1000)

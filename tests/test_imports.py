@@ -1,14 +1,19 @@
-"""Every name a module imports is read somewhere in that module, and no
-library module but the command line imports the test oracle.
+"""Every name a module imports is read somewhere in that module, no
+library module but the command line imports the test oracle, and the
+command line starts without the process pool.
 
 A stand-in for pyflakes' unused-import check, on the standard library's
 ast alone.  Package __init__ files are skipped: their imports are the
 package's re-exports.  The dense oracle (qdeco.oracle) checks the library
 from outside; a library module that imports it no longer can be checked
-against it independently.
+against it independently.  Only a scan with --jobs > 1 uses the process
+pool, so no other command should pay for importing it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,3 +91,12 @@ def test_oracle_checker_finds_every_form_of_import():
 )
 def test_library_module_does_not_import_the_oracle(path):
     assert not imports_oracle(path.read_text())
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    probe = "import sys, qdeco.cli; print('concurrent.futures.process' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert run.stdout == "False\n"

@@ -11,6 +11,7 @@ from qdeco.errors import EvaluationError, ValidationError
 from qdeco.graphs import degree, graph_from_edges, make_lattice
 from qdeco.isingsep import (
     GATE_BRACKET,
+    GATE_FLOOR,
     NoisyGateState,
     depolarizing_p_from_dephasing,
     graph_separability_threshold,
@@ -284,6 +285,25 @@ def test_gate_threshold_equals_the_doubled_state_bisection(degrees):
         expected = bisect(gap, GATE_BRACKET[0], GATE_BRACKET[1])
         want = expected.value if expected.sign_change_found else 1.0
         assert weighted_gate_threshold(phi, dk, dl) == want, phi
+
+
+def test_gate_floor_is_the_16_dimensional_eigenvalue_floor():
+    assert GATE_FLOOR == DEFAULT_TOL.eig_floor(16)
+
+
+# The floor guards the gate root against eigvalsh round-off near phi = 0,
+# where the PT gap is as small as the round-off itself.  With a zero floor
+# these roots become noise: phi = 1e-15 at degrees (1, 4) finds a root at
+# 1 - 1.2e-8, and phi = 1e-8 lands 7.8e-9 off its true root.
+@pytest.mark.parametrize("degrees", [(1, 1), (2, 2), (1, 4), (3, 5)], ids=str)
+@pytest.mark.parametrize("phi", [1e-15, 1e-12])
+def test_tiny_phase_gate_never_separates_in_the_bracket(phi, degrees):
+    assert weighted_gate_threshold(phi, *degrees) == 1.0
+
+
+def test_small_phase_gate_root_is_one_minus_half_the_phase():
+    # The PT gap of a phase-phi gate closes at p_z = 1 - phi/2 to first order.
+    assert abs(weighted_gate_threshold(1e-8, 1, 1) - (1.0 - 5e-9)) <= 1e-9
 
 
 def test_weaker_phase_tolerates_more_dephasing():

@@ -317,10 +317,10 @@ def test_tolerance_validation():
     for bad in (math.nan, math.inf, -math.inf, -1e-10):
         with pytest.raises(ValidationError):
             Tolerance(abs_root=bad)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValidationError):
-            Tolerance(eig_zero=bad)
-    assert Tolerance(eig_zero=-1e-9).eig_floor(4) == -1e-9
+    # The eigenvalue floor is fixed: no tolerance overrides it.
+    with pytest.raises(TypeError):
+        Tolerance(eig_zero=-1e-9)
+    assert Tolerance(abs_root=1e-6).eig_floor(4) == DEFAULT_TOL.eig_floor(4) == -4e-12
     assert DEFAULT_TOL.eig_floor(16) == -1.6e-11
 
 
