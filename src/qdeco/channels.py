@@ -442,6 +442,9 @@ class ChannelFamily:
             raise ValidationError(
                 f"channel kind {kind!r} does not take {sorted(set(extra) - allowed)}"
             )
+        if extra.get("kappa", 0.0) < 0.0:
+            # 1 - exp(-kappa t) would be a decay probability below 0.
+            raise ValidationError(f"decay rate kappa must be non-negative, got {extra['kappa']}")
         return ChannelFamily(kind, tuple(sorted(extra.items())))
 
     @property

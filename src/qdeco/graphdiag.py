@@ -14,16 +14,20 @@ the noise level where its spectrum turns nonnegative.
 The scan bisects every split in lockstep on the sign of its smallest PT
 weight.  For the scan families (depolarizing, dephasing, bitflip) the
 Fourier form of the PT spectrum, FourierForm, gives that sign for all
-splits at once, in blocks of n butterfly passes; a value settles the sign
-only when it exceeds fourier_bound, its distance from the gather's value.
-Where it does not, and at the clean end of the bracket, which sets the
-argmin and the verdict of splits without a crossing, the gather supplies
-the value.  So every bisection takes the steps it would take on the gather
-alone, and every entry of the report is the gather's.  The splits bisect
-through numeric.bisect_lockstep.  Each split's transform is built once,
-for its clean end, and kept only while the split can still refine: a
-split whose pre-scan shows no sign change drops it at once, the others
-when the scan returns.  The gather keeps no index between calls.
+splits at once.  On the pre-scan grid each split's PT weights are one
+matrix product, the grid's powers p^d times the split's integer
+coefficients C[d, U] (n + 1 rows of butterfly passes per split); at each
+refinement point they are one row of n butterfly passes.  A value settles
+the sign only when it exceeds fourier_bound, the distance of either form
+from the gather's value.  Where it does not, and at the clean end of the
+bracket, which sets the argmin and the verdict of splits without a
+crossing, the gather supplies the value.  So every bisection takes the
+steps it would take on the gather alone, and every entry of the report is
+the gather's.  The splits bisect through numeric.bisect_lockstep.  Each
+split's transform is built once, for its clean end, and kept only while
+the split can still refine: a split whose pre-scan shows no sign change
+drops it at once, the others at the first refinement round after their
+bisection ends.  The gather keeps no index between calls.
 """
 
 from __future__ import annotations
@@ -342,8 +346,12 @@ class FourierForm:
     chi is the XOR of the neighbourhoods of the vertices in chi).  The PT
     weights of the split with side A are 2^-n H[(-1)^|chi & Gamma chi & A|
     p^w]: n butterfly passes over 2^n entries, whatever the rank of the
-    split.  They agree with PartitionTransform.apply on lambda_from_pauli's
-    weights to within fourier_bound.
+    split (spectra).  Grouping the chi by w gives the coefficient form:
+    the PT weight of U is 2^-n sum_d C[d, U] p^d, where row d of C is H of
+    the signs on the chi with w(chi) = d (coefficients), so one matrix
+    product gives a split's PT weights at many p.  Both forms agree with
+    PartitionTransform.apply on lambda_from_pauli's weights to within
+    fourier_bound.
     """
 
     n: int
@@ -361,20 +369,43 @@ class FourierForm:
         parity = 1.0 - 2.0 * (_popcount(chi) & 1)
         return FourierForm(g.n, _popcount(support), chi & gamma, parity)
 
+    def powers(self, ps: np.ndarray) -> np.ndarray:
+        """p^d 2^-n for d = 0..n at each p of ps, shape (len(ps), n + 1)."""
+        powers = np.power(ps[:, np.newaxis], np.arange(self.n + 1, dtype=float))
+        powers *= math.ldexp(1.0, -self.n)
+        return powers
+
+    def signs(self, a_masks: np.ndarray) -> np.ndarray:
+        """(-1)^|chi & Gamma chi & A| of every chi, for each side A of a_masks."""
+        return np.take(self.parity, self.cross & a_masks[:, np.newaxis])
+
     def spectra(self, a_masks: np.ndarray, ps: np.ndarray) -> np.ndarray:
         """PT weights at ps[i] of the split with side a_masks[i].
 
         a_masks and ps have shape (rows,); the result is (rows, 2^n).
         """
-        powers = np.power(ps[:, np.newaxis], np.arange(self.n + 1, dtype=float))
-        powers *= math.ldexp(1.0, -self.n)
-        rows = np.take(powers, self.exponents, axis=1)  # C order, unlike powers[:, w]
-        rows *= np.take(self.parity, self.cross & a_masks[:, np.newaxis])
+        rows = np.take(self.powers(ps), self.exponents, axis=1)  # C order, unlike powers[:, w]
+        rows *= self.signs(a_masks)
         return _walsh_hadamard(rows)
+
+    def coefficients(self, a_masks: np.ndarray) -> np.ndarray:
+        """Integer PT coefficients of the splits with sides a_masks.
+
+        Entry [i, d, U] is C[d, U] of split i, so powers(ps) @ result[i]
+        holds its PT weights at every p of ps.  Each C[d, U] is a sum of
+        distinct signs, so |C| <= 2^n and float64 holds every entry, and
+        every butterfly pass, exactly.  The shape is (len(a_masks), n + 1,
+        2^n): n + 1 rows of butterfly passes per split, for any number of p.
+        """
+        dim = 1 << self.n
+        rows = np.zeros((len(a_masks), self.n + 1, dim))
+        rows[:, self.exponents, np.arange(dim)] = self.signs(a_masks)
+        return _walsh_hadamard(rows.reshape(-1, dim)).reshape(rows.shape)
 
 
 def fourier_bound(n: int, rank: int) -> float:
-    """Bound on |FourierForm.spectra - PartitionTransform.apply| at one p.
+    """Bound on the distance of either Fourier form (FourierForm.spectra, or
+    powers @ coefficients) from PartitionTransform.apply at one p.
 
     In units of u = 2^-53, to first order, for p in SCAN_BRACKET (where
     nothing is subnormal):
@@ -386,13 +417,16 @@ def fourier_bound(n: int, rank: int) -> float:
       of the n mixing steps puts one product and three additions on every
       term, so every weight is off by at most 6n relative, and a signed
       average of distinct weights by at most 6n.
-    - FourierForm: pow within 4 ulps (8), the exact scaling by 2^-n, and n
-      butterfly passes over entries whose sizes add up to at most 1 (n).
-    So the two differ by at most 2^rank + 7n + 8 units.  The bound takes 8
-    times (2^rank + 8n + 8) units, which leaves room for the second-order
-    terms (each k u above is k u / (1 - k u)).  A value of either form
-    larger than it in size therefore has the sign of the other, which is
-    nonzero.
+    - Both forms take pow within 4 ulps (8) and the exact scaling by 2^-n.
+      spectra adds n butterfly passes over entries whose sizes add up to at
+      most 1 (n).  The coefficient form's C is exact, and its (n + 1)-term
+      dot product, in any order, with or without FMA, is off by at most
+      (n + 1) times the sum of its terms' sizes, at most 1 (n + 1).
+    So a form and the gather differ by at most 2^rank + 7n + 9 units.  The
+    bound takes 8 times (2^rank + 8n + 8) units, which leaves room for the
+    second-order terms (each k u above is k u / (1 - k u)).  A value of
+    either form larger than it in size therefore has the sign of the
+    gather, which is nonzero.
     """
     return 8.0 * ((1 << rank) + 8 * n + 8) * 2.0**-53
 
@@ -547,14 +581,38 @@ class PartitionScanReport:
 
 
 _FOURIER_BLOCK = 1 << 13  # entries of one block of Fourier rows
+# float64 entries (256 KB) of a pre-scan block's coefficients, and again of
+# one product; at least one split per block, which exceeds it past n = 10.
+_PRESCAN_BLOCK = 1 << 15
 
 
 def _fourier_mins(form: FourierForm, a_masks: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Smallest PT weight at ps[i] of the split with side a_masks[i], in blocks."""
+    """Smallest PT weight at ps[i] of the split with side a_masks[i], in blocks.
+
+    With one p per split, as in a refinement round, one Fourier row is
+    cheaper than the split's n + 1 coefficient rows.
+    """
     out = np.empty(len(ps))
     step = max(1, _FOURIER_BLOCK >> form.n)
     for s in range(0, len(ps), step):
         out[s : s + step] = form.spectra(a_masks[s : s + step], ps[s : s + step]).min(axis=1)
+    return out
+
+
+def _prescan_mins(form: FourierForm, a_masks: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Smallest PT weight of every split at every grid point, from the
+    splits' coefficients: (len(a_masks), len(grid)), in blocks of splits,
+    each a few products of the grid's powers with the block's coefficients."""
+    dim = 1 << form.n
+    powers = form.powers(grid)
+    out = np.empty((len(a_masks), len(grid)))
+    step = max(1, _PRESCAN_BLOCK // (2 * (form.n + 1) * dim))  # two butterfly buffers
+    for s in range(0, len(a_masks), step):
+        coefficients = form.coefficients(a_masks[s : s + step])
+        rows = max(1, _PRESCAN_BLOCK // (len(coefficients) * dim))
+        for j in range(0, len(grid), rows):
+            products = np.matmul(powers[j : j + rows], coefficients)
+            out[s : s + step, j : j + rows] = products.min(axis=2)
     return out
 
 
@@ -580,12 +638,16 @@ def _scan_splits(
     (PartitionTransform.apply on the noisy weights) supplies the value, so
     every bisection takes the steps it would take on the gather alone.  The
     clean-end row, which gives the argmin and the verdict of splits without
-    a crossing, is always gathered.  bisect_lockstep draws the splits' grids
-    one at a time and refines them together.  partition_transform runs once
-    per split, for the clean end, and a split keeps its transform only while
-    it can still refine: one whose pre-scan shows no sign change drops it
-    at once, the others when the scan returns.  Noisy weights are computed
-    once per p and shared by every split.
+    a crossing, is always gathered.  The pre-scan values of every split come
+    from its coefficients (_prescan_mins), the refinement values from
+    spectra.  bisect_lockstep draws the splits' grids one at a time and
+    refines them together.  partition_transform runs once per split, for
+    the clean end, and a split keeps its transform only while it can still
+    refine: one whose pre-scan shows no sign change drops it at once, the
+    others at the first refinement round after their bisection ends.  Every
+    pre-scan runs before the first round, so the peak is every split with a
+    sign change.  Noisy weights are computed once per p and shared by every
+    split.
 
     Under bitflip noise the minimum of some splits is exactly 0.0 over a
     whole range of p.  A split whose pre-scan meets an exact zero reads
@@ -616,9 +678,7 @@ def _scan_splits(
     grid = prescan_grid(lo, hi)[:-1]  # the clean end hi is gathered
     form = FourierForm.of(g, family.kind)
     a_masks = np.array([part.a_mask for part in parts])
-    grid_mins = _fourier_mins(
-        form, np.repeat(a_masks, len(grid)), np.tile(grid, len(parts))
-    ).reshape(len(parts), len(grid))
+    grid_mins = _prescan_mins(form, a_masks, np.array(grid))
 
     def grids():
         for i, part in enumerate(parts):
@@ -637,6 +697,8 @@ def _scan_splits(
             yield ys
 
     def refine(split: np.ndarray, ps: np.ndarray) -> list[float]:
+        for i in transforms.keys() - set(split.tolist()):
+            del transforms[i]  # its bisection has finished
         fourier = zip(split.tolist(), ps.tolist(), _fourier_mins(form, a_masks[split], ps).tolist())
         return [v if abs(v) > bounds[i] else gathered(i, x) for i, x, v in fourier]
 

@@ -318,6 +318,8 @@ def test_family_spec_parsing():
         {"kind": "depolarizing", "p": 0.3},
         {"kind": "qo", "B": 1.0, "C": 1.0, "s": 0.5, "t": 2.0},
         {"kind": "decay", "kappa": 1.0, "t": 2.0},
+        {"kind": "decay", "kappa": -1.0},
+        {"kind": "decay", "kappa": -1e-300},
     ):
         with pytest.raises(ValidationError):
             ChannelFamily.from_spec(spec)

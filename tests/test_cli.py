@@ -175,6 +175,15 @@ def test_upper_eb_decay_never_breaks_on_the_dual_state_route(tmp_path):
     assert any("never becomes entanglement breaking" in line for line in meta)
 
 
+@pytest.mark.parametrize("via", ["analytic", "jamiolkowski"])
+def test_upper_eb_rejects_a_negative_decay_rate(via, capsys):
+    channel = '{"kind": "decay", "kappa": -1}'
+    assert main(["upper", "--method", "eb", "--channel", channel, "--via", via]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "kappa" in err and "time" not in err
+
+
 def test_upper_ising_ring(tmp_path):
     code, payload = run_json(tmp_path, ["upper", "--method", "ising", "--graph", "ring:4"])
     assert code == 0

@@ -45,9 +45,11 @@ from qdeco.graphs import (
     neighborhood,
 )
 from qdeco.numeric import (
+    PRESCAN_POINTS,
     MultipleCrossingsError,
     Tolerance,
     bisect,
+    bisect_lockstep,
     prescan_grid,
 )
 from qdeco.oracle import (
@@ -790,6 +792,34 @@ def test_scan_holds_a_transform_only_while_its_split_can_refine(monkeypatch, spe
     assert len(report.entries) == 2 ** (g.n - 1) - 1
 
 
+@pytest.mark.parametrize("spec", ["ring:8", "line:7"])
+@pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+def test_scan_drops_a_transform_once_its_bisection_ends(monkeypatch, spec, family):
+    # Every pre-scan runs before the first refinement round, so the splits
+    # with a sign change all hold their transforms then; after each round,
+    # only the splits still bisecting hold theirs.
+    live = weakref.WeakSet()
+    rounds = []
+
+    def counting(g, part):
+        transform = partition_transform(g, part)
+        live.add(transform)
+        return transform
+
+    def lockstep(f, grids, lo, hi, tol):
+        def counted(split, ps):
+            ys = f(split, ps)
+            rounds.append((len(live), len(split)))
+            return ys
+
+        return bisect_lockstep(counted, grids, lo, hi, tol)
+
+    monkeypatch.setattr(graphdiag, "partition_transform", counting)
+    monkeypatch.setattr(graphdiag, "bisect_lockstep", lockstep)
+    scan_partitions(load_graph(spec), family)
+    assert rounds and all(alive <= active for alive, active in rounds)
+
+
 def test_scan_and_pt_spectrum_without_numpy_bitwise_count(monkeypatch):
     # NumPy 1.x has no bitwise_count; the bit counts must not need it.
     g = make_lattice("ring", 6)
@@ -820,11 +850,16 @@ def _gather_steered_points(g, family, part):
     return points, transform.rank
 
 
-def _undecided(g, family, part, points, rank):
-    """How many of the points the Fourier form leaves within its bound."""
-    form = FourierForm.of(g, family.kind)
-    mins = form.spectra(np.full(len(points), part.a_mask), np.array(points)).min(axis=1)
-    return int(np.sum(np.abs(mins) <= fourier_bound(g.n, rank)))
+def _undecided(form, grid_mins, part, points, rank):
+    """How many of the points the Fourier form leaves within its bound: the
+    pre-scan points (the first) by the scan's own coefficient-form minima
+    grid_mins, the refinement points by spectra."""
+    assert points[:PRESCAN_POINTS] == prescan_grid(*SCAN_BRACKET)[:-1]
+    refined = np.array(points[PRESCAN_POINTS:])
+    mins = np.concatenate(
+        [grid_mins, form.spectra(np.full(len(refined), part.a_mask), refined).min(axis=1)]
+    )
+    return int(np.sum(np.abs(mins) <= fourier_bound(form.n, rank)))
 
 
 @pytest.mark.parametrize(
@@ -834,10 +869,14 @@ def _undecided(g, family, part, points, rank):
 )
 def test_scan_gathers_the_clean_end_and_each_undecided_value(monkeypatch, kind, n, family):
     g = make_lattice(kind, n)
+    parts = list(bipartitions(g))
+    form = FourierForm.of(g, family.kind)
+    grid = np.array(prescan_grid(*SCAN_BRACKET)[:-1])
+    grid_mins = graphdiag._prescan_mins(form, np.array([part.a_mask for part in parts]), grid)
     expected = {}
-    for part in bipartitions(g):
+    for part, mins in zip(parts, grid_mins):
         points, rank = _gather_steered_points(g, family, part)
-        expected[part.a_mask] = 1 + _undecided(g, family, part, points, rank)
+        expected[part.a_mask] = 1 + _undecided(form, mins, part, points, rank)
     calls = {}
     apply = graphdiag.PartitionTransform.apply
 
@@ -858,8 +897,9 @@ def test_scan_gathers_the_clean_end_and_each_undecided_value(monkeypatch, kind, 
 
 def _check_fourier_against_gather(g, family, part, ps):
     """At ps and at the points closest to the split's threshold, where the
-    sign is hardest, the Fourier form is within its bound of the gather and,
-    where it is beyond the bound, has the sign of the nonzero gather."""
+    sign is hardest, both Fourier forms (spectra and the coefficient form)
+    are within their bound of the gather and, where they are beyond the
+    bound, have the sign of the nonzero gather."""
     transform = partition_transform(g, part)
 
     def gather(q):
@@ -874,12 +914,16 @@ def _check_fourier_against_gather(g, family, part, ps):
         ps += [min(max(root.value + d, 0.0), 1.0) for d in (-1e-12, 0.0, 1e-12)]
     form = FourierForm.of(g, family.kind)
     bound = fourier_bound(g.n, transform.rank)
-    for q, row in zip(ps, form.spectra(np.full(len(ps), part.a_mask), np.array(ps))):
+    ps = np.array(ps)
+    spectra = form.spectra(np.full(len(ps), part.a_mask), ps)
+    products = form.powers(ps) @ form.coefficients(np.array([part.a_mask]))[0]
+    for q, *rows in zip(ps, spectra, products):
         exact = gather(q)
-        assert np.max(np.abs(row - exact)) <= bound
-        if abs(row.min()) > bound:
-            assert exact.min() != 0.0
-            assert (row.min() < 0.0) == (exact.min() < 0.0)
+        for row in rows:
+            assert np.max(np.abs(row - exact)) <= bound
+            if abs(row.min()) > bound:
+                assert exact.min() != 0.0
+                assert (row.min() < 0.0) == (exact.min() < 0.0)
     return transform.rank
 
 
@@ -904,6 +948,42 @@ def test_fourier_form_is_within_its_bound_at_the_largest_rank(n, family):
     part = max(bipartitions(g), key=lambda part: partition_transform(g, part).rank)
     rank = _check_fourier_against_gather(g, family, part, prescan_grid(*SCAN_BRACKET))
     assert rank == n // 2
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+@pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+def test_coefficients_are_integers_bounded_by_two_to_the_n(n, family):
+    rng = random.Random(4100 + n)
+    g = random_connected_graph(rng, n)
+    form = FourierForm.of(g, family.kind)
+    a_masks = np.array([part.a_mask for part in bipartitions(g)])
+    coefficients = form.coefficients(a_masks)
+    assert coefficients.shape == (len(a_masks), n + 1, 1 << n)
+    assert np.array_equal(coefficients, np.round(coefficients))
+    assert np.abs(coefficients).max() <= 2**n
+    # The PT keeps the trace at every p: sum_U C[d, U] is 2^n for d = 0, else 0.
+    trace = np.where(np.arange(n + 1) == 0, 2.0**n, 0.0)
+    assert np.all(coefficients.sum(axis=2) == trace)
+
+
+def _prescan_by_spectra(form, a_masks, grid):
+    """The scan's pre-scan minima through spectra, one Fourier row per point."""
+    mins = graphdiag._fourier_mins(
+        form, np.repeat(a_masks, len(grid)), np.tile(grid, len(a_masks))
+    )
+    return mins.reshape(len(a_masks), len(grid))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["ring:6", "ring:7", "ring:8", "ring:9", "line:7", "star:6", "grid2d:2x3", "grid2d:3x3", "complete:5"],
+)
+@pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+def test_coefficient_prescan_gives_the_entries_of_a_spectra_prescan(monkeypatch, spec, family):
+    g = load_graph(spec)
+    entries = scan_partitions(g, family).entries
+    monkeypatch.setattr(graphdiag, "_prescan_mins", _prescan_by_spectra)
+    assert entries == scan_partitions(g, family).entries
 
 
 def test_scan_rejects_weighted_and_non_pauli():
