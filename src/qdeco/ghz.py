@@ -183,7 +183,7 @@ def ghz_lifetime(
         lo, hi = 1e-9, 1 - 1e-9
         grid = log_gap(np.array(prescan_grid(lo, hi)), np.log1p, np.log, np.logaddexp)
         return bisect_from_grid(
-            lambda p: log_gap(p, math.log1p, math.log, _logaddexp), lo, hi, grid.tolist(), tol
+            lambda p: log_gap(p, math.log1p, math.log, _logaddexp), lo, hi, grid, tol
         )
 
     if isinstance(channel, QoChannel):

@@ -23,7 +23,8 @@ from the gather's value.  Where it does not, and at the clean end of the
 bracket, which sets the argmin and the verdict of splits without a
 crossing, the gather supplies the value.  So every bisection takes the
 steps it would take on the gather alone, and every entry of the report is
-the gather's.  The splits bisect through numeric.bisect_lockstep.  Each
+the gather's.  The splits bisect through numeric.bisect_lockstep, which
+holds their brackets as arrays and takes their values as arrays.  Each
 split's transform is built once, for its clean end, and kept only while
 the split can still refine: a split whose pre-scan shows no sign change
 drops it at once, the others at the first refinement round after their
@@ -640,8 +641,12 @@ def _scan_splits(
     clean-end row, which gives the argmin and the verdict of splits without
     a crossing, is always gathered.  The pre-scan values of every split come
     from its coefficients (_prescan_mins), the refinement values from
-    spectra.  bisect_lockstep draws the splits' grids one at a time and
-    refines them together.  partition_transform runs once per split, for
+    spectra.  Both arrive as arrays and go to bisect_lockstep as arrays:
+    one comparison against the splits' bounds (an array, one bound per
+    split) finds the undecided points, and only those are gathered.
+    bisect_lockstep checks each split's grid with numeric's one _prescan,
+    draws the grids one at a time and refines the splits together, holding
+    their brackets as arrays.  partition_transform runs once per split, for
     the clean end, and a split keeps its transform only while it can still
     refine: one whose pre-scan shows no sign change drops it at once, the
     others at the first refinement round after their bisection ends.  Every
@@ -667,12 +672,19 @@ def _scan_splits(
 
     transforms: dict[int, PartitionTransform] = {}  # of splits with a sign change
     zero_is_ppt: set[int] = set()  # splits whose pre-scan met an exact zero
-    bounds = []
+    bounds = np.empty(len(parts))  # fourier_bound of each split
     clean_ends = []
 
     def gathered(i: int, p: float) -> float:
         v = float(transforms[i].apply(weights(p)).min())
         return _ppt_signed(v) if i in zero_is_ppt else v
+
+    def settle(splits: np.ndarray, ps: list[float], vs: np.ndarray) -> np.ndarray:
+        """vs, the Fourier minima of splits at ps, with the gather's value
+        (written in place) wherever |v| is within the split's bound."""
+        for k in np.flatnonzero(np.abs(vs) <= bounds[splits]).tolist():
+            vs[k] = gathered(int(splits[k]), ps[k])
+        return vs
 
     lo, hi = SCAN_BRACKET
     grid = prescan_grid(lo, hi)[:-1]  # the clean end hi is gathered
@@ -685,22 +697,20 @@ def _scan_splits(
             transform = transforms[i] = partition_transform(g, part)
             clean = transform.apply(weights(hi))
             clean_ends.append((float(clean.min()), int(np.argmin(clean))))
-            bounds.append(fourier_bound(g.n, transform.rank))
-            fourier = zip(grid, grid_mins[i].tolist())
-            ys = [v if abs(v) > bounds[i] else gathered(i, x) for x, v in fourier]
-            ys.append(clean_ends[i][0])
-            if 0.0 in ys:
+            bounds[i] = fourier_bound(g.n, transform.rank)
+            ys = np.append(settle(np.full(len(grid), i), grid, grid_mins[i]), clean_ends[i][0])
+            zero = ys == 0.0
+            if zero.any():
                 zero_is_ppt.add(i)
-                ys = [_ppt_signed(y) for y in ys]
-            if min(ys) > 0.0 or max(ys) < 0.0:
+                ys[zero] = 1.0  # _ppt_signed
+            if ys.min() > 0.0 or ys.max() < 0.0:
                 del transforms[i]  # no sign change: nothing to refine
             yield ys
 
-    def refine(split: np.ndarray, ps: np.ndarray) -> list[float]:
+    def refine(split: np.ndarray, ps: np.ndarray) -> np.ndarray:
         for i in transforms.keys() - set(split.tolist()):
             del transforms[i]  # its bisection has finished
-        fourier = zip(split.tolist(), ps.tolist(), _fourier_mins(form, a_masks[split], ps).tolist())
-        return [v if abs(v) > bounds[i] else gathered(i, x) for i, x, v in fourier]
+        return settle(split, ps.tolist(), _fourier_mins(form, a_masks[split], ps))
 
     results = bisect_lockstep(refine, grids(), lo, hi, tol)
     return [_scan_entry(part, r, *clean) for part, r, clean in zip(parts, results, clean_ends)]

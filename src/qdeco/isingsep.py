@@ -150,15 +150,16 @@ def weighted_gate_thresholds(
 
     outers = np.array([gate_outer(phi) for phi, _, _ in gates])
 
-    def gaps(problems, ps) -> list[float]:
-        out = []
+    def gaps(problems, ps) -> np.ndarray:
+        out = np.empty(len(ps))
         for s in range(0, len(ps), _GATE_BLOCK):
             at, at_ps = problems[s : s + _GATE_BLOCK], ps[s : s + _GATE_BLOCK].tolist()
+            # Python's float power: numpy's array power can differ in the last bit.
             degs = [gates[i][1:] for i in at.tolist()]
             p_z = [p ** (1.0 / deg_k) for p, (deg_k, _) in zip(at_ps, degs)]
             q_z = [p ** (1.0 / deg_l) for p, (_, deg_l) in zip(at_ps, degs)]
             rho = _gate_states(outers[at], np.array(p_z), np.array(q_z))
-            out += (_pt_min_eigs(rho) - GATE_FLOOR).tolist()
+            out[s : s + _GATE_BLOCK] = _pt_min_eigs(rho) - GATE_FLOOR
         return out
 
     grid = np.array(prescan_grid(*GATE_BRACKET))

@@ -8,9 +8,12 @@ are prescan_grid, the points of that pre-scan; bisect_from_grid, which
 takes the values of f there, however the caller computed them (one array
 pass), and refines with a scalar f; bisect, which is bisect_from_grid with
 the grid evaluated point by point; and bisect_lockstep, bisect_from_grid
-of many problems on one bracket, which calls f once per refinement round
-on the midpoint of every problem still bisecting.  The Hermitian check,
-the spectra and the partial transpose take stacks (..., d, d) of matrices.
+of many problems on one bracket, which holds the problems still bisecting
+as arrays and calls f once per refinement round on all their midpoints.
+Both check each grid with one array function, _prescan; the scalar route
+refines in a plain loop (_bisect_steps), the lockstep one with a few array
+operations per round.  The Hermitian check, the spectra and the partial
+transpose take stacks (..., d, d) of matrices.
 """
 
 from __future__ import annotations
@@ -72,10 +75,14 @@ class MultipleCrossingsError(EvaluationError):
     """The pre-scan saw more than one sign change; bisection would be ambiguous."""
 
 
-def _checked(y: float, x: float) -> float:
-    if not math.isfinite(y):
-        raise EvaluationError(f"function evaluated to non-finite value {y!r} at {x!r}")
-    return y
+def _non_finite(y: float, x: float) -> EvaluationError:
+    # float() so that a numpy value prints as a Python float does.
+    return EvaluationError(f"function evaluated to non-finite value {float(y)!r} at {float(x)!r}")
+
+
+def _check_bracket(lo: float, hi: float) -> None:
+    if not lo < hi:
+        raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
 
 
 def prescan_grid(lo: float, hi: float) -> list[float]:
@@ -84,42 +91,54 @@ def prescan_grid(lo: float, hi: float) -> list[float]:
     These are lo, the interior points lo + (hi - lo) * i / PRESCAN_POINTS and
     hi itself; the values of f there are bisect_from_grid's grid_values.
     """
-    if not lo < hi:
-        raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
+    _check_bracket(lo, hi)
     inner = [lo + (hi - lo) * i / PRESCAN_POINTS for i in range(1, PRESCAN_POINTS)]
     return [lo, *inner, hi]
 
 
-def _prescan(lo: float, hi: float, ys: list[float]) -> ThresholdResult | tuple[float, float, float]:
-    """The pre-scan of the values ys at prescan_grid(lo, hi).
+def _prescan(
+    lo: float, hi: float, grid_values: Sequence[float]
+) -> ThresholdResult | tuple[float, float, bool]:
+    """The pre-scan of grid_values, the values of f at prescan_grid(lo, hi).
 
-    Returns a final result, or the crossing's bracket and left value (a, b, f(a)).
+    Checks that every value is finite (the first that is not raises), then
+    returns a final result, for an exact zero at lo, at hi or at the first
+    interior point that has one, or for no sign change; or the crossing's
+    bracket and whether f is negative at its left end, (a, b, f(a) < 0).
+    More than one sign change raises MultipleCrossingsError.
     """
+    _check_bracket(lo, hi)
+    ys = np.asarray(grid_values, dtype=float)
+    if ys.shape != (PRESCAN_POINTS + 1,):
+        raise ValidationError(f"need {PRESCAN_POINTS + 1} grid values, got {len(grid_values)}")
+    finite = np.isfinite(ys)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise _non_finite(ys[k], prescan_grid(lo, hi)[k])
     if ys[0] == 0.0:
         return ThresholdResult(lo, (lo, hi), 0, True)
     if ys[-1] == 0.0:
         return ThresholdResult(hi, (lo, hi), 0, True)
 
-    # Unlike prescan_grid, xs ends at lo + (hi - lo), which can differ from
-    # hi in the last bit; the refined bracket starts from xs.
-    xs = [lo + (hi - lo) * i / PRESCAN_POINTS for i in range(PRESCAN_POINTS + 1)]
-    crossings = []
-    prev_sign = math.copysign(1.0, ys[0])
-    for i in range(1, len(ys)):
-        if ys[i] == 0.0:
-            return ThresholdResult(xs[i], (lo, hi), 0, True)
-        sign = math.copysign(1.0, ys[i])
-        if sign != prev_sign:
-            crossings.append(i)
-            prev_sign = sign
+    # Unlike prescan_grid, x(PRESCAN_POINTS) is lo + (hi - lo), which can
+    # differ from hi in the last bit; the refined bracket starts from x.
+    def x(i: int) -> float:
+        return lo + (hi - lo) * i / PRESCAN_POINTS
+
+    zeros = np.flatnonzero(ys == 0.0)
+    if len(zeros):
+        return ThresholdResult(x(int(zeros[0])), (lo, hi), 0, True)
+    negative = np.signbit(ys)
+    crossings = np.flatnonzero(negative[1:] != negative[:-1])
     if len(crossings) > 1:
         raise MultipleCrossingsError(
             f"{len(crossings)} sign changes in [{lo}, {hi}]; "
             "refine the bracket before bisecting"
         )
-    if not crossings:
+    if not len(crossings):
         return ThresholdResult(math.nan, (lo, hi), 0, False)
-    return xs[crossings[0] - 1], xs[crossings[0]], ys[crossings[0] - 1]
+    c = int(crossings[0])
+    return x(c), x(c + 1), bool(negative[c])
 
 
 def _bisect_steps(
@@ -130,34 +149,35 @@ def _bisect_steps(
 ) -> Generator[float, float, ThresholdResult]:
     """The bisection of `bisect` as a generator, for loops that evaluate f.
 
-    grid_values are the values of f at prescan_grid(lo, hi).  The generator
-    yields each refinement point where it needs f and is sent f's value
-    there; it returns the ThresholdResult (as StopIteration.value).  Only
-    the signs of the values and whether they are exactly zero steer it, so
-    a caller may send any finite value of the right sign that is zero
-    exactly where f is.  Every value, given or sent, is checked to be
-    finite.  While refining it holds three floats, not the pre-scan's
-    values.
+    grid_values are the values of f at prescan_grid(lo, hi), checked by
+    _prescan.  The generator yields each refinement point where it needs f
+    and is sent f's value there; it returns the ThresholdResult (as
+    StopIteration.value).  Only the signs of the values and whether they
+    are exactly zero steer it, so a caller may send any finite value of the
+    right sign that is zero exactly where f is.  Every value sent is checked
+    to be finite.  While refining it holds the bracket and the sign of f at
+    its left end, not the pre-scan's values.  bisect_lockstep refines the
+    same way on arrays; one cheap root refines faster in this scalar loop
+    than through numpy calls.
     """
-    grid = prescan_grid(lo, hi)
-    if len(grid_values) != len(grid):
-        raise ValidationError(f"need {len(grid)} grid values, got {len(grid_values)}")
-    found = _prescan(lo, hi, [_checked(y, x) for y, x in zip(grid_values, grid)])
-    del grid, grid_values
+    found = _prescan(lo, hi, grid_values)
+    del grid_values
     if isinstance(found, ThresholdResult):
         return found
-    a, b, f_a = found
+    a, b, negative = found
 
     iterations = 0
     while b - a > tol.abs_root and iterations < MAX_ITER:
         mid = 0.5 * (a + b)
-        f_mid = _checked((yield mid), mid)
+        f_mid = yield mid
+        if not math.isfinite(f_mid):
+            raise _non_finite(f_mid, mid)
         iterations += 1
         if f_mid == 0.0:
             a = b = mid
             break
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_a):
-            a, f_a = mid, f_mid
+        if (f_mid < 0.0) == negative:
+            a = mid
         else:
             b = mid
     return ThresholdResult(0.5 * (a + b), (a, b), iterations, True)
@@ -173,10 +193,10 @@ def bisect_from_grid(
     """bisect, given the values of f at prescan_grid(lo, hi).
 
     The caller computes grid_values however it likes (for instance in one
-    array pass); each refinement point is then evaluated by the scalar f.
-    Only the signs of the values and whether they are exactly zero steer
-    the bisection, and every value, given or computed, is checked to be
-    finite.
+    array pass; a list or an array); each refinement point is then
+    evaluated by the scalar f.  Only the signs of the values and whether
+    they are exactly zero steer the bisection, and every value, given or
+    computed, is checked to be finite.
     """
     steps = _bisect_steps(lo, hi, grid_values, tol)
     y = None
@@ -197,42 +217,72 @@ def bisect_lockstep(
     """bisect_from_grid of many problems on one bracket, driven in lockstep.
 
     grids yields, problem by problem, the values of each problem at
-    prescan_grid(lo, hi); it is consumed in order, one grid at a time, and
-    each grid is checked before the next is drawn.  f(problems, points)
-    returns the value of problem problems[i] at points[i] for every i; it
-    is called once per refinement round, on the midpoint of every problem
-    still bisecting.  Result i is bisect_from_grid's for problem i,
-    iterations included.  Where bisecting the problems in order would raise
-    an EvaluationError, this raises it: that of the first problem to fail;
-    no grid after that problem's is drawn.
+    prescan_grid(lo, hi), as a list or an array; it is consumed in order,
+    one grid at a time, and each grid is checked by _prescan, the pre-scan
+    of bisect, before the next is drawn.  The problems with a crossing then
+    refine together, held as arrays in problem order: their ids, brackets
+    [a, b] and the sign of f at a, with one round count for all, since
+    every problem refines from the first round.  Each round keeps the
+    problems still bisecting (b - a > abs_root and fewer than MAX_ITER
+    rounds), calls f(problems, points) once on their midpoints, f
+    returning the value of problem problems[i] at points[i] as a list or an
+    array, checks every value to be finite and moves each bracket end as
+    _bisect_steps does.  Result i is bisect_from_grid's for problem i,
+    Python floats and iterations included.  Where bisecting the problems in
+    order would raise an EvaluationError, this raises it: that of the
+    first problem to fail; no grid after that problem's is drawn.
     """
     results: list[ThresholdResult | None] = []
-    failed: tuple[int, EvaluationError] | None = None
-    active = []  # (problem, bisection steps, next point)
-
-    def advance(i: int, steps, y: float | None) -> None:
-        nonlocal failed
-        if failed is not None and i > failed[0]:
-            return  # a bisection before this one has failed
-        try:
-            active.append((i, steps, steps.send(y)))
-        except StopIteration as stop:
-            results[i] = stop.value
-        except EvaluationError as exc:
-            failed = (i, exc)
-
+    failed: EvaluationError | None = None
+    starts = []  # (problem, a, b, f(a) < 0) of each problem with a crossing
     for i, ys in enumerate(grids):
         results.append(None)
-        advance(i, _bisect_steps(lo, hi, ys, tol), None)
-        if failed is not None:
+        try:
+            found = _prescan(lo, hi, ys)
+        except EvaluationError as exc:
+            failed = exc
             break
-    while active:
-        stepping, active = active, []
-        ys = f(np.array([i for i, _, _ in stepping]), np.array([x for _, _, x in stepping]))
-        for (i, steps, _), y in zip(stepping, ys):
-            advance(i, steps, y)
+        if isinstance(found, ThresholdResult):
+            results[i] = found
+        else:
+            starts.append((i, *found))
+
+    ids = np.array([s[0] for s in starts], dtype=np.intp)
+    a = np.array([s[1] for s in starts], dtype=float)
+    b = np.array([s[2] for s in starts], dtype=float)
+    negative = np.array([s[3] for s in starts], dtype=bool)
+    rounds = 0
+    while True:
+        bisecting = b - a > tol.abs_root
+        if rounds == MAX_ITER:
+            bisecting[:] = False  # the iteration guard of _bisect_steps
+        if not bisecting.all():
+            done = ~bisecting
+            for i, a_i, b_i in zip(ids[done].tolist(), a[done].tolist(), b[done].tolist()):
+                results[i] = ThresholdResult(0.5 * (a_i + b_i), (a_i, b_i), rounds, True)
+            ids, a, b, negative = ids[bisecting], a[bisecting], b[bisecting], negative[bisecting]
+        if not len(ids):
+            break
+        mid = 0.5 * (a + b)
+        ys = np.asarray(f(ids, mid), dtype=float)
+        if ys.shape != mid.shape:
+            raise ValidationError(f"need {len(mid)} values in a round, got {ys.shape}")
+        rounds += 1
+        finite = np.isfinite(ys)
+        if not finite.all():
+            # Every problem still bisecting comes before any that failed
+            # earlier, so the first failure of this round is the first yet.
+            k = int(np.argmin(finite))
+            failed = _non_finite(ys[k], mid[k])
+            ids, a, b, negative, mid, ys = ids[:k], a[:k], b[:k], negative[:k], mid[:k], ys[:k]
+        same = np.signbit(ys) == negative
+        a = np.where(same, mid, a)
+        b = np.where(same, b, mid)
+        if not ys.all():  # an exact zero is the root
+            zero = ys == 0.0
+            a[zero] = b[zero] = mid[zero]
     if failed is not None:
-        raise failed[1]
+        raise failed
     return results
 
 

@@ -325,13 +325,13 @@ def _weighted_edge_thresholds(
         for e, (_, own) in enumerate(group):
             phases[e, : len(own)], pad[e, : len(own)] = own, False
 
-        def gaps(problems, ps, outers=outers, phases=phases, pad=pad) -> list[float]:
-            out = []
+        def gaps(problems, ps, outers=outers, phases=phases, pad=pad) -> np.ndarray:
+            out = np.empty(len(ps))
             for c in range(0, len(ps), block):
                 at = problems[c : c + block]
                 probs = named_prob_rows(kind, ps[c : c + block])
                 rho = _damped_pairs(outers[at], phases[at], probs, pad[at])
-                out += hermitian_spectrum(partial_transpose(rho, 1))[:, 0].tolist()
+                out[c : c + block] = hermitian_spectrum(partial_transpose(rho, 1))[:, 0]
             return out
 
         grids = (gaps(np.full(len(grid), e), grid) for e in range(len(group)))
@@ -460,7 +460,7 @@ def lifetime_lower_bound(
                 probs = named_probs(family.kind, np.array(prescan_grid(lo, hi)))
                 weights = _checked_weight_rows(np.stack(_class_weights(cls, *probs), axis=1))
                 grid = weights.max(axis=1) - 0.5
-                classes[cls] = bisect_from_grid(gap, lo, hi, grid.tolist(), tol)
+                classes[cls] = bisect_from_grid(gap, lo, hi, grid, tol)
             results.append(classes[cls])
 
     per_edge = [

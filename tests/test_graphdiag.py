@@ -717,7 +717,10 @@ def _scan_graph(kind, size):
 def test_scan_matches_unshared_per_split_reference(kind, n, family):
     g = _scan_graph(kind, n)
     expected = tuple(_unshared_scan_entry(g, family, part) for part in bipartitions(g))
-    assert scan_partitions(g, family).entries == expected
+    entries = scan_partitions(g, family).entries
+    assert entries == expected
+    # Python floats and ints throughout: a numpy scalar would change the repr.
+    assert repr(entries) == repr(expected)
 
 
 def test_bitflip_scan_reads_an_exact_zero_minimum_as_ppt():

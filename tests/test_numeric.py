@@ -9,11 +9,13 @@ from qdeco.errors import EvaluationError, ValidationError
 from qdeco.numeric import (
     DEFAULT_TOL,
     MAX_ITER,
+    PRESCAN_POINTS,
     MultipleCrossingsError,
     Tolerance,
     ThresholdResult,
     _bisect_steps,
     bisect,
+    bisect_from_grid,
     bisect_lockstep,
     check_hermitian,
     hermitian_spectrum,
@@ -148,22 +150,27 @@ def _outcome(f, lo, hi, tol=DEFAULT_TOL):
         return type(exc), str(exc)
 
 
-def _lockstep(fs, lo, hi, tol=DEFAULT_TOL):
+def _values(arrays, ys):
+    return np.array(ys) if arrays else ys
+
+
+def _lockstep(fs, lo, hi, tol=DEFAULT_TOL, arrays=False):
     """bisect_lockstep over the scalar functions fs, each grid evaluated
     point by point: the result (or the class and message of what it
-    raises), each refinement call and the number of grids drawn."""
+    raises), each refinement call and the number of grids drawn.  With
+    arrays, the grids and f's values are numpy arrays, not lists."""
     calls = []
     drawn = []
 
     def grids():
         for f in fs:
             drawn.append(f)
-            yield [f(x) for x in prescan_grid(lo, hi)]
+            yield _values(arrays, [f(x) for x in prescan_grid(lo, hi)])
 
     def f(problems, points):
         assert len(problems) == len(points)
         calls.append(list(zip(problems.tolist(), points.tolist())))
-        return [fs[i](x) for i, x in zip(problems.tolist(), points.tolist())]
+        return _values(arrays, [fs[i](x) for i, x in zip(problems.tolist(), points.tolist())])
 
     try:
         return bisect_lockstep(f, grids(), lo, hi, tol), calls, len(drawn)
@@ -272,7 +279,106 @@ def test_bisect_stacked_accepts_array_values_and_checks_them():
         bisect_lockstep(lambda problems, xs: [math.nan] * len(xs), [grid - 0.3] * 2, 0.0, 1.0)
     with pytest.raises(ValidationError):
         bisect_lockstep(f, [grid[:-1]], 0.0, 1.0)
+    with pytest.raises(ValidationError):  # one value too few in a round
+        bisect_lockstep(lambda problems, xs: xs[1:] - 0.3, [grid - 0.3] * 2, 0.0, 1.0)
     assert bisect_lockstep(f, [], 0.0, 1.0) == []
+
+
+@pytest.mark.parametrize("arrays", [False, True], ids=["lists", "arrays"])
+@pytest.mark.parametrize("case", ["non-finite on the grid", "non-finite while refining"])
+def test_non_finite_messages_are_the_same_on_every_route(case, arrays):
+    # A numpy value prints as the Python float it is, on every route.
+    f = LOCKSTEP_CASES[case]
+    g = (lambda x: np.float64(f(x))) if arrays else f
+    grid = [g(x) for x in prescan_grid(0.0, 1.0)]
+    routes = [
+        lambda: bisect(g, 0.0, 1.0),
+        lambda: bisect_from_grid(g, 0.0, 1.0, _values(arrays, grid)),
+        lambda: bisect_lockstep(
+            lambda problems, xs: _values(arrays, [g(x) for x in xs.tolist()]),
+            [_values(arrays, grid)], 0.0, 1.0,
+        ),
+    ]
+    messages = set()
+    for route in routes:
+        with pytest.raises(EvaluationError) as info:
+            route()
+        messages.add(str(info.value))
+    (message,) = messages
+    assert "np." not in message
+    if case == "non-finite on the grid":
+        assert message == "function evaluated to non-finite value inf at 0.90625"
+
+
+@st.composite
+def _problem(draw):
+    """One scalar problem on [0, 1] of a kind bisect_lockstep must keep apart."""
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    kind = draw(st.sampled_from(
+        ["grid root", "dyadic root", "root", "step", "no crossing", "non-finite on the grid",
+         "non-finite while refining", "two crossings"]
+    ))
+    if kind == "grid root":
+        r = draw(st.integers(0, PRESCAN_POINTS)) / PRESCAN_POINTS
+        return lambda x: sign * (x - r)
+    if kind == "dyadic root":
+        m = draw(st.integers(7, 30))
+        r = (2 * draw(st.integers(0, 2 ** (m - 1) - 1)) + 1) / 2**m
+        return lambda x: sign * (x - r)
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    if kind == "root":
+        r = draw(unit)
+        return lambda x: sign * math.tanh(x - r)
+    if kind == "step":
+        r = draw(unit)
+        return lambda x: sign * (-1.0 if x < r else 1.0)
+    if kind == "no crossing":
+        c = draw(st.floats(1e-3, 10.0))
+        return lambda x: sign * (c + x * x)
+    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    if kind == "non-finite on the grid":
+        r = draw(st.integers(0, PRESCAN_POINTS)) / PRESCAN_POINTS
+        return lambda x: bad if x == r else sign * (x - 0.3)
+    if kind == "non-finite while refining":
+        r, w = draw(unit), draw(st.floats(1e-9, 1e-3))
+        return lambda x: bad if abs(x - r) < w else sign * (x - r)
+    r1, r2 = draw(unit), draw(unit)
+    return lambda x: sign * (x - r1) * (x - r2)
+
+
+@st.composite
+def _problem_sets(draw):
+    fs = draw(st.lists(_problem(), max_size=6))
+    tol = draw(st.sampled_from([DEFAULT_TOL, Tolerance(abs_root=1e-300)]))
+    return fs, tol, draw(st.booleans())
+
+
+@given(_problem_sets())
+@settings(max_examples=200, deadline=None)
+def test_bisect_lockstep_matches_bisect_on_random_problem_sets(problems):
+    # Results (repr included) or the first failure, the grids drawn and
+    # every round's call are those that bisecting in order implies.
+    fs, tol, arrays = problems
+    expected = [_outcome(f, 0.0, 1.0, tol) for f in fs]
+    midpoints = [_midpoints(f, 0.0, 1.0, tol) for f in fs]
+    fails = [not isinstance(e, ThresholdResult) for e in expected]
+    on_the_grid = [i for i, m in enumerate(midpoints) if fails[i] and not m]
+    got, calls, drawn = _lockstep(fs, 0.0, 1.0, tol, arrays)
+    failures = [e for e, failed in zip(expected, fails) if failed]
+    assert repr(got) == repr(failures[0] if failures else expected)
+    assert drawn == (on_the_grid[0] + 1 if on_the_grid else len(fs))
+    # Round r holds the r-th midpoint of every problem still bisecting: one
+    # before every failure seen so far, with a point left.
+    limit = on_the_grid[0] if on_the_grid else len(fs)
+    rounds = []
+    while True:
+        r = len(rounds)
+        call = [(i, m[r]) for i, m in enumerate(midpoints[:limit]) if r < len(m)]
+        if not call:
+            break
+        rounds.append(call)
+        limit = min([limit] + [i for i, _ in call if fails[i] and r == len(midpoints[i]) - 1])
+    assert calls == rounds
 
 
 def test_bisect_checks_the_bracket_before_evaluating_f():
