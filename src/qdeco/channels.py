@@ -129,7 +129,7 @@ class QoSnapshot:
 
 
 def qo_snapshot(ch: QoChannel, t: float) -> QoSnapshot:
-    if t < 0:
+    if not 0.0 <= t:  # NaN fails too
         raise ValidationError("time must be non-negative")
     eb = math.exp(-ch.B * t)
     ec = math.exp(-ch.C * t)
@@ -144,7 +144,7 @@ def qo_snapshot(ch: QoChannel, t: float) -> QoSnapshot:
 
 def decay_gamma(kappa_t: float) -> float:
     """Excited-state decay probability after dimensionless time kappa*t."""
-    if kappa_t < 0:
+    if not 0.0 <= kappa_t:  # NaN fails too
         raise ValidationError("time must be non-negative")
     return 1.0 - math.exp(-kappa_t)
 
@@ -252,7 +252,7 @@ def partial_trace_out_first(rho4: np.ndarray) -> np.ndarray:
 
 
 def is_entanglement_breaking_qo(ch: QoChannel, t: float) -> bool:
-    if t < 0:
+    if not 0.0 <= t:  # NaN fails too
         raise ValidationError("time must be non-negative")
     lhs = ch.s * (1 - ch.s) * (math.exp(ch.C * t) * (1 - math.exp(-ch.B * t))) ** 2
     return lhs >= 1.0

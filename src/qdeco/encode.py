@@ -69,7 +69,7 @@ def _eps_step(eps: float) -> float:
 
 def level_recursion(kt: float, j: int) -> CodeLevel:
     """Iterate the five-qubit-code map j times starting from -ln p = kt."""
-    if kt < 0.0:
+    if not 0.0 <= kt:  # NaN fails too
         raise ValidationError(f"kt must be nonnegative, got {kt}")
     if not 0 <= j <= LEVEL_CAP:
         raise ValidationError(f"level must lie in 0..{LEVEL_CAP}, got {j}")

@@ -45,6 +45,8 @@ class GhzDiagonal:
             raise ValidationError("need at least one qubit")
         if len(self.lam) != self.n + 1:
             raise ValidationError(f"need {self.n + 1} coefficients")
+        if not all(map(math.isfinite, (*self.lam, self.mu))):
+            raise ValidationError("coefficients must be finite")
         if any(v < -1e-12 for v in self.lam):
             raise ValidationError("negative diagonal coefficient")
         total = sum(math.comb(self.n, k) * v for k, v in enumerate(self.lam))
@@ -236,7 +238,7 @@ def blockwise_upper_M_from_kt(kt: float) -> float:
     exceeds the largest double from kt ~ 8e-306 down; below the smallest
     normal double, where kt/2 loses bits or rounds to 0.0, it is inf.
     """
-    if kt <= 0:
+    if not 0.0 < kt:  # NaN fails too
         raise ValidationError("kt must be positive")
     if kt < sys.float_info.min:
         return math.inf
@@ -253,7 +255,7 @@ def blockwise_upper_M_small_kt(kt: float) -> float:
     at kt = 0.01 and falls below 10% only for kt of about 2**-9 or less; the
     error decays logarithmically.  Use blockwise_upper_M_from_kt for the exact value.
     """
-    if kt <= 0:
+    if not 0.0 < kt:  # NaN fails too
         raise ValidationError("kt must be positive")
     return -2.0 * math.log(kt) / kt
 

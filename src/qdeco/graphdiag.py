@@ -13,22 +13,20 @@ the noise level where its spectrum turns nonnegative.
 
 The scan bisects every split in lockstep on the sign of its smallest PT
 weight.  For the scan families (depolarizing, dephasing, bitflip) the
-Fourier form of the PT spectrum, FourierForm, gives that sign for all
-splits at once.  On the pre-scan grid each split's PT weights are one
-matrix product, the grid's powers p^d times the split's integer
-coefficients C[d, U] (n + 1 rows of butterfly passes per split); at each
-refinement point they are one row of n butterfly passes.  A value settles
-the sign only when it exceeds fourier_bound, the distance of either form
-from the gather's value.  Where it does not, and at the clean end of the
-bracket, which sets the argmin and the verdict of splits without a
-crossing, the gather supplies the value.  So every bisection takes the
-steps it would take on the gather alone, and every entry of the report is
-the gather's.  The splits bisect through numeric.bisect_lockstep, which
-holds their brackets as arrays and takes their values as arrays.  Each
-split's transform is built once, for its clean end, and kept only while
-the split can still refine: a split whose pre-scan shows no sign change
-drops it at once, the others at the first refinement round after their
-bisection ends.  The gather keeps no index between calls.
+Fourier form of the PT spectrum, FourierForm, gives that sign: a split's
+PT weights at p are the powers p^d times its integer coefficients
+C[d, U] (n + 1 rows of butterfly passes per split, built once), at every
+point of the pre-scan grid and at each split's point in each refinement
+round.  A value settles the sign only when it exceeds fourier_bound, the
+distance of this form from the gather's value.  Where it does not, and at
+the clean end of the bracket, which sets the argmin and the verdict of
+splits without a crossing, the gather supplies the value.  So every
+bisection takes the steps it would take on the gather alone, and every
+entry of the report is the gather's.  The splits go in blocks whose
+coefficients fit _SCAN_BLOCK, each through one numeric.bisect_lockstep,
+which holds their brackets as arrays and takes their values as arrays.
+Each split's transform is built once, for its clean end, and lives until
+its block ends.  The gather keeps no index between calls.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
@@ -74,6 +73,8 @@ class GraphDiagonalState:
         object.__setattr__(self, "lam", lam)
         if lam.shape != (1 << self.graph.n,):
             raise ValidationError("weight vector must have length 2^n")
+        if not np.isfinite(lam).all():
+            raise ValidationError("weights must be finite")
         if lam.min() < -1e-14:
             raise ValidationError(f"negative weight {lam.min()}")
         if abs(lam.sum() - 1.0) > 1e-9:
@@ -346,13 +347,12 @@ class FourierForm:
     counts the vertices of chi | Gamma chi, of chi, or of Gamma chi (Gamma
     chi is the XOR of the neighbourhoods of the vertices in chi).  The PT
     weights of the split with side A are 2^-n H[(-1)^|chi & Gamma chi & A|
-    p^w]: n butterfly passes over 2^n entries, whatever the rank of the
-    split (spectra).  Grouping the chi by w gives the coefficient form:
-    the PT weight of U is 2^-n sum_d C[d, U] p^d, where row d of C is H of
-    the signs on the chi with w(chi) = d (coefficients), so one matrix
-    product gives a split's PT weights at many p.  Both forms agree with
-    PartitionTransform.apply on lambda_from_pauli's weights to within
-    fourier_bound.
+    p^w].  Grouping the chi by w gives the coefficient form: the PT weight
+    of U is 2^-n sum_d C[d, U] p^d, where row d of C is H of the signs on
+    the chi with w(chi) = d (coefficients), so one matrix product gives a
+    split's PT weights at any number of p, whatever the rank of the split.
+    It agrees with PartitionTransform.apply on lambda_from_pauli's weights
+    to within fourier_bound.
     """
 
     n: int
@@ -380,15 +380,6 @@ class FourierForm:
         """(-1)^|chi & Gamma chi & A| of every chi, for each side A of a_masks."""
         return np.take(self.parity, self.cross & a_masks[:, np.newaxis])
 
-    def spectra(self, a_masks: np.ndarray, ps: np.ndarray) -> np.ndarray:
-        """PT weights at ps[i] of the split with side a_masks[i].
-
-        a_masks and ps have shape (rows,); the result is (rows, 2^n).
-        """
-        rows = np.take(self.powers(ps), self.exponents, axis=1)  # C order, unlike powers[:, w]
-        rows *= self.signs(a_masks)
-        return _walsh_hadamard(rows)
-
     def coefficients(self, a_masks: np.ndarray) -> np.ndarray:
         """Integer PT coefficients of the splits with sides a_masks.
 
@@ -405,8 +396,8 @@ class FourierForm:
 
 
 def fourier_bound(n: int, rank: int) -> float:
-    """Bound on the distance of either Fourier form (FourierForm.spectra, or
-    powers @ coefficients) from PartitionTransform.apply at one p.
+    """Bound on the distance of the coefficient form (FourierForm.powers @
+    FourierForm.coefficients) from PartitionTransform.apply at one p.
 
     In units of u = 2^-53, to first order, for p in SCAN_BRACKET (where
     nothing is subnormal):
@@ -418,16 +409,15 @@ def fourier_bound(n: int, rank: int) -> float:
       of the n mixing steps puts one product and three additions on every
       term, so every weight is off by at most 6n relative, and a signed
       average of distinct weights by at most 6n.
-    - Both forms take pow within 4 ulps (8) and the exact scaling by 2^-n.
-      spectra adds n butterfly passes over entries whose sizes add up to at
-      most 1 (n).  The coefficient form's C is exact, and its (n + 1)-term
-      dot product, in any order, with or without FMA, is off by at most
-      (n + 1) times the sum of its terms' sizes, at most 1 (n + 1).
-    So a form and the gather differ by at most 2^rank + 7n + 9 units.  The
+    - The form takes pow within 4 ulps (8) and the exact scaling by 2^-n.
+      Its C is exact, and its (n + 1)-term dot product, in any order, with
+      or without FMA, is off by at most (n + 1) times the sum of its terms'
+      sizes, at most 1 (n + 1).
+    So the form and the gather differ by at most 2^rank + 7n + 9 units.  The
     bound takes 8 times (2^rank + 8n + 8) units, which leaves room for the
     second-order terms (each k u above is k u / (1 - k u)).  A value of
-    either form larger than it in size therefore has the sign of the
-    gather, which is nonzero.
+    the form larger than it in size therefore has the sign of the gather,
+    which is nonzero.
     """
     return 8.0 * ((1 << rank) + 8 * n + 8) * 2.0**-53
 
@@ -581,40 +571,10 @@ class PartitionScanReport:
         return out
 
 
-_FOURIER_BLOCK = 1 << 13  # entries of one block of Fourier rows
-# float64 entries (256 KB) of a pre-scan block's coefficients, and again of
-# one product; at least one split per block, which exceeds it past n = 10.
-_PRESCAN_BLOCK = 1 << 15
-
-
-def _fourier_mins(form: FourierForm, a_masks: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Smallest PT weight at ps[i] of the split with side a_masks[i], in blocks.
-
-    With one p per split, as in a refinement round, one Fourier row is
-    cheaper than the split's n + 1 coefficient rows.
-    """
-    out = np.empty(len(ps))
-    step = max(1, _FOURIER_BLOCK >> form.n)
-    for s in range(0, len(ps), step):
-        out[s : s + step] = form.spectra(a_masks[s : s + step], ps[s : s + step]).min(axis=1)
-    return out
-
-
-def _prescan_mins(form: FourierForm, a_masks: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Smallest PT weight of every split at every grid point, from the
-    splits' coefficients: (len(a_masks), len(grid)), in blocks of splits,
-    each a few products of the grid's powers with the block's coefficients."""
-    dim = 1 << form.n
-    powers = form.powers(grid)
-    out = np.empty((len(a_masks), len(grid)))
-    step = max(1, _PRESCAN_BLOCK // (2 * (form.n + 1) * dim))  # two butterfly buffers
-    for s in range(0, len(a_masks), step):
-        coefficients = form.coefficients(a_masks[s : s + step])
-        rows = max(1, _PRESCAN_BLOCK // (len(coefficients) * dim))
-        for j in range(0, len(grid), rows):
-            products = np.matmul(powers[j : j + rows], coefficients)
-            out[s : s + step, j : j + rows] = products.min(axis=2)
-    return out
+# float64 entries (4 MB) of one scan block's coefficients, (n + 1) 2^n per
+# split, and multiply-adds of one pre-scan product; at least one split per
+# block, which fits up to n = DIRECT_CAP.
+_SCAN_BLOCK = 1 << 19
 
 
 def _ppt_signed(v: float) -> float:
@@ -630,29 +590,29 @@ def _scan_splits(
     parts: list[Bipartition],
     tol: Tolerance,
 ) -> list[PartitionScanEntry]:
-    """Scan the given splits in lockstep, steering bisection by certified signs.
+    """Scan the given splits in blocks, steering bisection by certified signs.
 
     A bisection step needs only the sign of the smallest PT weight.  The
-    Fourier form gives it for every split at once; a value v settles the
-    sign when |v| > fourier_bound, because the gather's value is then
-    nonzero and of the same sign.  Where it does not, the gather
-    (PartitionTransform.apply on the noisy weights) supplies the value, so
-    every bisection takes the steps it would take on the gather alone.  The
-    clean-end row, which gives the argmin and the verdict of splits without
-    a crossing, is always gathered.  The pre-scan values of every split come
-    from its coefficients (_prescan_mins), the refinement values from
-    spectra.  Both arrive as arrays and go to bisect_lockstep as arrays:
-    one comparison against the splits' bounds (an array, one bound per
-    split) finds the undecided points, and only those are gathered.
-    bisect_lockstep checks each split's grid with numeric's one _prescan,
-    draws the grids one at a time and refines the splits together, holding
-    their brackets as arrays.  partition_transform runs once per split, for
-    the clean end, and a split keeps its transform only while it can still
-    refine: one whose pre-scan shows no sign change drops it at once, the
-    others at the first refinement round after their bisection ends.  Every
-    pre-scan runs before the first round, so the peak is every split with a
-    sign change.  Noisy weights are computed once per p and shared by every
-    split.
+    coefficient form gives it for a whole block of splits: at the pre-scan
+    grid, powers(grid) @ C of each split; in each refinement round, one
+    powers(p) @ C per split still bisecting.  A value v settles the sign
+    when |v| > fourier_bound, because the gather's value is then nonzero and
+    of the same sign.  Where it does not, the gather (PartitionTransform.apply
+    on the noisy weights) supplies the value, so every bisection takes the
+    steps it would take on the gather alone.  The clean-end row, which gives
+    the argmin and the verdict of splits without a crossing, is always
+    gathered.  Values go to bisect_lockstep as arrays: one comparison
+    against the splits' bounds (an array, one bound per split) finds the
+    undecided points, and only those are gathered.
+
+    The splits go in blocks whose coefficients fit _SCAN_BLOCK, one
+    bisect_lockstep per block, which checks each split's grid with
+    numeric's one _prescan, draws the grids one at a time and refines the
+    block's splits together, holding their brackets as arrays.
+    partition_transform runs once per split, for the clean end, and the
+    block keeps its transforms until it ends: since 4^rank <= 2^n, they take
+    at most 2/(n + 1) of the memory of its coefficients.  Noisy weights are
+    computed once per p and shared by every split of every block.
 
     Under bitflip noise the minimum of some splits is exactly 0.0 over a
     whole range of p.  A split whose pre-scan meets an exact zero reads
@@ -670,47 +630,63 @@ def _scan_splits(
             lam = cache[p] = lambda_from_pauli(g, family.pauli(p)).lam
         return lam
 
-    transforms: dict[int, PartitionTransform] = {}  # of splits with a sign change
-    zero_is_ppt: set[int] = set()  # splits whose pre-scan met an exact zero
-    bounds = np.empty(len(parts))  # fourier_bound of each split
-    clean_ends = []
+    form = FourierForm.of(g, family.kind)
+    step = max(1, _SCAN_BLOCK // ((g.n + 1) << g.n))
+    entries = []
+    for start in range(0, len(parts), step):
+        entries += _scan_block(g, form, weights, parts[start : start + step], tol)
+    return entries
 
-    def gathered(i: int, p: float) -> float:
-        v = float(transforms[i].apply(weights(p)).min())
-        return _ppt_signed(v) if i in zero_is_ppt else v
 
-    def settle(splits: np.ndarray, ps: list[float], vs: np.ndarray) -> np.ndarray:
-        """vs, the Fourier minima of splits at ps, with the gather's value
-        (written in place) wherever |v| is within the split's bound."""
-        for k in np.flatnonzero(np.abs(vs) <= bounds[splits]).tolist():
-            vs[k] = gathered(int(splits[k]), ps[k])
-        return vs
-
+def _scan_block(
+    g: Graph,
+    form: FourierForm,
+    weights: Callable[[float], np.ndarray],
+    parts: list[Bipartition],
+    tol: Tolerance,
+) -> list[PartitionScanEntry]:
+    """One bisect_lockstep over one block of _scan_splits; weights(p) gives
+    the noisy weights at p.  The block's coefficients and transforms are
+    freed when it returns."""
     lo, hi = SCAN_BRACKET
     grid = prescan_grid(lo, hi)[:-1]  # the clean end hi is gathered
-    form = FourierForm.of(g, family.kind)
-    a_masks = np.array([part.a_mask for part in parts])
-    grid_mins = _prescan_mins(form, a_masks, np.array(grid))
+    grid_powers = form.powers(np.array(grid))
+    coefficients = form.coefficients(np.array([part.a_mask for part in parts]))
+    transforms = [partition_transform(g, part) for part in parts]
+    bounds = np.array([fourier_bound(g.n, t.rank) for t in transforms])
+    # Grid rows per pre-scan product, at most _SCAN_BLOCK multiply-adds each:
+    # OpenBLAS ran a product of the whole grid on several threads from
+    # n = 10, and the threads of two pooled workers contended (a ring:11
+    # scan with jobs=2 took two to three times as long).
+    rows = max(1, _SCAN_BLOCK // coefficients[0].size)
+    zero_is_ppt: set[int] = set()  # splits whose pre-scan met an exact zero
+    clean_ends = []
+
+    def settle(splits: np.ndarray, ps: list[float], vs: np.ndarray) -> np.ndarray:
+        """vs, the coefficient-form minima of splits at ps, with the gather's
+        value (written in place) wherever |v| is within the split's bound."""
+        for k in np.flatnonzero(np.abs(vs) <= bounds[splits]).tolist():
+            i = int(splits[k])
+            v = float(transforms[i].apply(weights(ps[k])).min())
+            vs[k] = _ppt_signed(v) if i in zero_is_ppt else v
+        return vs
 
     def grids():
-        for i, part in enumerate(parts):
-            transform = transforms[i] = partition_transform(g, part)
+        for i, transform in enumerate(transforms):
             clean = transform.apply(weights(hi))
             clean_ends.append((float(clean.min()), int(np.argmin(clean))))
-            bounds[i] = fourier_bound(g.n, transform.rank)
-            ys = np.append(settle(np.full(len(grid), i), grid, grid_mins[i]), clean_ends[i][0])
+            chunks = (grid_powers[j : j + rows] for j in range(0, len(grid), rows))
+            mins = np.concatenate([(chunk @ coefficients[i]).min(axis=1) for chunk in chunks])
+            ys = np.append(settle(np.full(len(grid), i), grid, mins), clean_ends[i][0])
             zero = ys == 0.0
             if zero.any():
                 zero_is_ppt.add(i)
                 ys[zero] = 1.0  # _ppt_signed
-            if ys.min() > 0.0 or ys.max() < 0.0:
-                del transforms[i]  # no sign change: nothing to refine
             yield ys
 
     def refine(split: np.ndarray, ps: np.ndarray) -> np.ndarray:
-        for i in transforms.keys() - set(split.tolist()):
-            del transforms[i]  # its bisection has finished
-        return settle(split, ps.tolist(), _fourier_mins(form, a_masks[split], ps))
+        products = np.matmul(form.powers(ps)[:, np.newaxis], coefficients[split])
+        return settle(split, ps.tolist(), products.min(axis=(1, 2)))
 
     results = bisect_lockstep(refine, grids(), lo, hi, tol)
     return [_scan_entry(part, r, *clean) for part, r, clean in zip(parts, results, clean_ends)]
@@ -740,9 +716,10 @@ def scan_partitions(
     p decreases (largest critical p), last_ppt the most robust one.  Output
     order and tie-breaking follow the canonical partition enumeration, so
     results are identical for any jobs count.  The splits bisect in
-    lockstep (those of a worker's slice when jobs > 1), steered by the signs
-    the Fourier form certifies; see _scan_splits.  At most min(jobs,
-    splits, os.cpu_count()) worker processes are started.
+    lockstep, block by block (each worker blocks its own slice when
+    jobs > 1), steered by the signs the coefficient form certifies; see
+    _scan_splits.  At most min(jobs, splits, os.cpu_count()) worker
+    processes are started.
     """
     if g.is_weighted:
         raise ValidationError("scan needs an unweighted graph")

@@ -56,6 +56,8 @@ class BellDiagonal:
         if len(self.c) != 4:
             raise ValidationError("need exactly four weights")
         object.__setattr__(self, "c", tuple(float(x) for x in self.c))
+        if not all(map(math.isfinite, self.c)):
+            raise ValidationError("weights must be finite")
         if min(self.c) < -1e-12:
             raise ValidationError(f"negative weight {min(self.c)}")
         if abs(sum(self.c) - 1.0) > 1e-12:
@@ -133,6 +135,8 @@ def _class_pair_state(cls: tuple[int, int, int], ch: PauliChannel) -> BellDiagon
 def _checked_weight_rows(w: np.ndarray) -> np.ndarray:
     """w, a (P, 4) array of pair weights, with each row checked as
     BellDiagonal checks its four weights."""
+    if not np.isfinite(w).all():
+        raise ValidationError("weights must be finite")
     low = w.min(axis=1)
     if np.any(low < -1e-12):
         raise ValidationError(f"negative weight {low.min()}")

@@ -375,3 +375,24 @@ def test_eb_threshold_rejects_fixed_pauli():
     )
     with pytest.raises(ValidationError):
         eb_threshold(fam)
+
+
+# --- NaN times --------------------------------------------------------------
+# t < 0 is False for NaN, so these computed with a NaN time instead of raising.
+
+QO = QoChannel(B=1.0, C=0.6, s=0.4)
+
+
+def test_qo_snapshot_rejects_a_nan_time():
+    with pytest.raises(ValidationError):
+        qo_snapshot(QO, math.nan)
+
+
+def test_decay_gamma_rejects_a_nan_time():
+    with pytest.raises(ValidationError):
+        decay_gamma(math.nan)
+
+
+def test_is_entanglement_breaking_qo_rejects_a_nan_time():
+    with pytest.raises(ValidationError):
+        is_entanglement_breaking_qo(QO, math.nan)

@@ -71,6 +71,12 @@ def test_validation():
         level_recursion(0.1, -1)
 
 
+def test_level_recursion_rejects_a_nan_time():
+    # kt < 0 is False for NaN, which gave a noiseless level (q = 1.0).
+    with pytest.raises(ValidationError):
+        level_recursion(math.nan, 2)
+
+
 def test_physical_qubit_count_is_five_to_the_level():
     assert [level_recursion(0.01, j).physical_qubits for j in range(4)] == [
         1,

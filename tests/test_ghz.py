@@ -72,6 +72,18 @@ def test_validation_of_diagonal_state():
         GhzDiagonal(2, (0.5, 0.0, 0.5), 0.9, True)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_diagonal_state_rejects_non_finite_entries(bad):
+    # Every comparison with NaN is False, so all-NaN coefficients (or a NaN
+    # mu) passed the sign, sum and |mu| checks.
+    with pytest.raises(ValidationError, match="finite"):
+        GhzDiagonal(2, (bad,) * 3, bad, True)
+    with pytest.raises(ValidationError, match="finite"):
+        GhzDiagonal(2, (0.5, 0.0, 0.5), bad, True)
+    with pytest.raises(ValidationError, match="finite"):
+        GhzDiagonal(2, (bad, 0.0, 0.5), 0.0, True)
+
+
 # --- Partial-transpose condition --------------------------------------------
 
 
@@ -361,3 +373,17 @@ def test_blockwise_validation():
         blockwise_upper_M_from_kt(0.0)
     with pytest.raises(ValidationError):
         blockwise_upper_M_small_kt(-1.0)
+
+
+# --- NaN times --------------------------------------------------------------
+# kt <= 0 is False for NaN, so these returned NaN instead of raising.
+
+
+def test_blockwise_upper_M_from_kt_rejects_a_nan_time():
+    with pytest.raises(ValidationError):
+        blockwise_upper_M_from_kt(math.nan)
+
+
+def test_blockwise_upper_M_small_kt_rejects_a_nan_time():
+    with pytest.raises(ValidationError):
+        blockwise_upper_M_small_kt(math.nan)

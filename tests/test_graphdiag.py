@@ -49,7 +49,6 @@ from qdeco.numeric import (
     MultipleCrossingsError,
     Tolerance,
     bisect,
-    bisect_lockstep,
     prescan_grid,
 )
 from qdeco.oracle import (
@@ -145,6 +144,17 @@ def test_state_validation():
         GraphDiagonalState(g, np.array([0.7, 0.4, 0.1, 0.0]))  # sums to 1.2
     s = GraphDiagonalState(g, [0.7, 0.1, 0.1, 0.1])
     assert s.n == 2 and s.lam.dtype == float
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_state_rejects_non_finite_weights(bad):
+    # Every comparison with NaN is False, so all-NaN weights passed the
+    # sign and sum checks, and pt_spectrum returned a NaN minimum.
+    g = make_lattice("line", 2)
+    with pytest.raises(ValidationError, match="finite"):
+        GraphDiagonalState(g, np.full(4, bad))
+    with pytest.raises(ValidationError, match="finite"):
+        GraphDiagonalState(g, np.array([1.0, 0.0, 0.0, bad]))
 
 
 # --- Partial-transpose spectra vs the dense oracle ---------------------------
@@ -774,10 +784,16 @@ def test_scan_builds_each_transform_once(monkeypatch):
     assert len(built) == len(set(built)) == 255
 
 
-@pytest.mark.parametrize("spec,most", [("ring:8", 3), ("line:7", 9)])
-def test_scan_holds_a_transform_only_while_its_split_can_refine(monkeypatch, spec, most):
-    # A split whose pre-scan shows no sign change drops its transform, so
-    # few are alive at once; holding every one would reach 127 on ring:8.
+def _block_of(splits, n):
+    """A _SCAN_BLOCK that holds exactly `splits` splits of an n-vertex graph."""
+    return splits * ((n + 1) << n)
+
+
+@pytest.mark.parametrize("spec", ["ring:8", "line:7"])
+@pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+def test_scan_holds_the_transforms_of_one_block_at_most(monkeypatch, spec, family):
+    # A block's transforms live until the block ends, and no longer.
+    g = load_graph(spec)
     live = weakref.WeakSet()
     peak = 0
 
@@ -789,38 +805,10 @@ def test_scan_holds_a_transform_only_while_its_split_can_refine(monkeypatch, spe
         return transform
 
     monkeypatch.setattr(graphdiag, "partition_transform", counting)
-    g = load_graph(spec)
-    report = scan_partitions(g, BITFLIP)
-    assert 0 < peak <= most
+    monkeypatch.setattr(graphdiag, "_SCAN_BLOCK", _block_of(3, g.n))
+    report = scan_partitions(g, family)
+    assert peak == 3
     assert len(report.entries) == 2 ** (g.n - 1) - 1
-
-
-@pytest.mark.parametrize("spec", ["ring:8", "line:7"])
-@pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
-def test_scan_drops_a_transform_once_its_bisection_ends(monkeypatch, spec, family):
-    # Every pre-scan runs before the first refinement round, so the splits
-    # with a sign change all hold their transforms then; after each round,
-    # only the splits still bisecting hold theirs.
-    live = weakref.WeakSet()
-    rounds = []
-
-    def counting(g, part):
-        transform = partition_transform(g, part)
-        live.add(transform)
-        return transform
-
-    def lockstep(f, grids, lo, hi, tol):
-        def counted(split, ps):
-            ys = f(split, ps)
-            rounds.append((len(live), len(split)))
-            return ys
-
-        return bisect_lockstep(counted, grids, lo, hi, tol)
-
-    monkeypatch.setattr(graphdiag, "partition_transform", counting)
-    monkeypatch.setattr(graphdiag, "bisect_lockstep", lockstep)
-    scan_partitions(load_graph(spec), family)
-    assert rounds and all(alive <= active for alive, active in rounds)
 
 
 def test_scan_and_pt_spectrum_without_numpy_bitwise_count(monkeypatch):
@@ -853,15 +841,13 @@ def _gather_steered_points(g, family, part):
     return points, transform.rank
 
 
-def _undecided(form, grid_mins, part, points, rank):
-    """How many of the points the Fourier form leaves within its bound: the
-    pre-scan points (the first) by the scan's own coefficient-form minima
-    grid_mins, the refinement points by spectra."""
+def _undecided(form, part, points, rank):
+    """How many of the points (the pre-scan grid without its clean end,
+    then the refinement points) the coefficient form leaves within its
+    bound."""
     assert points[:PRESCAN_POINTS] == prescan_grid(*SCAN_BRACKET)[:-1]
-    refined = np.array(points[PRESCAN_POINTS:])
-    mins = np.concatenate(
-        [grid_mins, form.spectra(np.full(len(refined), part.a_mask), refined).min(axis=1)]
-    )
+    coefficients = form.coefficients(np.array([part.a_mask]))[0]
+    mins = (form.powers(np.array(points)) @ coefficients).min(axis=1)
     return int(np.sum(np.abs(mins) <= fourier_bound(form.n, rank)))
 
 
@@ -874,12 +860,10 @@ def test_scan_gathers_the_clean_end_and_each_undecided_value(monkeypatch, kind, 
     g = make_lattice(kind, n)
     parts = list(bipartitions(g))
     form = FourierForm.of(g, family.kind)
-    grid = np.array(prescan_grid(*SCAN_BRACKET)[:-1])
-    grid_mins = graphdiag._prescan_mins(form, np.array([part.a_mask for part in parts]), grid)
     expected = {}
-    for part, mins in zip(parts, grid_mins):
+    for part in parts:
         points, rank = _gather_steered_points(g, family, part)
-        expected[part.a_mask] = 1 + _undecided(form, mins, part, points, rank)
+        expected[part.a_mask] = 1 + _undecided(form, part, points, rank)
     calls = {}
     apply = graphdiag.PartitionTransform.apply
 
@@ -900,9 +884,8 @@ def test_scan_gathers_the_clean_end_and_each_undecided_value(monkeypatch, kind, 
 
 def _check_fourier_against_gather(g, family, part, ps):
     """At ps and at the points closest to the split's threshold, where the
-    sign is hardest, both Fourier forms (spectra and the coefficient form)
-    are within their bound of the gather and, where they are beyond the
-    bound, have the sign of the nonzero gather."""
+    sign is hardest, the coefficient form is within its bound of the gather
+    and, where it is beyond the bound, has the sign of the nonzero gather."""
     transform = partition_transform(g, part)
 
     def gather(q):
@@ -918,15 +901,13 @@ def _check_fourier_against_gather(g, family, part, ps):
     form = FourierForm.of(g, family.kind)
     bound = fourier_bound(g.n, transform.rank)
     ps = np.array(ps)
-    spectra = form.spectra(np.full(len(ps), part.a_mask), ps)
     products = form.powers(ps) @ form.coefficients(np.array([part.a_mask]))[0]
-    for q, *rows in zip(ps, spectra, products):
+    for q, row in zip(ps, products):
         exact = gather(q)
-        for row in rows:
-            assert np.max(np.abs(row - exact)) <= bound
-            if abs(row.min()) > bound:
-                assert exact.min() != 0.0
-                assert (row.min() < 0.0) == (exact.min() < 0.0)
+        assert np.max(np.abs(row - exact)) <= bound
+        if abs(row.min()) > bound:
+            assert exact.min() != 0.0
+            assert (row.min() < 0.0) == (exact.min() < 0.0)
     return transform.rank
 
 
@@ -969,24 +950,22 @@ def test_coefficients_are_integers_bounded_by_two_to_the_n(n, family):
     assert np.all(coefficients.sum(axis=2) == trace)
 
 
-def _prescan_by_spectra(form, a_masks, grid):
-    """The scan's pre-scan minima through spectra, one Fourier row per point."""
-    mins = graphdiag._fourier_mins(
-        form, np.repeat(a_masks, len(grid)), np.tile(grid, len(a_masks))
-    )
-    return mins.reshape(len(a_masks), len(grid))
-
-
 @pytest.mark.parametrize(
-    "spec",
-    ["ring:6", "ring:7", "ring:8", "ring:9", "line:7", "star:6", "grid2d:2x3", "grid2d:3x3", "complete:5"],
+    "spec", ["ring:6", "ring:7", "ring:8", "line:7", "star:6", "grid2d:2x3", "complete:5"]
 )
 @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
-def test_coefficient_prescan_gives_the_entries_of_a_spectra_prescan(monkeypatch, spec, family):
+def test_scan_entries_do_not_depend_on_the_blocks(monkeypatch, spec, family):
+    # Blocks of one split, of three, and one block of every split, in one
+    # process and in two workers: the entries are the gather's each time.
     g = load_graph(spec)
-    entries = scan_partitions(g, family).entries
-    monkeypatch.setattr(graphdiag, "_prescan_mins", _prescan_by_spectra)
-    assert entries == scan_partitions(g, family).entries
+    parts = list(bipartitions(g))
+    expected = repr(tuple(_unshared_scan_entry(g, family, part) for part in parts))
+    monkeypatch.setattr(graphdiag, "_SCAN_BLOCK", _block_of(len(parts), g.n))
+    assert repr(scan_partitions(g, family).entries) == expected
+    for splits in (1, 3):
+        monkeypatch.setattr(graphdiag, "_SCAN_BLOCK", _block_of(splits, g.n))
+        assert repr(scan_partitions(g, family).entries) == expected
+    assert repr(scan_partitions(g, family, jobs=2).entries) == expected
 
 
 def test_scan_rejects_weighted_and_non_pauli():

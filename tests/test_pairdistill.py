@@ -113,6 +113,16 @@ def test_bell_diagonal_validation():
         BellDiagonal((0.6, 0.5, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bell_diagonal_rejects_non_finite_weights(bad):
+    # Every comparison with NaN is False, so all-NaN weights passed the
+    # sign and sum checks.
+    with pytest.raises(ValidationError, match="finite"):
+        BellDiagonal((bad,) * 4)
+    with pytest.raises(ValidationError, match="finite"):
+        BellDiagonal((1.0, 0.0, 0.0, bad))
+
+
 def test_npt_boundary_state_has_zero_pt_eigenvalue():
     b = BellDiagonal((0.5, 0.3, 0.1, 0.1))
     assert not max(b.c) > 0.5
@@ -547,7 +557,10 @@ def test_stacked_weight_rows_are_checked_as_bell_diagonal_checks_them():
     good = pairdistill._class_weights((2, 1, 1), *named_probs("depolarizing", 0.7))
     negative = (1.0 + 1e-9, -1e-9, 0.0, 0.0)
     off_sum = (0.5, 0.25, 0.25, 1e-9)
-    for bad, message in ((negative, "negative weight"), (off_sum, "not 1")):
+    cases = [(negative, "negative weight"), (off_sum, "not 1")]
+    cases += [((x, 0.0, 0.0, 0.0), "finite") for x in (math.nan, math.inf)]
+    cases += [((math.nan,) * 4, "finite")]
+    for bad, message in cases:
         with pytest.raises(ValidationError, match=message):
             BellDiagonal(bad)
         with pytest.raises(ValidationError, match=message):
