@@ -8,6 +8,12 @@ configuration regardless of --jobs.
 
 Exit codes: 0 success, 1 computation failure (including a failed
 oracle-check), 2 validation/usage error, 3 capacity error.
+
+Each command runs in a fresh process, where imports are most of its time.
+So this module imports only the standard library and .errors at module
+level, and each handler (each `upper --method`) imports the functions it
+calls: `--help` and usage errors load no numpy, `ghz` loads ghz, channels
+and numeric only, and only oracle-check loads the dense oracle.
 """
 
 from __future__ import annotations
@@ -18,37 +24,15 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .channels import ChannelFamily, ChannelMatrix, PauliChannel, QoChannel, eb_threshold
-from .encode import breakeven, encoded_block_bound, encoded_lifetime, level_recursion
 from .errors import CapacityError, EvaluationError, ValidationError
-from .ghz import (
-    blockwise_lower_M,
-    blockwise_qo_upper_M,
-    blockwise_upper_M,
-    blockwise_upper_M_small_kt,
-    ghz_lifetime,
-)
-from .graphdiag import NPT_VERDICT, lambda_direct, lambda_from_pauli, pt_spectrum, scan_partitions
-from .graphs import Bipartition, Graph, graph_from_edges, load_graph
-from .numeric import DEFAULT_TOL, Tolerance
-from .oracle import (
-    DENSE_CAP,
-    apply_uniform_channel,
-    dense_graph_state,
-    graph_basis_diagonal,
-    pt_spectrum_dense,
-)
-from .pairdistill import lifetime_lower_bound
-from .isingsep import (
-    graph_separability_threshold,
-    native_parameter,
-    weighted_gate_thresholds,
-    weighted_graph_threshold,
-)
+
+if TYPE_CHECKING:
+    from .channels import ChannelFamily, PauliChannel, QoChannel
+    from .graphs import Graph
+    from .numeric import Tolerance
 
 
 SWEEP_CAP = 100_000  # points of one --sweep / --sweep-phi axis
@@ -66,6 +50,8 @@ class CommandOutput:
 
 
 def _parse_channel(text: str) -> ChannelFamily:
+    from .channels import ChannelFamily
+
     text = text.strip()
     try:
         if text.startswith("@"):
@@ -81,6 +67,10 @@ def _parse_channel(text: str) -> ChannelFamily:
 
 
 def _parse_sweep(text: str) -> list[float]:
+    from decimal import Decimal
+
+    import numpy as np
+
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError("sweep must be START:STOP:STEP")
@@ -94,18 +84,27 @@ def _parse_sweep(text: str) -> list[float]:
         raise ValidationError("sweep step must be positive")
     if not start < stop:
         raise ValidationError("sweep needs START < STOP")
-    # The axis below has ceil((STOP - START) / STEP + 1/2) points.
-    if (stop - start) / step + 0.5 > SWEEP_CAP:
+    # The axis is START + i * STEP for i = 0, 1, ... while the point does not
+    # pass STOP: floor((STOP - START) / STEP) + 1 points.
+    if (stop - start) / step >= SWEEP_CAP:
         raise CapacityError(f"sweep {text!r} has more than {SWEEP_CAP} points")
-    return [float(x) for x in np.arange(start, stop + step / 2.0, step)]
+    # arange runs up to STEP/2 past STOP so that rounding cannot drop STOP
+    # itself; the count, taken on the decimals as typed, drops the points
+    # that pass STOP by more than rounding.
+    count = int((Decimal(parts[1]) - Decimal(parts[0])) // Decimal(parts[2])) + 1
+    return [float(x) for x in np.arange(start, stop + step / 2.0, step)[:count]]
 
 
 def _tolerance(ns: argparse.Namespace) -> Tolerance:
+    from .numeric import DEFAULT_TOL, Tolerance
+
     tol_root = getattr(ns, "tol_root", None)
     return DEFAULT_TOL if tol_root is None else Tolerance(abs_root=tol_root)
 
 
 def _qo_channel(family: ChannelFamily) -> QoChannel:
+    from .channels import QoChannel
+
     return QoChannel(family.param("B"), family.param("C"), family.param("s"))
 
 
@@ -172,6 +171,14 @@ def _format_cell(value) -> str:
 
 
 def _cmd_ghz(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
+    from .ghz import (
+        blockwise_lower_M,
+        blockwise_qo_upper_M,
+        blockwise_upper_M,
+        blockwise_upper_M_small_kt,
+        ghz_lifetime,
+    )
+
     family = _parse_channel(ns.channel)
     out = CommandOutput()
     if ns.blockwise:
@@ -185,8 +192,8 @@ def _cmd_ghz(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
                     {"t": t, "upper_M_qo": blockwise_qo_upper_M(ch, t)}
                 )
         elif family.kind == "depolarizing":
-            if ns.axis == "p" and not axis[0] > 0.0:
-                raise ValidationError(f"--axis p needs p > 0, got {axis[0]}")
+            if not axis[0] > 0.0:  # kt = 0 is p = 1, no noise
+                raise ValidationError(f"--axis {ns.axis} needs {ns.axis} > 0, got {axis[0]}")
             for x in axis:
                 kt = x if ns.axis == "kt" else -math.log(x)
                 p = math.exp(-kt)
@@ -238,12 +245,16 @@ def _cmd_ghz(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
 
 
 def _graph(ns: argparse.Namespace) -> Graph:
+    from .graphs import load_graph
+
     if ns.graph is None:
         raise ValidationError(f"{ns.cmd} needs --graph")
     return load_graph(ns.graph)
 
 
 def _cmd_lower(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
+    from .pairdistill import lifetime_lower_bound
+
     g = _graph(ns)
     family = _parse_channel(ns.channel)
     report = lifetime_lower_bound(g, family, tol)
@@ -283,6 +294,8 @@ def _cmd_upper(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
     family = _parse_channel(ns.channel)
     out = CommandOutput()
     if ns.method == "eb":
+        from .channels import eb_threshold
+
         result = eb_threshold(family, tol, via=ns.via)
         axis = "p" if family.is_pauli_family else "t"
         row = {"axis": axis, "threshold": result.value if result.sign_change_found else None}
@@ -295,8 +308,14 @@ def _cmd_upper(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
         return out
     if ns.graph is None:
         raise ValidationError(f"--method {ns.method} needs --graph")
-    g = load_graph(ns.graph)
+    g = _graph(ns)
     if ns.method == "ising":
+        from .isingsep import (
+            graph_separability_threshold,
+            native_parameter,
+            weighted_graph_threshold,
+        )
+
         if g.is_weighted:
             report = weighted_graph_threshold(g, family, tol)
             for u, v, phi, p_z in report.per_edge:
@@ -326,6 +345,8 @@ def _cmd_upper(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
         out.summary["method"] = "gate-separability"
         return out
     if ns.method == "ppt":
+        from .graphdiag import NPT_VERDICT, scan_partitions
+
         report = scan_partitions(g, family, tol, jobs=ns.jobs)
         for label, entry in (("first_ppt", report.first_ppt), ("last_ppt", report.last_ppt)):
             if entry is None:
@@ -347,6 +368,8 @@ def _cmd_upper(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
 
 
 def _cmd_scan(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
+    from .graphdiag import NPT_VERDICT, scan_partitions
+
     g = _graph(ns)
     family = _parse_channel(ns.channel)
     report = scan_partitions(g, family, tol, jobs=ns.jobs)
@@ -364,6 +387,8 @@ def _cmd_scan(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
 
 
 def _cmd_weighted(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
+    from .isingsep import weighted_gate_thresholds
+
     out = CommandOutput()
     phis = _parse_sweep(ns.sweep_phi)
     thresholds = weighted_gate_thresholds([(phi, ns.deg, ns.deg) for phi in phis], tol)
@@ -374,6 +399,8 @@ def _cmd_weighted(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
 
 
 def _cmd_encode(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
+    from .encode import breakeven, encoded_block_bound, encoded_lifetime, level_recursion
+
     if not math.isfinite(ns.kt):
         raise ValidationError(f"--kt must be finite, got {ns.kt}")
     if ns.levels < 0:
@@ -406,6 +433,8 @@ def _cmd_encode(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
     """Uniform-ish random connected graph on n vertices (edge prob 1/2)."""
+    from .graphs import graph_from_edges
+
     if n < 2:
         raise ValidationError("need at least two vertices")
     while True:
@@ -427,6 +456,8 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
 
 def random_pauli_channel(rng: random.Random) -> PauliChannel:
     """Random channel with all four probabilities bounded away from zero."""
+    from .channels import PauliChannel
+
     raw = [0.05 + rng.random() for _ in range(4)]
     total = sum(raw)
     p = [x / total for x in raw]
@@ -434,6 +465,19 @@ def random_pauli_channel(rng: random.Random) -> PauliChannel:
 
 
 def _cmd_oracle_check(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
+    import numpy as np
+
+    from .channels import ChannelMatrix
+    from .graphdiag import lambda_direct, lambda_from_pauli, pt_spectrum
+    from .graphs import Bipartition
+    from .oracle import (
+        DENSE_CAP,
+        apply_uniform_channel,
+        dense_graph_state,
+        graph_basis_diagonal,
+        pt_spectrum_dense,
+    )
+
     if ns.cases < 1:
         raise ValidationError(f"--cases must be at least 1, got {ns.cases}")
     if ns.max_n < 2:

@@ -80,16 +80,24 @@ def apply_channels(s: DenseState, channels: list[ChannelMatrix]) -> DenseState:
     """Apply one single-qubit channel to each qubit in turn."""
     if len(channels) != s.n:
         raise ValidationError(f"need {s.n} channels, got {len(channels)}")
-    rho = s.rho
+    # rho as a tensor with one row and one column axis per qubit; qubit k is
+    # bit k of the index, so its axes are n-1-k (row) and 2n-1-k (column).
+    # Each entry of sigma_i rho sigma_j sums one nonzero product, so every
+    # term is exact.
+    n = s.n
+    rho = s.rho.reshape((2,) * (2 * n))
     for k, ch in enumerate(channels):
-        sig = [lift_operator(s.n, k, sx) for sx in SIGMA]
+        row, col = n - 1 - k, 2 * n - 1 - k
         new = np.zeros_like(rho)
         for i in range(4):
-            for j in range(4):
-                if ch.p[i, j] != 0:
-                    new += ch.p[i, j] * (sig[i] @ rho @ sig[j])
+            # sigma_i rho: sigma_i's column contracted with qubit k's row axis.
+            left = np.moveaxis(np.tensordot(SIGMA[i], rho, axes=(1, row)), 0, row)
+            for j in np.flatnonzero(ch.p[i]):
+                # (sigma_i rho) sigma_j: the column axis contracted with sigma_j's row.
+                term = np.moveaxis(np.tensordot(left, SIGMA[j], axes=(col, 0)), -1, col)
+                new += ch.p[i, j] * term
         rho = new
-    return DenseState(s.n, rho)
+    return DenseState(n, rho.reshape(1 << n, 1 << n))
 
 
 def apply_uniform_channel(s: DenseState, ch: ChannelMatrix) -> DenseState:

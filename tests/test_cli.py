@@ -7,6 +7,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -471,8 +472,45 @@ def test_oversized_sweeps_exit_3_in_one_line(argv, capsys):
 
 def test_sweep_cap_counts_the_points_of_the_axis():
     assert len(_parse_sweep(f"0:{SWEEP_CAP - 1}:1")) == SWEEP_CAP
+    assert len(_parse_sweep(f"0:{SWEEP_CAP - 0.4}:1")) == SWEEP_CAP
     with pytest.raises(CapacityError):
         _parse_sweep(f"0:{SWEEP_CAP}:1")
+
+
+@pytest.mark.parametrize(
+    "text, points, last",
+    [
+        ("0.01:0.8:0.01", 80, 0.8),  # README axes
+        ("0.5:3.14:0.2", 14, 3.0999999999999996),
+        ("3:3.3:0.1", 4, 3.3000000000000003),  # STOP, give or take rounding
+        ("0.2:1.0:0.2", 5, 1.0),
+        ("0.5:3.14:1.0", 3, 2.5),  # arange's 3.5 passes STOP
+        ("0.1:0.9:0.3", 3, 0.7000000000000001),
+        ("1e-12:1e-9:1e-10", 10, 9.01e-10),
+    ],
+)
+def test_sweep_axis_ends_at_stop(text, points, last):
+    axis = _parse_sweep(text)
+    start, _, step = (float(x) for x in text.split(":"))
+    assert len(axis) == points and axis[-1] == last
+    # Every point is arange's, bit for bit.
+    assert axis == [float(x) for x in np.arange(start, start + (points - 0.5) * step, step)]
+
+
+def test_sweep_never_runs_past_stop(capsys):
+    assert main(["weighted", "--sweep-phi", "0.5:3.14:1.0"]) == 0
+    rows = capsys.readouterr().out.splitlines()[-3:]
+    assert [row.split(",")[0] for row in rows] == ["0.5", "1.5", "2.5"]
+    assert main(["ghz", "--blockwise", "--axis", "p", "--sweep", "0.1:0.9:0.3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[-3:]
+    assert [row.split(",")[1] for row in rows] == ["0.1", "0.4", "0.7"]
+
+
+def test_blockwise_kt_axis_rejects_kt_at_most_zero(capsys):
+    assert main(["ghz", "--blockwise", "--sweep", "0:0.5:0.1"]) == 2
+    assert capsys.readouterr().err == "error: --axis kt needs kt > 0, got 0.0\n"
+    assert main(["ghz", "--blockwise", "--sweep=-0.2:0.5:0.1"]) == 2
+    assert capsys.readouterr().err == "error: --axis kt needs kt > 0, got -0.2\n"
 
 
 # Each subcommand registers only the shared flags it reads; argparse rejects the

@@ -1,16 +1,21 @@
 """Every name a module imports is read somewhere in that module, every
 private module-level name of the library is read somewhere in the
 library, no library module but the command line imports the test oracle,
-and the command line starts without the process pool.
+and each command line path imports only the modules it runs.
 
 A stand-in for pyflakes' unused-import check, and for a dead-code check
 on private names, on the standard library's ast alone.  Package __init__
-files are skipped by the import check: their imports are the package's
-re-exports.  A private name read only by tests is dead code.  The dense
-oracle (qdeco.oracle) checks the library from outside; a library module
-that imports it no longer can be checked against it independently.  Only
-a scan with --jobs > 1 uses the process pool, so no other command should
-pay for importing it.
+files are skipped by the import check.  A private name read only by tests
+is dead code.  The dense oracle (qdeco.oracle) checks the library from
+outside; a library module that imports it no longer can be checked
+against it independently.
+
+`import qdeco` and `import qdeco.cli` load no numpy and no library module
+but qdeco.errors; each subcommand imports what it calls, in a fresh
+process (the console script's case), so `--help` and usage errors cost no
+numpy, and only oracle-check loads the oracle and only a scan with
+--jobs > 1 the process pool.  The package resolves its public names on
+first use (PEP 562); those names must be the modules' own objects.
 """
 
 import ast
@@ -153,10 +158,102 @@ def test_library_module_does_not_import_the_oracle(path):
     assert not imports_oracle(path.read_text())
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    probe = "import sys, qdeco.cli; print('concurrent.futures.process' in sys.modules)"
+def run_fresh(code: str) -> str:
+    """Standard output of code in a fresh interpreter on this checkout."""
     run = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
-    assert run.stdout == "False\n"
+    return run.stdout
+
+
+def fresh_modules(code: str) -> set[str]:
+    """numpy and the qdeco modules a fresh interpreter holds after code.
+
+    The command's own output goes to a buffer; the last stdout line is the
+    module list.
+    """
+    probe = (
+        "import contextlib, io, sys\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    {code}\n"
+        "print(' '.join(m for m in sys.modules if m == 'numpy' or m.startswith('qdeco')))"
+    )
+    return set(run_fresh(probe).splitlines()[-1].split())
+
+
+LIBRARY = {path.stem for path in (ROOT / "src/qdeco").glob("*.py")} - {"__init__"}
+
+
+def test_cli_import_loads_no_numpy_and_no_library_module():
+    assert fresh_modules("import qdeco.cli") == {"qdeco", "qdeco.cli", "qdeco.errors"}
+    assert fresh_modules("import qdeco") == {"qdeco"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["ghz", "--help"], ["ghz", "--no-such-flag"], ["upper"], ["scan", "--jobs", "x"]],
+    ids=" ".join,
+)
+def test_help_and_usage_errors_load_no_numpy(argv):
+    code = f"from qdeco.cli import main; assert main({argv!r}) in (0, 2)"
+    assert fresh_modules(code) == {"qdeco", "qdeco.cli", "qdeco.errors"}
+
+
+# The library modules each command must leave unloaded.
+NOT_LOADED = {
+    "ghz --n 4": {"graphs", "graphdiag", "isingsep", "pairdistill", "encode", "oracle"},
+    "ghz --blockwise --sweep 0.1:0.3:0.1": {
+        "graphs", "graphdiag", "isingsep", "pairdistill", "encode", "oracle",
+    },
+    "lower --graph ring:4": {"graphdiag", "ghz", "encode", "oracle"},
+    "upper --method eb": {
+        "graphs", "graphdiag", "isingsep", "pairdistill", "ghz", "encode", "oracle",
+    },
+    "upper --method ising --graph ring:4": {"graphdiag", "pairdistill", "ghz", "encode", "oracle"},
+    "upper --method ppt --graph ring:4": {"isingsep", "pairdistill", "ghz", "encode", "oracle"},
+    "scan --graph ring:4": {"isingsep", "pairdistill", "ghz", "encode", "oracle"},
+    "weighted --sweep-phi 1:2:0.5": {"graphdiag", "pairdistill", "ghz", "encode", "oracle"},
+    "encode --kt 0.1 --levels 1": {"graphs", "graphdiag", "isingsep", "pairdistill", "oracle"},
+    "oracle-check --cases 1 --max-n 3": {"isingsep", "pairdistill", "ghz", "encode"},
+}
+
+
+def test_only_oracle_check_loads_the_oracle():
+    assert {cmd for cmd, unloaded in NOT_LOADED.items() if "oracle" not in unloaded} == {
+        "oracle-check --cases 1 --max-n 3"
+    }
+    assert {cmd.split()[0] for cmd in NOT_LOADED} == {
+        "ghz", "lower", "upper", "scan", "weighted", "encode", "oracle-check",
+    }
+
+
+@pytest.mark.parametrize("cmd", NOT_LOADED)
+def test_subcommand_imports_only_what_it_runs(cmd):
+    loaded = fresh_modules(f"from qdeco.cli import main; assert main({cmd.split()!r}) == 0")
+    assert NOT_LOADED[cmd] <= LIBRARY
+    assert {f"qdeco.{m}" for m in NOT_LOADED[cmd]} & loaded == set()
+    assert "numpy" in loaded
+
+
+def test_lazy_names_are_the_modules_own_objects():
+    import qdeco
+
+    for name in qdeco.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(qdeco, name)
+        assert obj.__module__.startswith("qdeco.")
+        assert obj is getattr(sys.modules[obj.__module__], name), name
+    assert set(qdeco.__all__) <= set(dir(qdeco))
+    with pytest.raises(AttributeError):
+        qdeco.no_such_name
+
+
+def test_from_import_reaches_names_and_submodules():
+    code = "from qdeco import ghz, scan_partitions; print(ghz.__name__, scan_partitions.__module__)"
+    assert run_fresh(code) == "qdeco.ghz qdeco.graphdiag\n"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    probe = "import sys, qdeco.cli; print('concurrent.futures.process' in sys.modules)"
+    assert run_fresh(probe) == "False\n"

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qdeco.channels import ChannelMatrix, named_channel
+from qdeco.channels import SIGMA, ChannelMatrix, named_channel
 from qdeco.errors import CapacityError, EvaluationError, ValidationError
 from qdeco.graphs import Bipartition, graph_from_edges, make_lattice
 from qdeco.numeric import partial_transpose as numeric_partial_transpose
 from qdeco.oracle import (
+    DenseState,
     apply_channels,
     apply_uniform_channel,
     dense_ghz,
@@ -103,6 +104,43 @@ def test_apply_channels_needs_one_per_qubit():
         apply_channels(s, [ch])
 
 
+def lifted_channels(rho, channels):
+    """sum_ij p[i, j] sigma_i rho sigma_j per qubit, with each Pauli lifted
+    to the full space by Kronecker products: the reference route."""
+    n = len(channels)
+    for k, ch in enumerate(channels):
+        sig = [lift_operator(n, k, s) for s in SIGMA]
+        rho = sum(ch.p[i, j] * (sig[i] @ rho @ sig[j]) for i in range(4) for j in range(4))
+    return rho
+
+
+def random_chi(rng):
+    """A random Hermitian chi matrix, off-diagonal entries included, near the
+    identity channel and trace preserving (sum_ij p[i, j] sigma_j sigma_i = 1),
+    so that the output is a density matrix up to positivity."""
+    a = 0.1 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    p = a + a.conj().T
+    m = sum(p[i, j] * SIGMA[j] @ SIGMA[i] for i in range(4) for j in range(4))
+    # m = c_0 + sum_k c_k sigma_k; p[0, 0] and p[0, k] = p[k, 0] carry each c.
+    p[0, 0] -= np.trace(m).real / 2 - 1
+    for k in range(1, 4):
+        p[0, k] -= np.trace(SIGMA[k] @ m).real / 4
+        p[k, 0] -= np.trace(SIGMA[k] @ m).real / 4
+    return ChannelMatrix(p)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_apply_channels_matches_the_lifted_kronecker_route(n):
+    rng = np.random.default_rng(n)
+    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    vec /= np.linalg.norm(vec)
+    s = DenseState(n, np.outer(vec, vec.conj()))
+    channels = [random_chi(rng) for _ in range(n)]
+    assert any(np.any(ch.p - np.diag(np.diag(ch.p))) for ch in channels)
+    out = apply_channels(s, channels).rho
+    assert np.max(np.abs(out - lifted_channels(s.rho, channels))) <= 1e-13
+
+
 def test_graph_basis_diagonal_of_pure_state_is_delta():
     g = make_lattice("ring", 4)
     lam = graph_basis_diagonal(dense_graph_state(g), g)
@@ -144,8 +182,6 @@ def test_partial_transpose_is_involution_and_trace_preserving():
     part = Bipartition(0b0101, 4)
     pt = partial_transpose(s, part)
     assert np.trace(pt) == pytest.approx(1.0)
-    from qdeco.oracle import DenseState
-
     back = partial_transpose(DenseState(4, pt), part)
     assert np.allclose(back, s.rho, atol=1e-14)
 
