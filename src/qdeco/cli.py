@@ -283,8 +283,8 @@ def _cmd_lower(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
 
 # The flags of `upper` that only some methods read, with their defaults, and
 # the ones each method reads; a method exits 2 on any other one given.
-_UPPER_OPTIONAL = {"graph": None, "jobs": 1, "via": "analytic"}
-_UPPER_READS = {"eb": {"via"}, "ising": {"graph"}, "ppt": {"graph", "jobs"}}
+_UPPER_OPTIONAL = {"graph": None, "via": "analytic"}
+_UPPER_READS = {"eb": {"via"}, "ising": {"graph"}}
 
 
 def _cmd_upper(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
@@ -309,62 +309,40 @@ def _cmd_upper(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
     if ns.graph is None:
         raise ValidationError(f"--method {ns.method} needs --graph")
     g = _graph(ns)
-    if ns.method == "ising":
-        from .isingsep import (
-            graph_separability_threshold,
-            native_parameter,
-            weighted_graph_threshold,
-        )
+    from .isingsep import (
+        graph_separability_threshold,
+        native_parameter,
+        weighted_graph_threshold,
+    )
 
-        if g.is_weighted:
-            report = weighted_graph_threshold(g, family, tol)
-            for u, v, phi, p_z in report.per_edge:
-                out.rows.append({"u": u, "v": v, "phi": phi, "p_z": p_z})
-            out.summary = {
-                "p_z_threshold": report.p_z_threshold,
-                "native_p": report.native_p,
-                "applicable": report.applicable,
-                "critical_edge": str(report.critical_edge),
-            }
-            if not report.applicable:
-                out.warnings.append("method inapplicable: " + report.note)
-        else:
-            report = graph_separability_threshold(g, tol)
-            for u, v, p_z in report.per_edge:
-                out.rows.append({"u": u, "v": v, "phi": math.pi, "p_z": p_z})
-            native, note = native_parameter(family, report.p_threshold, tol)
-            out.summary = {
-                "p_z_threshold": report.p_threshold,
-                "weak_bound": report.weak_bound,
-                "native_p": native,
-                "applicable": native is not None,
-                "critical_edge": str(report.critical_edge),
-            }
-            if native is None:
-                out.warnings.append("method inapplicable: " + note)
-        out.summary["method"] = "gate-separability"
-        return out
-    if ns.method == "ppt":
-        from .graphdiag import NPT_VERDICT, scan_partitions
-
-        report = scan_partitions(g, family, tol, jobs=ns.jobs)
-        for label, entry in (("first_ppt", report.first_ppt), ("last_ppt", report.last_ppt)):
-            if entry is None:
-                out.warnings.append(f"{label}: no partition crossed inside the bracket")
-                continue
-            out.rows.append(
-                {
-                    "which": label,
-                    "partition_mask": entry.partition.a_mask,
-                    "size_a": entry.partition.size_a,
-                    "p_crit": entry.p_crit,
-                    "kt_crit": entry.kt_crit,
-                }
-            )
-        out.summary["method"] = "first-partition-ppt"
-        out.summary["verdict"] = NPT_VERDICT
-        return out
-    raise ValidationError(f"unknown method {ns.method!r}")
+    if g.is_weighted:
+        report = weighted_graph_threshold(g, family, tol)
+        for u, v, phi, p_z in report.per_edge:
+            out.rows.append({"u": u, "v": v, "phi": phi, "p_z": p_z})
+        out.summary = {
+            "p_z_threshold": report.p_z_threshold,
+            "native_p": report.native_p,
+            "applicable": report.applicable,
+            "critical_edge": str(report.critical_edge),
+        }
+        if not report.applicable:
+            out.warnings.append("method inapplicable: " + report.note)
+    else:
+        report = graph_separability_threshold(g, tol)
+        for u, v, p_z in report.per_edge:
+            out.rows.append({"u": u, "v": v, "phi": math.pi, "p_z": p_z})
+        native, note = native_parameter(family, report.p_threshold, tol)
+        out.summary = {
+            "p_z_threshold": report.p_threshold,
+            "weak_bound": report.weak_bound,
+            "native_p": native,
+            "applicable": native is not None,
+            "critical_edge": str(report.critical_edge),
+        }
+        if native is None:
+            out.warnings.append("method inapplicable: " + note)
+    out.summary["method"] = "gate-separability"
+    return out
 
 
 def _cmd_scan(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
@@ -580,11 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("lower", "pair-distillation lifetime lower bound", "--graph", "--channel", "--tol-root")
 
-    p = add(
-        "upper", "lifetime upper bounds",
-        "--graph", "--channel", "--jobs", "--tol-root",
-    )
-    p.add_argument("--method", choices=("eb", "ising", "ppt"), required=True)
+    p = add("upper", "lifetime upper bounds", "--graph", "--channel", "--tol-root")
+    p.add_argument("--method", choices=("eb", "ising"), required=True)
     p.add_argument("--via", choices=("analytic", "jamiolkowski"), default="analytic")
 
     add("scan", "critical noise per bipartition", "--graph", "--channel", "--jobs", "--tol-root")

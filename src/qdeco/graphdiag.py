@@ -52,7 +52,7 @@ from .numeric import (
 )
 
 FAST_CAP = 20  # 2^n weight vector
-DIRECT_CAP = 14  # 4^n double sum
+DIRECT_CAP = 14  # lambda_direct's 4^n sum, one pt_spectrum, and scan_partitions
 SANDWICH_CAP = 12  # exhaustive ratio check over all U and k
 SCAN_BRACKET = (1e-6, 1.0 - 1e-6)
 
@@ -719,12 +719,15 @@ def scan_partitions(
     lockstep, block by block (each worker blocks its own slice when
     jobs > 1), steered by the signs the coefficient form certifies; see
     _scan_splits.  At most min(jobs, splits, os.cpu_count()) worker
-    processes are started.
+    processes are started.  Graphs above DIRECT_CAP vertices raise
+    CapacityError before any split is listed.
     """
     if g.is_weighted:
         raise ValidationError("scan needs an unweighted graph")
     if not family.is_pauli_family:
         raise ValidationError("scan sweeps a Pauli channel family parameter")
+    if g.n > DIRECT_CAP:
+        raise CapacityError(f"partition scan capped at n={DIRECT_CAP}")
     parts = list(bipartitions(g))
     jobs = min(jobs, len(parts), os.cpu_count() or 1)
     if jobs > 1:

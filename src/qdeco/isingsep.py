@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelFamily, minimal_dephasing_pauli
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .graphs import Graph, degree
 from .numeric import (
     DEFAULT_TOL,
@@ -140,8 +140,11 @@ def weighted_gate_thresholds(
     Every gate is checked first, in order.  The gates then bisect in
     lockstep, every pre-scan grid and refinement round formed and
     diagonalised as stacks of at most _GATE_BLOCK gate states.  A gate is
-    separable where its PT minimum is at least GATE_FLOOR; a gate whose
-    state never turns separable inside the bracket (phi ~ 0) gets 1.0.
+    separable where its PT minimum is at least GATE_FLOOR.  A gate with no
+    crossing in GATE_BRACKET is read at the bracket's low end: separable
+    there, it is separable across the whole bracket (phi ~ 0) and gets
+    1.0; entangled there, its threshold lies below the bracket, and
+    CapacityError names it.
     """
     for phi, deg_k, deg_l in gates:
         if min(deg_k, deg_l) < 1:
@@ -163,8 +166,21 @@ def weighted_gate_thresholds(
         return out
 
     grid = np.array(prescan_grid(*GATE_BRACKET))
-    grids = (gaps(np.full(len(grid), i), grid) for i in range(len(gates)))
-    results = bisect_lockstep(gaps, grids, *GATE_BRACKET, tol)
+    lows = []  # each gate's gap at the bracket's low end
+
+    def grids():
+        for i in range(len(gates)):
+            ys = gaps(np.full(len(grid), i), grid)
+            lows.append(ys[0])
+            yield ys
+
+    results = bisect_lockstep(gaps, grids(), *GATE_BRACKET, tol)
+    for (phi, deg_k, deg_l), r, low in zip(gates, results, lows):
+        if not r.sign_change_found and low < 0.0:
+            raise CapacityError(
+                f"a phase-{phi} gate between degrees {deg_k} and {deg_l} is entangled down "
+                f"to p_z = {GATE_BRACKET[0]}, the gate bracket's low end; its threshold lies below"
+            )
     return [r.value if r.sign_change_found else 1.0 for r in results]
 
 
@@ -183,12 +199,19 @@ class SeparabilityReport:
 
 
 def _edge_dephasing_threshold(deg_k: int, deg_l: int, tol: Tolerance) -> float:
-    """Solve (1 + x^(1/deg_k)) (1 + x^(1/deg_l)) = 2 for x in (0, 1)."""
+    """Solve (1 + x^(1/deg_k)) (1 + x^(1/deg_l)) = 2 for x in (0, 1).
 
-    def gap(x: float) -> float:
-        return (1.0 + x ** (1.0 / deg_k)) * (1.0 + x ** (1.0 / deg_l)) - 2.0
+    The root is (sqrt(2) - 1)^m for equal degrees m, so on the x axis it
+    drops below any fixed bracket and absolute tolerance as the degrees
+    grow.  Bisection runs on y = x^(1/m), m = max(deg_k, deg_l), instead:
+    its root lies in [sqrt(2) - 1, 1) for every degree pair.
+    """
+    m = max(deg_k, deg_l)
 
-    return bisect(gap, 1e-15, 1.0, tol).value
+    def gap(y: float) -> float:
+        return (1.0 + y ** (m / deg_k)) * (1.0 + y ** (m / deg_l)) - 2.0
+
+    return bisect(gap, 0.1, 1.0, tol).value ** m
 
 
 def graph_separability_threshold(

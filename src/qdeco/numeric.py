@@ -11,16 +11,16 @@ the grid evaluated point by point; and bisect_lockstep, bisect_from_grid
 of many problems on one bracket, which holds the problems still bisecting
 as arrays and calls f once per refinement round on all their midpoints.
 Both check each grid with one array function, _prescan; the scalar route
-refines in a plain loop (_bisect_steps), the lockstep one with a few array
-operations per round.  The Hermitian check, the spectra and the partial
-transpose take stacks (..., d, d) of matrices.
+refines in a plain loop, the lockstep one with a few array operations per
+round.  The Hermitian check, the spectra and the partial transpose take
+stacks (..., d, d) of matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -141,27 +141,25 @@ def _prescan(
     return x(c), x(c + 1), bool(negative[c])
 
 
-def _bisect_steps(
+def bisect_from_grid(
+    f: Callable[[float], float],
     lo: float,
     hi: float,
     grid_values: Sequence[float],
     tol: Tolerance = DEFAULT_TOL,
-) -> Generator[float, float, ThresholdResult]:
-    """The bisection of `bisect` as a generator, for loops that evaluate f.
+) -> ThresholdResult:
+    """bisect, given the values of f at prescan_grid(lo, hi).
 
-    grid_values are the values of f at prescan_grid(lo, hi), checked by
-    _prescan.  The generator yields each refinement point where it needs f
-    and is sent f's value there; it returns the ThresholdResult (as
-    StopIteration.value).  Only the signs of the values and whether they
-    are exactly zero steer it, so a caller may send any finite value of the
-    right sign that is zero exactly where f is.  Every value sent is checked
-    to be finite.  While refining it holds the bracket and the sign of f at
-    its left end, not the pre-scan's values.  bisect_lockstep refines the
-    same way on arrays; one cheap root refines faster in this scalar loop
-    than through numpy calls.
+    The caller computes grid_values however it likes (for instance in one
+    array pass; a list or an array); _prescan checks them, and each
+    refinement point is then evaluated by the scalar f.  Only the signs of
+    the values and whether they are exactly zero steer the bisection, and
+    every value, given or computed, is checked to be finite.  While
+    refining it holds the bracket and the sign of f at its left end;
+    bisect_lockstep refines the same way on arrays, but one cheap root
+    refines faster in this scalar loop than through numpy calls.
     """
     found = _prescan(lo, hi, grid_values)
-    del grid_values
     if isinstance(found, ThresholdResult):
         return found
     a, b, negative = found
@@ -169,7 +167,7 @@ def _bisect_steps(
     iterations = 0
     while b - a > tol.abs_root and iterations < MAX_ITER:
         mid = 0.5 * (a + b)
-        f_mid = yield mid
+        f_mid = f(mid)
         if not math.isfinite(f_mid):
             raise _non_finite(f_mid, mid)
         iterations += 1
@@ -181,30 +179,6 @@ def _bisect_steps(
         else:
             b = mid
     return ThresholdResult(0.5 * (a + b), (a, b), iterations, True)
-
-
-def bisect_from_grid(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    grid_values: Sequence[float],
-    tol: Tolerance = DEFAULT_TOL,
-) -> ThresholdResult:
-    """bisect, given the values of f at prescan_grid(lo, hi).
-
-    The caller computes grid_values however it likes (for instance in one
-    array pass; a list or an array); each refinement point is then
-    evaluated by the scalar f.  Only the signs of the values and whether
-    they are exactly zero steer the bisection, and every value, given or
-    computed, is checked to be finite.
-    """
-    steps = _bisect_steps(lo, hi, grid_values, tol)
-    y = None
-    try:
-        while True:
-            y = f(steps.send(y))
-    except StopIteration as stop:
-        return stop.value
 
 
 def bisect_lockstep(
@@ -227,7 +201,7 @@ def bisect_lockstep(
     rounds), calls f(problems, points) once on their midpoints, f
     returning the value of problem problems[i] at points[i] as a list or an
     array, checks every value to be finite and moves each bracket end as
-    _bisect_steps does.  Result i is bisect_from_grid's for problem i,
+    bisect_from_grid does.  Result i is bisect_from_grid's for problem i,
     Python floats and iterations included.  Where bisecting the problems in
     order would raise an EvaluationError, this raises it: that of the
     first problem to fail; no grid after that problem's is drawn.
@@ -255,7 +229,7 @@ def bisect_lockstep(
     while True:
         bisecting = b - a > tol.abs_root
         if rounds == MAX_ITER:
-            bisecting[:] = False  # the iteration guard of _bisect_steps
+            bisecting[:] = False  # the iteration guard of bisect_from_grid
         if not bisecting.all():
             done = ~bisecting
             for i, a_i, b_i in zip(ids[done].tolist(), a[done].tolist(), b[done].tolist()):

@@ -205,15 +205,14 @@ def test_upper_ising_bitflip_inapplicable(tmp_path):
     assert any("inapplicable" in w for w in payload["warnings"])
 
 
-def test_upper_ppt_rows(tmp_path):
-    code, payload = run_json(tmp_path, ["upper", "--method", "ppt", "--graph", "ring:5"])
+def test_scan_summary_first_and_last_ppt_are_their_splits_rows(tmp_path):
+    code, payload = run_json(tmp_path, ["scan", "--graph", "ring:5"])
     assert code == 0
-    rows = {row["which"]: row for row in payload["results"]["rows"]}
-    assert set(rows) == {"first_ppt", "last_ppt"}
-    assert rows["first_ppt"]["p_crit"] >= rows["last_ppt"]["p_crit"]
-    assert rows["last_ppt"]["kt_crit"] == pytest.approx(
-        -math.log(rows["last_ppt"]["p_crit"])
-    )
+    summary = payload["results"]["summary"]
+    p_crit = {row["partition_mask"]: row["p_crit"] for row in payload["results"]["rows"]}
+    assert summary["first_ppt_p"] >= summary["last_ppt_p"]
+    for which in ("first_ppt", "last_ppt"):
+        assert f"{summary[which + '_p']:.12g}" == p_crit[summary[which + "_mask"]]
 
 
 def test_upper_ising_needs_graph():
@@ -445,6 +444,41 @@ def test_capacity_errors_exit_3(capsys):
     assert "capacity" in capsys.readouterr().err
 
 
+# K31 with every gate phase 3.0: each gate's threshold lies below GATE_BRACKET.
+K31_PHASE_3 = json.dumps(
+    {"n": 31, "edges": [[u, v, 3.0] for u in range(31) for v in range(u + 1, 31)]}
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--graph", "ring:15"],
+        ["weighted", "--sweep-phi", "3.0:3.14:0.1", "--deg", "30"],
+        ["upper", "--method", "ising", "--graph", K31_PHASE_3],
+    ],
+    ids=["scan ring:15", "weighted deg 30", "upper ising K31"],
+)
+def test_capacity_limits_exit_3_in_one_line(argv, capsys, monkeypatch):
+    from qdeco import graphdiag
+
+    def unreachable(*args):
+        raise AssertionError("the scan went on to its splits")
+
+    monkeypatch.setattr(graphdiag, "_scan_splits", unreachable)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: ") and err.count("\n") == 1
+
+
+def test_upper_ising_on_complete_41_is_the_closed_form(tmp_path):
+    code, payload = run_json(tmp_path, ["upper", "--method", "ising", "--graph", "complete:41"])
+    assert code == 0
+    summary = payload["results"]["summary"]
+    assert summary["p_z_threshold"] == pytest.approx((math.sqrt(2.0) - 1.0) ** 40, rel=1e-8)
+    assert summary["applicable"] is True
+
+
 def test_weighted_lower_has_no_neighbourhood_cap(tmp_path):
     # Edge (0, 1) with eight more neighbours per end: 18 qubits around it.
     edges = [[0, 1, 2.0]] + [[end, v, 0.3 + 0.1 * v] for end in (0, 1)
@@ -514,9 +548,10 @@ def test_blockwise_kt_axis_rejects_kt_at_most_zero(capsys):
 
 
 # Each subcommand registers only the shared flags it reads; argparse rejects the
-# rest, and no subcommand takes --eig-zero.  `upper` registers --graph, --jobs
-# and --via for the methods that read them; another method exits 2 on one given
-# a value other than its default, naming the first in that order.
+# rest, and no subcommand takes --eig-zero.  Only scan takes --jobs, and upper
+# has no ppt method (scan reports the PPT thresholds).  `upper` registers
+# --graph and --via for the methods that read them; the other method exits 2
+# on one given a value other than its default.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -540,18 +575,24 @@ def test_blockwise_kt_axis_rejects_kt_at_most_zero(capsys):
         ["oracle-check", "--eig-zero", "-1e-9"],
         ["upper", "--method", "eb", "--graph", "ring:4"],
         ["upper", "--method", "eb", "--jobs", "2"],
-        ["upper", "--method", "eb", "--jobs", "2", "--graph", "ring:4"],
+        ["upper", "--method", "eb", "--graph", "ring:4", "--jobs", "2"],
         ["upper", "--method", "ising", "--graph", "ring:4", "--jobs", "2"],
         ["upper", "--method", "ising", "--graph", "ring:4", "--via", "jamiolkowski"],
         ["upper", "--method", "ising", "--graph", "ring:4", "--via", "jamiolkowski",
          "--jobs", "2"],
         ["upper", "--method", "ppt", "--graph", "ring:4", "--via", "jamiolkowski"],
+        ["upper", "--method", "eb", "--via", "jamiolkowski", "--jobs", "1"],
+        ["upper", "--method", "ising", "--graph", "ring:4", "--via", "analytic", "--jobs", "1"],
     ],
 )
 def test_unread_flags_are_rejected(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
-    if argv[0] == "upper" and argv[-2] != "--eig-zero":
+    if "ppt" in argv:
+        *usage, error = err.splitlines()  # argparse's usage lines and its error line
+        assert usage[0].startswith("usage: qdeco upper")
+        assert "argument --method: invalid choice: 'ppt'" in error
+    elif argv[0] == "upper" and argv[-2] not in ("--eig-zero", "--jobs"):
         method = argv[argv.index("--method") + 1]
         assert err == f"error: --method {method} does not read {argv[-2]}\n"
     else:
@@ -560,12 +601,7 @@ def test_unread_flags_are_rejected(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["upper", "--method", "eb", "--jobs", "1", "--via", "jamiolkowski"],
-        ["upper", "--method", "ising", "--graph", "ring:4", "--jobs", "1", "--via", "analytic"],
-        ["upper", "--method", "ppt", "--graph", "ring:4", "--jobs", "2", "--via", "analytic"],
-    ],
+    "argv", [["upper", "--method", "ising", "--graph", "ring:4", "--via", "analytic"]]
 )
 def test_upper_accepts_the_default_of_a_flag_its_method_does_not_read(argv, capsys):
     assert main(argv) == 0
@@ -769,8 +805,6 @@ def test_lower_argv_fuzz(argv, tmp_path, capsys):
 @example(argv=["upper", "--method", "ising", "--graph", "ring:5", "--channel", "bitflip"])
 @example(argv=["upper", "--method", "ising", "--graph",
                '{"n": 4, "edges": [[0, 1, 0.5], [1, 2, 1.0], [2, 3, 3.14159]]}'])
-@example(argv=["upper", "--method", "ppt", "--graph", "grid3d:3x3x3"])
-@example(argv=["upper", "--method", "ppt", "--graph", "star:6", "--jobs", "2"])
 @example(argv=["upper", "--method", "eb", "--via", "jamiolkowski", "--channel", "qo"])
 @example(argv=["upper", "--method", "ising"])
 def test_upper_argv_fuzz(argv, tmp_path, capsys):

@@ -977,6 +977,19 @@ def test_scan_rejects_weighted_and_non_pauli():
         scan_partitions(make_lattice("ring", 4), qo)
 
 
+def test_scan_above_the_direct_cap_raises_before_listing_a_split(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the scan went on to its splits")
+
+    monkeypatch.setattr(graphdiag, "bipartitions", unreachable)
+    monkeypatch.setattr(graphdiag, "_scan_splits", unreachable)
+    for n in (graphdiag.DIRECT_CAP + 1, 20):
+        with pytest.raises(CapacityError, match=f"capped at n={graphdiag.DIRECT_CAP}"):
+            scan_partitions(make_lattice("ring", n), DEPOL, jobs=2)
+    with pytest.raises(AssertionError):  # the cap lets DIRECT_CAP itself through
+        scan_partitions(make_lattice("ring", graphdiag.DIRECT_CAP), DEPOL)
+
+
 def test_scan_of_a_single_vertex_has_no_splits():
     g = graph_from_edges(1, [])
     assert scan_partitions(g, DEPOL).entries == ()

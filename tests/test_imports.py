@@ -210,7 +210,6 @@ NOT_LOADED = {
         "graphs", "graphdiag", "isingsep", "pairdistill", "ghz", "encode", "oracle",
     },
     "upper --method ising --graph ring:4": {"graphdiag", "pairdistill", "ghz", "encode", "oracle"},
-    "upper --method ppt --graph ring:4": {"isingsep", "pairdistill", "ghz", "encode", "oracle"},
     "scan --graph ring:4": {"isingsep", "pairdistill", "ghz", "encode", "oracle"},
     "weighted --sweep-phi 1:2:0.5": {"graphdiag", "pairdistill", "ghz", "encode", "oracle"},
     "encode --kt 0.1 --levels 1": {"graphs", "graphdiag", "isingsep", "pairdistill", "oracle"},

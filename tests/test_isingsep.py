@@ -7,7 +7,7 @@ import pytest
 from qdeco import isingsep
 
 from qdeco.channels import ChannelFamily, minimal_dephasing_pauli, named_channel
-from qdeco.errors import EvaluationError, ValidationError
+from qdeco.errors import CapacityError, EvaluationError, ValidationError
 from qdeco.graphs import degree, graph_from_edges, make_lattice
 from qdeco.isingsep import (
     GATE_BRACKET,
@@ -301,6 +301,22 @@ def test_tiny_phase_gate_never_separates_in_the_bracket(phi, degrees):
     assert weighted_gate_threshold(phi, *degrees) == 1.0
 
 
+@pytest.mark.parametrize(
+    "gates", [[(3.0, 30, 30)], [(3.1, 30, 30)], [(math.pi, 2, 2), (3.0, 30, 30)]]
+)
+def test_gate_entangled_across_the_bracket_raises(gates):
+    # Its root lies below GATE_BRACKET; 1.0 would call it separable at every p.
+    with pytest.raises(CapacityError, match=r"phase-3\.\d gate between degrees 30 and 30"):
+        isingsep.weighted_gate_thresholds(gates)
+
+
+def test_weighted_graph_entangled_across_the_bracket_raises():
+    edges = [(u, v) for u in range(31) for v in range(u + 1, 31)]
+    g = graph_from_edges(31, edges, weights={e: 3.0 for e in edges})
+    with pytest.raises(CapacityError):
+        weighted_graph_threshold(g, DEPOL)
+
+
 def test_small_phase_gate_root_is_one_minus_half_the_phase():
     # The PT gap of a phase-phi gate closes at p_z = 1 - phi/2 to first order.
     assert abs(weighted_gate_threshold(1e-8, 1, 1) - (1.0 - 5e-9)) <= 1e-9
@@ -331,6 +347,24 @@ def test_star_report_and_weak_bound_ordering():
     assert report.p_threshold > report.weak_bound + 1e-3
     x = report.p_threshold
     assert (1.0 + x ** (1.0 / 3.0)) * (1.0 + x) == pytest.approx(2.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("d", [20, 25, 28, 30, 35, 40, 60])
+def test_complete_graph_threshold_is_the_closed_form_at_high_degree(d):
+    # The root (sqrt(2) - 1)^d falls below 1e-10 at d = 27 and below 1e-15
+    # at d = 40: the bisection must not run on the p_z axis itself.
+    report = graph_separability_threshold(make_lattice("complete", d + 1))
+    assert report.p_threshold == pytest.approx(SQRT2M1**d, rel=1e-8)
+
+
+def test_every_degree_pair_up_to_30_brackets_its_root():
+    def gap(x, dk, dl):
+        return (1.0 + x ** (1.0 / dk)) * (1.0 + x ** (1.0 / dl)) - 2.0
+
+    for dk in range(1, 31):
+        for dl in range(dk, 31):
+            x = isingsep._edge_dephasing_threshold(dk, dl, DEFAULT_TOL)
+            assert gap(x * (1.0 - 1e-8), dk, dl) < 0.0 < gap(x * (1.0 + 1e-8), dk, dl), (dk, dl)
 
 
 def test_unweighted_report_rejects_bad_graphs():

@@ -13,7 +13,6 @@ from qdeco.numeric import (
     MultipleCrossingsError,
     Tolerance,
     ThresholdResult,
-    _bisect_steps,
     bisect,
     bisect_from_grid,
     bisect_lockstep,
@@ -100,21 +99,15 @@ def test_prescan_grid_ends_at_hi_itself():
 
 
 def _drive(f, lo, hi, tol=DEFAULT_TOL, grid_values=None):
-    """_bisect_steps run by hand: the result and every point it asked for.
+    """bisect_from_grid of f: the result and every point where it called f.
 
     grid_values default to f at prescan_grid(lo, hi).
     """
     if grid_values is None:
         grid_values = [f(x) for x in prescan_grid(lo, hi)]
-    steps = _bisect_steps(lo, hi, grid_values, tol)
     points = []
-    try:
-        x = next(steps)
-        while True:
-            points.append(x)
-            x = steps.send(f(x))
-    except StopIteration as stop:
-        return stop.value, points
+    result = bisect_from_grid(lambda x: points.append(x) or f(x), lo, hi, grid_values, tol)
+    return result, points
 
 
 STEP_CASES = BISECT_CASES + [
@@ -129,13 +122,14 @@ def test_bisect_steps_driven_by_hand_match_bisect(case):
     result, points = _drive(f, lo, hi, tol)
     calls = []
     assert result == bisect(lambda x: calls.append(x) or f(x), lo, hi, tol)
-    # bisect evaluates the whole pre-scan grid first, then each point asked for.
+    # bisect evaluates the whole pre-scan grid first, then each point where
+    # bisect_from_grid, given the grid's values, calls f.
     assert calls == prescan_grid(lo, hi) + points
 
 
 @pytest.mark.parametrize("case", range(len(BISECT_CASES)))
 def test_bisect_grid_values_match_f_only_path(case):
-    # Grid values computed outside _bisect_steps give the same result as
+    # Grid values computed outside bisect_from_grid give the same result as
     # bisect, which evaluates f on the grid itself.
     f, lo, hi = BISECT_CASES[case]
     grid = [f(x) for x in prescan_grid(lo, hi)]
