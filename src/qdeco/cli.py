@@ -331,7 +331,7 @@ def _cmd_upper(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
         report = graph_separability_threshold(g, tol)
         for u, v, p_z in report.per_edge:
             out.rows.append({"u": u, "v": v, "phi": math.pi, "p_z": p_z})
-        native, note = native_parameter(family, report.p_threshold, tol)
+        native, note = native_parameter(family, report.p_threshold)
         out.summary = {
             "p_z_threshold": report.p_threshold,
             "weak_bound": report.weak_bound,

@@ -24,9 +24,14 @@ splits without a crossing, the gather supplies the value.  So every
 bisection takes the steps it would take on the gather alone, and every
 entry of the report is the gather's.  The splits go in blocks whose
 coefficients fit _SCAN_BLOCK, each through one numeric.bisect_lockstep,
-which holds their brackets as arrays and takes their values as arrays.
-Each split's transform is built once, for its clean end, and lives until
-its block ends.  The gather keeps no index between calls.
+and a block runs in array passes rather than split by split: the clean
+ends of all its splits of one rank are one stacked gather (_gather, which
+apply runs with a stack of one, bit for bit the same per split), the
+pre-scan minima a few stacked products, the undecided values of the
+pre-scan and of each refinement round one stacked gather per rank, and
+the grids one array that bisect_lockstep checks in one pass.  Each
+split's transform is built once and its terms live, stacked per rank,
+until its block ends.  The gather keeps no index between calls.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .errors import CapacityError, ValidationError
 from .graphs import Bipartition, Graph, bipartitions, neighborhood, spread_bits
 from .numeric import (
     DEFAULT_TOL,
+    PRESCAN_POINTS,
     ThresholdResult,
     Tolerance,
     bisect,
@@ -172,6 +178,9 @@ def lambda_direct(g: Graph, ch: PauliChannel, u_mask: int) -> float:
 # Partial transposition in the graph basis
 
 
+_CHUNK = 128  # terms per gather
+
+
 @dataclass(frozen=True, eq=False)
 class PartitionTransform:
     """Precomputed coefficients of the PT map for one bipartition.
@@ -187,9 +196,8 @@ class PartitionTransform:
     prefactor is 2^-rank; Y and X each run in the _span order of the
     bases that partition_transform's two eliminations return.
 
-    apply gathers _CHUNK terms at a time: the index of a chunk (every subset
-    mask XOR every shift) and the weights it gathers go into two buffers
-    allocated once per call and reused for every chunk.
+    apply is _gather with a stack of one; a scan gathers the transforms of
+    one rank as a stack, with the same terms, chunks and sums per split.
     """
 
     partition: Bipartition
@@ -198,27 +206,53 @@ class PartitionTransform:
     prefactor: float
     rank: int
 
-    _CHUNK = 128  # terms per gather
-
     def apply(self, lam: np.ndarray) -> np.ndarray:
         """PT weights of one weight vector of shape (2^n,)."""
         dim = 1 << self.partition.n
         if lam.shape != (dim,):
             raise ValidationError(f"weights of shape {lam.shape} do not fit 2^{self.partition.n}")
-        masks = np.arange(dim, dtype=np.intp)
-        rows = min(self._CHUNK, self.shifts.shape[0])
-        index = np.empty((rows, dim), dtype=np.intp)
-        gathered = np.empty((rows, dim))
-        out = np.zeros(dim)
-        for start in range(0, self.shifts.shape[0], self._CHUNK):
-            sh = self.shifts[start : start + self._CHUNK]
-            k = sh.shape[0]
-            np.bitwise_xor(masks, sh[:, np.newaxis], out=index[:k])
-            # Every index is in range; mode="wrap" only lets take write
-            # straight into the buffer, where the default mode buffers out.
-            np.take(lam, index[:k], out=gathered[:k], mode="wrap")
-            out += self.signs[start : start + self._CHUNK] @ gathered[:k]
-        return self.prefactor * out
+        terms = self.shifts[np.newaxis], self.signs[np.newaxis], self.prefactor
+        return _gather(*terms, lam[np.newaxis])[0]
+
+
+def _gather(
+    shifts: np.ndarray,
+    signs: np.ndarray,
+    prefactor: float,
+    lams: np.ndarray,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """PT weights of a stack of transforms of one rank, one weight vector
+    each: row i of the result, shape (stack, 2^n), applies the terms
+    shifts[i], signs[i] (arrays of shape (stack, 4^rank)) to lams[rows[i]],
+    or to lams[0] when rows is None.
+
+    The terms go _CHUNK at a time.  A chunk's index (every subset mask XOR
+    every shift, offset to the weight vector's row of lams) and the weights
+    it gathers are two buffers of stack x min(4^rank, _CHUNK) x 2^n
+    entries, allocated once per call; the caller bounds the stack.  Each
+    split's chunk is summed by its own signed vector-matrix product and
+    added, chunk by chunk, to zeros, then scaled by the prefactor: so each
+    row is bit for bit the row a stack of one gives.
+    """
+    stack, terms = shifts.shape
+    dim = lams.shape[1]
+    k = min(terms, _CHUNK)
+    masks = np.arange(dim, dtype=np.intp)
+    # Row r starts at r 2^n, whose low n bits are clear: XOR with a shift
+    # adds it, and XOR with a mask keeps it.
+    offset = shifts if rows is None else shifts + rows[:, np.newaxis] * dim
+    index = np.empty((stack, k, dim), dtype=np.intp)
+    gathered = np.empty((stack, k, dim))
+    out = np.zeros((stack, 1, dim))
+    for start in range(0, terms, _CHUNK):
+        np.bitwise_xor(masks, offset[:, start : start + k, np.newaxis], out=index)
+        # Every index is in range; mode="wrap" only lets take write
+        # straight into the buffer, where the default mode buffers out.
+        np.take(lams, index, out=gathered, mode="wrap")
+        out += np.matmul(signs[:, np.newaxis, start : start + k], gathered)
+    out *= prefactor
+    return out[:, 0]
 
 
 _BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
@@ -271,32 +305,31 @@ def partition_transform(g: Graph, part: Bipartition) -> PartitionTransform:
         raise ValidationError("partition and graph sizes differ")
     a_bits = part.members()
     c_mask = part.complement_mask
-    c_bits = [i for i in range(g.n) if (c_mask >> i) & 1]
     # Column i of Gamma' is the neighbourhood in the complement of the i-th
-    # vertex of A, as a mask over the complement's vertices.
-    pivots, kernel = _eliminate(
-        [sum(((g.adj[i] >> j) & 1) << k for k, j in enumerate(c_bits)) for i in a_bits]
-    )
+    # vertex of A, a full-width mask: elimination only compares and XORs
+    # bits, so the images come out as subsets of the complement, and the
+    # inputs as masks over the vertices of A.
+    pivots, kernel = _eliminate([g.adj[i] & c_mask for i in a_bits])
     # X runs over the orthocomplement of ker Gamma', the kernel of the matrix
     # whose rows are the kernel vectors.
     _, x_basis = _eliminate(
         [sum(((v >> col) & 1) << k for k, v in enumerate(kernel)) for col in range(len(a_bits))]
     )
-    xs = _span(x_basis)
+    x_c = np.array(_span(x_basis), dtype=np.intp)
     # Any preimage A_Y of Y gives the sign (-1)^<A_Y, X>: every X is
     # orthogonal to ker Gamma', where two preimages differ.
-    ys = _span([img for img, _ in pivots])
     y_pre = np.array(_span([pre for _, pre in pivots]), dtype=np.intp)
-    # Terms run over Y (outer) and X (inner).
-    x_c = np.array(xs, dtype=np.intp)
-    x_full = np.array([spread_bits(x, part.a_mask) for x in xs], dtype=np.intp)
-    y_full = np.array([spread_bits(y, c_mask) for y in ys], dtype=np.intp)
+    # spread_bits is linear over GF(2): the span of the spread basis is the
+    # spread span, in the same order.
+    x_full = np.array(_span([spread_bits(x, part.a_mask) for x in x_basis]), dtype=np.intp)
+    y_full = np.array(_span([img for img, _ in pivots]), dtype=np.intp)
     odd = _popcount(y_pre[:, np.newaxis] & x_c[np.newaxis, :]) & 1
+    # Terms run over Y (outer) and X (inner).
     return PartitionTransform(
         part,
         (y_full[:, np.newaxis] ^ x_full[np.newaxis, :]).ravel(),
         (1.0 - 2.0 * odd).ravel(),
-        prefactor=1.0 / len(xs),
+        prefactor=1.0 / len(x_c),
         rank=len(pivots),
     )
 
@@ -544,9 +577,9 @@ class PartitionScanEntry:
     status: str  # "threshold" | "always_ppt" | "always_npt"
     p_crit: float  # NaN unless status == "threshold"
     # Minimising subset at the clean end of the bracket, taken from the
-    # gather (PartitionTransform.apply), never from the Fourier form.  When
-    # subsets tie for the minimum, which one is reported is set by the
-    # rounding of that gather.
+    # gather (PartitionTransform's terms, _gather), never from the Fourier
+    # form.  When subsets tie for the minimum, which one is reported is set
+    # by the rounding of that gather.
     argmin_mask: int
     iterations: int
 
@@ -577,11 +610,14 @@ class PartitionScanReport:
 _SCAN_BLOCK = 1 << 19
 
 
-def _ppt_signed(v: float) -> float:
-    """A PT minimum as bisection reads it: negative exactly when v is, and
-    1.0 for an exact zero, which is PPT (as _scan_entry's verdict reads it)
-    rather than a root."""
-    return v if v != 0.0 else 1.0
+def _stack_rows(n: int) -> int:
+    """Rows of 2^n floats that one temporary of a scan block may hold: as
+    many as the larger of one split's pre-scan product (PRESCAN_POINTS
+    rows) and one gather chunk of a split of the largest rank, n // 2
+    (min(_CHUNK, 4^(n // 2)) rows).  So 64 rows up to n = 7 and 128 from
+    n = 8: no more than one apply or one pre-scan product of a split
+    needs at the same n."""
+    return max(PRESCAN_POINTS, min(_CHUNK, 4 ** (n // 2)))
 
 
 def _scan_splits(
@@ -597,38 +633,52 @@ def _scan_splits(
     grid, powers(grid) @ C of each split; in each refinement round, one
     powers(p) @ C per split still bisecting.  A value v settles the sign
     when |v| > fourier_bound, because the gather's value is then nonzero and
-    of the same sign.  Where it does not, the gather (PartitionTransform.apply
-    on the noisy weights) supplies the value, so every bisection takes the
-    steps it would take on the gather alone.  The clean-end row, which gives
-    the argmin and the verdict of splits without a crossing, is always
-    gathered.  Values go to bisect_lockstep as arrays: one comparison
-    against the splits' bounds (an array, one bound per split) finds the
-    undecided points, and only those are gathered.
+    of the same sign.  Where it does not, the gather (PartitionTransform's
+    terms on the noisy weights) supplies the value, so every bisection
+    takes the steps it would take on the gather alone.  The clean-end row,
+    which gives the argmin and the verdict of splits without a crossing, is
+    always gathered.
+
+    A block runs in array passes, not split by split (_scan_block): one
+    stacked gather per rank for the clean ends; the pre-scan minima of
+    every split in a few stacked products; one stacked gather per rank for
+    the undecided grid values; one (splits, PRESCAN_POINTS + 1) array of
+    grids, which bisect_lockstep checks in one pass; then per refinement
+    round one stacked product and, for its undecided values, one stacked
+    gather per rank.
 
     The splits go in blocks whose coefficients fit _SCAN_BLOCK, one
-    bisect_lockstep per block, which checks each split's grid with
-    numeric's one _prescan, draws the grids one at a time and refines the
-    block's splits together, holding their brackets as arrays.
-    partition_transform runs once per split, for the clean end, and the
-    block keeps its transforms until it ends: since 4^rank <= 2^n, they take
-    at most 2/(n + 1) of the memory of its coefficients.  Noisy weights are
-    computed once per p and shared by every split of every block.
+    bisect_lockstep per block.  partition_transform runs once per split,
+    and the block keeps the terms of its transforms, stacked per rank,
+    until it ends: since 4^rank <= 2^n, they take at most 2/(n + 1) of the
+    memory of its coefficients.  Noisy weights are computed once per p and
+    shared by every split of every block.  So a scan holds at most: the
+    block's coefficients twice over (while the Walsh-Hadamard passes build
+    them, and while a refinement round copies those of the splits still
+    bisecting) plus its stacked terms; the weights cache, 2^n floats per
+    distinct p; and four temporaries of _stack_rows(n) rows of 2^n floats
+    (a gather pass's index and gathered weights, the weight vectors it
+    reads, and a pre-scan product, whose buffer is freed before the
+    refinement starts).
 
     Under bitflip noise the minimum of some splits is exactly 0.0 over a
     whole range of p.  A split whose pre-scan meets an exact zero reads
-    every zero as PPT (_ppt_signed), not as a root.  Other splits keep
-    bisect's rule, under which a zero met while refining is the root: near
-    the multiple roots of dephasing splits such a zero is rounding noise
-    either way, and reading it as PPT would move those values by up to a
-    few 1e-9 without making them exact.
+    every zero as PPT (1.0), not as a root.  Other splits keep bisect's
+    rule, under which a zero met while refining is the root: near the
+    multiple roots of dephasing splits such a zero is rounding noise either
+    way, and reading it as PPT would move those values by up to a few 1e-9
+    without making them exact.
     """
     cache: dict[float, np.ndarray] = {}
 
-    def weights(p: float) -> np.ndarray:
-        lam = cache.get(p)
-        if lam is None:
-            lam = cache[p] = lambda_from_pauli(g, family.pauli(p)).lam
-        return lam
+    def weights(ps: list[float]) -> np.ndarray:
+        lams = np.empty((len(ps), 1 << g.n))
+        for row, p in zip(lams, ps):
+            lam = cache.get(p)
+            if lam is None:
+                lam = cache[p] = lambda_from_pauli(g, family.pauli(p)).lam
+            row[:] = lam
+        return lams
 
     form = FourierForm.of(g, family.kind)
     step = max(1, _SCAN_BLOCK // ((g.n + 1) << g.n))
@@ -638,58 +688,132 @@ def _scan_splits(
     return entries
 
 
+def _stack_terms(
+    transforms: list[PartitionTransform],
+) -> tuple[np.ndarray, np.ndarray, dict[int, tuple[np.ndarray, np.ndarray, float]]]:
+    """The ranks of the transforms, each one's row in the stack of its rank,
+    and per rank the stacked shifts and signs (stack, 4^rank) and the
+    prefactor, as _gather takes them."""
+    ranks = np.array([t.rank for t in transforms], dtype=np.intp)
+    stack_row = np.empty(len(transforms), dtype=np.intp)
+    stacks = {}
+    for r in sorted(set(ranks.tolist())):
+        members = np.flatnonzero(ranks == r)
+        stack_row[members] = np.arange(len(members))
+        of_rank = [transforms[i] for i in members.tolist()]
+        stacks[r] = (
+            np.stack([t.shifts for t in of_rank]),
+            np.stack([t.signs for t in of_rank]),
+            of_rank[0].prefactor,
+        )
+    return ranks, stack_row, stacks
+
+
+def _prescan_minima(
+    grid_powers: np.ndarray, coefficients: np.ndarray, budget: int, out: np.ndarray
+) -> None:
+    """Into out[i, j], the minimum of grid_powers[j] @ coefficients[i], the
+    coefficient form of split i at grid point j, in stacked products of at
+    most budget rows of 2^n, as many splits per product as that holds.
+
+    A split's grid rows go in products of at most _SCAN_BLOCK multiply-adds:
+    OpenBLAS ran a product of the whole grid on several threads from
+    n = 10, and the threads of two pooled workers contended (a ring:11 scan
+    with jobs=2 took two to three times as long).  The buffer the products
+    share is freed on return.
+    """
+    points, splits = len(grid_powers), len(coefficients)
+    rows = min(points, max(1, _SCAN_BLOCK // coefficients[0].size))
+    per = max(1, budget // rows)
+    buffer = np.empty((min(per, splits), rows, coefficients.shape[2]))
+    for s in range(0, splits, per):
+        of_splits = coefficients[s : s + per]
+        for j in range(0, points, rows):
+            powers = grid_powers[j : j + rows]
+            product = buffer[: len(of_splits), : len(powers)]
+            np.matmul(powers, of_splits, out=product)
+            np.min(product, axis=2, out=out[s : s + per, j : j + rows])
+
+
 def _scan_block(
     g: Graph,
     form: FourierForm,
-    weights: Callable[[float], np.ndarray],
+    weights: Callable[[list[float]], np.ndarray],
     parts: list[Bipartition],
     tol: Tolerance,
 ) -> list[PartitionScanEntry]:
-    """One bisect_lockstep over one block of _scan_splits; weights(p) gives
-    the noisy weights at p.  The block's coefficients and transforms are
-    freed when it returns."""
+    """One bisect_lockstep over one block of _scan_splits, in array passes.
+
+    weights(ps) gives the noisy weights at each p of ps, one row each.  The
+    clean ends of the block's splits are gathered first, one stacked gather
+    per rank; then the pre-scan minima of every split (_prescan_minima) go
+    into one (splits, PRESCAN_POINTS + 1) array of grids, whose last column
+    is the clean end and whose undecided values are gathered, again one
+    stacked gather per rank; bisect_lockstep checks the grids in one pass
+    and refines, each round one stacked product and one stacked gather per
+    rank for its undecided values.  A gather pass holds at most _stack_rows
+    rows of 2^n in its index and in its gathered weights, and reads the
+    weight vectors of its points as one stack: at most one per grid point
+    or per split of the block, fewer than _stack_rows(n) at every n.  The
+    block's coefficients and stacked terms are freed when it returns.
+    """
     lo, hi = SCAN_BRACKET
-    grid = prescan_grid(lo, hi)[:-1]  # the clean end hi is gathered
-    grid_powers = form.powers(np.array(grid))
+    grid = np.array(prescan_grid(lo, hi)[:-1])  # the clean end hi is gathered
     coefficients = form.coefficients(np.array([part.a_mask for part in parts]))
-    transforms = [partition_transform(g, part) for part in parts]
-    bounds = np.array([fourier_bound(g.n, t.rank) for t in transforms])
-    # Grid rows per pre-scan product, at most _SCAN_BLOCK multiply-adds each:
-    # OpenBLAS ran a product of the whole grid on several threads from
-    # n = 10, and the threads of two pooled workers contended (a ring:11
-    # scan with jobs=2 took two to three times as long).
-    rows = max(1, _SCAN_BLOCK // coefficients[0].size)
-    zero_is_ppt: set[int] = set()  # splits whose pre-scan met an exact zero
-    clean_ends = []
+    ranks, stack_row, stacks = _stack_terms([partition_transform(g, part) for part in parts])
+    bounds = np.array([fourier_bound(g.n, r) for r in ranks.tolist()])
+    budget = _stack_rows(g.n)  # rows of 2^n per gather pass
 
-    def settle(splits: np.ndarray, ps: list[float], vs: np.ndarray) -> np.ndarray:
-        """vs, the coefficient-form minima of splits at ps, with the gather's
-        value (written in place) wherever |v| is within the split's bound."""
-        for k in np.flatnonzero(np.abs(vs) <= bounds[splits]).tolist():
-            i = int(splits[k])
-            v = float(transforms[i].apply(weights(ps[k])).min())
-            vs[k] = _ppt_signed(v) if i in zero_is_ppt else v
-        return vs
+    def gather_min(splits: np.ndarray, ps: np.ndarray, argmins=None) -> np.ndarray:
+        """Minimum of the gathered PT weights of split splits[k] at ps[k]
+        (and, into argmins, its argmin), one stacked gather per rank, in
+        passes of at most budget rows."""
+        distinct: dict[float, int] = {}  # each distinct p and its row of lams
+        rows = np.array([distinct.setdefault(p, len(distinct)) for p in ps.tolist()], np.intp)
+        lams = weights(list(distinct))
+        out = np.empty(len(splits))
+        of = ranks[splits]
+        for r in sorted(set(of.tolist())):
+            shifts, signs, prefactor = stacks[r]
+            at = np.flatnonzero(of == r)
+            step = max(1, budget // min(shifts.shape[1], _CHUNK))
+            for s in range(0, len(at), step):
+                pairs = at[s : s + step]
+                i = stack_row[splits[pairs]]
+                pt = _gather(shifts[i], signs[i], prefactor, lams, rows[pairs])
+                out[pairs] = pt.min(axis=1)
+                if argmins is not None:
+                    argmins[pairs] = pt.argmin(axis=1)
+        return out
 
-    def grids():
-        for i, transform in enumerate(transforms):
-            clean = transform.apply(weights(hi))
-            clean_ends.append((float(clean.min()), int(np.argmin(clean))))
-            chunks = (grid_powers[j : j + rows] for j in range(0, len(grid), rows))
-            mins = np.concatenate([(chunk @ coefficients[i]).min(axis=1) for chunk in chunks])
-            ys = np.append(settle(np.full(len(grid), i), grid, mins), clean_ends[i][0])
-            zero = ys == 0.0
-            if zero.any():
-                zero_is_ppt.add(i)
-                ys[zero] = 1.0  # _ppt_signed
-            yield ys
+    argmins = np.empty(len(parts), dtype=np.intp)
+    clean = gather_min(np.arange(len(parts)), np.full(len(parts), hi), argmins)
+
+    ys = np.empty((len(parts), PRESCAN_POINTS + 1))
+    _prescan_minima(form.powers(grid), coefficients, budget, ys[:, :-1])
+    ys[:, -1] = clean
+    splits, points = np.nonzero(np.abs(ys[:, :-1]) <= bounds[:, np.newaxis])
+    if len(splits):
+        ys[splits, points] = gather_min(splits, grid[points])
+    zero = ys == 0.0
+    zero_is_ppt = zero.any(axis=1)  # splits whose pre-scan met an exact zero
+    ys[zero] = 1.0
 
     def refine(split: np.ndarray, ps: np.ndarray) -> np.ndarray:
         products = np.matmul(form.powers(ps)[:, np.newaxis], coefficients[split])
-        return settle(split, ps.tolist(), products.min(axis=(1, 2)))
+        vs = products.min(axis=(1, 2))
+        undecided = np.flatnonzero(np.abs(vs) <= bounds[split])
+        if len(undecided):
+            at = split[undecided]
+            v = gather_min(at, ps[undecided])
+            vs[undecided] = np.where(zero_is_ppt[at] & (v == 0.0), 1.0, v)
+        return vs
 
-    results = bisect_lockstep(refine, grids(), lo, hi, tol)
-    return [_scan_entry(part, r, *clean) for part, r, clean in zip(parts, results, clean_ends)]
+    results = bisect_lockstep(refine, ys, lo, hi, tol)
+    return [
+        _scan_entry(part, r, clean_min, argmin)
+        for part, r, clean_min, argmin in zip(parts, results, clean.tolist(), argmins.tolist())
+    ]
 
 
 def _scan_entry(

@@ -10,7 +10,8 @@ separability boundary of a single noisy gate is found numerically on its
 explicit 4x4 two-qubit state, the pure gate state psi psi^dagger with each
 entry damped by the dephasing.  Appendix-style channel splitting
 (channels.minimal_dephasing_*) translates the dephasing thresholds into the
-native parameter of other channels.
+native parameter of other channels: for the dephasing and depolarizing
+families in closed form (native_parameter).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelFamily, minimal_dephasing_pauli
+from .channels import ChannelFamily
 from .errors import CapacityError, ValidationError
 from .graphs import Graph, degree
 from .numeric import (
@@ -138,13 +139,13 @@ def weighted_gate_thresholds(
     """weighted_gate_threshold of every (phi, deg_k, deg_l) in gates.
 
     Every gate is checked first, in order.  The gates then bisect in
-    lockstep, every pre-scan grid and refinement round formed and
-    diagonalised as stacks of at most _GATE_BLOCK gate states.  A gate is
-    separable where its PT minimum is at least GATE_FLOOR.  A gate with no
-    crossing in GATE_BRACKET is read at the bracket's low end: separable
-    there, it is separable across the whole bracket (phi ~ 0) and gets
-    1.0; entangled there, its threshold lies below the bracket, and
-    CapacityError names it.
+    lockstep: their pre-scan grids, as one stack, and every refinement
+    round are formed and diagonalised in stacks of at most _GATE_BLOCK gate
+    states.  A gate is separable where its PT minimum is at least
+    GATE_FLOOR.  A gate with no crossing in GATE_BRACKET is read at the
+    bracket's low end: separable there, it is separable across the whole
+    bracket (phi ~ 0) and gets 1.0; entangled there, its threshold lies
+    below the bracket, and CapacityError names it.
     """
     for phi, deg_k, deg_l in gates:
         if min(deg_k, deg_l) < 1:
@@ -166,16 +167,11 @@ def weighted_gate_thresholds(
         return out
 
     grid = np.array(prescan_grid(*GATE_BRACKET))
-    lows = []  # each gate's gap at the bracket's low end
-
-    def grids():
-        for i in range(len(gates)):
-            ys = gaps(np.full(len(grid), i), grid)
-            lows.append(ys[0])
-            yield ys
-
-    results = bisect_lockstep(gaps, grids(), *GATE_BRACKET, tol)
-    for (phi, deg_k, deg_l), r, low in zip(gates, results, lows):
+    every = np.repeat(np.arange(len(gates)), len(grid))
+    grids = gaps(every, np.tile(grid, len(gates))).reshape(len(gates), len(grid))
+    results = bisect_lockstep(gaps, grids, *GATE_BRACKET, tol)
+    # grids[:, 0] is each gate's gap at the bracket's low end.
+    for (phi, deg_k, deg_l), r, low in zip(gates, results, grids[:, 0].tolist()):
         if not r.sign_change_found and low < 0.0:
             raise CapacityError(
                 f"a phase-{phi} gate between degrees {deg_k} and {deg_l} is entangled down "
@@ -275,31 +271,22 @@ def depolarizing_p_from_dephasing(p_z: float) -> float:
     return p_z / (2.0 - p_z)
 
 
-def native_parameter(
-    family: ChannelFamily, p_z: float, tol: Tolerance = DEFAULT_TOL
-) -> tuple[float | None, str]:
+def native_parameter(family: ChannelFamily, p_z: float) -> tuple[float | None, str]:
     """The family's own parameter at the vertex dephasing threshold p_z.
 
-    Maps through the largest dephasing channel extractable from the family:
-    analytically for depolarizing noise (p = p_z / (2 - p_z)), by bisection
-    otherwise.  Returns (native_p, "") or, for a family without a
-    dephasing component (bitflip) or a non-Pauli one, (None, why).
+    Maps through the largest dephasing channel extractable from the family,
+    in closed form: under dephasing noise that channel is the noise itself,
+    so the parameter is p_z; under depolarizing noise it is p_z / (2 - p_z).
+    Returns (native_p, "") or, for a family without a dephasing component
+    (bitflip) or a non-Pauli one, (None, why).
     """
     if not family.is_pauli_family:
         return None, "separability mapping needs a Pauli channel family"
-    if minimal_dephasing_pauli(family.pauli(0.5)) is None:
-        return None, f"no dephasing component extractable from {family.kind}"
+    if family.kind == "dephasing":
+        return p_z, ""
     if family.kind == "depolarizing":
         return depolarizing_p_from_dephasing(p_z), ""
-
-    def gap(p: float) -> float:
-        extracted = minimal_dephasing_pauli(family.pauli(p))
-        return (1.0 if extracted is None else extracted) - p_z
-
-    result = bisect(gap, 1e-9, 1.0 - 1e-9, tol)
-    if not result.sign_change_found:
-        return None, "dephasing threshold not reachable along this family"
-    return result.value, ""
+    return None, f"no dephasing component extractable from {family.kind}"
 
 
 def weighted_graph_threshold(
@@ -329,7 +316,7 @@ def weighted_graph_threshold(
     solved = dict(zip(distinct, weighted_gate_thresholds(distinct, tol)))
     per_edge = [(u, v, key[0], solved[key]) for (u, v), key in zip(edges, keys)]
     worst = min(per_edge, key=lambda e: e[3])
-    native, note = native_parameter(family, worst[3], tol)
+    native, note = native_parameter(family, worst[3])
     return WeightedSeparabilityReport(
         tuple(per_edge), worst[3], (worst[0], worst[1]), native, native is not None, note
     )

@@ -8,19 +8,21 @@ are prescan_grid, the points of that pre-scan; bisect_from_grid, which
 takes the values of f there, however the caller computed them (one array
 pass), and refines with a scalar f; bisect, which is bisect_from_grid with
 the grid evaluated point by point; and bisect_lockstep, bisect_from_grid
-of many problems on one bracket, which holds the problems still bisecting
+of many problems on one bracket, which takes their grids as one
+(problems, PRESCAN_POINTS + 1) array, holds the problems still bisecting
 as arrays and calls f once per refinement round on all their midpoints.
-Both check each grid with one array function, _prescan; the scalar route
-refines in a plain loop, the lockstep one with a few array operations per
-round.  The Hermitian check, the spectra and the partial transpose take
-stacks (..., d, d) of matrices.
+Both check their grids with one array function, _prescan, which reads
+every row in one array pass (bisect_from_grid's grid is a stack of one
+row); the scalar route refines in a plain loop, the lockstep one with a
+few array operations per round.  The Hermitian check, the spectra and
+the partial transpose take stacks (..., d, d) of matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -97,48 +99,65 @@ def prescan_grid(lo: float, hi: float) -> list[float]:
 
 
 def _prescan(
-    lo: float, hi: float, grid_values: Sequence[float]
-) -> ThresholdResult | tuple[float, float, bool]:
-    """The pre-scan of grid_values, the values of f at prescan_grid(lo, hi).
+    lo: float, hi: float, grids: np.ndarray
+) -> tuple[list[ThresholdResult | None], list[tuple[int, float, float, bool]],
+           EvaluationError | None]:
+    """The pre-scan of every row of grids, shape (problems, PRESCAN_POINTS +
+    1): row i holds the values of problem i at prescan_grid(lo, hi).
 
-    Checks that every value is finite (the first that is not raises), then
-    returns a final result, for an exact zero at lo, at hi or at the first
-    interior point that has one, or for no sign change; or the crossing's
-    bracket and whether f is negative at its left end, (a, b, f(a) < 0).
-    More than one sign change raises MultipleCrossingsError.
+    One array pass finds, for every row, whether each value is finite,
+    whether it has an exact zero and where its sign changes; the rows are
+    then read in order.  A row fails when a value is not finite (the first
+    such value names it) or, without an exact zero, when its sign changes
+    more than once (MultipleCrossingsError); no row after it is read.
+    Returns (results, starts, failed).  results holds, for each row read,
+    the final result for an exact zero at lo, at hi or at the first
+    interior point that has one, or for no sign change, and None for a row
+    with a crossing.  starts holds (i, a, b, f(a) < 0) for each row i with
+    a crossing, [a, b] its grid cell.  failed is the error of the failing
+    row, or None.
     """
     _check_bracket(lo, hi)
-    ys = np.asarray(grid_values, dtype=float)
-    if ys.shape != (PRESCAN_POINTS + 1,):
-        raise ValidationError(f"need {PRESCAN_POINTS + 1} grid values, got {len(grid_values)}")
-    finite = np.isfinite(ys)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise _non_finite(ys[k], prescan_grid(lo, hi)[k])
-    if ys[0] == 0.0:
-        return ThresholdResult(lo, (lo, hi), 0, True)
-    if ys[-1] == 0.0:
-        return ThresholdResult(hi, (lo, hi), 0, True)
+    ys = np.asarray(grids, dtype=float)
+    if ys.ndim != 2 or ys.shape[1] != PRESCAN_POINTS + 1:
+        raise ValidationError(
+            f"need rows of {PRESCAN_POINTS + 1} grid values, got shape {ys.shape}"
+        )
+    finite = np.isfinite(ys).all(axis=1).tolist()
+    zero = ys == 0.0
+    has_zero = zero.any(axis=1).tolist()
+    negative = np.signbit(ys)
+    changes = negative[:, 1:] != negative[:, :-1]
+    count = changes.sum(axis=1).tolist()
+    cell = changes.argmax(axis=1).tolist()
+    # With one sign change and no zero, f has the sign of its first value
+    # up to the crossing.
+    left = negative[:, 0].tolist()
 
     # Unlike prescan_grid, x(PRESCAN_POINTS) is lo + (hi - lo), which can
     # differ from hi in the last bit; the refined bracket starts from x.
     def x(i: int) -> float:
         return lo + (hi - lo) * i / PRESCAN_POINTS
 
-    zeros = np.flatnonzero(ys == 0.0)
-    if len(zeros):
-        return ThresholdResult(x(int(zeros[0])), (lo, hi), 0, True)
-    negative = np.signbit(ys)
-    crossings = np.flatnonzero(negative[1:] != negative[:-1])
-    if len(crossings) > 1:
-        raise MultipleCrossingsError(
-            f"{len(crossings)} sign changes in [{lo}, {hi}]; "
-            "refine the bracket before bisecting"
-        )
-    if not len(crossings):
-        return ThresholdResult(math.nan, (lo, hi), 0, False)
-    c = int(crossings[0])
-    return x(c), x(c + 1), bool(negative[c])
+    results: list[ThresholdResult | None] = []
+    starts = []
+    for i, crossings in enumerate(count):
+        if not finite[i]:
+            k = int(np.argmin(np.isfinite(ys[i])))
+            return results, starts, _non_finite(ys[i, k], prescan_grid(lo, hi)[k])
+        if has_zero[i]:
+            at = lo if zero[i, 0] else hi if zero[i, -1] else x(int(np.argmax(zero[i])))
+            results.append(ThresholdResult(at, (lo, hi), 0, True))
+        elif crossings > 1:
+            return results, starts, MultipleCrossingsError(
+                f"{crossings} sign changes in [{lo}, {hi}]; refine the bracket before bisecting"
+            )
+        elif not crossings:
+            results.append(ThresholdResult(math.nan, (lo, hi), 0, False))
+        else:
+            results.append(None)
+            starts.append((i, x(cell[i]), x(cell[i] + 1), left[i]))
+    return results, starts, None
 
 
 def bisect_from_grid(
@@ -151,18 +170,20 @@ def bisect_from_grid(
     """bisect, given the values of f at prescan_grid(lo, hi).
 
     The caller computes grid_values however it likes (for instance in one
-    array pass; a list or an array); _prescan checks them, and each
-    refinement point is then evaluated by the scalar f.  Only the signs of
-    the values and whether they are exactly zero steer the bisection, and
-    every value, given or computed, is checked to be finite.  While
-    refining it holds the bracket and the sign of f at its left end;
+    array pass; a list or an array); _prescan checks them as a stack of one
+    row, and each refinement point is then evaluated by the scalar f.  Only
+    the signs of the values and whether they are exactly zero steer the
+    bisection, and every value, given or computed, is checked to be finite.
+    While refining it holds the bracket and the sign of f at its left end;
     bisect_lockstep refines the same way on arrays, but one cheap root
     refines faster in this scalar loop than through numpy calls.
     """
-    found = _prescan(lo, hi, grid_values)
-    if isinstance(found, ThresholdResult):
-        return found
-    a, b, negative = found
+    results, starts, failed = _prescan(lo, hi, [grid_values])
+    if failed is not None:
+        raise failed
+    if not starts:
+        return results[0]
+    ((_, a, b, negative),) = starts
 
     iterations = 0
     while b - a > tol.abs_root and iterations < MAX_ITER:
@@ -183,44 +204,30 @@ def bisect_from_grid(
 
 def bisect_lockstep(
     f: Callable[[np.ndarray, np.ndarray], Sequence[float]],
-    grids: Iterable[Sequence[float]],
+    grids: np.ndarray,
     lo: float,
     hi: float,
     tol: Tolerance = DEFAULT_TOL,
 ) -> list[ThresholdResult]:
     """bisect_from_grid of many problems on one bracket, driven in lockstep.
 
-    grids yields, problem by problem, the values of each problem at
-    prescan_grid(lo, hi), as a list or an array; it is consumed in order,
-    one grid at a time, and each grid is checked by _prescan, the pre-scan
-    of bisect, before the next is drawn.  The problems with a crossing then
-    refine together, held as arrays in problem order: their ids, brackets
-    [a, b] and the sign of f at a, with one round count for all, since
-    every problem refines from the first round.  Each round keeps the
-    problems still bisecting (b - a > abs_root and fewer than MAX_ITER
-    rounds), calls f(problems, points) once on their midpoints, f
-    returning the value of problem problems[i] at points[i] as a list or an
-    array, checks every value to be finite and moves each bracket end as
-    bisect_from_grid does.  Result i is bisect_from_grid's for problem i,
-    Python floats and iterations included.  Where bisecting the problems in
-    order would raise an EvaluationError, this raises it: that of the
-    first problem to fail; no grid after that problem's is drawn.
+    grids has one row per problem, shape (problems, PRESCAN_POINTS + 1):
+    row i holds the values of problem i at prescan_grid(lo, hi), as an
+    array or as nested lists.  _prescan, the pre-scan of bisect, checks
+    every row in one array pass.  The problems with a crossing then refine
+    together, held as arrays in problem order: their ids, brackets [a, b]
+    and the sign of f at a, with one round count for all, since every
+    problem refines from the first round.  Each round keeps the problems
+    still bisecting (b - a > abs_root and fewer than MAX_ITER rounds),
+    calls f(problems, points) once on their midpoints, f returning the
+    value of problem problems[i] at points[i] as a list or an array, checks
+    every value to be finite and moves each bracket end as bisect_from_grid
+    does.  Result i is bisect_from_grid's for problem i, Python floats and
+    iterations included.  Where bisecting the problems in order would raise
+    an EvaluationError, this raises it: that of the first problem to fail;
+    no problem after one whose grid fails refines.
     """
-    results: list[ThresholdResult | None] = []
-    failed: EvaluationError | None = None
-    starts = []  # (problem, a, b, f(a) < 0) of each problem with a crossing
-    for i, ys in enumerate(grids):
-        results.append(None)
-        try:
-            found = _prescan(lo, hi, ys)
-        except EvaluationError as exc:
-            failed = exc
-            break
-        if isinstance(found, ThresholdResult):
-            results[i] = found
-        else:
-            starts.append((i, *found))
-
+    results, starts, failed = _prescan(lo, hi, grids)
     ids = np.array([s[0] for s in starts], dtype=np.intp)
     a = np.array([s[1] for s in starts], dtype=float)
     b = np.array([s[2] for s in starts], dtype=float)

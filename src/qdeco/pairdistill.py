@@ -311,10 +311,11 @@ def _weighted_edge_thresholds(
 
     With w the most other neighbours of an edge, the edges bisect in groups
     whose neighbour phases (padded to w per edge) fit in _PAIR_BLOCK 4x4
-    matrices.  Every pre-scan grid and refinement round is evaluated by one
-    stacked gap function, which reweights at most _PAIR_BLOCK // (w + 4)
-    points at a time, so each stack holds at most that many factors and
-    Pauli terms (w + 4 per point) and memory stays bounded.
+    matrices.  The group's pre-scan grids, as one stack, and every
+    refinement round are each evaluated by one call of a stacked gap
+    function, which reweights at most _PAIR_BLOCK // (w + 4) points at a
+    time, so each stack holds at most that many factors and Pauli terms
+    (w + 4 per point) and memory stays bounded.
     """
     width = max((neighborhood(g, u) | neighborhood(g, v)).bit_count() - 2 for u, v in edges)
     size = max(1, _PAIR_BLOCK // max(1, width))
@@ -338,7 +339,8 @@ def _weighted_edge_thresholds(
                 out[c : c + block] = hermitian_spectrum(partial_transpose(rho, 1))[:, 0]
             return out
 
-        grids = (gaps(np.full(len(grid), e), grid) for e in range(len(group)))
+        every = np.repeat(np.arange(len(group)), len(grid))
+        grids = gaps(every, np.tile(grid, len(group))).reshape(len(group), len(grid))
         results += bisect_lockstep(gaps, grids, *EDGE_BRACKET, tol)
     return results
 

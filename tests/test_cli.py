@@ -479,6 +479,19 @@ def test_upper_ising_on_complete_41_is_the_closed_form(tmp_path):
     assert summary["applicable"] is True
 
 
+@pytest.mark.parametrize("spec", ["complete:30", "ring:6"])
+def test_upper_ising_under_dephasing_reports_the_dephasing_threshold(tmp_path, spec):
+    # Under dephasing the native parameter is p_z itself, however small:
+    # complete:30 has p_z = (sqrt(2) - 1)^29 = 7.9e-12.
+    argv = ["upper", "--method", "ising", "--graph", spec, "--channel", "dephasing"]
+    code, payload = run_json(tmp_path, argv)
+    assert code == 0
+    summary = payload["results"]["summary"]
+    assert summary["applicable"] is True
+    assert summary["native_p"] == summary["p_z_threshold"]
+    assert payload["warnings"] == []
+
+
 def test_weighted_lower_has_no_neighbourhood_cap(tmp_path):
     # Edge (0, 1) with eight more neighbours per end: 18 qubits around it.
     edges = [[0, 1, 2.0]] + [[end, v, 0.3 + 0.1 * v] for end in (0, 1)

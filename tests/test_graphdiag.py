@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -203,6 +204,33 @@ def test_stacked_apply_rows_equal_single_rows(seed):
         for lam in stack:
             single = transform.apply(lam)
             assert single.shape == lam.shape
+            assert _bitwise_equal(single, _reference_apply(transform, lam))
+
+
+@pytest.mark.parametrize("n,seed", [(5, 0), (6, 1), (7, 2), (8, 3), (8, 4), (9, 5), (9, 6)])
+def test_stacked_gather_rows_equal_one_apply_per_split(n, seed):
+    # All splits of one rank in one stack, each on its own weight vector:
+    # every row is bit for bit (signbit included) one apply of its split
+    # and the plain chunked gather.  From rank 4 a split has 256 terms or
+    # more, two chunks of 128 or more.
+    rng = random.Random(5100 + seed)
+    g = random_connected_graph(rng, n)
+    family = rng.choice(FAMILIES)
+    ps = [rng.uniform(*SCAN_BRACKET) for _ in range(3)] + [SCAN_BRACKET[1]]
+    lams = np.stack([lambda_from_pauli(g, family.pauli(p)).lam for p in ps])
+    transforms = [partition_transform(g, part) for part in bipartitions(g)]
+    _, _, stacks = graphdiag._stack_terms(transforms)
+    assert set(stacks) == {t.rank for t in transforms}
+    if n >= 8:
+        assert max(stacks) >= 4
+    for r, (shifts, signs, prefactor) in stacks.items():
+        of_rank = [t for t in transforms if t.rank == r]
+        rows = np.array([rng.randrange(len(ps)) for _ in of_rank])
+        stacked = graphdiag._gather(shifts, signs, prefactor, lams, rows)
+        assert stacked.shape == (len(of_rank), 1 << n)
+        for transform, row, lam in zip(of_rank, stacked, lams[rows]):
+            single = transform.apply(lam)
+            assert _bitwise_equal(row, single)
             assert _bitwise_equal(single, _reference_apply(transform, lam))
 
 
@@ -772,6 +800,38 @@ def test_scan_computes_each_weight_vector_once(monkeypatch):
     assert len(seen) < 65 + sum(e.iterations for e in report.entries)
 
 
+@pytest.mark.parametrize("n", [7, 10])
+def test_scan_memory_stays_within_its_stated_budget(monkeypatch, n):
+    # The budget _scan_splits states: a block's coefficients twice over plus
+    # its stacked terms (at most 2/(n + 1) of them), the weights cache (2^n
+    # floats per distinct p) and four temporaries of _stack_rows(n) rows of
+    # 2^n floats, 64 rows up to n = 7 and 128 from n = 8.  A temporary the
+    # size of a block's coefficients, or one held from the pre-scan into the
+    # refinement, exceeds it.
+    g = make_lattice("ring", n)
+    scan_partitions(make_lattice("ring", 4), DEPHASING)  # anything loaded on first use
+    cached = []
+
+    def counting(g, ch):
+        cached.append(ch.probs)
+        return lambda_from_pauli(g, ch)
+
+    monkeypatch.setattr(graphdiag, "lambda_from_pauli", counting)
+    tracemalloc.start()
+    try:
+        scan_partitions(g, DEPHASING)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = 8 << n  # bytes of 2^n floats
+    block = min(2 ** (n - 1) - 1, graphdiag._SCAN_BLOCK // ((n + 1) << n))
+    coefficients = block * (n + 1) * row
+    budget = (2 + 2 / (n + 1)) * coefficients + len(cached) * row
+    assert graphdiag._stack_rows(n) == (64 if n <= 7 else 128)
+    budget += 4 * graphdiag._stack_rows(n) * row
+    assert peak <= budget
+
+
 def test_scan_builds_each_transform_once(monkeypatch):
     built = []
 
@@ -842,13 +902,12 @@ def _gather_steered_points(g, family, part):
 
 
 def _undecided(form, part, points, rank):
-    """How many of the points (the pre-scan grid without its clean end,
-    then the refinement points) the coefficient form leaves within its
-    bound."""
+    """The points (of the pre-scan grid without its clean end, then the
+    refinement points) where the coefficient form is within its bound."""
     assert points[:PRESCAN_POINTS] == prescan_grid(*SCAN_BRACKET)[:-1]
     coefficients = form.coefficients(np.array([part.a_mask]))[0]
     mins = (form.powers(np.array(points)) @ coefficients).min(axis=1)
-    return int(np.sum(np.abs(mins) <= fourier_bound(form.n, rank)))
+    return [p for p, v in zip(points, mins) if abs(v) <= fourier_bound(form.n, rank)]
 
 
 @pytest.mark.parametrize(
@@ -857,29 +916,41 @@ def _undecided(form, part, points, rank):
     ids=["ring-6-dephasing", "star-5-bitflip", "ring-6-depolarizing"],
 )
 def test_scan_gathers_the_clean_end_and_each_undecided_value(monkeypatch, kind, n, family):
+    # Every (split, weight vector) pair the stacked gathers hold: each split
+    # gathers its clean end first, then exactly its undecided values.
     g = make_lattice(kind, n)
     parts = list(bipartitions(g))
     form = FourierForm.of(g, family.kind)
     expected = {}
     for part in parts:
         points, rank = _gather_steered_points(g, family, part)
-        expected[part.a_mask] = 1 + _undecided(form, part, points, rank)
-    calls = {}
-    apply = graphdiag.PartitionTransform.apply
+        expected[part.a_mask] = [SCAN_BRACKET[1]] + _undecided(form, part, points, rank)
+    terms = {}
+    for part in parts:
+        transform = partition_transform(g, part)
+        terms[transform.shifts.tobytes(), transform.signs.tobytes()] = part.a_mask
+    assert len(terms) == len(parts)  # the terms name the split
+    gathered = {}
+    gather = graphdiag._gather
 
-    def counting(self, lam):
-        calls.setdefault(self.partition.a_mask, []).append(lam.copy())
-        return apply(self, lam)
+    def recording(shifts, signs, prefactor, lams, rows=None):
+        for i in range(len(shifts)):
+            mask = terms[shifts[i].tobytes(), signs[i].tobytes()]
+            lam = lams[0 if rows is None else rows[i]]
+            gathered.setdefault(mask, []).append(lam.copy())
+        return gather(shifts, signs, prefactor, lams, rows)
 
-    monkeypatch.setattr(graphdiag.PartitionTransform, "apply", counting)
+    monkeypatch.setattr(graphdiag, "_gather", recording)
     scan_partitions(g, family)
-    assert {mask: len(lams) for mask, lams in calls.items()} == expected
-    clean = lambda_from_pauli(g, family.pauli(SCAN_BRACKET[1])).lam
-    for lams in calls.values():
-        assert np.array_equal(lams[0], clean)
-        assert all(lam.shape == clean.shape for lam in lams)
+    assert {mask: len(lams) for mask, lams in gathered.items()} == {
+        mask: len(points) for mask, points in expected.items()
+    }
+    for mask, lams in gathered.items():
+        weights = [lambda_from_pauli(g, family.pauli(p)).lam for p in expected[mask]]
+        assert np.array_equal(lams[0], weights[0])  # the clean end
+        assert sorted(lam.tobytes() for lam in lams) == sorted(w.tobytes() for w in weights)
     if family is not DEPOL:
-        assert sum(expected.values()) > len(expected)  # some values fell back
+        assert sum(map(len, expected.values())) > len(expected)  # some values fell back
 
 
 def _check_fourier_against_gather(g, family, part, ps):

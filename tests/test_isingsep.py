@@ -15,6 +15,7 @@ from qdeco.isingsep import (
     NoisyGateState,
     depolarizing_p_from_dephasing,
     graph_separability_threshold,
+    native_parameter,
     weighted_gate_threshold,
     weighted_graph_threshold,
 )
@@ -400,7 +401,9 @@ def test_depolarizing_native_parameter_is_the_closed_inverse():
 def test_dephasing_native_parameter_is_the_dephasing_level_itself():
     report = weighted_graph_threshold(make_lattice("ring", 4), DEPHASING)
     assert report.applicable
-    assert report.native_p == pytest.approx(report.p_z_threshold, abs=1e-8)
+    assert report.native_p == report.p_z_threshold
+    for p_z in (7.93e-12, 1e-300, 0.171572875265, 1.0):
+        assert native_parameter(DEPHASING, p_z) == (p_z, "")
 
 
 def test_depolarizing_inverse_round_trips_through_extraction():

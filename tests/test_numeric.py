@@ -149,27 +149,24 @@ def _values(arrays, ys):
 
 
 def _lockstep(fs, lo, hi, tol=DEFAULT_TOL, arrays=False):
-    """bisect_lockstep over the scalar functions fs, each grid evaluated
-    point by point: the result (or the class and message of what it
-    raises), each refinement call and the number of grids drawn.  With
-    arrays, the grids and f's values are numpy arrays, not lists."""
+    """bisect_lockstep over the scalar functions fs, their grids evaluated
+    point by point into one (problems, PRESCAN_POINTS + 1) stack: the
+    result (or the class and message of what it raises) and each
+    refinement call.  With arrays, the stack of grids and f's values are
+    numpy arrays, not lists."""
     calls = []
-    drawn = []
-
-    def grids():
-        for f in fs:
-            drawn.append(f)
-            yield _values(arrays, [f(x) for x in prescan_grid(lo, hi)])
+    grids = [[f(x) for x in prescan_grid(lo, hi)] for f in fs]
 
     def f(problems, points):
         assert len(problems) == len(points)
         calls.append(list(zip(problems.tolist(), points.tolist())))
         return _values(arrays, [fs[i](x) for i, x in zip(problems.tolist(), points.tolist())])
 
+    stack = _values(arrays, grids) if fs else np.empty((0, PRESCAN_POINTS + 1))
     try:
-        return bisect_lockstep(f, grids(), lo, hi, tol), calls, len(drawn)
+        return bisect_lockstep(f, stack, lo, hi, tol), calls
     except EvaluationError as exc:
-        return (type(exc), str(exc)), calls, len(drawn)
+        return (type(exc), str(exc)), calls
 
 
 def _midpoints(f, lo, hi, tol=DEFAULT_TOL):
@@ -190,9 +187,9 @@ def test_bisect_stacked_matches_bisect(case):
     f, lo, hi, *tol = STEP_CASES[case]
     tol = tol[0] if tol else DEFAULT_TOL
     result, points = _drive(f, lo, hi, tol)
-    got, calls, drawn = _lockstep([f], lo, hi, tol)
+    got, calls = _lockstep([f], lo, hi, tol)
     assert got == [bisect(f, lo, hi, tol)] == [result]
-    assert calls == [[(0, x)] for x in points] and drawn == 1
+    assert calls == [[(0, x)] for x in points]
 
 
 # Problems on [0, 1] of each kind bisect_lockstep must keep apart.
@@ -238,14 +235,14 @@ def test_lockstep_cases_are_what_they_say():
 def test_bisect_lockstep_matches_bisect_per_problem(names):
     # Each result equals bisect's (value, bracket and iterations); a set
     # with a failing problem raises what bisecting in order raises first,
-    # and no grid is drawn after the first one that fails its pre-scan.
+    # and no problem after the first whose grid fails its pre-scan refines.
     fs = [LOCKSTEP_CASES[name] for name in names]
     expected = [_outcome(f, 0.0, 1.0) for f in fs]
     failures = [e for e in expected if not isinstance(e, ThresholdResult)]
-    got, calls, drawn = _lockstep(fs, 0.0, 1.0)
+    got, calls = _lockstep(fs, 0.0, 1.0)
     assert got == (failures[0] if failures else expected)
     prescan_failing = [i for i, name in enumerate(names) if name in FAILING_ON_THE_GRID]
-    assert drawn == (prescan_failing + [len(fs) - 1])[0] + 1
+    assert all(i < (prescan_failing + [len(fs)])[0] for call in calls for i, _ in call)
     # Refinement round r holds the r-th midpoint of problems still
     # bisecting, in problem order: all of them when no problem fails.
     midpoints = [_midpoints(f, 0.0, 1.0) for f in fs]
@@ -260,22 +257,27 @@ def test_bisect_lockstep_matches_bisect_per_problem(names):
 
 
 def test_bisect_stacked_accepts_array_values_and_checks_them():
-    # bisect_lockstep's grids and f may be arrays; every value is checked.
+    # bisect_lockstep's grids (one 2-D array) and f's values may be arrays;
+    # every value is checked.
     def f(problems, xs):
         return xs - 0.3 - 0.1 * problems
 
     grid = np.array(prescan_grid(0.0, 1.0))
-    rs = bisect_lockstep(f, (f(np.full(len(grid), i), grid) for i in range(3)), 0.0, 1.0)
+    grids = f(np.repeat(np.arange(3), len(grid)), np.tile(grid, 3)).reshape(3, len(grid))
+    rs = bisect_lockstep(f, grids, 0.0, 1.0)
     assert rs == [bisect(lambda x, i=i: x - 0.3 - 0.1 * i, 0.0, 1.0) for i in range(3)]
+    two = np.array([grid - 0.3] * 2)
     with pytest.raises(EvaluationError):
-        bisect_lockstep(f, [grid - 0.3, grid * math.nan], 0.0, 1.0)
+        bisect_lockstep(f, np.array([grid - 0.3, grid * math.nan]), 0.0, 1.0)
     with pytest.raises(EvaluationError):
-        bisect_lockstep(lambda problems, xs: [math.nan] * len(xs), [grid - 0.3] * 2, 0.0, 1.0)
+        bisect_lockstep(lambda problems, xs: [math.nan] * len(xs), two, 0.0, 1.0)
     with pytest.raises(ValidationError):
-        bisect_lockstep(f, [grid[:-1]], 0.0, 1.0)
+        bisect_lockstep(f, grid[np.newaxis, :-1], 0.0, 1.0)
+    with pytest.raises(ValidationError):  # one problem's row, not a stack of rows
+        bisect_lockstep(f, grid - 0.3, 0.0, 1.0)
     with pytest.raises(ValidationError):  # one value too few in a round
-        bisect_lockstep(lambda problems, xs: xs[1:] - 0.3, [grid - 0.3] * 2, 0.0, 1.0)
-    assert bisect_lockstep(f, [], 0.0, 1.0) == []
+        bisect_lockstep(lambda problems, xs: xs[1:] - 0.3, two, 0.0, 1.0)
+    assert bisect_lockstep(f, np.empty((0, len(grid))), 0.0, 1.0) == []
 
 
 @pytest.mark.parametrize("arrays", [False, True], ids=["lists", "arrays"])
@@ -350,17 +352,16 @@ def _problem_sets(draw):
 @given(_problem_sets())
 @settings(max_examples=200, deadline=None)
 def test_bisect_lockstep_matches_bisect_on_random_problem_sets(problems):
-    # Results (repr included) or the first failure, the grids drawn and
-    # every round's call are those that bisecting in order implies.
+    # Results (repr included) or the first failure and every round's call
+    # are those that bisecting in order implies.
     fs, tol, arrays = problems
     expected = [_outcome(f, 0.0, 1.0, tol) for f in fs]
     midpoints = [_midpoints(f, 0.0, 1.0, tol) for f in fs]
     fails = [not isinstance(e, ThresholdResult) for e in expected]
     on_the_grid = [i for i, m in enumerate(midpoints) if fails[i] and not m]
-    got, calls, drawn = _lockstep(fs, 0.0, 1.0, tol, arrays)
+    got, calls = _lockstep(fs, 0.0, 1.0, tol, arrays)
     failures = [e for e, failed in zip(expected, fails) if failed]
     assert repr(got) == repr(failures[0] if failures else expected)
-    assert drawn == (on_the_grid[0] + 1 if on_the_grid else len(fs))
     # Round r holds the r-th midpoint of every problem still bisecting: one
     # before every failure seen so far, with a point left.
     limit = on_the_grid[0] if on_the_grid else len(fs)
