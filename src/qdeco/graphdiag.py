@@ -11,6 +11,11 @@ adjacency block between the sides give its terms), PPT-certifying
 estimates built from weight ratios, and a scan of every bipartition for
 the noise level where its spectrum turns nonnegative.
 
+The PT terms have one builder, _build_terms, for a list of splits: the two
+eliminations of each split on Python ints, then the spans, signs and
+terms of all splits of one rank as stacked array passes.
+partition_transform is that builder on a list of one split.
+
 The scan bisects every split in lockstep on the sign of its smallest PT
 weight.  For the scan families (depolarizing, dephasing, bitflip) the
 Fourier form of the PT spectrum, FourierForm, gives that sign: a split's
@@ -24,14 +29,18 @@ splits without a crossing, the gather supplies the value.  So every
 bisection takes the steps it would take on the gather alone, and every
 entry of the report is the gather's.  The splits go in blocks whose
 coefficients fit _SCAN_BLOCK, each through one numeric.bisect_lockstep,
-and a block runs in array passes rather than split by split: the clean
-ends of all its splits of one rank are one stacked gather (_gather, which
-apply runs with a stack of one, bit for bit the same per split), the
-pre-scan minima a few stacked products, the undecided values of the
-pre-scan and of each refinement round one stacked gather per rank, and
-the grids one array that bisect_lockstep checks in one pass.  Each
-split's transform is built once and its terms live, stacked per rank,
-until its block ends.  The gather keeps no index between calls.
+and a block runs in array passes rather than split by split: one
+_build_terms call for the terms of all its splits, which live, stacked
+per rank, until the block ends; the clean ends of all its splits of one
+rank as one stacked gather (_gather, which apply runs with a stack of one,
+bit for bit the same per split); the pre-scan minima in a few stacked
+products; the undecided values of the pre-scan and of each refinement
+round as one stacked gather per rank; and the grids as one array that
+bisect_lockstep checks in one pass.  A gather pass or pre-scan product
+holds at most _stack_rows(n) rows of 2^n floats, 2^15 entries or one
+split's gather chunk, whichever is more, and the gather passes of a scan
+share one pair of buffers of that size.  The gather keeps no index
+between calls.
 """
 
 from __future__ import annotations
@@ -193,11 +202,14 @@ class PartitionTransform:
     (inside the complement), and the sign of a term is the GF(2) pairing of
     X with a preimage of Y, the same for every preimage since X is
     orthogonal to ker Gamma'.  There are 4^rank terms, Y-major, and the
-    prefactor is 2^-rank; Y and X each run in the _span order of the
-    bases that partition_transform's two eliminations return.
+    prefactor is 2^-rank; Y and X each run in the _spans order of the
+    bases that _build_terms' two eliminations return.
 
-    apply is _gather with a stack of one; a scan gathers the transforms of
-    one rank as a stack, with the same terms, chunks and sums per split.
+    partition_transform builds it with _build_terms on a list of one split;
+    a scan builds the terms of a block of splits in one call and keeps them
+    stacked per rank, not as transforms.  apply is _gather with a stack of
+    one; a scan gathers the splits of one rank as a stack, with the same
+    terms, chunks and sums per split.
     """
 
     partition: Bipartition
@@ -211,8 +223,10 @@ class PartitionTransform:
         dim = 1 << self.partition.n
         if lam.shape != (dim,):
             raise ValidationError(f"weights of shape {lam.shape} do not fit 2^{self.partition.n}")
+        entries = min(len(self.shifts), _CHUNK) * dim
         terms = self.shifts[np.newaxis], self.signs[np.newaxis], self.prefactor
-        return _gather(*terms, lam[np.newaxis])[0]
+        buffers = np.empty(entries, dtype=np.intp), np.empty(entries)
+        return _gather(*terms, lam[np.newaxis], None, *buffers)[0]
 
 
 def _gather(
@@ -220,7 +234,9 @@ def _gather(
     signs: np.ndarray,
     prefactor: float,
     lams: np.ndarray,
-    rows: np.ndarray | None = None,
+    rows: np.ndarray | None,
+    index: np.ndarray,
+    gathered: np.ndarray,
 ) -> np.ndarray:
     """PT weights of a stack of transforms of one rank, one weight vector
     each: row i of the result, shape (stack, 2^n), applies the terms
@@ -229,11 +245,12 @@ def _gather(
 
     The terms go _CHUNK at a time.  A chunk's index (every subset mask XOR
     every shift, offset to the weight vector's row of lams) and the weights
-    it gathers are two buffers of stack x min(4^rank, _CHUNK) x 2^n
-    entries, allocated once per call; the caller bounds the stack.  Each
-    split's chunk is summed by its own signed vector-matrix product and
-    added, chunk by chunk, to zeros, then scaled by the prefactor: so each
-    row is bit for bit the row a stack of one gives.
+    it gathers go into the caller's buffers index (intp) and gathered
+    (float64), flat arrays of at least stack x min(4^rank, _CHUNK) x 2^n
+    entries; the caller bounds the stack.  Each split's chunk is summed by
+    its own signed vector-matrix product and added, chunk by chunk, to
+    zeros, then scaled by the prefactor: so each row is bit for bit the row
+    a stack of one gives.
     """
     stack, terms = shifts.shape
     dim = lams.shape[1]
@@ -242,8 +259,8 @@ def _gather(
     # Row r starts at r 2^n, whose low n bits are clear: XOR with a shift
     # adds it, and XOR with a mask keeps it.
     offset = shifts if rows is None else shifts + rows[:, np.newaxis] * dim
-    index = np.empty((stack, k, dim), dtype=np.intp)
-    gathered = np.empty((stack, k, dim))
+    index = index[: stack * k * dim].reshape(stack, k, dim)
+    gathered = gathered[: stack * k * dim].reshape(stack, k, dim)
     out = np.zeros((stack, 1, dim))
     for start in range(0, terms, _CHUNK):
         np.bitwise_xor(masks, offset[:, start : start + k, np.newaxis], out=index)
@@ -292,46 +309,83 @@ def _eliminate(columns: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
     return pivots, kernel
 
 
-def _span(basis: list[int]) -> list[int]:
-    """All 2^len(basis) XOR combinations; bit i of the index selects basis[i]."""
-    out = [0]
-    for b in basis:
-        out += [x ^ b for x in out]
+def _spans(bases: np.ndarray) -> np.ndarray:
+    """All XOR combinations of each row of bases, shape (count, r), as shape
+    (count, 2^r): bit i of the column index selects bases[:, i]."""
+    count, r = bases.shape
+    out = np.zeros((count, 1 << r), dtype=bases.dtype)
+    for i in range(r):
+        half = 1 << i
+        np.bitwise_xor(out[:, :half], bases[:, i : i + 1], out=out[:, half : 2 * half])
     return out
 
 
+def _build_terms(
+    g: Graph, parts: list[Bipartition]
+) -> tuple[np.ndarray, np.ndarray, dict[int, tuple[np.ndarray, np.ndarray, float]]]:
+    """PT terms of the splits parts of g, stacked per rank: the rank of
+    each split, its row in the stack of its rank, and per rank the shifts
+    and signs, shape (stack, 4^rank), and the prefactor 2^-rank, as _gather
+    takes them.
+
+    Each split takes two column eliminations over GF(2) on Python ints.
+    They give four bases of rank vectors: the images Y and preimages A_Y of
+    Gamma', and X's basis as masks over the vertices of A (for the signs)
+    and spread to full width (for the shifts).  The spans of these bases,
+    the signs and the terms of all splits of one rank are then a few array
+    passes, in PartitionTransform's order: Y-major, each in the order
+    _spans gives.
+    """
+    bases: dict[int, list[list[int]]] = {}
+    ranks = np.empty(len(parts), dtype=np.intp)
+    stack_row = np.empty(len(parts), dtype=np.intp)
+    for i, part in enumerate(parts):
+        a_bits = part.members()
+        c_mask = part.complement_mask
+        # Column j of Gamma' is the neighbourhood in the complement of the
+        # j-th vertex of A, a full-width mask: elimination only compares and
+        # XORs bits, so the images come out as subsets of the complement,
+        # and the inputs as masks over the vertices of A.
+        pivots, kernel = _eliminate([g.adj[v] & c_mask for v in a_bits])
+        # X runs over the orthocomplement of ker Gamma', the kernel of the
+        # matrix whose rows are the kernel vectors.
+        _, x_basis = _eliminate(
+            [sum(((v >> j) & 1) << k for k, v in enumerate(kernel)) for j in range(len(a_bits))]
+        )
+        of_rank = bases.setdefault(len(pivots), [])
+        ranks[i], stack_row[i] = len(pivots), len(of_rank)
+        # spread_bits is linear over GF(2): the span of the spread basis is
+        # the spread span, in the same order.
+        of_rank.append(
+            [img for img, _ in pivots]
+            + [spread_bits(x, part.a_mask) for x in x_basis]
+            + [pre for _, pre in pivots]
+            + x_basis
+        )
+    stacks = {}
+    for r, of_rank in sorted(bases.items()):
+        count = len(of_rank)
+        y_full, x_full, y_pre, x_c = _spans(
+            np.array(of_rank, dtype=np.intp).reshape(count * 4, r)
+        ).reshape(count, 4, 1 << r).transpose(1, 0, 2)
+        # Any preimage A_Y of Y gives the sign (-1)^<A_Y, X>: every X is
+        # orthogonal to ker Gamma', where two preimages differ.
+        odd = _popcount(y_pre[:, :, np.newaxis] & x_c[:, np.newaxis, :]) & 1
+        stacks[r] = (
+            (y_full[:, :, np.newaxis] ^ x_full[:, np.newaxis, :]).reshape(count, -1),
+            (1.0 - 2.0 * odd).reshape(count, -1),
+            1.0 / (1 << r),
+        )
+    return ranks, stack_row, stacks
+
+
 def partition_transform(g: Graph, part: Bipartition) -> PartitionTransform:
+    """The PT terms of one split: _build_terms on a list of one."""
     if part.n != g.n:
         raise ValidationError("partition and graph sizes differ")
-    a_bits = part.members()
-    c_mask = part.complement_mask
-    # Column i of Gamma' is the neighbourhood in the complement of the i-th
-    # vertex of A, a full-width mask: elimination only compares and XORs
-    # bits, so the images come out as subsets of the complement, and the
-    # inputs as masks over the vertices of A.
-    pivots, kernel = _eliminate([g.adj[i] & c_mask for i in a_bits])
-    # X runs over the orthocomplement of ker Gamma', the kernel of the matrix
-    # whose rows are the kernel vectors.
-    _, x_basis = _eliminate(
-        [sum(((v >> col) & 1) << k for k, v in enumerate(kernel)) for col in range(len(a_bits))]
-    )
-    x_c = np.array(_span(x_basis), dtype=np.intp)
-    # Any preimage A_Y of Y gives the sign (-1)^<A_Y, X>: every X is
-    # orthogonal to ker Gamma', where two preimages differ.
-    y_pre = np.array(_span([pre for _, pre in pivots]), dtype=np.intp)
-    # spread_bits is linear over GF(2): the span of the spread basis is the
-    # spread span, in the same order.
-    x_full = np.array(_span([spread_bits(x, part.a_mask) for x in x_basis]), dtype=np.intp)
-    y_full = np.array(_span([img for img, _ in pivots]), dtype=np.intp)
-    odd = _popcount(y_pre[:, np.newaxis] & x_c[np.newaxis, :]) & 1
-    # Terms run over Y (outer) and X (inner).
-    return PartitionTransform(
-        part,
-        (y_full[:, np.newaxis] ^ x_full[np.newaxis, :]).ravel(),
-        (1.0 - 2.0 * odd).ravel(),
-        prefactor=1.0 / len(x_c),
-        rank=len(pivots),
-    )
+    (rank,), _, stacks = _build_terms(g, [part])
+    shifts, signs, prefactor = stacks[rank]
+    return PartitionTransform(part, shifts[0], signs[0], prefactor, int(rank))
 
 
 def pt_spectrum(
@@ -610,14 +664,22 @@ class PartitionScanReport:
 _SCAN_BLOCK = 1 << 19
 
 
+# float64 entries (256 KB) that one temporary of a scan pass may hold at
+# any n.  A warm in-process repetition of ring:7 under depolarizing and
+# dephasing plus a cubic 6-vertex graph (2-vCPU host, medians of 120
+# alternations) took 19.6 ms with 2^15 entries, 21.5 ms with 2^16, whose
+# 512 KB buffers fall out of L2, and 21.4 ms with 2^13 (64 rows at n = 7).
+_PASS_ENTRIES = 1 << 15
+
+
 def _stack_rows(n: int) -> int:
-    """Rows of 2^n floats that one temporary of a scan block may hold: as
-    many as the larger of one split's pre-scan product (PRESCAN_POINTS
-    rows) and one gather chunk of a split of the largest rank, n // 2
-    (min(_CHUNK, 4^(n // 2)) rows).  So 64 rows up to n = 7 and 128 from
-    n = 8: no more than one apply or one pre-scan product of a split
-    needs at the same n."""
-    return max(PRESCAN_POINTS, min(_CHUNK, 4 ** (n // 2)))
+    """Rows of 2^n floats that one temporary of a scan may hold: the
+    largest of _PASS_ENTRIES entries, one split's pre-scan product
+    (PRESCAN_POINTS rows) and one gather chunk of a split of the largest
+    rank, n // 2 (min(_CHUNK, 4^(n // 2)) rows).  So 256 rows at n = 7
+    (2^15 entries; more rows below n = 7) and 128 from n = 8, where no more
+    than one apply or one pre-scan product of a split needs."""
+    return max(PRESCAN_POINTS, min(_CHUNK, 4 ** (n // 2)), _PASS_ENTRIES >> n)
 
 
 def _scan_splits(
@@ -640,26 +702,29 @@ def _scan_splits(
     always gathered.
 
     A block runs in array passes, not split by split (_scan_block): one
-    stacked gather per rank for the clean ends; the pre-scan minima of
+    _build_terms call for the terms of all its splits, stacked per rank;
+    one stacked gather per rank for the clean ends; the pre-scan minima of
     every split in a few stacked products; one stacked gather per rank for
     the undecided grid values; one (splits, PRESCAN_POINTS + 1) array of
     grids, which bisect_lockstep checks in one pass; then per refinement
     round one stacked product and, for its undecided values, one stacked
-    gather per rank.
+    gather per rank.  Every gather pass and pre-scan product holds at most
+    _stack_rows(n) rows of 2^n, and the gather passes of the whole scan
+    share one pair of buffers of that size (index and gathered weights),
+    allocated here and sliced by each pass.
 
     The splits go in blocks whose coefficients fit _SCAN_BLOCK, one
-    bisect_lockstep per block.  partition_transform runs once per split,
-    and the block keeps the terms of its transforms, stacked per rank,
-    until it ends: since 4^rank <= 2^n, they take at most 2/(n + 1) of the
-    memory of its coefficients.  Noisy weights are computed once per p and
-    shared by every split of every block.  So a scan holds at most: the
-    block's coefficients twice over (while the Walsh-Hadamard passes build
-    them, and while a refinement round copies those of the splits still
-    bisecting) plus its stacked terms; the weights cache, 2^n floats per
-    distinct p; and four temporaries of _stack_rows(n) rows of 2^n floats
-    (a gather pass's index and gathered weights, the weight vectors it
-    reads, and a pre-scan product, whose buffer is freed before the
-    refinement starts).
+    bisect_lockstep per block.  Each split's terms are built once, and the
+    block keeps them, stacked per rank, until it ends: since 4^rank <= 2^n,
+    they take at most 2/(n + 1) of the memory of its coefficients.  Noisy
+    weights are computed once per p and shared by every split of every
+    block.  So a scan holds at most: the block's coefficients twice over
+    (while the Walsh-Hadamard passes build them, and while a refinement
+    round copies those of the splits still bisecting) plus its stacked
+    terms; the weights cache, 2^n floats per distinct p; and four
+    temporaries of _stack_rows(n) rows of 2^n floats (the gather buffers,
+    the weight vectors a pass reads, and a pre-scan product, whose buffer
+    is freed before the refinement starts).
 
     Under bitflip noise the minimum of some splits is exactly 0.0 over a
     whole range of p.  A split whose pre-scan meets an exact zero reads
@@ -681,32 +746,13 @@ def _scan_splits(
         return lams
 
     form = FourierForm.of(g, family.kind)
+    entries_per_pass = _stack_rows(g.n) << g.n
+    buffers = np.empty(entries_per_pass, dtype=np.intp), np.empty(entries_per_pass)
     step = max(1, _SCAN_BLOCK // ((g.n + 1) << g.n))
     entries = []
     for start in range(0, len(parts), step):
-        entries += _scan_block(g, form, weights, parts[start : start + step], tol)
+        entries += _scan_block(g, form, weights, buffers, parts[start : start + step], tol)
     return entries
-
-
-def _stack_terms(
-    transforms: list[PartitionTransform],
-) -> tuple[np.ndarray, np.ndarray, dict[int, tuple[np.ndarray, np.ndarray, float]]]:
-    """The ranks of the transforms, each one's row in the stack of its rank,
-    and per rank the stacked shifts and signs (stack, 4^rank) and the
-    prefactor, as _gather takes them."""
-    ranks = np.array([t.rank for t in transforms], dtype=np.intp)
-    stack_row = np.empty(len(transforms), dtype=np.intp)
-    stacks = {}
-    for r in sorted(set(ranks.tolist())):
-        members = np.flatnonzero(ranks == r)
-        stack_row[members] = np.arange(len(members))
-        of_rank = [transforms[i] for i in members.tolist()]
-        stacks[r] = (
-            np.stack([t.shifts for t in of_rank]),
-            np.stack([t.signs for t in of_rank]),
-            of_rank[0].prefactor,
-        )
-    return ranks, stack_row, stacks
 
 
 def _prescan_minima(
@@ -739,28 +785,32 @@ def _scan_block(
     g: Graph,
     form: FourierForm,
     weights: Callable[[list[float]], np.ndarray],
+    buffers: tuple[np.ndarray, np.ndarray],
     parts: list[Bipartition],
     tol: Tolerance,
 ) -> list[PartitionScanEntry]:
     """One bisect_lockstep over one block of _scan_splits, in array passes.
 
-    weights(ps) gives the noisy weights at each p of ps, one row each.  The
-    clean ends of the block's splits are gathered first, one stacked gather
-    per rank; then the pre-scan minima of every split (_prescan_minima) go
-    into one (splits, PRESCAN_POINTS + 1) array of grids, whose last column
-    is the clean end and whose undecided values are gathered, again one
-    stacked gather per rank; bisect_lockstep checks the grids in one pass
-    and refines, each round one stacked product and one stacked gather per
-    rank for its undecided values.  A gather pass holds at most _stack_rows
-    rows of 2^n in its index and in its gathered weights, and reads the
-    weight vectors of its points as one stack: at most one per grid point
-    or per split of the block, fewer than _stack_rows(n) at every n.  The
-    block's coefficients and stacked terms are freed when it returns.
+    weights(ps) gives the noisy weights at each p of ps, one row each, and
+    buffers are the scan's gather buffers.  The block's coefficients come
+    from one FourierForm.coefficients call and its terms, stacked per rank,
+    from one _build_terms call.  The clean ends of the block's splits are
+    gathered first, one stacked gather per rank; then the pre-scan minima
+    of every split (_prescan_minima) go into one (splits, PRESCAN_POINTS +
+    1) array of grids, whose last column is the clean end and whose
+    undecided values are gathered, again one stacked gather per rank;
+    bisect_lockstep checks the grids in one pass and refines, each round
+    one stacked product and one stacked gather per rank for its undecided
+    values.  A gather pass holds at most _stack_rows(n) rows of 2^n in each
+    buffer, and reads the weight vectors of its points as one stack: at
+    most one per grid point or per split of the block, fewer than
+    _stack_rows(n) at every n.  The block's coefficients and stacked terms
+    are freed when it returns.
     """
     lo, hi = SCAN_BRACKET
     grid = np.array(prescan_grid(lo, hi)[:-1])  # the clean end hi is gathered
     coefficients = form.coefficients(np.array([part.a_mask for part in parts]))
-    ranks, stack_row, stacks = _stack_terms([partition_transform(g, part) for part in parts])
+    ranks, stack_row, stacks = _build_terms(g, parts)
     bounds = np.array([fourier_bound(g.n, r) for r in ranks.tolist()])
     budget = _stack_rows(g.n)  # rows of 2^n per gather pass
 
@@ -780,7 +830,7 @@ def _scan_block(
             for s in range(0, len(at), step):
                 pairs = at[s : s + step]
                 i = stack_row[splits[pairs]]
-                pt = _gather(shifts[i], signs[i], prefactor, lams, rows[pairs])
+                pt = _gather(shifts[i], signs[i], prefactor, lams, rows[pairs], *buffers)
                 out[pairs] = pt.min(axis=1)
                 if argmins is not None:
                     argmins[pairs] = pt.argmin(axis=1)

@@ -44,6 +44,7 @@ from qdeco.graphs import (
     load_graph,
     make_lattice,
     neighborhood,
+    spread_bits,
 )
 from qdeco.numeric import (
     PRESCAN_POINTS,
@@ -212,21 +213,26 @@ def test_stacked_gather_rows_equal_one_apply_per_split(n, seed):
     # All splits of one rank in one stack, each on its own weight vector:
     # every row is bit for bit (signbit included) one apply of its split
     # and the plain chunked gather.  From rank 4 a split has 256 terms or
-    # more, two chunks of 128 or more.
+    # more, two chunks of 128 or more.  The buffers are larger than the
+    # pass needs and hold junk, as a scan's shared buffers do.
     rng = random.Random(5100 + seed)
     g = random_connected_graph(rng, n)
     family = rng.choice(FAMILIES)
     ps = [rng.uniform(*SCAN_BRACKET) for _ in range(3)] + [SCAN_BRACKET[1]]
     lams = np.stack([lambda_from_pauli(g, family.pauli(p)).lam for p in ps])
-    transforms = [partition_transform(g, part) for part in bipartitions(g)]
-    _, _, stacks = graphdiag._stack_terms(transforms)
+    parts = list(bipartitions(g))
+    transforms = [partition_transform(g, part) for part in parts]
+    _, _, stacks = graphdiag._build_terms(g, parts)
     assert set(stacks) == {t.rank for t in transforms}
     if n >= 8:
         assert max(stacks) >= 4
     for r, (shifts, signs, prefactor) in stacks.items():
         of_rank = [t for t in transforms if t.rank == r]
         rows = np.array([rng.randrange(len(ps)) for _ in of_rank])
-        stacked = graphdiag._gather(shifts, signs, prefactor, lams, rows)
+        entries = len(of_rank) * min(4**r, 128) << n
+        index = np.full(entries + 100, 12345, dtype=np.intp)
+        gathered = np.full(entries + 100, np.nan)
+        stacked = graphdiag._gather(shifts, signs, prefactor, lams, rows, index, gathered)
         assert stacked.shape == (len(of_rank), 1 << n)
         for transform, row, lam in zip(of_rank, stacked, lams[rows]):
             single = transform.apply(lam)
@@ -279,7 +285,20 @@ def test_popcount_counts_every_byte_of_a_mask():
     assert counts.tolist() == [m.bit_count() for m in masks]
 
 
-# --- The GF(2) elimination behind partition_transform -------------------------
+# --- The GF(2) elimination and the spans behind the PT terms ----------------
+
+
+def _reference_span(basis):
+    """All 2^len(basis) XOR combinations; bit i of the index selects basis[i]."""
+    out = [0]
+    for b in basis:
+        out += [x ^ b for x in out]
+    return out
+
+
+def _span(basis):
+    """graphdiag._spans on one basis, as a list."""
+    return graphdiag._spans(np.array(basis, dtype=np.intp).reshape(1, len(basis)))[0].tolist()
 
 
 def _xor(vectors):
@@ -306,7 +325,7 @@ def bit_columns(draw):
 @settings(max_examples=80, deadline=None)
 def test_elimination_kernel_is_exactly_the_null_space(columns):
     pivots, kernel = graphdiag._eliminate(columns)
-    span = graphdiag._span(kernel)
+    span = _span(kernel)
     assert set(span) == {x for x in range(1 << len(columns)) if _image(columns, x) == 0}
     assert len(set(span)) == len(span)  # the kernel vectors are independent
     assert len(pivots) + len(kernel) == len(columns)  # rank-nullity
@@ -318,8 +337,8 @@ def test_elimination_pivots_span_every_image_with_its_input(columns):
     pivots, _ = graphdiag._eliminate(columns)
     leads = [img.bit_length() for img, _ in pivots]
     assert leads == sorted(set(leads), reverse=True) and 0 not in leads
-    images = graphdiag._span([img for img, _ in pivots])
-    inputs = graphdiag._span([pre for _, pre in pivots])
+    images = _span([img for img, _ in pivots])
+    inputs = _span([pre for _, pre in pivots])
     assert set(images) == {_image(columns, x) for x in range(1 << len(columns))}
     assert len(set(images)) == len(images)
     for y, a in zip(images, inputs):
@@ -333,7 +352,7 @@ def test_second_elimination_gives_the_orthocomplement(rows):
     length = 8
     columns = [sum(((v >> j) & 1) << i for i, v in enumerate(rows)) for j in range(length)]
     _, basis = graphdiag._eliminate(columns)
-    got = graphdiag._span(basis)
+    got = _span(basis)
     expected = {
         x for x in range(1 << length) if all((x & v).bit_count() % 2 == 0 for v in rows)
     }
@@ -343,7 +362,7 @@ def test_second_elimination_gives_the_orthocomplement(rows):
 
 def test_orthocomplement_of_nothing_is_everything():
     _, basis = graphdiag._eliminate([0, 0, 0])
-    assert set(graphdiag._span(basis)) == set(range(8))
+    assert set(_span(basis)) == set(range(8))
 
 
 def test_elimination_output_order_is_deterministic():
@@ -352,10 +371,92 @@ def test_elimination_output_order_is_deterministic():
         [(0b101, 0b010), (0b011, 0b001)],
         [0b111],
     )
-    assert graphdiag._span([0b101, 0b011]) == [0, 0b101, 0b011, 0b110]
+    assert _span([0b101, 0b011]) == [0, 0b101, 0b011, 0b110]
     rng = random.Random(11)
     columns = [rng.randrange(1 << 5) for _ in range(6)]
     assert graphdiag._eliminate(columns) == graphdiag._eliminate(list(columns))
+
+
+@given(
+    st.integers(0, 6).flatmap(
+        lambda r: st.lists(
+            st.lists(st.integers(0, (1 << 14) - 1), min_size=r, max_size=r), min_size=1, max_size=5
+        )
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_spans_are_the_reference_span_of_each_row(bases):
+    spans = graphdiag._spans(np.array(bases, dtype=np.intp))
+    assert spans.dtype == np.intp
+    assert spans.tolist() == [_reference_span(basis) for basis in bases]
+
+
+def _reference_terms(g, part):
+    """(rank, shifts, signs, prefactor) of one split, built split by split:
+    the same two eliminations, then Python-list spans and one popcount.  The
+    reference for _build_terms' values and term order: Y-major, each span
+    in _reference_span order."""
+    a_bits = part.members()
+    c_mask = part.complement_mask
+    pivots, kernel = graphdiag._eliminate([g.adj[i] & c_mask for i in a_bits])
+    _, x_basis = graphdiag._eliminate(
+        [sum(((v >> col) & 1) << k for k, v in enumerate(kernel)) for col in range(len(a_bits))]
+    )
+    x_c = np.array(_reference_span(x_basis), dtype=np.intp)
+    y_pre = np.array(_reference_span([pre for _, pre in pivots]), dtype=np.intp)
+    x_full = np.array(
+        _reference_span([spread_bits(x, part.a_mask) for x in x_basis]), dtype=np.intp
+    )
+    y_full = np.array(_reference_span([img for img, _ in pivots]), dtype=np.intp)
+    odd = graphdiag._popcount(y_pre[:, np.newaxis] & x_c[np.newaxis, :]) & 1
+    shifts = (y_full[:, np.newaxis] ^ x_full[np.newaxis, :]).ravel()
+    return len(pivots), shifts, (1.0 - 2.0 * odd).ravel(), 1.0 / len(x_c)
+
+
+TERM_GRAPHS = [f"ring:{n}" for n in range(3, 11)]
+TERM_GRAPHS += ["star:6", "star:7", "star:8", "line:7", "grid2d:3x3", "complete:5", "complete:6"]
+TERM_GRAPHS += [f"random:{seed}" for seed in range(40)]
+
+
+def _term_graph(spec):
+    kind, size = spec.split(":")
+    if kind == "random":
+        rng = random.Random(6100 + int(size))
+        return random_connected_graph(rng, rng.randint(2, 10))
+    return load_graph(spec)
+
+
+@pytest.mark.parametrize("spec", TERM_GRAPHS)
+def test_built_terms_equal_the_reference_construction_in_order(spec):
+    # Every split of the graph in one block: ranks, rows in the stacks,
+    # shifts, signs and prefactors bit for bit the reference's, in order.
+    g = _term_graph(spec)
+    parts = list(bipartitions(g))
+    ranks, stack_row, stacks = graphdiag._build_terms(g, parts)
+    expected = [_reference_terms(g, part) for part in parts]
+    assert ranks.tolist() == [e[0] for e in expected]
+    assert sorted(stacks) == sorted(set(ranks.tolist()))
+    for r, (shifts, signs, prefactor) in stacks.items():
+        of_rank = [e for e in expected if e[0] == r]
+        assert stack_row[ranks == r].tolist() == list(range(len(of_rank)))
+        assert shifts.dtype == np.intp and signs.dtype == np.float64
+        assert np.array_equal(shifts, np.stack([e[1] for e in of_rank]))
+        assert _bitwise_equal(signs, np.stack([e[2] for e in of_rank]))
+        assert {e[3].hex() for e in of_rank} == {prefactor.hex()}
+
+
+@pytest.mark.parametrize("spec", ["ring:7", "star:6", "grid2d:3x3", "random:5", "random:11"])
+def test_one_split_transform_is_its_row_of_a_block(spec):
+    g = _term_graph(spec)
+    parts = list(bipartitions(g))
+    ranks, stack_row, stacks = graphdiag._build_terms(g, parts)
+    for part, r, row in zip(parts, ranks.tolist(), stack_row.tolist()):
+        transform = partition_transform(g, part)
+        shifts, signs, prefactor = stacks[r]
+        assert transform.rank == r and type(transform.rank) is int
+        assert np.array_equal(transform.shifts, shifts[row])
+        assert _bitwise_equal(transform.signs, signs[row])
+        assert transform.prefactor.hex() == prefactor.hex()
 
 
 def _brute_force_terms(g, part, rng):
@@ -805,9 +906,9 @@ def test_scan_memory_stays_within_its_stated_budget(monkeypatch, n):
     # The budget _scan_splits states: a block's coefficients twice over plus
     # its stacked terms (at most 2/(n + 1) of them), the weights cache (2^n
     # floats per distinct p) and four temporaries of _stack_rows(n) rows of
-    # 2^n floats, 64 rows up to n = 7 and 128 from n = 8.  A temporary the
-    # size of a block's coefficients, or one held from the pre-scan into the
-    # refinement, exceeds it.
+    # 2^n floats: 2^15 entries (256 rows) at n = 7, 128 rows from n = 8.  A
+    # temporary the size of a block's coefficients, or one held from the
+    # pre-scan into the refinement, exceeds it.
     g = make_lattice("ring", n)
     scan_partitions(make_lattice("ring", 4), DEPHASING)  # anything loaded on first use
     cached = []
@@ -827,19 +928,22 @@ def test_scan_memory_stays_within_its_stated_budget(monkeypatch, n):
     block = min(2 ** (n - 1) - 1, graphdiag._SCAN_BLOCK // ((n + 1) << n))
     coefficients = block * (n + 1) * row
     budget = (2 + 2 / (n + 1)) * coefficients + len(cached) * row
-    assert graphdiag._stack_rows(n) == (64 if n <= 7 else 128)
+    assert graphdiag._stack_rows(n) == {7: 256, 10: 128}[n]
     budget += 4 * graphdiag._stack_rows(n) * row
     assert peak <= budget
 
 
 def test_scan_builds_each_transform_once(monkeypatch):
+    # Each split's terms are built once, by _build_terms (which
+    # partition_transform calls too), one call per block.
     built = []
+    build = graphdiag._build_terms
 
-    def counting(g, part):
-        built.append(part.a_mask)
-        return partition_transform(g, part)
+    def counting(g, parts):
+        built.extend(part.a_mask for part in parts)
+        return build(g, parts)
 
-    monkeypatch.setattr(graphdiag, "partition_transform", counting)
+    monkeypatch.setattr(graphdiag, "_build_terms", counting)
     scan_partitions(make_lattice("ring", 9), DEPHASING)
     assert len(built) == len(set(built)) == 255
 
@@ -852,23 +956,53 @@ def _block_of(splits, n):
 @pytest.mark.parametrize("spec", ["ring:8", "line:7"])
 @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
 def test_scan_holds_the_transforms_of_one_block_at_most(monkeypatch, spec, family):
-    # A block's transforms live until the block ends, and no longer.
+    # A block's stacked terms live until the block ends, and no longer: when
+    # the next block's terms are built, and when the scan returns, every
+    # array _build_terms gave an earlier block is freed.
     g = load_graph(spec)
-    live = weakref.WeakSet()
-    peak = 0
+    blocks = []  # weak references to the arrays of each block's terms
+    build = graphdiag._build_terms
 
-    def counting(g, part):
-        nonlocal peak
-        transform = partition_transform(g, part)
-        live.add(transform)
-        peak = max(peak, len(live))
-        return transform
+    def recording(g, parts):
+        assert all(ref() is None for refs in blocks for ref in refs)
+        ranks, stack_row, stacks = build(g, parts)
+        arrays = [ranks, stack_row] + [a for shifts, signs, _ in stacks.values() for a in (shifts, signs)]
+        blocks.append([weakref.ref(a) for a in arrays])
+        return ranks, stack_row, stacks
 
-    monkeypatch.setattr(graphdiag, "partition_transform", counting)
+    monkeypatch.setattr(graphdiag, "_build_terms", recording)
     monkeypatch.setattr(graphdiag, "_SCAN_BLOCK", _block_of(3, g.n))
     report = scan_partitions(g, family)
-    assert peak == 3
+    assert len(blocks) == math.ceil((2 ** (g.n - 1) - 1) / 3)
+    assert all(ref() is None for refs in blocks for ref in refs)
     assert len(report.entries) == 2 ** (g.n - 1) - 1
+
+
+@pytest.mark.parametrize("spec", ["ring:7", "ring:9"])
+def test_scan_gathers_into_one_pair_of_buffers(monkeypatch, spec):
+    # Every gather pass of a scan slices the same two buffers, of
+    # _stack_rows(n) rows of 2^n entries, and fits in them; at n = 7 that
+    # is 2^15 entries, so rank-3 splits (64 terms) share a pass.
+    g = load_graph(spec)
+    bound = graphdiag._stack_rows(g.n) << g.n
+    passes = []
+    gather = graphdiag._gather
+
+    def recording(shifts, signs, prefactor, lams, rows, index, gathered):
+        passes.append((index, gathered, len(shifts), min(shifts.shape[1], 128)))
+        return gather(shifts, signs, prefactor, lams, rows, index, gathered)
+
+    monkeypatch.setattr(graphdiag, "_gather", recording)
+    scan_partitions(g, DEPHASING)
+    index, gathered = passes[0][:2]
+    assert index.shape == gathered.shape == (bound,)
+    assert index.dtype == np.intp and gathered.dtype == np.float64
+    for pass_index, pass_gathered, stack, k in passes:
+        assert pass_index is index and pass_gathered is gathered
+        assert stack * k << g.n <= bound
+    if g.n == 7:
+        assert bound == 1 << 15
+        assert max(stack for *_, stack, k in passes if k == 64) == 4
 
 
 def test_scan_and_pt_spectrum_without_numpy_bitwise_count(monkeypatch):
@@ -933,12 +1067,12 @@ def test_scan_gathers_the_clean_end_and_each_undecided_value(monkeypatch, kind, 
     gathered = {}
     gather = graphdiag._gather
 
-    def recording(shifts, signs, prefactor, lams, rows=None):
+    def recording(shifts, signs, prefactor, lams, rows, *buffers):
         for i in range(len(shifts)):
             mask = terms[shifts[i].tobytes(), signs[i].tobytes()]
             lam = lams[0 if rows is None else rows[i]]
             gathered.setdefault(mask, []).append(lam.copy())
-        return gather(shifts, signs, prefactor, lams, rows)
+        return gather(shifts, signs, prefactor, lams, rows, *buffers)
 
     monkeypatch.setattr(graphdiag, "_gather", recording)
     scan_partitions(g, family)
