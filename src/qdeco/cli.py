@@ -230,6 +230,11 @@ def _cmd_ghz(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
             result = ghz_lifetime(ns.n, k, ch, tol=tol)
             row = {"k": k, "t_crit": result.value if result.sign_change_found else None}
             out.rows.append(row)
+        if any(row["t_crit"] is None for row in out.rows):
+            out.warnings.append(
+                "some group sizes never cross the PT boundary in the time bracket; "
+                "their t_crit is empty"
+            )
     elif family.kind == "depolarizing":
         for k in ks:
             result = ghz_lifetime(ns.n, k, "depolarizing", tol=tol)

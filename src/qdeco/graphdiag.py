@@ -5,16 +5,16 @@ diagonal in its graph basis, so the full density matrix never has to be
 formed: the state is a vector of 2^n weights lam[U], one per vertex subset
 U.  This module propagates those weights, computes partial-transpose
 spectra exactly (the partially transposed state is diagonal in the same
-basis, and one signed gather over shifted weights, PartitionTransform,
-gives it for every split; two column eliminations over GF(2) on the
-adjacency block between the sides give its terms), PPT-certifying
-estimates built from weight ratios, and a scan of every bipartition for
-the noise level where its spectrum turns nonnegative.
+basis; pt_spectrum gets its weights from two Walsh-Hadamard transforms and
+one sign per stabilizer element, for any weights and any split),
+PPT-certifying estimates built from weight ratios, and a scan of every
+bipartition for the noise level where its spectrum turns nonnegative.
 
-The PT terms have one builder, _build_terms, for a list of splits: the two
-eliminations of each split on Python ints, then the spans, signs and
-terms of all splits of one rank as stacked array passes.
-partition_transform is that builder on a list of one split.
+The scan's exact values come from the gather, a signed average of shifted
+weights per split, whose terms have one builder, _build_terms, for a list
+of splits: two column eliminations over GF(2) on the adjacency block
+between the sides of each split, on Python ints, then the spans, signs
+and terms of all splits of one rank as stacked array passes.
 
 The scan bisects every split in lockstep on the sign of its smallest PT
 weight.  For the scan families (depolarizing, dephasing, bitflip) the
@@ -32,8 +32,8 @@ coefficients fit _SCAN_BLOCK, each through one numeric.bisect_lockstep,
 and a block runs in array passes rather than split by split: one
 _build_terms call for the terms of all its splits, which live, stacked
 per rank, until the block ends; the clean ends of all its splits of one
-rank as one stacked gather (_gather, which apply runs with a stack of one,
-bit for bit the same per split); the pre-scan minima in a few stacked
+rank as one stacked gather (_gather, bit for bit the same per split as a
+stack of one); the pre-scan minima in a few stacked
 products; the undecided values of the pre-scan and of each refinement
 round as one stacked gather per rank; and the grids as one array that
 bisect_lockstep checks in one pass.  A gather pass or pre-scan product
@@ -66,8 +66,8 @@ from .numeric import (
     prescan_grid,
 )
 
-FAST_CAP = 20  # 2^n weight vector
-DIRECT_CAP = 14  # lambda_direct's 4^n sum, one pt_spectrum, and scan_partitions
+FAST_CAP = 20  # 2^n weight vector, and pt_spectrum's two transforms of it
+DIRECT_CAP = 14  # lambda_direct's 4^n sum and scan_partitions
 SANDWICH_CAP = 12  # exhaustive ratio check over all U and k
 SCAN_BRACKET = (1e-6, 1.0 - 1e-6)
 
@@ -184,49 +184,17 @@ def lambda_direct(g: Graph, ch: PauliChannel, u_mask: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Partial transposition in the graph basis
+# The gather: the PT weights the scan falls back on
+#
+# Each PT weight is also a signed average of 4^rank shifted weights, whose
+# terms come from the adjacency block between the two sides.  pt_spectrum
+# agrees with it to rounding, but the scan's entries (p_crit, argmin, and the
+# verdict at exact ties) are set by the gather's rounding, which
+# bench/reference.json pins, so the scan keeps it for the values its
+# certified signs cannot settle.
 
 
 _CHUNK = 128  # terms per gather
-
-
-@dataclass(frozen=True, eq=False)
-class PartitionTransform:
-    """Precomputed coefficients of the PT map for one bipartition.
-
-    The partial transpose of a graph-diagonal state is diagonal in the same
-    basis; each new weight is a signed average of old weights over shifted
-    subsets.  The shifts and signs come from the adjacency block Gamma'
-    between the two sides: shifts are X + Y with X ranging over the
-    orthocomplement of ker Gamma' (inside A) and Y over the image of Gamma'
-    (inside the complement), and the sign of a term is the GF(2) pairing of
-    X with a preimage of Y, the same for every preimage since X is
-    orthogonal to ker Gamma'.  There are 4^rank terms, Y-major, and the
-    prefactor is 2^-rank; Y and X each run in the _spans order of the
-    bases that _build_terms' two eliminations return.
-
-    partition_transform builds it with _build_terms on a list of one split;
-    a scan builds the terms of a block of splits in one call and keeps them
-    stacked per rank, not as transforms.  apply is _gather with a stack of
-    one; a scan gathers the splits of one rank as a stack, with the same
-    terms, chunks and sums per split.
-    """
-
-    partition: Bipartition
-    shifts: np.ndarray  # (terms,) full-width subset masks
-    signs: np.ndarray  # (terms,) of +/-1
-    prefactor: float
-    rank: int
-
-    def apply(self, lam: np.ndarray) -> np.ndarray:
-        """PT weights of one weight vector of shape (2^n,)."""
-        dim = 1 << self.partition.n
-        if lam.shape != (dim,):
-            raise ValidationError(f"weights of shape {lam.shape} do not fit 2^{self.partition.n}")
-        entries = min(len(self.shifts), _CHUNK) * dim
-        terms = self.shifts[np.newaxis], self.signs[np.newaxis], self.prefactor
-        buffers = np.empty(entries, dtype=np.intp), np.empty(entries)
-        return _gather(*terms, lam[np.newaxis], None, *buffers)[0]
 
 
 def _gather(
@@ -234,14 +202,14 @@ def _gather(
     signs: np.ndarray,
     prefactor: float,
     lams: np.ndarray,
-    rows: np.ndarray | None,
+    rows: np.ndarray,
     index: np.ndarray,
     gathered: np.ndarray,
 ) -> np.ndarray:
-    """PT weights of a stack of transforms of one rank, one weight vector
-    each: row i of the result, shape (stack, 2^n), applies the terms
-    shifts[i], signs[i] (arrays of shape (stack, 4^rank)) to lams[rows[i]],
-    or to lams[0] when rows is None.
+    """PT weights of a stack of splits of one rank, one weight vector each:
+    row i of the result, shape (stack, 2^n), applies the terms shifts[i],
+    signs[i] (arrays of shape (stack, 4^rank), from _build_terms) to
+    lams[rows[i]].
 
     The terms go _CHUNK at a time.  A chunk's index (every subset mask XOR
     every shift, offset to the weight vector's row of lams) and the weights
@@ -258,7 +226,7 @@ def _gather(
     masks = np.arange(dim, dtype=np.intp)
     # Row r starts at r 2^n, whose low n bits are clear: XOR with a shift
     # adds it, and XOR with a mask keeps it.
-    offset = shifts if rows is None else shifts + rows[:, np.newaxis] * dim
+    offset = shifts + rows[:, np.newaxis] * dim
     index = index[: stack * k * dim].reshape(stack, k, dim)
     gathered = gathered[: stack * k * dim].reshape(stack, k, dim)
     out = np.zeros((stack, 1, dim))
@@ -328,13 +296,18 @@ def _build_terms(
     and signs, shape (stack, 4^rank), and the prefactor 2^-rank, as _gather
     takes them.
 
-    Each split takes two column eliminations over GF(2) on Python ints.
-    They give four bases of rank vectors: the images Y and preimages A_Y of
-    Gamma', and X's basis as masks over the vertices of A (for the signs)
-    and spread to full width (for the shifts).  The spans of these bases,
-    the signs and the terms of all splits of one rank are then a few array
-    passes, in PartitionTransform's order: Y-major, each in the order
-    _spans gives.
+    The terms of a split come from the adjacency block Gamma' between its
+    two sides: shifts are X + Y with X ranging over the orthocomplement of
+    ker Gamma' (inside A) and Y over the image of Gamma' (inside the
+    complement), and the sign of a term is the GF(2) pairing of X with a
+    preimage of Y, the same for every preimage since X is orthogonal to ker
+    Gamma'.  Each split takes two column eliminations over GF(2) on Python
+    ints.  They give four bases of rank vectors: the images Y and preimages
+    A_Y of Gamma', and X's basis as masks over the vertices of A (for the
+    signs) and spread to full width (for the shifts).  The spans of these
+    bases, the signs and the terms of all splits of one rank are then a few
+    array passes.  There are 4^rank terms per split, Y-major, Y and X each
+    in the order _spans gives.
     """
     bases: dict[int, list[list[int]]] = {}
     ranks = np.empty(len(parts), dtype=np.intp)
@@ -379,33 +352,8 @@ def _build_terms(
     return ranks, stack_row, stacks
 
 
-def partition_transform(g: Graph, part: Bipartition) -> PartitionTransform:
-    """The PT terms of one split: _build_terms on a list of one."""
-    if part.n != g.n:
-        raise ValidationError("partition and graph sizes differ")
-    (rank,), _, stacks = _build_terms(g, [part])
-    shifts, signs, prefactor = stacks[rank]
-    return PartitionTransform(part, shifts[0], signs[0], prefactor, int(rank))
-
-
-def pt_spectrum(
-    s: GraphDiagonalState,
-    part: Bipartition,
-    transform: PartitionTransform | None = None,
-) -> PtSpectrum:
-    """Exact PT eigenvalues of a graph-diagonal state for one bipartition."""
-    if s.n > DIRECT_CAP:
-        raise CapacityError(f"PT spectrum capped at n={DIRECT_CAP}")
-    if transform is None:
-        transform = partition_transform(s.graph, part)
-    elif transform.partition != part:
-        raise ValidationError("transform was built for a different partition")
-    lam_prime = transform.apply(s.lam)
-    return PtSpectrum(lam_prime, part, float(lam_prime.min()))
-
-
 # ---------------------------------------------------------------------------
-# Partial transposition in the Fourier domain, for the scan families
+# Partial transposition in the Fourier domain
 
 
 def _walsh_hadamard(rows: np.ndarray) -> np.ndarray:
@@ -425,21 +373,60 @@ def _walsh_hadamard(rows: np.ndarray) -> np.ndarray:
     return src
 
 
+def _pt_masks(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gamma chi and chi & Gamma chi of every mask chi of g's vertices (Gamma
+    chi is the XOR of the neighbourhoods of the vertices in chi), and the
+    parity (-1)^|m| of every mask m: the PT sign of chi for the split with
+    side A is parity[(chi & Gamma chi) & A].
+
+    Both double with each vertex k: the masks chi with top bit k are those
+    below it plus k, so Gamma chi gains N_k and the parity flips."""
+    dim = 1 << g.n
+    gamma = np.zeros(dim, dtype=np.intp)
+    parity = np.ones(dim)
+    for k in range(g.n):
+        half = 1 << k
+        np.bitwise_xor(gamma[:half], g.adj[k], out=gamma[half : 2 * half])
+        np.negative(parity[:half], out=parity[half : 2 * half])
+    return gamma, np.arange(dim) & gamma, parity
+
+
+def pt_spectrum(s: GraphDiagonalState, part: Bipartition) -> PtSpectrum:
+    """Exact PT eigenvalues of a graph-diagonal state for one bipartition.
+
+    With H the Walsh-Hadamard transform, the state is 2^-n sum_chi (H
+    lam)(chi) K_chi, where K_chi is the product of the stabilizer generators
+    of the vertices in chi.  Transposing side A multiplies K_chi by
+    (-1)^|chi & Gamma chi & A|, so the partial transpose is diagonal in the
+    same basis, with weights 2^-n H[(-1)^|chi & Gamma chi & A| (H lam)(chi)]:
+    two transforms, O(n 2^n) for any weights and any split.
+    """
+    if s.n > FAST_CAP:
+        raise CapacityError(f"PT spectrum capped at n={FAST_CAP}")
+    if part.n != s.n:
+        raise ValidationError("partition and graph sizes differ")
+    _, cross, parity = _pt_masks(s.graph)
+    fourier = _walsh_hadamard(s.lam[np.newaxis].copy())
+    fourier *= parity[cross & part.a_mask]
+    lam_prime = _walsh_hadamard(fourier)[0] * math.ldexp(1.0, -s.n)
+    return PtSpectrum(lam_prime, part, float(lam_prime.min()))
+
+
 @dataclass(frozen=True, eq=False)
 class FourierForm:
     """PT weights of a graph state under a scan family, in Fourier form.
 
     Under depolarizing, dephasing or bitflip noise at parameter p the
     Walsh-Hadamard transform H of the noisy weights is p^w(chi), where w
-    counts the vertices of chi | Gamma chi, of chi, or of Gamma chi (Gamma
-    chi is the XOR of the neighbourhoods of the vertices in chi).  The PT
-    weights of the split with side A are 2^-n H[(-1)^|chi & Gamma chi & A|
-    p^w].  Grouping the chi by w gives the coefficient form: the PT weight
-    of U is 2^-n sum_d C[d, U] p^d, where row d of C is H of the signs on
-    the chi with w(chi) = d (coefficients), so one matrix product gives a
-    split's PT weights at any number of p, whatever the rank of the split.
-    It agrees with PartitionTransform.apply on lambda_from_pauli's weights
-    to within fourier_bound.
+    counts the vertices of chi | Gamma chi, of chi, or of Gamma chi.  So
+    the PT weights of the split with side A (pt_spectrum) are 2^-n
+    H[(-1)^|chi & Gamma chi & A| p^w].  Grouping the chi by w gives the
+    coefficient form: the PT weight of U is 2^-n sum_d C[d, U] p^d, where
+    row d of C is H of the signs on the chi with w(chi) = d (coefficients),
+    so one matrix product gives a split's PT weights at any number of p,
+    whatever the rank of the split.  It agrees with the gather (_gather on
+    _build_terms' terms) on lambda_from_pauli's weights to within
+    fourier_bound.
     """
 
     n: int
@@ -450,12 +437,9 @@ class FourierForm:
     @staticmethod
     def of(g: Graph, kind: str) -> "FourierForm":
         chi = np.arange(1 << g.n)
-        gamma = np.zeros_like(chi)
-        for k in range(g.n):
-            gamma ^= ((chi >> k) & 1) * g.adj[k]
+        gamma, cross, parity = _pt_masks(g)
         support = {"depolarizing": chi | gamma, "dephasing": chi, "bitflip": gamma}[kind]
-        parity = 1.0 - 2.0 * (_popcount(chi) & 1)
-        return FourierForm(g.n, _popcount(support), chi & gamma, parity)
+        return FourierForm(g.n, _popcount(support), cross, parity)
 
     def powers(self, ps: np.ndarray) -> np.ndarray:
         """p^d 2^-n for d = 0..n at each p of ps, shape (len(ps), n + 1)."""
@@ -484,7 +468,8 @@ class FourierForm:
 
 def fourier_bound(n: int, rank: int) -> float:
     """Bound on the distance of the coefficient form (FourierForm.powers @
-    FourierForm.coefficients) from PartitionTransform.apply at one p.
+    FourierForm.coefficients) from the gather of a split of rank rank at
+    one p.
 
     In units of u = 2^-53, to first order, for p in SCAN_BRACKET (where
     nothing is subnormal):
@@ -631,8 +616,8 @@ class PartitionScanEntry:
     status: str  # "threshold" | "always_ppt" | "always_npt"
     p_crit: float  # NaN unless status == "threshold"
     # Minimising subset at the clean end of the bracket, taken from the
-    # gather (PartitionTransform's terms, _gather), never from the Fourier
-    # form.  When subsets tie for the minimum, which one is reported is set
+    # gather (_build_terms' terms through _gather), never from the Fourier
+    # form or pt_spectrum.  When subsets tie for the minimum, which one is reported is set
     # by the rounding of that gather.
     argmin_mask: int
     iterations: int
@@ -678,7 +663,7 @@ def _stack_rows(n: int) -> int:
     (PRESCAN_POINTS rows) and one gather chunk of a split of the largest
     rank, n // 2 (min(_CHUNK, 4^(n // 2)) rows).  So 256 rows at n = 7
     (2^15 entries; more rows below n = 7) and 128 from n = 8, where no more
-    than one apply or one pre-scan product of a split needs."""
+    than one split's gather or pre-scan product needs."""
     return max(PRESCAN_POINTS, min(_CHUNK, 4 ** (n // 2)), _PASS_ENTRIES >> n)
 
 
@@ -695,8 +680,8 @@ def _scan_splits(
     grid, powers(grid) @ C of each split; in each refinement round, one
     powers(p) @ C per split still bisecting.  A value v settles the sign
     when |v| > fourier_bound, because the gather's value is then nonzero and
-    of the same sign.  Where it does not, the gather (PartitionTransform's
-    terms on the noisy weights) supplies the value, so every bisection
+    of the same sign.  Where it does not, the gather (_build_terms' terms
+    through _gather, on the noisy weights) supplies the value, so every bisection
     takes the steps it would take on the gather alone.  The clean-end row,
     which gives the argmin and the verdict of splits without a crossing, is
     always gathered.

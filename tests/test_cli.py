@@ -311,6 +311,9 @@ def test_ghz_zero_temperature_qo_reports_no_root(tmp_path):
     code, payload = run_json(tmp_path, ["ghz", "--n", "3", "--channel", channel])
     assert code == 0
     assert payload["results"]["rows"] == [{"k": 1, "t_crit": None}]
+    # As lower and upper --method eb do when nothing crosses, it says so.
+    (warning,) = payload["warnings"]
+    assert "never cross" in warning and "t_crit" in warning
 
 
 def test_ghz_blockwise_sweep(tmp_path):

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from qdeco.graphdiag import (
     lambda_direct,
     lambda_estimation_check,
     lambda_from_pauli,
-    partition_transform,
     pauli_q,
     pt_spectrum,
     scan_partitions,
@@ -54,6 +54,7 @@ from qdeco.numeric import (
     prescan_grid,
 )
 from qdeco.oracle import (
+    DenseState,
     apply_uniform_channel,
     dense_graph_state,
     graph_basis_diagonal,
@@ -176,6 +177,60 @@ def test_pt_spectrum_matches_dense(seed):
     assert spec.min_value == pytest.approx(dense.min(), abs=1e-9)
 
 
+def _dense_graph_diagonal(g, lam):
+    """sum_U lam[U] Z^U |G><G| Z^U as a dense state: entry (x, y) of
+    Z^U |G><G| Z^U is that of |G><G| times (-1)^(|U & x| + |U & y|)."""
+    dim = 1 << g.n
+    signs = np.array([[1.0 - 2.0 * ((u & x).bit_count() & 1) for x in range(dim)] for u in range(dim)])
+    return DenseState(g.n, dense_graph_state(g).rho * (signs.T @ (lam[:, np.newaxis] * signs)))
+
+
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(2, 6),
+    alpha=st.sampled_from([0.05, 1.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_pt_spectrum_of_weights_no_channel_made_matches_dense(rng, n, alpha):
+    # Dirichlet weights: no product structure in their transform, and with
+    # alpha = 0.05 most of them are close to 0.
+    g = random_connected_graph(rng, n)
+    lam = np.random.default_rng(rng.randrange(1 << 32)).dirichlet(np.full(1 << n, alpha))
+    part = Bipartition(rng.randint(1, (1 << n) - 2), n)
+    spec = pt_spectrum(GraphDiagonalState(g, lam), part)
+    dense = pt_spectrum_dense(_dense_graph_diagonal(g, lam), part)
+    assert np.max(np.abs(np.sort(spec.lam_prime) - dense)) <= 1e-12
+
+
+class _OneSplit(NamedTuple):
+    """The PT terms of one split as a scan builds them (_build_terms on a
+    list of one) and their gather (_gather with a stack of one)."""
+
+    rank: int
+    shifts: np.ndarray  # (4^rank,) full-width subset masks
+    signs: np.ndarray  # (4^rank,) of +/-1
+    prefactor: float
+
+    @classmethod
+    def of(cls, g, part):
+        (rank,), _, stacks = graphdiag._build_terms(g, [part])
+        shifts, signs, prefactor = stacks[rank]
+        return cls(int(rank), shifts[0], signs[0], prefactor)
+
+    def apply(self, lam):
+        """The gathered PT weights of one weight vector of shape (2^n,)."""
+        entries = min(len(self.shifts), graphdiag._CHUNK) * len(lam)
+        return graphdiag._gather(
+            self.shifts[np.newaxis],
+            self.signs[np.newaxis],
+            self.prefactor,
+            lam[np.newaxis],
+            np.zeros(1, dtype=np.intp),
+            np.empty(entries, dtype=np.intp),
+            np.empty(entries),
+        )[0]
+
+
 def _reference_apply(transform, lam):
     """One weight vector through the plain chunked gather, index built per chunk."""
     idx = np.arange(lam.shape[0], dtype=np.intp)
@@ -201,7 +256,7 @@ def test_stacked_apply_rows_equal_single_rows(seed):
         [lambda_from_pauli(g, family.pauli(p)).lam for p in np.linspace(0.0, 1.0, 70)]
     )
     for part in bipartitions(g):
-        transform = partition_transform(g, part)
+        transform = _OneSplit.of(g, part)
         for lam in stack:
             single = transform.apply(lam)
             assert single.shape == lam.shape
@@ -221,7 +276,7 @@ def test_stacked_gather_rows_equal_one_apply_per_split(n, seed):
     ps = [rng.uniform(*SCAN_BRACKET) for _ in range(3)] + [SCAN_BRACKET[1]]
     lams = np.stack([lambda_from_pauli(g, family.pauli(p)).lam for p in ps])
     parts = list(bipartitions(g))
-    transforms = [partition_transform(g, part) for part in parts]
+    transforms = [_OneSplit.of(g, part) for part in parts]
     _, _, stacks = graphdiag._build_terms(g, parts)
     assert set(stacks) == {t.rank for t in transforms}
     if n >= 8:
@@ -243,8 +298,8 @@ def test_stacked_gather_rows_equal_one_apply_per_split(n, seed):
 def test_apply_over_the_index_cap_keeps_no_index():
     g = make_lattice("ring", 11)
     alternating = Bipartition(sum(1 << k for k in range(1, 11, 2)), 11)
-    big = partition_transform(g, alternating)
-    small = partition_transform(g, Bipartition(0b11, 11))
+    big = _OneSplit.of(g, alternating)
+    small = _OneSplit.of(g, Bipartition(0b11, 11))
     # 4^5 terms are 8 chunks of 128; the small split has fewer than one chunk.
     assert big.rank == 5 and big.shifts.shape[0] == 8 * 128
     assert small.shifts.shape[0] < 128
@@ -252,13 +307,6 @@ def test_apply_over_the_index_cap_keeps_no_index():
         lam = lambda_from_pauli(g, DEPOL.pauli(p)).lam
         for transform in (big, small):
             assert _bitwise_equal(transform.apply(lam), _reference_apply(transform, lam))
-
-
-def test_apply_rejects_weights_of_the_wrong_size():
-    transform = partition_transform(make_lattice("ring", 4), Bipartition(0b1, 4))
-    for bad in (np.ones(8), np.ones((2, 8)), np.ones((2, 16)), np.ones((2, 2, 16))):
-        with pytest.raises(ValidationError):
-            transform.apply(bad)
 
 
 @given(
@@ -270,7 +318,7 @@ def test_apply_rejects_weights_of_the_wrong_size():
 def test_stacked_apply_matches_dense_oracle(rng, n, rows):
     g = random_connected_graph(rng, n)
     part = Bipartition(rng.randint(1, (1 << n) - 2), n)
-    transform = partition_transform(g, part)
+    transform = _OneSplit.of(g, part)
     for ch in [random_pauli_channel(rng) for _ in range(rows)]:
         spec = transform.apply(lambda_from_pauli(g, ch).lam)
         noisy = apply_uniform_channel(dense_graph_state(g), ChannelMatrix.from_pauli(ch))
@@ -445,15 +493,36 @@ def test_built_terms_equal_the_reference_construction_in_order(spec):
         assert {e[3].hex() for e in of_rank} == {prefactor.hex()}
 
 
+PT_GRAPHS = [f"ring:{n}" for n in range(4, 10)] + ["star:6", "grid2d:3x3", "complete:5"]
+PT_GRAPHS += [f"random:{seed}" for seed in range(20)]
+
+
+@pytest.mark.parametrize("spec", PT_GRAPHS)
+def test_pt_spectrum_is_the_gather_on_every_split(spec):
+    # Two transforms and one gather per split, on noisy weights and on
+    # Dirichlet weights that no channel made.
+    g = _term_graph(spec)
+    rng = random.Random(6600 + PT_GRAPHS.index(spec))
+    weights = [
+        lambda_from_pauli(g, random_pauli_channel(rng)).lam,
+        np.random.default_rng(rng.randrange(1 << 32)).dirichlet(np.ones(1 << g.n)),
+    ]
+    for part in bipartitions(g):
+        transform = _OneSplit.of(g, part)
+        for lam in weights:
+            spec_pt = pt_spectrum(GraphDiagonalState(g, lam), part)
+            assert np.max(np.abs(spec_pt.lam_prime - transform.apply(lam))) <= 1e-15
+
+
 @pytest.mark.parametrize("spec", ["ring:7", "star:6", "grid2d:3x3", "random:5", "random:11"])
 def test_one_split_transform_is_its_row_of_a_block(spec):
     g = _term_graph(spec)
     parts = list(bipartitions(g))
     ranks, stack_row, stacks = graphdiag._build_terms(g, parts)
     for part, r, row in zip(parts, ranks.tolist(), stack_row.tolist()):
-        transform = partition_transform(g, part)
+        transform = _OneSplit.of(g, part)
         shifts, signs, prefactor = stacks[r]
-        assert transform.rank == r and type(transform.rank) is int
+        assert transform.rank == r
         assert np.array_equal(transform.shifts, shifts[row])
         assert _bitwise_equal(transform.signs, signs[row])
         assert transform.prefactor.hex() == prefactor.hex()
@@ -488,7 +557,7 @@ def test_transform_terms_match_a_build_from_any_preimage(seed):
         n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
     )
     for part in bipartitions(g):
-        transform = partition_transform(g, part)
+        transform = _OneSplit.of(g, part)
         terms, n_x, n_y = _brute_force_terms(g, part, rng)
         assert sorted(zip(transform.shifts.tolist(), transform.signs.tolist())) == terms
         assert transform.prefactor == 1.0 / n_x and n_y == 1 << transform.rank
@@ -515,19 +584,12 @@ def test_pt_preserves_trace_and_clean_state_min():
         assert spec.lam_prime.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_pt_transform_reuse_and_mismatch():
+def test_pt_spectrum_rejects_a_partition_of_another_size():
     g = make_lattice("ring", 4)
-    part = Bipartition(0b0011, 4)
-    other = Bipartition(0b0101, 4)
-    tr = partition_transform(g, part)
     state = lambda_from_pauli(g, named_channel("depolarizing", 0.7))
-    direct = pt_spectrum(state, part)
-    reused = pt_spectrum(state, part, transform=tr)
-    assert np.array_equal(direct.lam_prime, reused.lam_prime)
-    with pytest.raises(ValidationError):
-        pt_spectrum(state, other, transform=tr)
-    with pytest.raises(ValidationError):
-        partition_transform(g, Bipartition(0b001, 3))
+    for part in (Bipartition(0b001, 3), Bipartition(0b00001, 5)):
+        with pytest.raises(ValidationError, match="sizes differ"):
+            pt_spectrum(state, part)
 
 
 def _one_vertex_formula(lam, k, nk):
@@ -556,12 +618,31 @@ def test_single_vertex_closed_form_matches_general():
         assert np.allclose(spec.lam_prime, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [15, 16])
+def test_single_vertex_closed_form_above_the_direct_cap(n):
+    # Two transforms of 2^n entries: no longer capped with the 4^n sum.
+    rng = random.Random(8800 + n)
+    g = random_connected_graph(rng, n)
+    state = lambda_from_pauli(g, random_pauli_channel(rng))
+    assert n > graphdiag.DIRECT_CAP
+    for k in range(n):
+        spec = pt_spectrum(state, Bipartition(1 << k, n))
+        expected = _one_vertex_formula(state.lam, k, neighborhood(g, k))
+        assert np.max(np.abs(spec.lam_prime - expected)) <= 1e-12
+
+
 def test_single_vertex_isolated_falls_back():
     # An isolated vertex can never make the split NPT: its PT is the identity.
+    # The gather has the one term of rank 0, so it is the identity bit for
+    # bit; the two transforms of pt_spectrum are so up to rounding.
     g = graph_from_edges(3, [(0, 1)])
+    part = Bipartition(0b100, 3)
     state = lambda_from_pauli(g, named_channel("depolarizing", 0.6))
-    spec = pt_spectrum(state, Bipartition(0b100, 3))
-    assert np.array_equal(spec.lam_prime, state.lam)
+    transform = _OneSplit.of(g, part)
+    assert transform.rank == 0
+    assert np.array_equal(transform.apply(state.lam), state.lam)
+    spec = pt_spectrum(state, part)
+    assert np.max(np.abs(spec.lam_prime - state.lam)) <= 1e-15
     assert spec.min_value >= 0.0
 
 
@@ -584,7 +665,7 @@ def test_two_vertex_rank_deficient_falls_back():
     g = make_lattice("star", 4)
     ch = named_channel("depolarizing", 0.8)
     part = Bipartition(0b0110, 4)
-    assert partition_transform(g, part).rank == 1
+    assert _OneSplit.of(g, part).rank == 1
     dense = apply_uniform_channel(dense_graph_state(g), ChannelMatrix.from_pauli(ch))
     assert np.allclose(
         np.sort(pt_spectrum(lambda_from_pauli(g, ch), part).lam_prime),
@@ -611,10 +692,10 @@ def test_pt_spectrum_trace_validation():
 
 
 def test_pt_spectrum_capacity():
-    g = make_lattice("ring", 15)
-    state = lambda_from_pauli(g, named_channel("depolarizing", 0.5))
-    with pytest.raises(CapacityError):
-        pt_spectrum(state, Bipartition(1, 15))
+    n = graphdiag.FAST_CAP + 1
+    state = GraphDiagonalState(make_lattice("ring", n), np.full(1 << n, 0.5**n))
+    with pytest.raises(CapacityError, match=f"capped at n={graphdiag.FAST_CAP}"):
+        pt_spectrum(state, Bipartition(1, n))
 
 
 # --- Weight-ratio PPT certificates -------------------------------------------
@@ -822,7 +903,7 @@ def _zero_as_ppt_if_prescan_zero(f, lo, hi):
 
 def _unshared_scan_entry(g, family, part):
     """One split scanned on its own, with fresh weights at every point."""
-    transform = partition_transform(g, part)
+    transform = _OneSplit.of(g, part)
 
     def weights(p):
         return lambda_from_pauli(g, family.pauli(p)).lam
@@ -934,8 +1015,7 @@ def test_scan_memory_stays_within_its_stated_budget(monkeypatch, n):
 
 
 def test_scan_builds_each_transform_once(monkeypatch):
-    # Each split's terms are built once, by _build_terms (which
-    # partition_transform calls too), one call per block.
+    # Each split's terms are built once, by _build_terms, one call per block.
     built = []
     build = graphdiag._build_terms
 
@@ -1021,7 +1101,7 @@ def test_scan_and_pt_spectrum_without_numpy_bitwise_count(monkeypatch):
 def _gather_steered_points(g, family, part):
     """The points where a scan of one split evaluates, bisecting on the
     gather alone, without the clean end (which the scan always gathers)."""
-    transform = partition_transform(g, part)
+    transform = _OneSplit.of(g, part)
 
     def min_pt(p):
         return float(transform.apply(lambda_from_pauli(g, family.pauli(p)).lam).min())
@@ -1061,7 +1141,7 @@ def test_scan_gathers_the_clean_end_and_each_undecided_value(monkeypatch, kind, 
         expected[part.a_mask] = [SCAN_BRACKET[1]] + _undecided(form, part, points, rank)
     terms = {}
     for part in parts:
-        transform = partition_transform(g, part)
+        transform = _OneSplit.of(g, part)
         terms[transform.shifts.tobytes(), transform.signs.tobytes()] = part.a_mask
     assert len(terms) == len(parts)  # the terms name the split
     gathered = {}
@@ -1070,7 +1150,7 @@ def test_scan_gathers_the_clean_end_and_each_undecided_value(monkeypatch, kind, 
     def recording(shifts, signs, prefactor, lams, rows, *buffers):
         for i in range(len(shifts)):
             mask = terms[shifts[i].tobytes(), signs[i].tobytes()]
-            lam = lams[0 if rows is None else rows[i]]
+            lam = lams[rows[i]]
             gathered.setdefault(mask, []).append(lam.copy())
         return gather(shifts, signs, prefactor, lams, rows, *buffers)
 
@@ -1091,7 +1171,7 @@ def _check_fourier_against_gather(g, family, part, ps):
     """At ps and at the points closest to the split's threshold, where the
     sign is hardest, the coefficient form is within its bound of the gather
     and, where it is beyond the bound, has the sign of the nonzero gather."""
-    transform = partition_transform(g, part)
+    transform = _OneSplit.of(g, part)
 
     def gather(q):
         return transform.apply(lambda_from_pauli(g, family.pauli(q)).lam)
@@ -1134,7 +1214,7 @@ def test_fourier_form_is_within_its_bound_of_the_gather(rng, n, family, p):
 def test_fourier_form_is_within_its_bound_at_the_largest_rank(n, family):
     # The split of largest rank, floor(n / 2), has the largest gather sum.
     g = make_lattice("ring", n)
-    part = max(bipartitions(g), key=lambda part: partition_transform(g, part).rank)
+    part = max(bipartitions(g), key=lambda part: _OneSplit.of(g, part).rank)
     rank = _check_fourier_against_gather(g, family, part, prescan_grid(*SCAN_BRACKET))
     assert rank == n // 2
 
