@@ -251,11 +251,18 @@ def partial_trace_out_first(rho4: np.ndarray) -> np.ndarray:
     return np.einsum("kikj->ij", r)
 
 
+def _qo_breaking_gap(ch: QoChannel, t: float) -> float:
+    """s(1-s) (e^(Ct) (1 - e^(-Bt)))^2 - 1, which is >= 0 exactly where the
+    qo channel breaks entanglement at time t."""
+    lhs = ch.s * (1 - ch.s)
+    lhs *= (math.exp(ch.C * t) * -math.expm1(-ch.B * t)) ** 2
+    return lhs - 1.0
+
+
 def is_entanglement_breaking_qo(ch: QoChannel, t: float) -> bool:
     if not 0.0 <= t:  # NaN fails too
         raise ValidationError("time must be non-negative")
-    lhs = ch.s * (1 - ch.s) * (math.exp(ch.C * t) * (1 - math.exp(-ch.B * t))) ** 2
-    return lhs >= 1.0
+    return _qo_breaking_gap(ch, t) >= 0.0
 
 
 def depolarizing_eb_threshold() -> float:
@@ -301,9 +308,7 @@ def eb_threshold(
             ch = QoChannel(family.param("B"), family.param("C"), family.param("s"))
 
             def gap(t: float) -> float:
-                lhs = ch.s * (1 - ch.s)
-                lhs *= (math.exp(ch.C * t) * -math.expm1(-ch.B * t)) ** 2
-                return lhs - 1.0
+                return _qo_breaking_gap(ch, t)
         elif family.kind == "decay":
             # Decay with rate kappa is the zero-temperature singular case
             # (B = kappa, C = kappa/2, s = 1): the breaking inequality has

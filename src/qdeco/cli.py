@@ -102,6 +102,25 @@ def _tolerance(ns: argparse.Namespace) -> Tolerance:
     return DEFAULT_TOL if tol_root is None else Tolerance(abs_root=tol_root)
 
 
+# The flags each mode of a command does not read, with their defaults; a
+# mode exits 2 when one of them is given another value.
+_UNREAD = {
+    ("upper", "--method eb"): {"graph": None},
+    ("upper", "--method ising"): {"via": "analytic"},
+    ("ghz", "ghz without --blockwise"): {"sweep": None, "axis": "kt"},
+    ("ghz", "ghz --blockwise"): {"n": None, "crit": None, "tol_root": None},
+    ("ghz", "ghz --blockwise with a qo channel"): {
+        "n": None, "crit": None, "tol_root": None, "axis": "kt",
+    },
+}
+
+
+def _reject_unread(ns: argparse.Namespace, mode: str) -> None:
+    for name, default in _UNREAD[ns.cmd, mode].items():
+        if getattr(ns, name) != default:
+            raise ValidationError(f"{mode} does not read --{name.replace('_', '-')}")
+
+
 def _qo_channel(family: ChannelFamily) -> QoChannel:
     from .channels import QoChannel
 
@@ -182,10 +201,12 @@ def _cmd_ghz(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
     family = _parse_channel(ns.channel)
     out = CommandOutput()
     if ns.blockwise:
+        qo = family.kind == "qo"
+        _reject_unread(ns, "ghz --blockwise with a qo channel" if qo else "ghz --blockwise")
         if ns.sweep is None:
             raise ValidationError("--blockwise needs --sweep over the time axis")
         axis = _parse_sweep(ns.sweep)
-        if family.kind == "qo":
+        if qo:
             ch = _qo_channel(family)
             for t in axis:
                 out.rows.append(
@@ -213,6 +234,7 @@ def _cmd_ghz(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
         out.summary["channel"] = family.kind
         return out
 
+    _reject_unread(ns, "ghz without --blockwise")
     if ns.n is None:
         raise ValidationError("ghz lifetimes need --n")
     if ns.n < 2:
@@ -286,16 +308,8 @@ def _cmd_lower(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
     return out
 
 
-# The flags of `upper` that only some methods read, with their defaults, and
-# the ones each method reads; a method exits 2 on any other one given.
-_UPPER_OPTIONAL = {"graph": None, "via": "analytic"}
-_UPPER_READS = {"eb": {"via"}, "ising": {"graph"}}
-
-
 def _cmd_upper(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
-    for name, default in _UPPER_OPTIONAL.items():
-        if name not in _UPPER_READS[ns.method] and getattr(ns, name) != default:
-            raise ValidationError(f"--method {ns.method} does not read --{name}")
+    _reject_unread(ns, f"--method {ns.method}")
     family = _parse_channel(ns.channel)
     out = CommandOutput()
     if ns.method == "eb":

@@ -8,9 +8,10 @@ entanglement can be distilled between any two vertices, which certifies
 multiparty distillability of the whole state.  This module computes the
 reduced pair states (closed form per edge class on unweighted graphs; on
 weighted ones the edge's pure gate state with each entry damped by the
-measured neighbours), the per-edge noise thresholds, closed-form threshold
-inequalities, a universal degree-only bound, and the aggregated per-graph
-report.
+measured neighbours), the per-edge noise thresholds (on unweighted graphs
+the root of a polynomial in the edge's local degrees, on weighted ones a
+bisection of the pair's partial-transpose minimum), a universal
+degree-only bound, and the aggregated per-graph report.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChannelFamily, PauliChannel, named_prob_rows, named_probs
+from .channels import ChannelFamily, PauliChannel, named_prob_rows
 from .errors import ValidationError
 from .graphs import Graph, neighborhood
 from .isingsep import D_K, D_L, gate_outer
@@ -29,7 +30,6 @@ from .numeric import (
     ThresholdResult,
     Tolerance,
     bisect,
-    bisect_from_grid,
     bisect_lockstep,
     hermitian_spectrum,
     partial_transpose,
@@ -65,7 +65,7 @@ class BellDiagonal:
 
 
 def _convolve(a: tuple, b: tuple) -> tuple:
-    """XOR-convolution over the phase group Z2 x Z2, of floats or arrays.
+    """XOR-convolution over the phase group Z2 x Z2.
 
     Each entry is summed from 0 in the order of x, as sum() over x would.
     """
@@ -81,14 +81,6 @@ def _z_flip(index: int, strength) -> tuple:
     out[_I] = (1.0 + strength) / 2.0
     out[index] += (1.0 - strength) / 2.0
     return tuple(out)
-
-
-def _power(x, m: int):
-    """x ** m, element by element for an array as for a float: numpy's
-    array power can differ from the float one in the last bit."""
-    if isinstance(x, np.ndarray):
-        return np.array([v**m for v in x.tolist()])
-    return x**m
 
 
 def _pair_class(g: Graph, k: int, l: int) -> tuple[int, int, int]:
@@ -114,37 +106,16 @@ def _pair_class(g: Graph, k: int, l: int) -> tuple[int, int, int]:
 
 def _class_weights(cls: tuple[int, int, int], p0, p1, p2, p3) -> tuple:
     """Weights over (1, Z_k, Z_l, Z_k Z_l) of an edge class's pair state
-    under the Pauli channel (p0, p1, p2, p3): four floats, or four arrays
-    when the probabilities are arrays (element by element, bit for bit the
-    floats' values).  See reduced_pair_state."""
+    under the Pauli channel (p0, p1, p2, p3).  See reduced_pair_state."""
     side_k, side_l, common = cls
     vec = (1.0, 0.0, 0.0, 0.0)
     vec = _convolve(vec, (p0, p3, p1, p2))  # channel on k
     vec = _convolve(vec, (p0, p1, p3, p2))  # channel on l
     strength = 1.0 - 2.0 * (p1 + p2)
-    vec = _convolve(vec, _z_flip(_ZK, _power(strength, side_k)))
-    vec = _convolve(vec, _z_flip(_ZL, _power(strength, side_l)))
-    vec = _convolve(vec, _z_flip(_ZKZL, _power(strength, common)))
+    vec = _convolve(vec, _z_flip(_ZK, strength**side_k))
+    vec = _convolve(vec, _z_flip(_ZL, strength**side_l))
+    vec = _convolve(vec, _z_flip(_ZKZL, strength**common))
     return vec
-
-
-def _class_pair_state(cls: tuple[int, int, int], ch: PauliChannel) -> BellDiagonal:
-    return BellDiagonal(_class_weights(cls, *ch.probs))
-
-
-def _checked_weight_rows(w: np.ndarray) -> np.ndarray:
-    """w, a (P, 4) array of pair weights, with each row checked as
-    BellDiagonal checks its four weights."""
-    if not np.isfinite(w).all():
-        raise ValidationError("weights must be finite")
-    low = w.min(axis=1)
-    if np.any(low < -1e-12):
-        raise ValidationError(f"negative weight {low.min()}")
-    total = w[:, 0] + w[:, 1] + w[:, 2] + w[:, 3]
-    off = np.abs(total - 1.0) > 1e-12
-    if np.any(off):
-        raise ValidationError(f"weights sum to {total[off][0]}, not 1")
-    return w
 
 
 def reduced_pair_state(g: Graph, k: int, l: int, ch: PauliChannel) -> BellDiagonal:
@@ -161,7 +132,7 @@ def reduced_pair_state(g: Graph, k: int, l: int, ch: PauliChannel) -> BellDiagon
     one of strength (1 - 2f)^m.  So the state depends on the graph only
     through the edge's class (side_k, side_l, common).
     """
-    return _class_pair_state(_pair_class(g, k, l), ch)
+    return BellDiagonal(_class_weights(_pair_class(g, k, l), *ch.probs))
 
 
 def pair_state_matrix(b: BellDiagonal) -> np.ndarray:
@@ -196,14 +167,29 @@ def closed_form_threshold(
     degrees: tuple[int, int, int],
     tol: Tolerance = DEFAULT_TOL,
 ) -> ThresholdResult:
-    """Root of the closed-form boundary polynomial in p (depolarizing/bitflip)."""
+    """Level p where an edge's pair stops being NPT, from the edge's ordered
+    degrees (dk, dl, ds) as edge_degrees gives them.
+
+    The edge's class (side_k, side_l, common) = (a, b, c) has degrees
+    (a + c + 1, b + c + 1, a + b + 2), one to one.  In the Z2 x Z2
+    character basis the XOR-convolutions that build the class's pair state
+    (reduced_pair_state) become products, so its three nontrivial
+    characters are powers of p and its weight on 1 is a quarter of one plus
+    their sum.  That weight, the largest near p = 1, passes 1/2 (where a
+    Bell-diagonal pair turns PPT) exactly where p^(dk+1) + p^ds + p^(dl+1)
+    = 1 (depolarizing), p^dk + p^ds + p^dl = 1 (bitflip) or p^2 + 2p = 1
+    (dephasing, root DEPHASING_THRESHOLD on every graph).  This bisects
+    that polynomial on EDGE_BRACKET.
+    """
     dk, dl, ds = degrees
     if kind == "depolarizing":
         f = lambda p: p ** (dk + 1) + p**ds + p ** (dl + 1) - 1.0
     elif kind == "bitflip":
         f = lambda p: p**dk + p**ds + p**dl - 1.0
+    elif kind == "dephasing":
+        f = lambda p: p * p + 2.0 * p - 1.0
     else:
-        raise ValidationError("closed-form threshold solves depolarizing or bitflip")
+        raise ValidationError("closed-form threshold solves depolarizing, dephasing or bitflip")
     return bisect(f, EDGE_BRACKET[0], EDGE_BRACKET[1], tol)
 
 
@@ -291,7 +277,7 @@ def weighted_reduced_pair(
     entry (a, b) damped by one factor per measured neighbour
     (`_edge_phases`, independent of the channel), and the channel weights
     those factors (`_damped_pairs`, here a one-channel stack).  At phase pi
-    everywhere this is the class route's (1 - 2f)^count flips.  Returns
+    everywhere this is reduced_pair_state's (1 - 2f)^count flips.  Returns
     the normalised 4x4 matrix with qubit k as bit 0, l as bit 1.
     """
     return _damped_pairs(*_edge_phases(g, k, l), np.array([ch.probs]))[0]
@@ -425,19 +411,18 @@ def lifetime_lower_bound(
 
     Works along the channel-family parameter p (clean at 1): each edge gets
     the level where its reduced pair stops being NPT, from one bisection per
-    distinct problem.  On an unweighted graph the pair state depends only on
-    the edge's ordered class (side_k, side_l, common), so edges of one class
-    share one bisection (a constant-degree lattice has a handful of classes
-    at any size); each class's pre-scan grid is one array pass of the
-    class's weights and each refinement point is scalar arithmetic.  On a
-    weighted graph each edge's gate state and neighbour phases are built
-    once and every evaluation only reweights them; the edges bisect in
-    lockstep, each pre-scan grid and refinement round reweighted and
-    diagonalised as stacks of bounded size (_weighted_edge_thresholds).
-    The global number takes the
-    maximum (the protocol's weakest link), and the spanning variant takes
-    the smallest p at which the NPT edges alone connect the graph (the
-    bottleneck edge of a maximum-threshold-last union-find sweep).
+    distinct problem.  On an unweighted graph that level is the root of the
+    closed-form polynomial in the edge's ordered degrees
+    (closed_form_threshold), so edges with the same degrees share one
+    bisection (a constant-degree lattice has a handful of them at any
+    size).  On a weighted graph each edge's gate state and neighbour phases
+    are built once and every evaluation only reweights them; the edges
+    bisect in lockstep, each pre-scan grid and refinement round reweighted
+    and diagonalised as stacks of bounded size (_weighted_edge_thresholds).
+    The global number takes the maximum (the protocol's weakest link), and
+    the spanning variant takes the smallest p at which the NPT edges alone
+    connect the graph (the bottleneck edge of a maximum-threshold-last
+    union-find sweep).
     """
     if not family.is_pauli_family:
         raise ValidationError(
@@ -453,21 +438,13 @@ def lifetime_lower_bound(
     if g.is_weighted:
         results = _weighted_edge_thresholds(g, all_edges, family.kind, tol)
     else:
-        classes: dict[tuple[int, int, int], ThresholdResult] = {}
+        roots: dict[tuple[int, int, int], ThresholdResult] = {}
         results = []
         for u, v in all_edges:
-            cls = _pair_class(g, u, v)
-            if cls not in classes:
-
-                def gap(p: float) -> float:
-                    return max(_class_pair_state(cls, family.pauli(p)).c) - 0.5
-
-                lo, hi = EDGE_BRACKET
-                probs = named_probs(family.kind, np.array(prescan_grid(lo, hi)))
-                weights = _checked_weight_rows(np.stack(_class_weights(cls, *probs), axis=1))
-                grid = weights.max(axis=1) - 0.5
-                classes[cls] = bisect_from_grid(gap, lo, hi, grid, tol)
-            results.append(classes[cls])
+            degrees = edge_degrees(g, u, v)
+            if degrees not in roots:
+                roots[degrees] = closed_form_threshold(family.kind, degrees, tol)
+            results.append(roots[degrees])
 
     per_edge = [
         EdgeThreshold(u, v, g.phase(u, v), r.value if r.sign_change_found else math.nan,

@@ -563,14 +563,25 @@ def test_blockwise_kt_axis_rejects_kt_at_most_zero(capsys):
     assert capsys.readouterr().err == "error: --axis kt needs kt > 0, got -0.2\n"
 
 
+QO_SPEC = '{"kind": "qo", "B": 1, "C": 0.5, "s": 0.2}'
+
+
 # Each subcommand registers only the shared flags it reads; argparse rejects the
 # rest, and no subcommand takes --eig-zero.  Only scan takes --jobs, and upper
 # has no ppt method (scan reports the PPT thresholds).  `upper` registers
 # --graph and --via for the methods that read them; the other method exits 2
-# on one given a value other than its default.
+# on one given a value other than its default.  So do the modes of `ghz` on
+# the flags they do not read.
 @pytest.mark.parametrize(
     "argv",
     [
+        ["ghz", "--n", "6", "--sweep", "0.1:0.2:0.1"],
+        ["ghz", "--n", "6", "--axis", "p"],
+        ["ghz", "--blockwise", "--sweep", "0.1:0.3:0.1", "--crit", "k=1", "--n", "5"],
+        ["ghz", "--blockwise", "--sweep", "0.1:0.3:0.1", "--crit", "k=1"],
+        ["ghz", "--blockwise", "--sweep", "0.1:0.3:0.1", "--tol-root", "1e-3"],
+        ["ghz", "--blockwise", "--channel", QO_SPEC, "--sweep", "0.1:0.3:0.1", "--axis", "p"],
+        ["ghz", "--blockwise", "--channel", QO_SPEC, "--sweep", "0.1:0.3:0.1", "--n", "4"],
         ["ghz", "--n", "4", "--jobs", "2"],
         ["lower", "--graph", "ring:4", "--jobs", "2"],
         ["weighted", "--sweep-phi", "1:2:0.5", "--channel", "dephasing"],
@@ -611,6 +622,11 @@ def test_unread_flags_are_rejected(argv, capsys):
     elif argv[0] == "upper" and argv[-2] not in ("--eig-zero", "--jobs"):
         method = argv[argv.index("--method") + 1]
         assert err == f"error: --method {method} does not read {argv[-2]}\n"
+    elif argv[0] == "ghz" and argv[-2] not in ("--eig-zero", "--jobs"):
+        mode = "ghz without --blockwise"
+        if "--blockwise" in argv:
+            mode = "ghz --blockwise with a qo channel" if QO_SPEC in argv else "ghz --blockwise"
+        assert err == f"error: {mode} does not read {argv[-2]}\n"
     else:
         assert err.count("\n") == 2  # argparse's usage line and its error line
         assert err.endswith("unrecognized arguments: " + " ".join(argv[-2:]) + "\n")

@@ -14,10 +14,10 @@ from qdeco.channels import (
     named_channel,
     named_probs,
 )
-from qdeco.cli import random_pauli_channel
+from qdeco.cli import random_connected_graph, random_pauli_channel
 from qdeco.errors import EvaluationError, ValidationError
 from qdeco.graphs import graph_from_edges, make_lattice, neighborhood
-from qdeco.numeric import bisect, prescan_grid
+from qdeco.numeric import DEFAULT_TOL, bisect
 from qdeco.oracle import (
     apply_uniform_channel,
     dense_graph_state,
@@ -213,9 +213,11 @@ def test_dephasing_condition_is_graph_independent():
 
 
 def test_closed_form_validation():
-    for kind in ("dephasing", "smearing"):
-        with pytest.raises(ValidationError):
-            closed_form_threshold(kind, (2, 2, 4))
+    with pytest.raises(ValidationError):
+        closed_form_threshold("smearing", (2, 2, 4))
+    res = closed_form_threshold("dephasing", (2, 2, 4))
+    assert res.sign_change_found
+    assert res.value == pytest.approx(DEPHASING_THRESHOLD, abs=DEFAULT_TOL.abs_root)
 
 
 # --- Universal degree-only bound ----------------------------------------------
@@ -493,12 +495,20 @@ def seeded_phase_graph(spec, seed):
 
 @pytest.mark.parametrize("family", [DEPOL, DEPHASING, BITFLIP], ids=lambda f: f.kind)
 def test_lower_bound_matches_per_edge_reference(family):
+    # The complete, K2,3 and random graphs have edges with common
+    # neighbours, which the lattices lack.
     graphs = [
         make_lattice(*spec)
         for spec in (
             ("ring", 4), ("ring", 30), ("line", 7), ("star", 6),
             ("grid2d", 3, 4), ("grid2d", 5, 5), ("grid3d", 3, 3, 3),
+            ("complete", 5), ("complete", 12),
         )
+    ] + [
+        graph_from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]),
+    ] + [
+        random_connected_graph(random.Random(seed), 4 + seed)
+        for seed in range(10)
     ] + [
         seeded_phase_graph(spec, seed)
         for spec in (("grid2d", 2, 3), ("ring", 5), ("grid2d", 3, 3))
@@ -515,42 +525,20 @@ def test_lower_bound_matches_per_edge_reference(family):
     (("ring", 30), 1), (("grid2d", 5, 5), 6), (("grid2d", 10, 10), 6),
 ])
 def test_lower_bound_bisects_each_edge_class_once(monkeypatch, spec, bisections):
-    # Each class's bisection starts from its grid values computed in one
-    # array pass, so solves are counted at bisect_from_grid.
+    # Each distinct ordered degree triple is one closed-form solve, and
+    # these graphs have as many of them as ordered edge classes.
     calls = []
-    solve = pairdistill.bisect_from_grid
+    solve = pairdistill.closed_form_threshold
 
     def counting_solve(*args, **kwargs):
         calls.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(pairdistill, "bisect_from_grid", counting_solve)
+    monkeypatch.setattr(pairdistill, "closed_form_threshold", counting_solve)
     g = make_lattice(*spec)
     report = lifetime_lower_bound(g, DEPOL)
     assert len(calls) == bisections
     assert len(report.per_edge) == len(g.edges())
-
-
-CLASS_GRAPHS = [("ring", 30), ("grid2d", 5, 5), ("grid3d", 3, 3, 3), ("star", 6), ("complete", 5)]
-
-
-def edge_classes(spec):
-    g = make_lattice(*spec)
-    return sorted({pairdistill._pair_class(g, u, v) for u, v in g.edges()})
-
-
-@pytest.mark.parametrize("family", [DEPOL, DEPHASING, BITFLIP], ids=lambda f: f.kind)
-def test_class_weights_on_arrays_equal_the_float_form(family):
-    # The unweighted grid is one array pass of _class_weights; at every grid
-    # point it must give the float form's weights bit for bit.
-    ps = prescan_grid(*EDGE_BRACKET)
-    probs = named_probs(family.kind, np.array(ps))
-    classes = {cls for spec in CLASS_GRAPHS for cls in edge_classes(spec)}
-    for cls in sorted(classes):
-        stacked = np.stack(pairdistill._class_weights(cls, *probs), axis=1)
-        assert stacked.shape == (len(ps), 4)
-        for row, p in zip(stacked.tolist(), ps):
-            assert tuple(row) == pairdistill._class_pair_state(cls, family.pauli(p)).c, (cls, p)
 
 
 def test_stacked_weight_rows_are_checked_as_bell_diagonal_checks_them():
@@ -563,11 +551,8 @@ def test_stacked_weight_rows_are_checked_as_bell_diagonal_checks_them():
     for bad, message in cases:
         with pytest.raises(ValidationError, match=message):
             BellDiagonal(bad)
-        with pytest.raises(ValidationError, match=message):
-            pairdistill._checked_weight_rows(np.array([good, bad, good]))
-    rows = np.array([good, (1.0 - 1e-13, 1e-13, -1e-13, 1e-13)])
-    assert pairdistill._checked_weight_rows(rows) is rows
-    BellDiagonal(tuple(rows[1]))
+    BellDiagonal(good)
+    BellDiagonal((1.0 - 1e-13, 1e-13, -1e-13, 1e-13))
 
 
 def test_weighted_route_matches_branch_construction():
