@@ -40,7 +40,12 @@ bisect_lockstep checks in one pass.  A gather pass or pre-scan product
 holds at most _stack_rows(n) rows of 2^n floats, 2^15 entries or one
 split's gather chunk, whichever is more, and the gather passes of a scan
 share one pair of buffers of that size.  The gather keeps no index
-between calls.
+between calls.  A block's coefficients are held twice only while the
+Walsh-Hadamard passes build them; the refinement holds them once and, as
+splits finish, compacts the rows of those still bisecting in place.  The
+noisy weights of each new p are mixed through per-vertex XOR index tables
+built once per scan, 3n 2^n entries (21 KB at n = 7, 5.5 MB at
+DIRECT_CAP).
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -133,20 +138,30 @@ def lambda_from_pauli(g: Graph, ch: PauliChannel) -> GraphDiagonalState:
         )
     if g.n > FAST_CAP:
         raise CapacityError(f"weight vector needs 2^{g.n} entries; cap is n={FAST_CAP}")
-    p0, p1, p2, p3 = ch.probs
-    dim = 1 << g.n
-    lam = np.zeros(dim)
-    lam[0] = 1.0
-    idx = np.arange(dim)
+    # One vertex's index arrays at a time: all of them at n = FAST_CAP would
+    # take 480 MB.
+    return GraphDiagonalState(g, _mix_weights(g.n, ch.probs, _vertex_shifts(g)))
+
+
+def _vertex_shifts(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per vertex k, the subsets U ^ N_k, U ^ (N_k + k) and U ^ k that X, Y
+    and Z on qubit k move each subset mask U to."""
+    idx = np.arange(1 << g.n)
     for k in range(g.n):
         nk = neighborhood(g, k)
-        lam = (
-            p0 * lam
-            + p1 * lam[idx ^ nk]
-            + p2 * lam[idx ^ (nk | (1 << k))]
-            + p3 * lam[idx ^ (1 << k)]
-        )
-    return GraphDiagonalState(g, lam)
+        yield idx ^ nk, idx ^ (nk | (1 << k)), idx ^ (1 << k)
+
+
+def _mix_weights(n: int, probs: tuple[float, float, float, float], shifts: Iterable) -> np.ndarray:
+    """lambda_from_pauli's weights, unvalidated: the channel probs mixed
+    into the clean weights vertex by vertex, through the index arrays of
+    _vertex_shifts, one at a time or stacked."""
+    p0, p1, p2, p3 = probs
+    lam = np.zeros(1 << n)
+    lam[0] = 1.0
+    for x, y, z in shifts:
+        lam = p0 * lam + p1 * lam[x] + p2 * lam[y] + p3 * lam[z]
+    return lam
 
 
 def lambda_direct(g: Graph, ch: PauliChannel, u_mask: int) -> float:
@@ -703,13 +718,16 @@ def _scan_splits(
     block keeps them, stacked per rank, until it ends: since 4^rank <= 2^n,
     they take at most 2/(n + 1) of the memory of its coefficients.  Noisy
     weights are computed once per p and shared by every split of every
-    block.  So a scan holds at most: the block's coefficients twice over
-    (while the Walsh-Hadamard passes build them, and while a refinement
-    round copies those of the splits still bisecting) plus its stacked
-    terms; the weights cache, 2^n floats per distinct p; and four
-    temporaries of _stack_rows(n) rows of 2^n floats (the gather buffers,
-    the weight vectors a pass reads, and a pre-scan product, whose buffer
-    is freed before the refinement starts).
+    block, each mixed (_mix_weights) through per-vertex XOR index tables
+    built once per scan.  So a scan holds at most: the block's
+    coefficients twice over only while the Walsh-Hadamard passes build
+    them, and once through the refinement, which moves the rows of the
+    splits still bisecting to the front of the same array as others
+    finish, plus its stacked terms; the index tables, 3n 2^n entries
+    (21 KB at n = 7, 5.5 MB at DIRECT_CAP); the weights cache, 2^n floats
+    per distinct p; and four temporaries of _stack_rows(n) rows of 2^n
+    floats (the gather buffers, the weight vectors a pass reads, and a
+    pre-scan product, whose buffer is freed before the refinement starts).
 
     Under bitflip noise the minimum of some splits is exactly 0.0 over a
     whole range of p.  A split whose pre-scan meets an exact zero reads
@@ -720,13 +738,14 @@ def _scan_splits(
     without making them exact.
     """
     cache: dict[float, np.ndarray] = {}
+    shifts = np.array(list(_vertex_shifts(g)))  # shape (n, 3, 2^n)
 
     def weights(ps: list[float]) -> np.ndarray:
         lams = np.empty((len(ps), 1 << g.n))
         for row, p in zip(lams, ps):
             lam = cache.get(p)
             if lam is None:
-                lam = cache[p] = lambda_from_pauli(g, family.pauli(p)).lam
+                lam = cache[p] = _mix_weights(g.n, family.pauli(p).probs, shifts)
             row[:] = lam
         return lams
 
@@ -834,8 +853,20 @@ def _scan_block(
     zero_is_ppt = zero.any(axis=1)  # splits whose pre-scan met an exact zero
     ys[zero] = 1.0
 
+    # Row i of coefficients holds the coefficients of split held[i].
+    # bisect_lockstep only drops problems and keeps their order, so each
+    # round's splits are a subsequence of held, and moving their rows to the
+    # front, in order, overwrites only rows already moved or dropped.
+    held = np.arange(len(parts))
+
     def refine(split: np.ndarray, ps: np.ndarray) -> np.ndarray:
-        products = np.matmul(form.powers(ps)[:, np.newaxis], coefficients[split])
+        nonlocal held
+        if len(split) < len(held):
+            for row, source in enumerate(np.searchsorted(held, split).tolist()):
+                if row != source:
+                    coefficients[row] = coefficients[source]
+            held = split
+        products = np.matmul(form.powers(ps)[:, np.newaxis], coefficients[: len(split)])
         vs = products.min(axis=(1, 2))
         undecided = np.flatnonzero(np.abs(vs) <= bounds[split])
         if len(undecided):

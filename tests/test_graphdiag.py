@@ -47,6 +47,7 @@ from qdeco.graphs import (
     spread_bits,
 )
 from qdeco.numeric import (
+    DEFAULT_TOL,
     PRESCAN_POINTS,
     MultipleCrossingsError,
     Tolerance,
@@ -114,6 +115,36 @@ def test_dephasing_weights_factor_as_ratio_powers():
         [p0 ** (6 - bin(u).count("1")) * p3 ** bin(u).count("1") for u in range(64)]
     )
     assert np.allclose(lam, expect, atol=1e-14)
+
+
+MIX_GRAPHS = [f"ring:{n}" for n in range(5, 11)] + ["grid2d:3x3", "star:7", "complete:6"]
+
+
+@pytest.mark.parametrize("spec", MIX_GRAPHS)
+def test_scan_weights_equal_lambda_from_pauli_bit_for_bit(spec):
+    # The scan mixes every p through index arrays built once per scan;
+    # lambda_from_pauli builds them one vertex at a time.  Both must give
+    # exactly the weights of the per-vertex loop.
+    g = load_graph(spec)
+    shifts = np.array(list(graphdiag._vertex_shifts(g)))
+    channels = [family.pauli(p) for family in FAMILIES for p in (0.0, 0.31, 0.77, 1.0)]
+    channels.append(random_pauli_channel(random.Random(len(spec) + g.n)))
+    idx = np.arange(1 << g.n)
+    for ch in channels:
+        p0, p1, p2, p3 = ch.probs
+        loop = np.zeros(1 << g.n)
+        loop[0] = 1.0
+        for k in range(g.n):
+            nk = neighborhood(g, k)
+            loop = (
+                p0 * loop
+                + p1 * loop[idx ^ nk]
+                + p2 * loop[idx ^ (nk | (1 << k))]
+                + p3 * loop[idx ^ (1 << k)]
+            )
+        mixed = graphdiag._mix_weights(g.n, ch.probs, shifts)
+        assert np.array_equal(mixed, lambda_from_pauli(g, ch).lam)
+        assert np.array_equal(mixed, loop)
 
 
 def test_lambda_rejects_weighted_graph_and_caps():
@@ -943,6 +974,24 @@ def test_scan_matches_unshared_per_split_reference(kind, n, family):
     assert repr(entries) == repr(expected)
 
 
+@pytest.mark.parametrize("spec", ["ring:7", "grid2d:2x3"])
+def test_scan_compacting_its_coefficients_matches_splits_scanned_alone(spec):
+    # Under dephasing the splits of these graphs finish in different rounds,
+    # so a block's refinement moves the coefficients of the splits still
+    # bisecting to the front of its array while others are dropped.
+    g = load_graph(spec)
+    parts = list(bipartitions(g))
+    entries = graphdiag._scan_splits(g, DEPHASING, parts, DEFAULT_TOL)
+    assert len({e.iterations for e in entries if e.status == "threshold"}) > 1
+    for entry, part in zip(entries, parts):
+        (alone,) = graphdiag._scan_splits(g, DEPHASING, [part], DEFAULT_TOL)
+        assert entry.partition == alone.partition == part
+        assert entry.status == alone.status
+        assert float.hex(entry.p_crit) == float.hex(alone.p_crit)
+        assert entry.iterations == alone.iterations
+        assert entry.argmin_mask == alone.argmin_mask
+
+
 def test_bitflip_scan_reads_an_exact_zero_minimum_as_ppt():
     # Under bitflip noise the alternating split of ring:6 has a PT minimum of
     # exactly 0.0 up to p = 1/sqrt(3) and a negative one above it.  The zero
@@ -966,14 +1015,16 @@ def test_bitflip_scan_reads_an_exact_zero_minimum_as_ppt():
 
 def test_scan_computes_each_weight_vector_once(monkeypatch):
     seen = []
+    mix = graphdiag._mix_weights
 
-    def counting(g, ch):
-        seen.append(ch.probs)
-        return lambda_from_pauli(g, ch)
+    def counting(vertices, probs, shifts):
+        seen.append(probs)
+        return mix(vertices, probs, shifts)
 
-    monkeypatch.setattr(graphdiag, "lambda_from_pauli", counting)
+    monkeypatch.setattr(graphdiag, "_mix_weights", counting)
     g = make_lattice("ring", 6)
     report = scan_partitions(g, DEPOL)
+    assert seen
     # Depolarizing probabilities are one-to-one in p, so a repeated tuple
     # would be a repeated p.
     assert len(seen) == len(set(seen))
@@ -993,18 +1044,20 @@ def test_scan_memory_stays_within_its_stated_budget(monkeypatch, n):
     g = make_lattice("ring", n)
     scan_partitions(make_lattice("ring", 4), DEPHASING)  # anything loaded on first use
     cached = []
+    mix = graphdiag._mix_weights
 
-    def counting(g, ch):
-        cached.append(ch.probs)
-        return lambda_from_pauli(g, ch)
+    def counting(vertices, probs, shifts):
+        cached.append(probs)
+        return mix(vertices, probs, shifts)
 
-    monkeypatch.setattr(graphdiag, "lambda_from_pauli", counting)
+    monkeypatch.setattr(graphdiag, "_mix_weights", counting)
     tracemalloc.start()
     try:
         scan_partitions(g, DEPHASING)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert cached
     row = 8 << n  # bytes of 2^n floats
     block = min(2 ** (n - 1) - 1, graphdiag._SCAN_BLOCK // ((n + 1) << n))
     coefficients = block * (n + 1) * row
