@@ -17,7 +17,8 @@ identity and p = 0 the fully decohered end point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,19 +35,16 @@ SIGMA = (
 _PROB_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PauliChannel:
-    p0: float
-    p1: float
-    p2: float
-    p3: float
+class PauliChannel(namedtuple("PauliChannel", "p0 p1 p2 p3")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        probs = self.probs
+    def __new__(cls, p0: float, p1: float, p2: float, p3: float) -> PauliChannel:
+        probs = (p0, p1, p2, p3)
         if not all(-_PROB_ATOL <= p <= 1 + _PROB_ATOL for p in probs):  # NaN fails too
             raise ValidationError(f"probabilities outside [0,1]: {probs}")
         if abs(sum(probs) - 1.0) > _PROB_ATOL:
             raise ValidationError(f"probabilities sum to {sum(probs)}, not 1")
+        return super().__new__(cls, p0, p1, p2, p3)
 
     @property
     def probs(self) -> tuple[float, float, float, float]:
@@ -90,28 +88,25 @@ def named_prob_rows(kind: str, ps: np.ndarray) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
-class QoChannel:
+class QoChannel(namedtuple("QoChannel", "B C s")):
     """Master-equation rates: B (inversion), C (polarization), 2C >= B;
     s in [0, 1] is the bath equilibrium parameter (s in {0, 1} is the
     zero-temperature / decay-type singular case)."""
 
-    B: float
-    C: float
-    s: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, B: float, C: float, s: float) -> QoChannel:
         # Written so that NaN and inf fail too.
-        if not 0.0 <= self.B < math.inf:
-            raise ValidationError(f"B must be finite and non-negative, got {self.B}")
-        if not self.B - 1e-15 <= 2 * self.C < math.inf:
-            raise ValidationError(f"need 2C >= B and C finite, got C={self.C}")
-        if not 0.0 <= self.s <= 1.0:
+        if not 0.0 <= B < math.inf:
+            raise ValidationError(f"B must be finite and non-negative, got {B}")
+        if not B - 1e-15 <= 2 * C < math.inf:
+            raise ValidationError(f"need 2C >= B and C finite, got C={C}")
+        if not 0.0 <= s <= 1.0:
             raise ValidationError("s must lie in [0, 1]")
+        return super().__new__(cls, B, C, s)
 
 
-@dataclass(frozen=True)
-class QoSnapshot:
+class QoSnapshot(NamedTuple):
     """Time-t coefficients of the quantum-optical map."""
 
     lambda0: float
@@ -339,8 +334,7 @@ _M_SWAP = np.array(
 )
 
 
-@dataclass(frozen=True)
-class DephasingSplit:
+class DephasingSplit(NamedTuple):
     p_z: float
     residual: ChannelMatrix
     feasible: bool
@@ -408,8 +402,7 @@ def minimal_dephasing_matrix(
     return res.value
 
 
-@dataclass(frozen=True)
-class ChannelFamily:
+class ChannelFamily(NamedTuple):
     """A channel spec with one free axis: p for Pauli kinds, t otherwise.
 
     Keys accepted besides "kind": none for depolarizing | dephasing |

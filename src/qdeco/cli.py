@@ -23,7 +23,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -38,11 +38,20 @@ if TYPE_CHECKING:
 SWEEP_CAP = 100_000  # points of one --sweep / --sweep-phi axis
 
 
-@dataclass
-class CommandOutput:
-    rows: list[dict] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+class CommandOutput(SimpleNamespace):
+    """A subcommand's rows, summary and warnings, which it fills in."""
+
+    def __init__(
+        self,
+        rows: list[dict] | None = None,
+        summary: dict | None = None,
+        warnings: list[str] | None = None,
+    ) -> None:
+        super().__init__(
+            rows=[] if rows is None else rows,
+            summary={} if summary is None else summary,
+            warnings=[] if warnings is None else warnings,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +68,7 @@ def _parse_channel(text: str) -> ChannelFamily:
                 return ChannelFamily.from_spec(json.load(fh))
         if text.startswith("{"):
             return ChannelFamily.from_spec(json.loads(text))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read channel spec: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"channel JSON does not parse: {exc}") from exc

@@ -14,7 +14,7 @@ weight eps = 1 - q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EvaluationError, ValidationError
 from .ghz import blockwise_upper_M_from_kt
@@ -35,8 +35,7 @@ def logical_p(p: float) -> float:
     return (3.0 * p + 1.0) ** 4 * (4.0 - 3.0 * p) / 192.0 - 1.0 / 3.0
 
 
-@dataclass(frozen=True)
-class CodeLevel:
+class CodeLevel(NamedTuple):
     """State of the recursion after j levels of encoding.
 
     q is the no-error weight, p the depolarizing parameter, kt_eff = -ln p
@@ -120,8 +119,7 @@ def level_recursion(kt: float, j: int) -> CodeLevel:
     )
 
 
-@dataclass(frozen=True)
-class BreakEven:
+class BreakEven(NamedTuple):
     p: float
     kt: float
 

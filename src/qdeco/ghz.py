@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,27 +33,24 @@ _SYM_ATOL = 1e-12
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class GhzDiagonal:
-    n: int
-    lam: tuple[float, ...]
-    mu: float
-    symmetric: bool
+class GhzDiagonal(namedtuple("GhzDiagonal", "n lam mu symmetric")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int, lam: tuple[float, ...], mu: float, symmetric: bool) -> GhzDiagonal:
+        if n < 1:
             raise ValidationError("need at least one qubit")
-        if len(self.lam) != self.n + 1:
-            raise ValidationError(f"need {self.n + 1} coefficients")
-        if not all(map(math.isfinite, (*self.lam, self.mu))):
+        if len(lam) != n + 1:
+            raise ValidationError(f"need {n + 1} coefficients")
+        if not all(map(math.isfinite, (*lam, mu))):
             raise ValidationError("coefficients must be finite")
-        if any(v < -1e-12 for v in self.lam):
+        if any(v < -1e-12 for v in lam):
             raise ValidationError("negative diagonal coefficient")
-        total = sum(math.comb(self.n, k) * v for k, v in enumerate(self.lam))
+        total = sum(math.comb(n, k) * v for k, v in enumerate(lam))
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(f"coefficients sum to {total}, not 1")
-        if abs(self.mu) > 0.5 + 1e-12:
+        if abs(mu) > 0.5 + 1e-12:
             raise ValidationError("|mu| exceeds 1/2")
+        return super().__new__(cls, n, lam, mu, symmetric)
 
     @staticmethod
     def from_lambdas(n: int, lam: list[float], mu: float) -> "GhzDiagonal":

@@ -52,9 +52,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import repeat
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -81,17 +81,16 @@ SCAN_BRACKET = (1e-6, 1.0 - 1e-6)
 NPT_VERDICT = "NPT (necessary for distillability)"
 
 
-@dataclass(frozen=True, eq=False)
-class GraphDiagonalState:
+class GraphDiagonalState(namedtuple("GraphDiagonalState", "graph lam")):
     """Weights lam[U] of a state diagonal in the graph basis of `graph`."""
 
-    graph: Graph
-    lam: np.ndarray
+    __slots__ = ()
+    # Compared by identity, as the arrays cannot be compared as one value.
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self) -> None:
-        lam = np.asarray(self.lam, dtype=float)
-        object.__setattr__(self, "lam", lam)
-        if lam.shape != (1 << self.graph.n,):
+    def __new__(cls, graph: Graph, lam: np.ndarray) -> GraphDiagonalState:
+        lam = np.asarray(lam, dtype=float)
+        if lam.shape != (1 << graph.n,):
             raise ValidationError("weight vector must have length 2^n")
         if not np.isfinite(lam).all():
             raise ValidationError("weights must be finite")
@@ -99,23 +98,26 @@ class GraphDiagonalState:
             raise ValidationError(f"negative weight {lam.min()}")
         if abs(lam.sum() - 1.0) > 1e-9:
             raise ValidationError(f"weights sum to {lam.sum()}, not 1")
+        return super().__new__(cls, graph, lam)
 
     @property
     def n(self) -> int:
         return self.graph.n
 
 
-@dataclass(frozen=True, eq=False)
-class PtSpectrum:
+class PtSpectrum(namedtuple("PtSpectrum", "lam_prime partition min_value")):
     """Eigenvalues of the partial transpose, still indexed by subset mask."""
 
-    lam_prime: np.ndarray
-    partition: Bipartition
-    min_value: float
+    __slots__ = ()
+    # Compared by identity, as the arrays cannot be compared as one value.
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self) -> None:
-        if abs(self.lam_prime.sum() - 1.0) > 1e-9:
+    def __new__(
+        cls, lam_prime: np.ndarray, partition: Bipartition, min_value: float
+    ) -> PtSpectrum:
+        if abs(lam_prime.sum() - 1.0) > 1e-9:
             raise ValidationError("partial transpose must preserve the trace")
+        return super().__new__(cls, lam_prime, partition, min_value)
 
     @property
     def argmin_mask(self) -> int:
@@ -427,8 +429,7 @@ def pt_spectrum(s: GraphDiagonalState, part: Bipartition) -> PtSpectrum:
     return PtSpectrum(lam_prime, part, float(lam_prime.min()))
 
 
-@dataclass(frozen=True, eq=False)
-class FourierForm:
+class FourierForm(NamedTuple):
     """PT weights of a graph state under a scan family, in Fourier form.
 
     Under depolarizing, dephasing or bitflip noise at parameter p the
@@ -448,6 +449,9 @@ class FourierForm:
     exponents: np.ndarray  # w(chi)
     cross: np.ndarray  # chi & Gamma chi
     parity: np.ndarray  # (-1)^|m| for every mask m
+
+    # Compared by identity, as the arrays cannot be compared as one value.
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @staticmethod
     def of(g: Graph, kind: str) -> "FourierForm":
@@ -625,8 +629,7 @@ def lambda_estimation_check(s: GraphDiagonalState, ch: PauliChannel) -> bool:
 # Scanning every bipartition for its critical noise level
 
 
-@dataclass(frozen=True)
-class PartitionScanEntry:
+class PartitionScanEntry(NamedTuple):
     partition: Bipartition
     status: str  # "threshold" | "always_ppt" | "always_npt"
     p_crit: float  # NaN unless status == "threshold"
@@ -642,12 +645,21 @@ class PartitionScanEntry:
         return -math.log(self.p_crit)
 
 
-@dataclass(frozen=True)
-class PartitionScanReport:
-    graph: Graph = field(compare=False)
+class PartitionScanReport(NamedTuple):
+    """Equality and hashing leave the graph out."""
+
+    graph: Graph
     entries: tuple[PartitionScanEntry, ...]
     first_ppt: PartitionScanEntry | None  # largest critical p
     last_ppt: PartitionScanEntry | None  # smallest critical p
+
+    def __eq__(self, other):
+        return self[1:] == other[1:] if other.__class__ is self.__class__ else NotImplemented
+
+    __ne__ = object.__ne__  # the negation of __eq__, where tuple's != compares every field
+
+    def __hash__(self) -> int:
+        return hash(self[1:])
 
     def rows(self) -> list[tuple[int, int, str]]:
         """(partition_mask, size_A, p_crit-or-status) for tabular output."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Iterator
 
 from .errors import CapacityError, ValidationError
@@ -22,36 +22,51 @@ VERTEX_CAP = 128
 ENUMERATION_CAP = 20
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    adj: tuple[int, ...]
-    weights: dict[tuple[int, int], float] | None = field(default=None, compare=False)
-    name: str = ""
+class Graph(namedtuple("Graph", "n adj weights name")):
+    """Equality and hashing leave the weights out."""
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= VERTEX_CAP:
-            raise CapacityError(f"vertex count {self.n} outside 1..{VERTEX_CAP}")
-        if len(self.adj) != self.n:
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        n: int,
+        adj: tuple[int, ...],
+        weights: dict[tuple[int, int], float] | None = None,
+        name: str = "",
+    ) -> Graph:
+        if not 1 <= n <= VERTEX_CAP:
+            raise CapacityError(f"vertex count {n} outside 1..{VERTEX_CAP}")
+        if len(adj) != n:
             raise ValidationError("adjacency row count does not match n")
-        full = (1 << self.n) - 1
-        for k, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        for k, row in enumerate(adj):
             if row & ~full:
                 raise ValidationError(f"adjacency row {k} references missing vertices")
             if row & (1 << k):
                 raise ValidationError(f"self-loop at vertex {k}")
-        for k in range(self.n):
-            for l in range(k + 1, self.n):
-                a = (self.adj[k] >> l) & 1
-                b = (self.adj[l] >> k) & 1
+        for k in range(n):
+            for l in range(k + 1, n):
+                a = (adj[k] >> l) & 1
+                b = (adj[l] >> k) & 1
                 if a != b:
                     raise ValidationError(f"adjacency not symmetric at ({k},{l})")
-        if self.weights is not None:
-            for (u, v), phi in self.weights.items():
-                if not (u < v and (self.adj[u] >> v) & 1):
+        if weights is not None:
+            for (u, v), phi in weights.items():
+                if not (u < v and (adj[u] >> v) & 1):
                     raise ValidationError(f"weight on non-edge ({u},{v})")
                 if not 0.0 < phi <= math.pi:
                     raise ValidationError(f"edge phase {phi} outside (0, pi]")
+        return super().__new__(cls, n, adj, weights, name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.adj, self.name) == (other.n, other.adj, other.name)
+
+    __ne__ = object.__ne__  # the negation of __eq__, where tuple's != compares every field
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj, self.name))
 
     @property
     def is_weighted(self) -> bool:
@@ -82,10 +97,14 @@ def graph_from_edges(
     weights: dict[tuple[int, int], float] | None = None,
     name: str = "",
 ) -> Graph:
+    if not 1 <= n <= VERTEX_CAP:  # before allocating n adjacency rows
+        raise CapacityError(f"vertex count {n} outside 1..{VERTEX_CAP}")
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n and u != v):
             raise ValidationError(f"bad edge ({u},{v}) for n={n}")
+        if (adj[u] >> v) & 1:
+            raise ValidationError(f"edge ({u},{v}) is listed twice")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj), weights, name)
@@ -115,17 +134,16 @@ def spread_bits(compact: int, mask: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(namedtuple("Bipartition", "a_mask n")):
     """One side A of an unordered split of the vertex set."""
 
-    a_mask: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        full = (1 << self.n) - 1
-        if self.a_mask == 0 or self.a_mask == full or self.a_mask & ~full:
+    def __new__(cls, a_mask: int, n: int) -> Bipartition:
+        full = (1 << n) - 1
+        if a_mask == 0 or a_mask == full or a_mask & ~full:
             raise ValidationError("A must be a nonempty proper subset of the vertices")
+        return super().__new__(cls, a_mask, n)
 
     @property
     def complement_mask(self) -> int:
@@ -225,7 +243,8 @@ def parse_lattice_spec(spec: str) -> Graph:
 def parse_graph_json(text: str) -> Graph:
     """Graph JSON: {"n": int, "edges": [[u,v] | [u,v,phi]], "name": str?}.
 
-    Edges require u < v; phi, when present, must lie in (0, pi].
+    Edges require u < v and appear once; phi, when present, must lie in
+    (0, pi].  true and false are not numbers here, though bool is an int.
     """
     try:
         obj = json.loads(text)
@@ -233,9 +252,11 @@ def parse_graph_json(text: str) -> Graph:
         raise ValidationError(f"graph JSON does not parse: {exc}") from exc
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValidationError('graph JSON needs keys "n" and "edges"')
-    n = obj["n"]
-    if not isinstance(n, int):
+    n, name = obj["n"], obj.get("name", "")
+    if type(n) is not int:
         raise ValidationError('"n" must be an integer')
+    if not isinstance(name, str):
+        raise ValidationError('"name" must be a string')
     if not isinstance(obj["edges"], list):
         raise ValidationError('"edges" must be a list')
     edges: list[tuple[int, int]] = []
@@ -245,22 +266,20 @@ def parse_graph_json(text: str) -> Graph:
         if not isinstance(e, list) or len(e) not in (2, 3):
             raise ValidationError(f"edge #{i} must be [u, v] or [u, v, phi]")
         u, v = e[0], e[1]
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (type(u) is int and type(v) is int):
             raise ValidationError(f"edge #{i} endpoints must be integers")
         if not u < v:
             raise ValidationError(f"edge #{i}: require u < v, got ({u},{v})")
         edges.append((u, v))
         if len(e) == 3:
-            if not isinstance(e[2], (int, float)):
+            if type(e[2]) not in (int, float):
                 raise ValidationError(f"edge #{i}: phase must be a number")
             phi = float(e[2])
             if not 0.0 < phi <= math.pi:
                 raise ValidationError(f"edge #{i}: phase {phi} outside (0, pi]")
             weights[(u, v)] = phi
             any_weight = True
-    return graph_from_edges(
-        n, edges, weights if any_weight else None, name=obj.get("name", "")
-    )
+    return graph_from_edges(n, edges, weights if any_weight else None, name=name)
 
 
 def load_graph(spec: str) -> Graph:
@@ -270,7 +289,7 @@ def load_graph(spec: str) -> Graph:
         try:
             with open(spec[1:], "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read graph file: {exc}") from exc
         return parse_graph_json(text)
     if spec.startswith("{"):

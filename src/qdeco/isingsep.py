@@ -17,7 +17,8 @@ families in closed form (native_parameter).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +79,7 @@ def _pt_min_eigs(rho: np.ndarray) -> np.ndarray:
     return hermitian_spectrum(partial_transpose(rho, 1))[..., 0]
 
 
-@dataclass(frozen=True)
-class NoisyGateState:
+class NoisyGateState(namedtuple("NoisyGateState", "p_z q_z phi")):
     """Output of one noisy phase gate on a pair of |+> qubits.
 
     Dephasing p_z on k and q_z on l before the gate (a phase flip with
@@ -89,13 +89,12 @@ class NoisyGateState:
     enters psi.
     """
 
-    p_z: float
-    q_z: float
-    phi: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_dephasing(np.array([self.p_z]), np.array([self.q_z]))
-        _check_phase(self.phi)
+    def __new__(cls, p_z: float, q_z: float, phi: float) -> NoisyGateState:
+        _check_dephasing(np.array([p_z]), np.array([q_z]))
+        _check_phase(phi)
+        return super().__new__(cls, p_z, q_z, phi)
 
     def matrix(self) -> np.ndarray:
         """4x4 density matrix; qubit k is bit 0 of the index, l bit 1."""
@@ -180,8 +179,7 @@ def weighted_gate_thresholds(
     return [r.value if r.sign_change_found else 1.0 for r in results]
 
 
-@dataclass(frozen=True)
-class SeparabilityReport:
+class SeparabilityReport(NamedTuple):
     """Dephasing thresholds: full separability is certified for p_z <= p_threshold."""
 
     per_edge: tuple[tuple[int, int, float], ...]  # (u, v, p_z threshold)
@@ -242,8 +240,7 @@ def graph_separability_threshold(
     )
 
 
-@dataclass(frozen=True)
-class WeightedSeparabilityReport:
+class WeightedSeparabilityReport(NamedTuple):
     """Dephasing threshold of a weighted graph plus its native-parameter image.
 
     applicable is False when the channel family has no extractable dephasing

@@ -21,8 +21,8 @@ the partial transpose take stacks (..., d, d) of matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections import namedtuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +32,7 @@ PRESCAN_POINTS = 64
 MAX_ITER = 200  # stops bisection where abs_root is below the float spacing
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(namedtuple("Tolerance", "abs_root")):
     """Numerical tolerances shared across the package.
 
     abs_root: absolute bisection tolerance on the parameter axis.
@@ -41,11 +40,12 @@ class Tolerance:
     -1e-12 * dim count as non-negative, since round-off leaves them there.
     """
 
-    abs_root: float = 1e-10
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.abs_root < math.inf:
-            raise ValidationError(f"abs_root must be finite and positive, got {self.abs_root}")
+    def __new__(cls, abs_root: float = 1e-10) -> Tolerance:
+        if not 0.0 < abs_root < math.inf:
+            raise ValidationError(f"abs_root must be finite and positive, got {abs_root}")
+        return super().__new__(cls, abs_root)
 
     def eig_floor(self, dim: int) -> float:
         return -1e-12 * dim
@@ -54,8 +54,7 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Outcome of a bracketed root search.
 
     value is NaN when no sign change was found in the bracket; callers should

@@ -11,7 +11,7 @@ masks from `graphs` index basis states directly).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -24,21 +24,20 @@ from .numeric import DEFAULT_TOL, hermitian_spectrum, min_eig
 DENSE_CAP = 8
 
 
-@dataclass(frozen=True)
-class DenseState:
-    n: int
-    rho: np.ndarray
+class DenseState(namedtuple("DenseState", "n rho")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n > DENSE_CAP:
+    def __new__(cls, n: int, rho: np.ndarray) -> DenseState:
+        if n > DENSE_CAP:
             raise CapacityError(f"dense oracle capped at {DENSE_CAP} qubits")
-        dim = 1 << self.n
-        if self.rho.shape != (dim, dim):
-            raise ValidationError(f"density matrix shape {self.rho.shape} != {dim}")
-        if not np.allclose(self.rho, self.rho.conj().T, atol=1e-10):
+        dim = 1 << n
+        if rho.shape != (dim, dim):
+            raise ValidationError(f"density matrix shape {rho.shape} != {dim}")
+        if not np.allclose(rho, rho.conj().T, atol=1e-10):
             raise ValidationError("density matrix is not Hermitian")
-        if abs(np.trace(self.rho).real - 1.0) > 1e-10:
+        if abs(np.trace(rho).real - 1.0) > 1e-10:
             raise ValidationError("density matrix trace is not 1")
+        return super().__new__(cls, n, rho)
 
     @property
     def dim(self) -> int:

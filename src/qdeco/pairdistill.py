@@ -17,7 +17,8 @@ degree-only bound, and the aggregated per-graph report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,22 +47,22 @@ DEPHASING_THRESHOLD = math.sqrt(2.0) - 1.0
 _I, _ZK, _ZL, _ZKZL = 0, 1, 2, 3
 
 
-@dataclass(frozen=True)
-class BellDiagonal:
+class BellDiagonal(namedtuple("BellDiagonal", "c")):
     """Weights over {1, Z_k, Z_l, Z_k Z_l} applied to the ideal pair state."""
 
-    c: tuple[float, float, float, float]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.c) != 4:
+    def __new__(cls, c: tuple[float, float, float, float]) -> BellDiagonal:
+        if len(c) != 4:
             raise ValidationError("need exactly four weights")
-        object.__setattr__(self, "c", tuple(float(x) for x in self.c))
-        if not all(map(math.isfinite, self.c)):
+        c = tuple(float(x) for x in c)
+        if not all(map(math.isfinite, c)):
             raise ValidationError("weights must be finite")
-        if min(self.c) < -1e-12:
-            raise ValidationError(f"negative weight {min(self.c)}")
-        if abs(sum(self.c) - 1.0) > 1e-12:
-            raise ValidationError(f"weights sum to {sum(self.c)}, not 1")
+        if min(c) < -1e-12:
+            raise ValidationError(f"negative weight {min(c)}")
+        if abs(sum(c) - 1.0) > 1e-12:
+            raise ValidationError(f"weights sum to {sum(c)}, not 1")
+        return super().__new__(cls, c)
 
 
 def _convolve(a: tuple, b: tuple) -> tuple:
@@ -335,8 +336,7 @@ def _weighted_edge_thresholds(
 # Aggregation over a whole graph
 
 
-@dataclass(frozen=True)
-class EdgeThreshold:
+class EdgeThreshold(NamedTuple):
     u: int
     v: int
     phi: float
@@ -349,22 +349,30 @@ class EdgeThreshold:
         return -math.log(self.p_crit)
 
 
-@dataclass(frozen=True)
-class LowerBoundReport:
+class LowerBoundReport(NamedTuple):
     """Distillability thresholds per edge plus two global certificates.
 
     p_global asks every edge to be NPT (maximum threshold; the certified
     lifetime is the minimum over edges).  p_spanning only asks the NPT edges
     to contain a spanning connected subgraph, which is all the protocol
-    needs, so weak edges cannot spoil it.
+    needs, so weak edges cannot spoil it.  Equality and hashing leave the
+    graph out.
     """
 
-    graph: Graph = field(compare=False)
+    graph: Graph
     per_edge: tuple[EdgeThreshold, ...] = ()
     p_global: float = math.nan
     p_spanning: float = math.nan
     critical_edge: tuple[int, int] | None = None
     bottleneck_edge: tuple[int, int] | None = None
+
+    def __eq__(self, other):
+        return self[1:] == other[1:] if other.__class__ is self.__class__ else NotImplemented
+
+    __ne__ = object.__ne__  # the negation of __eq__, where tuple's != compares every field
+
+    def __hash__(self) -> int:
+        return hash(self[1:])
 
     @property
     def kt_global(self) -> float:

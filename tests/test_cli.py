@@ -440,6 +440,33 @@ def test_bad_input_exits_2_without_traceback(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        ('{"n": 3, "edges": [[false, true, true]]}', "edge #0 endpoints must be integers"),
+        ('{"n": 3, "edges": [[0, 1, true], [1, 2]]}', "edge #0: phase must be a number"),
+        ('{"n": true, "edges": []}', '"n" must be an integer'),
+        ('{"n": 3, "edges": [[0, 1, 1.0], [1, 2], [0, 1, 2.0]]}', "edge (0,1) is listed twice"),
+        ('{"n": 2, "edges": [[0, 1]], "name": 5}', '"name" must be a string'),
+    ],
+)
+def test_bad_graph_json_exits_2_naming_the_fault(graph, message, capsys):
+    assert main(["upper", "--method", "ising", "--graph", graph]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--channel"])
+def test_spec_file_that_is_not_utf8_exits_2_in_one_line(flag, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff{}")
+    argv = ["upper", "--method", "ising", "--graph", "ring:4", "--channel", "dephasing"]
+    argv[argv.index(flag) + 1] = f"@{path}"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+    assert "can't decode byte 0xff" in err
+
+
 def test_capacity_errors_exit_3(capsys):
     assert main(["scan", "--graph", "complete:21"]) == 3
     assert main(["oracle-check", "--max-n", "9"]) == 3
@@ -459,8 +486,9 @@ K31_PHASE_3 = json.dumps(
         ["scan", "--graph", "ring:15"],
         ["weighted", "--sweep-phi", "3.0:3.14:0.1", "--deg", "30"],
         ["upper", "--method", "ising", "--graph", K31_PHASE_3],
+        ["lower", "--graph", '{"n": 1000000000000000000000000000000, "edges": []}'],
     ],
-    ids=["scan ring:15", "weighted deg 30", "upper ising K31"],
+    ids=["scan ring:15", "weighted deg 30", "upper ising K31", "lower n=10^30"],
 )
 def test_capacity_limits_exit_3_in_one_line(argv, capsys, monkeypatch):
     from qdeco import graphdiag

@@ -27,8 +27,12 @@ def test_graph_validation():
         Graph(2, (0b10, 0b00))  # asymmetric
     with pytest.raises(CapacityError):
         graph_from_edges(129, [])
+    with pytest.raises(CapacityError):  # before it allocates a row per vertex
+        graph_from_edges(10**30, [])
     with pytest.raises(ValidationError):
         graph_from_edges(3, [(0, 3)])
+    with pytest.raises(ValidationError, match=r"edge \(1,0\) is listed twice"):
+        graph_from_edges(3, [(0, 1), (1, 2), (1, 0)])
 
 
 def test_weights_must_sit_on_edges_with_sane_phases():
@@ -142,6 +146,28 @@ def test_graph_json_validation():
         parse_graph_json('{"n": 2, "edges": [[1, 0]]}')  # u < v required
     with pytest.raises(ValidationError):
         parse_graph_json('{"n": 2, "edges": [[0, 1, 9.0]]}')
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 3, "edges": [[false, true, true]]}', "endpoints must be integers"),
+        ('{"n": 3, "edges": [[0, 1, true]]}', "phase must be a number"),
+        ('{"n": true, "edges": []}', '"n" must be an integer'),
+        ('{"n": 3, "edges": [[0, 1, 1.0], [1, 2], [0, 1, 2.0]]}', r"edge \(0,1\) is listed twice"),
+        ('{"n": 2, "edges": [[0, 1]], "name": 5}', '"name" must be a string'),
+    ],
+)
+def test_graph_json_rejects_booleans_repeated_edges_and_non_string_names(text, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_graph_json(text)
+
+
+def test_load_graph_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_bytes(b'\xff{"n": 2, "edges": [[0, 1]]}')
+    with pytest.raises(ValidationError, match="cannot read graph file"):
+        load_graph(f"@{path}")
 
 
 def test_load_graph_dispatch(tmp_path):

@@ -16,6 +16,12 @@ process (the console script's case), so `--help` and usage errors cost no
 numpy, and only oracle-check loads the oracle and only a scan with
 --jobs > 1 the process pool.  The package resolves its public names on
 first use (PEP 562); those names must be the modules' own objects.
+
+No library module imports dataclasses, and in a fresh interpreter that
+has imported numpy, importing every qdeco module does not load it.
+A dataclass generates and compiles its methods when its module is
+imported, which every command and pooled worker would pay again; the
+records are named tuples and plain classes instead.
 """
 
 import ast
@@ -251,6 +257,22 @@ def test_lazy_names_are_the_modules_own_objects():
 def test_from_import_reaches_names_and_submodules():
     code = "from qdeco import ghz, scan_partitions; print(ghz.__name__, scan_partitions.__module__)"
     assert run_fresh(code) == "qdeco.ghz qdeco.graphdiag\n"
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src/qdeco").glob("*.py")), ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_library_module_does_not_import_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
+def test_importing_every_module_after_numpy_loads_no_dataclasses():
+    modules = ", ".join(sorted(f"qdeco.{m}" for m in LIBRARY))
+    probe = (
+        f"import sys, numpy\nbefore = set(sys.modules)\nimport {modules}\n"
+        "print('dataclasses' in set(sys.modules) - before)"
+    )
+    assert run_fresh(probe) == "False\n"
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
