@@ -45,7 +45,6 @@ _EXPORTS = {
     "make_lattice": "graphs",
     "graph_separability_threshold": "isingsep",
     "weighted_gate_threshold": "isingsep",
-    "weighted_gate_thresholds": "isingsep",
     "weighted_graph_threshold": "isingsep",
     "closed_form_threshold": "pairdistill",
     "lifetime_lower_bound": "pairdistill",

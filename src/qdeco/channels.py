@@ -420,10 +420,15 @@ class ChannelFamily(NamedTuple):
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ValidationError('channel spec needs a "kind"')
         kind = spec["kind"]
+        extra = {k: v for k, v in spec.items() if k != "kind"}
+        for k, v in extra.items():
+            # JSON true and false are Python bools, and bool is an int.
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValidationError(f"channel parameter {k!r} must be a number, got {v!r}")
         try:
-            extra = {k: float(v) for k, v in spec.items() if k != "kind"}
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"channel parameters must be numbers: {exc}") from exc
+            extra = {k: float(v) for k, v in extra.items()}
+        except OverflowError as exc:  # an integer past the float range
+            raise ValidationError(f"channel parameters must be finite: {exc}") from exc
         if not all(map(math.isfinite, extra.values())):
             raise ValidationError(f"channel parameters must be finite, got {extra}")
         if kind in ("depolarizing", "dephasing", "bitflip"):

@@ -393,24 +393,23 @@ def _cmd_scan(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
 
 
 def _cmd_weighted(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
-    from .isingsep import weighted_gate_thresholds
+    from .isingsep import weighted_gate_threshold
 
     out = CommandOutput()
-    phis = _parse_sweep(ns.sweep_phi)
-    thresholds = weighted_gate_thresholds([(phi, ns.deg, ns.deg) for phi in phis], tol)
-    for phi, p_crit in zip(phis, thresholds):
+    for phi in _parse_sweep(ns.sweep_phi):
+        p_crit = weighted_gate_threshold(phi, ns.deg, ns.deg, tol)
         out.rows.append({"phi": phi, "degree": ns.deg, "p_crit": p_crit})
     out.summary["degree"] = ns.deg
     return out
 
 
 def _cmd_encode(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
-    from .encode import breakeven, encoded_block_bound, encoded_lifetime, level_recursion
+    from .encode import LEVEL_CAP, breakeven, encoded_block_bound, encoded_lifetime, level_recursion
 
     if not math.isfinite(ns.kt):
         raise ValidationError(f"--kt must be finite, got {ns.kt}")
-    if ns.levels < 0:
-        raise ValidationError(f"--levels must be at least 0, got {ns.levels}")
+    if not 0 <= ns.levels <= LEVEL_CAP:
+        raise ValidationError(f"--levels must lie in 0..{LEVEL_CAP}, got {ns.levels}")
     out = CommandOutput()
     for j in range(ns.levels + 1):
         level = level_recursion(ns.kt, j)

@@ -5,10 +5,12 @@ If each gate is preceded by enough single-qubit dephasing on both of its
 ends, the gate stops being able to create entanglement at all, and the
 whole state is certifiably fully separable.  Splitting a vertex's physical
 dephasing p_z evenly over its incident gates (one factor p_z^(1/deg) each)
-turns this into a per-edge inequality; for arbitrary gate phases the
-separability boundary of a single noisy gate is found numerically on its
-explicit 4x4 two-qubit state, the pure gate state psi psi^dagger with each
-entry damped by the dephasing.  Appendix-style channel splitting
+turns this into a per-edge inequality.  A phase-phi gate whose ends keep
+the fractions p and q is separable exactly where its 4x4 state is PPT,
+(1 - p^2)(1 - q^2) >= 4 p q sin^2(phi/2); at phi = pi this is
+(1 + p)(1 + q) <= 2.  Every gate threshold, weighted or not, is the root
+of that inequality.  The explicit 4x4 state (NoisyGateState) stays as the
+dense reference.  Appendix-style channel splitting
 (channels.minimal_dephasing_*) translates the dephasing thresholds into the
 native parameter of other channels: for the dephasing and depolarizing
 families in closed form (native_parameter).
@@ -23,19 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import ChannelFamily
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .graphs import Graph, degree
-from .numeric import (
-    DEFAULT_TOL,
-    Tolerance,
-    bisect,
-    bisect_lockstep,
-    hermitian_spectrum,
-    partial_transpose,
-    prescan_grid,
-)
-
-GATE_BRACKET = (1e-9, 1.0 - 1e-9)
+from .numeric import DEFAULT_TOL, Tolerance, bisect, hermitian_spectrum, partial_transpose
 
 # Entry (a, b) of a two-qubit matrix, with qubit k as bit 0 of the index and
 # qubit l as bit 1: D_K[a, b] = a_k - b_k and D_L[a, b] = a_l - b_l.
@@ -57,28 +49,6 @@ def _check_phase(phi: float) -> None:
         raise ValidationError(f"phase must lie in (0, pi], got {phi}")
 
 
-def _check_dephasing(p_z: np.ndarray, q_z: np.ndarray) -> None:
-    for name, v in (("p_z", p_z), ("q_z", q_z)):
-        inside = (0.0 <= v) & (v <= 1.0)
-        if not inside.all():
-            raise ValidationError(f"{name} must lie in [0, 1], got {v[~inside][0]}")
-
-
-def _gate_states(outer: np.ndarray, p_z: np.ndarray, q_z: np.ndarray) -> np.ndarray:
-    """The (P, 4, 4) states outer * p_z^|D_K| * q_z^|D_L|, one per entry of the
-    equal-length arrays p_z (dephasing on k) and q_z (on l), each checked to
-    lie in [0, 1]."""
-    _check_dephasing(p_z, q_z)
-    damp_k = p_z[:, None, None] ** np.abs(D_K)
-    damp_l = q_z[:, None, None] ** np.abs(D_L)
-    return outer * damp_k * damp_l
-
-
-def _pt_min_eigs(rho: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each state after transposing qubit k (bit 0)."""
-    return hermitian_spectrum(partial_transpose(rho, 1))[..., 0]
-
-
 class NoisyGateState(namedtuple("NoisyGateState", "p_z q_z phi")):
     """Output of one noisy phase gate on a pair of |+> qubits.
 
@@ -92,29 +62,19 @@ class NoisyGateState(namedtuple("NoisyGateState", "p_z q_z phi")):
     __slots__ = ()
 
     def __new__(cls, p_z: float, q_z: float, phi: float) -> NoisyGateState:
-        _check_dephasing(np.array([p_z]), np.array([q_z]))
+        for name, v in (("p_z", p_z), ("q_z", q_z)):
+            if not 0.0 <= v <= 1.0:
+                raise ValidationError(f"{name} must lie in [0, 1], got {v}")
         _check_phase(phi)
         return super().__new__(cls, p_z, q_z, phi)
 
     def matrix(self) -> np.ndarray:
         """4x4 density matrix; qubit k is bit 0 of the index, l bit 1."""
-        return _gate_states(
-            gate_outer(self.phi), np.array([self.p_z]), np.array([self.q_z])
-        )[0]
+        return gate_outer(self.phi) * self.p_z ** np.abs(D_K) * self.q_z ** np.abs(D_L)
 
     def pt_min_eig(self) -> float:
         """Smallest eigenvalue after transposing qubit k (bit 0)."""
-        return float(_pt_min_eigs(self.matrix()))
-
-
-_GATE_BLOCK = 1 << 7  # gate states in one stacked evaluation
-
-# A gate is separable once its PT minimum reaches this (DEFAULT_TOL's floor
-# for dimension 16), not 0: near phi = 0 eigvalsh round-off is as large as
-# the gap.  With a zero floor the root at phi = 1e-8 moves from 1 - 5e-9
-# (true: 1 - phi/2) to 1 - 1.3e-8, and phi = 1e-15 gets a root below 1; at
-# phi >= 0.5 the floor moves a root by at most 1.2e-10, near abs_root.
-GATE_FLOOR = -16e-12
+        return float(hermitian_spectrum(partial_transpose(self.matrix(), 1))[0])
 
 
 def weighted_gate_threshold(
@@ -123,60 +83,28 @@ def weighted_gate_threshold(
     """Largest vertex dephasing p_z for which a phase-phi gate between
     vertices of the given degrees is separability-certified.
 
-    Each side receives the fraction p_z^(1/deg) of its vertex's dephasing.
-    The boundary is located by bisecting the PT minimum eigenvalue of the
-    gate's 4x4 state; at phi = pi it reproduces the closed form
-    (sqrt(2) - 1)^m for equal degrees m.  This is weighted_gate_thresholds
-    for one gate.
+    Each side receives the fraction p = p_z^(1/deg_k), q = p_z^(1/deg_l) of
+    its vertex's dephasing.  The PT of the gate's 4x4 state has the
+    eigenvalues (1 + pq +- |p + q e^(i phi)|) / 4 and
+    (1 - pq +- |p - q e^(i phi)|) / 4; only the last can be negative, and
+    it is not where (1 - p^2)(1 - q^2) >= 4 p q sin^2(phi/2).  For equal
+    degrees m the root is (sqrt(1 + s^2) - s)^m, s = sin(phi/2), so on the
+    p_z axis it drops below any fixed bracket and absolute tolerance as the
+    degrees grow.  Bisection runs on y = p_z^(1/m), m = max(deg_k, deg_l),
+    instead: its root lies in [sqrt(2) - 1, 1) for every phase and degree
+    pair.
     """
-    return weighted_gate_thresholds([(phi, deg_k, deg_l)], tol)[0]
+    if min(deg_k, deg_l) < 1:
+        raise ValidationError("degrees must be at least 1")
+    _check_phase(phi)
+    m = max(deg_k, deg_l)
+    s2 = math.sin(phi / 2.0) ** 2
 
+    def gap(y: float) -> float:
+        p, q = y ** (m / deg_k), y ** (m / deg_l)
+        return 4.0 * p * q * s2 - (1.0 - p * p) * (1.0 - q * q)
 
-def weighted_gate_thresholds(
-    gates: list[tuple[float, int, int]], tol: Tolerance = DEFAULT_TOL
-) -> list[float]:
-    """weighted_gate_threshold of every (phi, deg_k, deg_l) in gates.
-
-    Every gate is checked first, in order.  The gates then bisect in
-    lockstep: their pre-scan grids, as one stack, and every refinement
-    round are formed and diagonalised in stacks of at most _GATE_BLOCK gate
-    states.  A gate is separable where its PT minimum is at least
-    GATE_FLOOR.  A gate with no crossing in GATE_BRACKET is read at the
-    bracket's low end: separable there, it is separable across the whole
-    bracket (phi ~ 0) and gets 1.0; entangled there, its threshold lies
-    below the bracket, and CapacityError names it.
-    """
-    for phi, deg_k, deg_l in gates:
-        if min(deg_k, deg_l) < 1:
-            raise ValidationError("degrees must be at least 1")
-        _check_phase(phi)
-
-    outers = np.array([gate_outer(phi) for phi, _, _ in gates])
-
-    def gaps(problems, ps) -> np.ndarray:
-        out = np.empty(len(ps))
-        for s in range(0, len(ps), _GATE_BLOCK):
-            at, at_ps = problems[s : s + _GATE_BLOCK], ps[s : s + _GATE_BLOCK].tolist()
-            # Python's float power: numpy's array power can differ in the last bit.
-            degs = [gates[i][1:] for i in at.tolist()]
-            p_z = [p ** (1.0 / deg_k) for p, (deg_k, _) in zip(at_ps, degs)]
-            q_z = [p ** (1.0 / deg_l) for p, (_, deg_l) in zip(at_ps, degs)]
-            rho = _gate_states(outers[at], np.array(p_z), np.array(q_z))
-            out[s : s + _GATE_BLOCK] = _pt_min_eigs(rho) - GATE_FLOOR
-        return out
-
-    grid = np.array(prescan_grid(*GATE_BRACKET))
-    every = np.repeat(np.arange(len(gates)), len(grid))
-    grids = gaps(every, np.tile(grid, len(gates))).reshape(len(gates), len(grid))
-    results = bisect_lockstep(gaps, grids, *GATE_BRACKET, tol)
-    # grids[:, 0] is each gate's gap at the bracket's low end.
-    for (phi, deg_k, deg_l), r, low in zip(gates, results, grids[:, 0].tolist()):
-        if not r.sign_change_found and low < 0.0:
-            raise CapacityError(
-                f"a phase-{phi} gate between degrees {deg_k} and {deg_l} is entangled down "
-                f"to p_z = {GATE_BRACKET[0]}, the gate bracket's low end; its threshold lies below"
-            )
-    return [r.value if r.sign_change_found else 1.0 for r in results]
+    return bisect(gap, 0.1, 1.0, tol).value ** m
 
 
 class SeparabilityReport(NamedTuple):
@@ -192,22 +120,6 @@ class SeparabilityReport(NamedTuple):
         return -math.log(self.p_threshold)
 
 
-def _edge_dephasing_threshold(deg_k: int, deg_l: int, tol: Tolerance) -> float:
-    """Solve (1 + x^(1/deg_k)) (1 + x^(1/deg_l)) = 2 for x in (0, 1).
-
-    The root is (sqrt(2) - 1)^m for equal degrees m, so on the x axis it
-    drops below any fixed bracket and absolute tolerance as the degrees
-    grow.  Bisection runs on y = x^(1/m), m = max(deg_k, deg_l), instead:
-    its root lies in [sqrt(2) - 1, 1) for every degree pair.
-    """
-    m = max(deg_k, deg_l)
-
-    def gap(y: float) -> float:
-        return (1.0 + y ** (m / deg_k)) * (1.0 + y ** (m / deg_l)) - 2.0
-
-    return bisect(gap, 0.1, 1.0, tol).value ** m
-
-
 def graph_separability_threshold(
     g: Graph, tol: Tolerance = DEFAULT_TOL
 ) -> SeparabilityReport:
@@ -215,8 +127,9 @@ def graph_separability_threshold(
 
     Vertex k splits its dephasing over deg(k) gates, so edge {k, l} is
     separable for p_z at or below the root of
-    (1 + p_z^(1/deg_k))(1 + p_z^(1/deg_l)) = 2; the state is fully separable
-    once every edge is, i.e. for p_z <= min over edges.  The report also
+    (1 + p_z^(1/deg_k))(1 + p_z^(1/deg_l)) = 2, weighted_gate_threshold at
+    phi = pi; the state is fully separable once every edge is, i.e. for
+    p_z <= min over edges.  The report also
     carries the weaker closed form (sqrt(2) - 1)^m, m the maximum degree.
     """
     if g.is_weighted:
@@ -224,14 +137,9 @@ def graph_separability_threshold(
     edges = g.edges()
     if not edges:
         raise ValidationError("graph has no edges")
-    cache: dict[tuple[int, int], float] = {}
-    per_edge = []
-    for u, v in edges:
-        degs = (degree(g, u), degree(g, v))
-        key = tuple(sorted(degs))
-        if key not in cache:
-            cache[key] = _edge_dephasing_threshold(degs[0], degs[1], tol)
-        per_edge.append((u, v, cache[key]))
+    keys = [tuple(sorted((degree(g, u), degree(g, v)))) for u, v in edges]
+    solved = {key: weighted_gate_threshold(math.pi, *key, tol) for key in dict.fromkeys(keys)}
+    per_edge = [(u, v, solved[key]) for (u, v), key in zip(edges, keys)]
     worst = min(per_edge, key=lambda e: e[2])
     max_deg = max(degree(g, k) for k in range(g.n))
     weak = (math.sqrt(2.0) - 1.0) ** max_deg
@@ -294,11 +202,11 @@ def weighted_graph_threshold(
     """Full-separability threshold of a (weighted) graph state in the native
     parameter of a Pauli channel family.
 
-    Per edge, the gate-state bisection gives the admissible vertex
+    Per edge, weighted_gate_threshold gives the admissible vertex
     dephasing for that gate phase and degree pair; the distinct
-    (phi, deg_k, deg_l) keys of the graph are solved once each, all in one
-    lockstep (weighted_gate_thresholds).  The global p_z is the minimum,
-    mapped to the family's own parameter by native_parameter.
+    (phi, deg_k, deg_l) keys of the graph are solved once each.  The global
+    p_z is the minimum, mapped to the family's own parameter by
+    native_parameter.
     Families without a dephasing component (bitflip) are reported as
     inapplicable rather than given a fake number.
     """
@@ -309,8 +217,7 @@ def weighted_graph_threshold(
     for u, v in edges:
         degs = sorted((degree(g, u), degree(g, v)))
         keys.append((g.phase(u, v), degs[0], degs[1]))
-    distinct = list(dict.fromkeys(keys))
-    solved = dict(zip(distinct, weighted_gate_thresholds(distinct, tol)))
+    solved = {key: weighted_gate_threshold(*key, tol) for key in dict.fromkeys(keys)}
     per_edge = [(u, v, key[0], solved[key]) for (u, v), key in zip(edges, keys)]
     worst = min(per_edge, key=lambda e: e[3])
     native, note = native_parameter(family, worst[3])

@@ -329,6 +329,27 @@ def test_family_spec_parsing():
         ChannelFamily.from_spec({"p": 0.5})
 
 
+@pytest.mark.parametrize("bad", [True, False, "0.5", None, [0.5], {"x": 0.5}])
+def test_channel_parameters_must_be_int_or_float(bad):
+    # JSON true and false load as bool, a subclass of int; float() would
+    # read them, and numeric strings, as numbers.
+    for spec in (
+        {"kind": "decay", "kappa": bad},
+        {"kind": "qo", "B": 1.0, "C": bad, "s": 0.5},
+        {"kind": "pauli", "p0": 1.0, "p1": 0.0, "p2": 0.0, "p3": bad},
+    ):
+        with pytest.raises(ValidationError, match=r"channel parameter '\w+' must be a number"):
+            ChannelFamily.from_spec(spec)
+
+
+def test_integer_channel_parameters_read_as_floats():
+    fam = ChannelFamily.from_spec({"kind": "qo", "B": 1, "C": 0.5, "s": 0})
+    assert fam.params == (("B", 1.0), ("C", 0.5), ("s", 0.0))
+    assert all(type(v) is float for _, v in fam.params)
+    with pytest.raises(ValidationError, match="must be finite"):
+        ChannelFamily.from_spec({"kind": "decay", "kappa": 10**400})
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "nan"])
 def test_non_finite_channel_parameters_are_rejected(bad):
     for spec in (
@@ -337,7 +358,9 @@ def test_non_finite_channel_parameters_are_rejected(bad):
         {"kind": "decay", "kappa": bad},
         {"kind": "pauli", "p0": bad, "p1": 0.0, "p2": 0.0, "p3": 0.0},
     ):
-        with pytest.raises(ValidationError, match="must be finite"):
+        # The string "nan" is not a number at all.
+        match = "must be a number" if isinstance(bad, str) else "must be finite"
+        with pytest.raises(ValidationError, match=match):
             ChannelFamily.from_spec(spec)
     bad = float(bad)
     with pytest.raises(ValidationError):

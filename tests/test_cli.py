@@ -240,7 +240,7 @@ def test_weighted_phase_sweep(tmp_path):
     values = [float(line.split(",")[2]) for line in data[1:]]
     assert len(values) == 5
     assert all(b < a for a, b in zip(values, values[1:]))  # stronger gate, lower p_z
-    # The swept phases bisect in lockstep; each row is the one-gate solve.
+    # Each row is the one-gate solve.
     code, payload = run_json(tmp_path, ["weighted", "--sweep-phi", "1.0:3.0:0.5", "--deg", "2"])
     rows = payload["results"]["rows"]
     assert [row["p_crit"] for row in rows] == [
@@ -441,6 +441,34 @@ def test_bad_input_exits_2_without_traceback(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "channel, message",
+    [
+        ('{"kind": "decay", "kappa": true}', "channel parameter 'kappa' must be a number, got True"),
+        ('{"kind": "decay", "kappa": "0.5"}', "channel parameter 'kappa' must be a number, got '0.5'"),
+        ('{"kind": "qo", "B": true, "C": true, "s": false}',
+         "channel parameter 'B' must be a number, got True"),
+    ],
+    ids=["decay bool", "decay string", "qo bools"],
+)
+def test_channel_json_with_a_non_number_parameter_exits_2_naming_it(channel, message, capsys):
+    assert main(["upper", "--method", "eb", "--channel", channel]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_encode_levels_past_the_cap_exit_2_before_any_level(capsys, monkeypatch):
+    from qdeco import encode
+
+    def unreachable(*args):
+        raise AssertionError("a level was computed")
+
+    monkeypatch.setattr(encode, "level_recursion", unreachable)
+    assert main(["encode", "--kt", "0.01", "--levels", "100000"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --levels must lie in 0..{encode.LEVEL_CAP}, got 100000\n"
+    )
+
+
+@pytest.mark.parametrize(
     "graph, message",
     [
         ('{"n": 3, "edges": [[false, true, true]]}', "edge #0 endpoints must be integers"),
@@ -474,21 +502,13 @@ def test_capacity_errors_exit_3(capsys):
     assert "capacity" in capsys.readouterr().err
 
 
-# K31 with every gate phase 3.0: each gate's threshold lies below GATE_BRACKET.
-K31_PHASE_3 = json.dumps(
-    {"n": 31, "edges": [[u, v, 3.0] for u in range(31) for v in range(u + 1, 31)]}
-)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ["scan", "--graph", "ring:15"],
-        ["weighted", "--sweep-phi", "3.0:3.14:0.1", "--deg", "30"],
-        ["upper", "--method", "ising", "--graph", K31_PHASE_3],
         ["lower", "--graph", '{"n": 1000000000000000000000000000000, "edges": []}'],
     ],
-    ids=["scan ring:15", "weighted deg 30", "upper ising K31", "lower n=10^30"],
+    ids=["scan ring:15", "lower n=10^30"],
 )
 def test_capacity_limits_exit_3_in_one_line(argv, capsys, monkeypatch):
     from qdeco import graphdiag
@@ -500,6 +520,43 @@ def test_capacity_limits_exit_3_in_one_line(argv, capsys, monkeypatch):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("capacity error: ") and err.count("\n") == 1
+
+
+def complete_json(n, phi):
+    return json.dumps({"n": n, "edges": [[u, v, phi] for u in range(n) for v in range(u + 1, n)]})
+
+
+@pytest.mark.parametrize(
+    "argv, phi, deg",
+    [
+        (["weighted", "--sweep-phi", "3.0:3.14:0.1", "--deg", "30"], None, 30),
+        (["upper", "--method", "ising", "--graph", complete_json(31, 3.0)], 3.0, 30),
+    ],
+    ids=["weighted deg 30", "upper ising K31"],
+)
+def test_high_degree_gates_report_the_closed_form_root(tmp_path, argv, phi, deg):
+    # Roots far below 1e-9 on the p_z axis: (sqrt(1 + s^2) - s)^deg with
+    # s = sin(phi / 2), here 3.5e-12 at phi = 3.0.
+    code, payload = run_json(tmp_path, argv)
+    assert code == 0
+    results = payload["results"]
+    got = [(row["phi"], row["p_crit"]) for row in results["rows"]] if phi is None else [
+        (phi, results["summary"]["p_z_threshold"])
+    ]
+    assert len(got) == (2 if phi is None else 1)
+    for at, p_z in got:
+        s = math.sin(at / 2.0)
+        want = (math.sqrt(1.0 + s * s) - s) ** deg
+        assert p_z == pytest.approx(want, rel=1e-8)
+
+
+def test_upper_ising_on_a_weighted_k26_at_full_phase_is_the_unweighted_report(tmp_path):
+    summaries = []
+    for graph in (complete_json(26, math.pi), "complete:26"):
+        code, payload = run_json(tmp_path, ["upper", "--method", "ising", "--graph", graph])
+        assert code == 0
+        summaries.append(payload["results"]["summary"])
+    assert summaries[0]["p_z_threshold"] == summaries[1]["p_z_threshold"]
 
 
 def test_upper_ising_on_complete_41_is_the_closed_form(tmp_path):

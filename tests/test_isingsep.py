@@ -7,11 +7,9 @@ import pytest
 from qdeco import isingsep
 
 from qdeco.channels import ChannelFamily, minimal_dephasing_pauli, named_channel
-from qdeco.errors import CapacityError, EvaluationError, ValidationError
+from qdeco.errors import ValidationError
 from qdeco.graphs import degree, graph_from_edges, make_lattice
 from qdeco.isingsep import (
-    GATE_BRACKET,
-    GATE_FLOOR,
     NoisyGateState,
     depolarizing_p_from_dephasing,
     graph_separability_threshold,
@@ -68,154 +66,6 @@ def test_clean_gate_is_entangled_for_any_phase():
         assert NoisyGateState(1.0, 1.0, phi).pt_min_eig() < -1e-6
 
 
-# --- Per-gate thresholds over phase and degrees -----------------------------------
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
-def test_full_phase_threshold_closed_form(m):
-    got = weighted_gate_threshold(math.pi, m, m)
-    assert got == pytest.approx(SQRT2M1**m, abs=1e-8)
-
-
-def test_threshold_validation():
-    with pytest.raises(ValidationError):
-        weighted_gate_threshold(math.pi, 0, 2)
-
-
-def test_asymmetric_degrees_match_inequality_route():
-    # Dual route: the 4x4 PT bisection against the closed inequality
-    # (1 + x^(1/dk))(1 + x^(1/dl)) = 2 solved inside the unweighted report.
-    g = make_lattice("line", 3)  # edge (0,1) has degrees (1, 2)
-    report = graph_separability_threshold(g)
-    by_edge = {(u, v): x for u, v, x in report.per_edge}
-    assert weighted_gate_threshold(math.pi, 1, 2) == pytest.approx(
-        by_edge[(0, 1)], abs=1e-8
-    )
-
-
-@pytest.mark.parametrize("spec", [("grid2d", 2, 3), ("ring", 5)], ids=str)
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_stacked_gate_threshold_matches_scalar_bisection(monkeypatch, spec, seed):
-    # Each pre-scan grid is one stack of gate states; bisecting the
-    # one-state route point by point gives the same results bit for bit.
-    g = make_lattice(*spec)
-    rng = random.Random(seed)
-    g = graph_from_edges(g.n, g.edges(), weights={e: rng.uniform(0.3, math.pi) for e in g.edges()})
-    results = []
-    lockstep = isingsep.bisect_lockstep
-
-    def recording(*args, **kwargs):
-        results.append(lockstep(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(isingsep, "bisect_lockstep", recording)
-    floor = DEFAULT_TOL.eig_floor(16)
-    for u, v in g.edges():
-        phi = g.phase(u, v)
-        dk, dl = sorted((degree(g, u), degree(g, v)))
-
-        def gap(p_z):
-            return NoisyGateState(p_z ** (1.0 / dk), p_z ** (1.0 / dl), phi).pt_min_eig() - floor
-
-        expected = bisect(gap, GATE_BRACKET[0], GATE_BRACKET[1])
-        got = weighted_gate_threshold(phi, dk, dl)
-        assert results[-1] == [expected], (u, v)
-        assert got == (expected.value if expected.sign_change_found else 1.0)
-
-
-LOCKSTEP_GRAPHS = [("grid2d", 2, 3), ("ring", 5), ("grid2d", 3, 3), ("star", 6), ("line", 5)]
-
-
-def seeded_phase_graph(spec, seed):
-    g = make_lattice(*spec)
-    rng = random.Random(seed)
-    return graph_from_edges(g.n, g.edges(), weights={e: rng.uniform(0.3, math.pi) for e in g.edges()})
-
-
-def scalar_gate_threshold(phi, dk, dl):
-    """One scalar bisection of the one-state route, as weighted_gate_threshold reports it."""
-    floor = DEFAULT_TOL.eig_floor(16)
-
-    def gap(p_z):
-        return NoisyGateState(p_z ** (1.0 / dk), p_z ** (1.0 / dl), phi).pt_min_eig() - floor
-
-    r = bisect(gap, GATE_BRACKET[0], GATE_BRACKET[1])
-    return r.value if r.sign_change_found else 1.0
-
-
-@pytest.mark.parametrize("family", [DEPOL, DEPHASING, BITFLIP], ids=lambda f: f.kind)
-def test_weighted_report_matches_edge_by_edge_scalar_bisection(family):
-    # All distinct (phi, deg_k, deg_l) keys bisect in lockstep; each edge's
-    # p_z equals the scalar bisection of its gate, bit for bit.
-    for spec in LOCKSTEP_GRAPHS:
-        for seed in (1, 2, 3, 4):
-            g = seeded_phase_graph(spec, seed)
-            expected = []
-            for u, v in g.edges():
-                dk, dl = sorted((degree(g, u), degree(g, v)))
-                phi = g.phase(u, v)
-                expected.append((u, v, phi, scalar_gate_threshold(phi, dk, dl)))
-            report = weighted_graph_threshold(g, family)
-            assert report.per_edge == tuple(expected), (spec, seed)
-            worst = min(expected, key=lambda e: e[3])
-            assert (report.p_z_threshold, report.critical_edge) == (worst[3], worst[:2])
-            assert report.native_p == isingsep.native_parameter(family, worst[3])[0]
-
-
-def test_gate_block_size_does_not_move_results(monkeypatch):
-    # A block of one state evaluates every point alone; a block of 100
-    # evaluates each gate's pre-scan grid (65 states) in one call and the
-    # larger refinement rounds in pieces.
-    gates = [(phi, dk, dl) for phi in (1e-12, 0.3, 1.0, 2.0, math.pi)
-             for dk, dl in ((1, 1), (1, 3), (2, 2), (4, 5))]
-    graphs = [seeded_phase_graph(spec, 5) for spec in LOCKSTEP_GRAPHS]
-    default = isingsep.weighted_gate_thresholds(gates)
-    reports = [weighted_graph_threshold(g, DEPOL) for g in graphs]
-    assert default == [scalar_gate_threshold(*gate) for gate in gates]
-    for block in (1, 100):
-        monkeypatch.setattr(isingsep, "_GATE_BLOCK", block)
-        assert isingsep.weighted_gate_thresholds(gates) == default, block
-        assert [weighted_graph_threshold(g, DEPOL) for g in graphs] == reports, block
-
-
-def test_gate_batch_raises_what_a_gate_by_gate_loop_raises(monkeypatch):
-    gates = [(1.0, 2, 2), (0.5, 0, 2), (4.0, 1, 1)]
-    for bad in ([(1.0, 2, 2), (4.0, 1, 1), (0.5, 0, 2)], gates, [(math.nan, 1, 1)]):
-        with pytest.raises(ValidationError) as batch:
-            isingsep.weighted_gate_thresholds(bad)
-        with pytest.raises(ValidationError) as loop:
-            for gate in bad:
-                weighted_gate_threshold(*gate)
-        assert str(batch.value) == str(loop.value)
-
-    # A non-finite PT minimum met while refining.
-    pt_min_eigs = isingsep._pt_min_eigs
-
-    def poisoned(rho):
-        low = pt_min_eigs(rho)
-        return np.where((-1e-5 < low) & (low < -1e-7), math.nan, low)
-
-    monkeypatch.setattr(isingsep, "_pt_min_eigs", poisoned)
-    gates = [(0.3, 1, 1), (2.0, 2, 3), (math.pi, 1, 2)]
-    with pytest.raises(EvaluationError) as batch:
-        isingsep.weighted_gate_thresholds(gates)
-    with pytest.raises(EvaluationError) as loop:
-        for gate in gates:
-            scalar_gate_threshold(*gate)
-    assert (type(batch.value), str(batch.value)) == (type(loop.value), str(loop.value))
-
-
-def test_stacked_gate_path_validates_every_point():
-    outer = isingsep.gate_outer(1.0)
-    with pytest.raises(ValidationError, match="q_z"):
-        isingsep._gate_states(outer, np.array([0.5, 0.5]), np.array([0.5, 1.5]))
-    with pytest.raises(ValidationError, match="p_z"):
-        isingsep._gate_states(outer, np.array([math.nan, 0.5]), np.array([0.5, 0.5]))
-    for phi in (0.0, -1.0, 3.5, math.nan):
-        with pytest.raises(ValidationError, match="phase"):
-            weighted_gate_threshold(phi, 1, 2)
-
-
 def frame_weights(p_z, q_z):
     """lam = (1 +- p_z)(1 +- q_z)/4 over the frames (1, Z_l, Z_k, Z_k Z_l)."""
     return np.array([(1 + a * p_z) * (1 + b * q_z) / 4 for a in (1, -1) for b in (1, -1)])
@@ -231,8 +81,6 @@ def test_gate_matrix_is_the_frame_sum():
     frames = (np.ones(4), z_l, z_k, z_k * z_l)
     expected = sum(w * np.outer(f, f) * outer for w, f in zip(frame_weights(0.4, 0.7), frames))
     assert np.abs(state.matrix() - expected).max() <= 1e-16
-    stack = isingsep._gate_states(outer, np.array([0.4, 1.0]), np.array([0.7, 0.2]))
-    assert np.array_equal(stack[0], state.matrix())
 
 
 # --- Reference: the doubled 16x16 gate state --------------------------------------
@@ -257,8 +105,10 @@ def doubled_gate_matrix(p_z, q_z, phi):
 
 
 def doubled_pt_min_eig(p_z, q_z, phi):
-    rho = doubled_gate_matrix(p_z, q_z, phi)
-    return float(hermitian_spectrum(partial_transpose(rho, 0b0011))[0])
+    """Smallest eigenvalue of the doubled PT on its support, the logical
+    block; the twelve other eigenvalues are exact zeros."""
+    rho = partial_transpose(doubled_gate_matrix(p_z, q_z, phi), 0b0011)
+    return float(hermitian_spectrum(rho[np.ix_(LOGICAL, LOGICAL)])[0])
 
 
 @pytest.mark.parametrize("phi", [0.4, 2.0, math.pi])
@@ -272,50 +122,185 @@ def test_gate_matrix_is_the_logical_block_of_the_doubled_state(phi):
         assert not doubled[off].any()
 
 
-@pytest.mark.parametrize("degrees", [(1, 1), (1, 2), (2, 2), (1, 4), (3, 5)], ids=str)
-def test_gate_threshold_equals_the_doubled_state_bisection(degrees):
-    # The 4x4 route gives the root of the doubled 16x16 PT bisection bit
-    # for bit, under the same 16-dimensional floor.
-    dk, dl = degrees
-    floor = DEFAULT_TOL.eig_floor(16)
-    for phi in (1e-12, 1e-9, 0.05, 0.3, 1.0, 1.7, 2.5, 3.0, math.pi):
-
-        def gap(p_z):
-            return doubled_pt_min_eig(p_z ** (1.0 / dk), p_z ** (1.0 / dl), phi) - floor
-
-        expected = bisect(gap, GATE_BRACKET[0], GATE_BRACKET[1])
-        want = expected.value if expected.sign_change_found else 1.0
-        assert weighted_gate_threshold(phi, dk, dl) == want, phi
+# --- The closed-form PT spectrum -------------------------------------------------
 
 
-def test_gate_floor_is_the_16_dimensional_eigenvalue_floor():
-    assert GATE_FLOOR == DEFAULT_TOL.eig_floor(16)
+def closed_form_pt_spectrum(p, q, phi):
+    """The four PT eigenvalues of the noisy gate state, ascending:
+    (1 + pq +- |p + q e^(i phi)|) / 4 and (1 - pq +- |p - q e^(i phi)|) / 4."""
+    plus, minus = abs(p + q * np.exp(1j * phi)), abs(p - q * np.exp(1j * phi))
+    return np.sort([(1 + p * q + plus) / 4, (1 + p * q - plus) / 4,
+                    (1 - p * q + minus) / 4, (1 - p * q - minus) / 4])
 
 
-# The floor guards the gate root against eigvalsh round-off near phi = 0,
-# where the PT gap is as small as the round-off itself.  With a zero floor
-# these roots become noise: phi = 1e-15 at degrees (1, 4) finds a root at
-# 1 - 1.2e-8, and phi = 1e-8 lands 7.8e-9 off its true root.
-@pytest.mark.parametrize("degrees", [(1, 1), (2, 2), (1, 4), (3, 5)], ids=str)
-@pytest.mark.parametrize("phi", [1e-15, 1e-12])
-def test_tiny_phase_gate_never_separates_in_the_bracket(phi, degrees):
-    assert weighted_gate_threshold(phi, *degrees) == 1.0
+def test_pt_spectrum_is_the_closed_form():
+    # The characteristic polynomial of the PT factors into two quadratics.
+    # The doubled 16x16 state and its PT live on the four logical indices;
+    # every other entry is zero.
+    rng = np.random.default_rng(7)
+    for p, q, phi in zip(rng.uniform(size=300), rng.uniform(size=300),
+                         rng.uniform(0.0, math.pi, size=300)):
+        want = closed_form_pt_spectrum(p, q, phi)
+        dense = partial_transpose(NoisyGateState(p, q, phi).matrix(), 1)
+        doubled = partial_transpose(doubled_gate_matrix(p, q, phi), 0b0011)
+        assert not np.delete(np.delete(doubled, LOGICAL, 0), LOGICAL, 1).any()
+        for rho in (dense, doubled[np.ix_(LOGICAL, LOGICAL)]):
+            assert np.abs(hermitian_spectrum(rho) - want).max() <= 1e-15, (p, q, phi)
+
+
+def test_only_the_last_eigenvalue_can_be_negative():
+    # 1 + pq >= |p + q e^(i phi)| for p, q in [0, 1], so the PT is negative
+    # exactly where (1 - pq)^2 < |p - q e^(i phi)|^2, that is where
+    # (1 - p^2)(1 - q^2) < 4 p q sin^2(phi/2).
+    rng = np.random.default_rng(11)
+    for p, q, phi in zip(rng.uniform(size=500), rng.uniform(size=500),
+                         rng.uniform(0.0, math.pi, size=500)):
+        assert 1 + p * q - abs(p + q * np.exp(1j * phi)) >= 0.0
+        gap = (1 - p * p) * (1 - q * q) - 4 * p * q * math.sin(phi / 2) ** 2
+        if abs(gap) > 1e-12:
+            assert (closed_form_pt_spectrum(p, q, phi)[0] >= 0.0) == (gap > 0.0), (p, q, phi)
+
+
+# --- Per-gate thresholds over phase and degrees -----------------------------------
+
+
+def root_tolerance(m, p_z):
+    """How far weighted_gate_threshold may sit from the exact root: the
+    bisection ends within abs_root / 2 of it on y = p_z^(1/m) >= sqrt(2) - 1,
+    and p_z = y^m moves by m p_z / y per unit of y."""
+    return m * DEFAULT_TOL.abs_root * p_z / SQRT2M1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+def test_full_phase_threshold_closed_form(m):
+    got = weighted_gate_threshold(math.pi, m, m)
+    assert got == pytest.approx(SQRT2M1**m, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "phi, m",
+    [(phi, m) for phi in (1e-8, 0.05, 0.5, 1.5, 2.5, 3.0, 3.1, math.pi)
+     for m in (1, 2, 5, 20, 24, 30, 60)],
+)
+def test_equal_degree_root_is_the_closed_form(phi, m):
+    # (1 - y^2)^2 = 4 y^2 s^2 at y = sqrt(1 + s^2) - s, s = sin(phi / 2).
+    s = math.sin(phi / 2.0)
+    want = (math.sqrt(1.0 + s * s) - s) ** m
+    assert abs(weighted_gate_threshold(phi, m, m) - want) <= root_tolerance(m, want)
 
 
 @pytest.mark.parametrize(
     "gates", [[(3.0, 30, 30)], [(3.1, 30, 30)], [(math.pi, 2, 2), (3.0, 30, 30)]]
 )
-def test_gate_entangled_across_the_bracket_raises(gates):
-    # Its root lies below GATE_BRACKET; 1.0 would call it separable at every p.
-    with pytest.raises(CapacityError, match=r"phase-3\.\d gate between degrees 30 and 30"):
-        isingsep.weighted_gate_thresholds(gates)
+def test_gate_entangled_across_the_old_bracket_gets_its_root(gates):
+    # Each set holds a gate whose root lies below p_z = 1e-9, the low end
+    # of the former eigvalsh bisection bracket; the closed form finds it.
+    roots = []
+    for phi, dk, dl in gates:
+        s = math.sin(phi / 2.0)
+        want = (math.sqrt(1.0 + s * s) - s) ** dl
+        roots.append(weighted_gate_threshold(phi, dk, dl))
+        assert abs(roots[-1] - want) <= root_tolerance(dl, want), (phi, dk, dl)
+    assert 0.0 < min(roots) < 1e-9
 
 
-def test_weighted_graph_entangled_across_the_bracket_raises():
-    edges = [(u, v) for u in range(31) for v in range(u + 1, 31)]
-    g = graph_from_edges(31, edges, weights={e: 3.0 for e in edges})
-    with pytest.raises(CapacityError):
-        weighted_graph_threshold(g, DEPOL)
+def test_threshold_validation():
+    with pytest.raises(ValidationError):
+        weighted_gate_threshold(math.pi, 0, 2)
+
+
+def test_asymmetric_degrees_match_inequality_route():
+    # The unweighted report's root of (1 + x^(1/dk))(1 + x^(1/dl)) = 2 is
+    # the phase-pi gate root, and it solves that equation.
+    g = make_lattice("line", 3)  # edge (0,1) has degrees (1, 2)
+    report = graph_separability_threshold(g)
+    by_edge = {(u, v): x for u, v, x in report.per_edge}
+    x = weighted_gate_threshold(math.pi, 1, 2)
+    assert x == by_edge[(0, 1)]
+    assert (1.0 + x) * (1.0 + math.sqrt(x)) == pytest.approx(2.0, abs=1e-9)
+
+
+def seeded_phase_graph(spec, seed):
+    g = make_lattice(*spec)
+    rng = random.Random(seed)
+    return graph_from_edges(g.n, g.edges(), weights={e: rng.uniform(0.3, math.pi) for e in g.edges()})
+
+
+def dense_gate_threshold(phi, dk, dl, pt_min_eig):
+    """Scalar bisection of a dense PT minimum on y = p_z^(1/m), the axis of
+    weighted_gate_threshold; pt_min_eig(p, q, phi) is the dense route."""
+    m = max(dk, dl)
+    r = bisect(lambda y: -pt_min_eig(y ** (m / dk), y ** (m / dl), phi), 0.1, 1.0)
+    assert r.sign_change_found
+    return r.value**m
+
+
+def gate_pt_min_eig(p, q, phi):
+    return NoisyGateState(p, q, phi).pt_min_eig()
+
+
+@pytest.mark.parametrize("spec", [("grid2d", 2, 3), ("ring", 5)], ids=str)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stacked_gate_threshold_matches_scalar_bisection(spec, seed):
+    # The graph's distinct gates, solved as one set of keys, against a
+    # scalar bisection of each edge's dense 4x4 PT minimum.
+    g = seeded_phase_graph(spec, seed)
+    for u, v, phi, p_z in weighted_graph_threshold(g, DEPOL).per_edge:
+        dk, dl = sorted((degree(g, u), degree(g, v)))
+        want = dense_gate_threshold(phi, dk, dl, gate_pt_min_eig)
+        assert abs(p_z - want) <= root_tolerance(dl, want), (u, v)
+
+
+LOCKSTEP_GRAPHS = [("grid2d", 2, 3), ("ring", 5), ("grid2d", 3, 3), ("star", 6), ("line", 5)]
+
+
+@pytest.mark.parametrize("family", [DEPOL, DEPHASING, BITFLIP], ids=lambda f: f.kind)
+def test_weighted_report_matches_edge_by_edge_scalar_bisection(family):
+    # Each distinct (phi, deg_k, deg_l) key is solved once; each edge's p_z
+    # is the one-gate threshold of its key, bit for bit.
+    for spec in LOCKSTEP_GRAPHS:
+        for seed in (1, 2, 3, 4):
+            g = seeded_phase_graph(spec, seed)
+            expected = []
+            for u, v in g.edges():
+                dk, dl = sorted((degree(g, u), degree(g, v)))
+                phi = g.phase(u, v)
+                expected.append((u, v, phi, weighted_gate_threshold(phi, dk, dl)))
+            report = weighted_graph_threshold(g, family)
+            assert report.per_edge == tuple(expected), (spec, seed)
+            worst = min(expected, key=lambda e: e[3])
+            assert (report.p_z_threshold, report.critical_edge) == (worst[3], worst[:2])
+            assert report.native_p == isingsep.native_parameter(family, worst[3])[0]
+
+
+def test_stacked_gate_path_validates_every_point():
+    with pytest.raises(ValidationError, match="q_z must lie in"):
+        NoisyGateState(0.5, 1.5, 1.0)
+    with pytest.raises(ValidationError, match="p_z must lie in"):
+        NoisyGateState(math.nan, 0.5, 1.0)
+    for phi in (0.0, -1.0, 3.5, math.nan):
+        with pytest.raises(ValidationError, match="phase"):
+            weighted_gate_threshold(phi, 1, 2)
+
+
+@pytest.mark.parametrize("degrees", [(1, 1), (1, 2), (2, 2), (1, 4), (3, 5)], ids=str)
+def test_gate_threshold_equals_the_doubled_state_bisection(degrees):
+    # A scalar bisection of the doubled 16x16 PT minimum finds the same
+    # root.  From phi ~ 1e-9 down, eigvalsh round-off near the root is as
+    # large as the gap, which only the closed form still resolves.
+    dk, dl = degrees
+    for phi in (1e-6, 0.05, 0.3, 1.0, 1.7, 2.5, 3.0, math.pi):
+        want = dense_gate_threshold(phi, dk, dl, doubled_pt_min_eig)
+        assert abs(weighted_gate_threshold(phi, dk, dl) - want) <= root_tolerance(dl, want), phi
+
+
+# Near phi = 0 the root, 1 - m phi / 2 to first order, sits in the top
+# bisection cell: the threshold never separates from the bracket's top end
+# y = 1 by more than the bisection tolerance.
+@pytest.mark.parametrize("degrees", [(1, 1), (2, 2), (1, 4), (3, 5)], ids=str)
+@pytest.mark.parametrize("phi", [1e-15, 1e-12])
+def test_tiny_phase_gate_never_separates_in_the_bracket(phi, degrees):
+    assert 0.0 < 1.0 - weighted_gate_threshold(phi, *degrees) <= root_tolerance(max(degrees), 1.0)
 
 
 def test_small_phase_gate_root_is_one_minus_half_the_phase():
@@ -327,6 +312,35 @@ def test_weaker_phase_tolerates_more_dephasing():
     values = [weighted_gate_threshold(phi, 1, 1) for phi in (math.pi, 2.5, 1.8, 1.0)]
     assert all(b > a + 1e-6 for a, b in zip(values, values[1:]))
     assert values[0] == pytest.approx(SQRT2M1, abs=1e-8)
+
+
+def complete_graph_edges(n):
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+@pytest.mark.parametrize("d", [20, 24, 26, 30, 40, 60])
+def test_weighted_complete_graph_at_full_phase_is_the_unweighted_route(d):
+    # Both reports solve the same root at phi = pi, so they agree bit for
+    # bit, also where the root on the p_z axis is below 1e-9 (d >= 24).
+    edges = complete_graph_edges(d + 1)
+    weighted = weighted_graph_threshold(
+        graph_from_edges(d + 1, edges, weights={e: math.pi for e in edges}), DEPOL
+    )
+    unweighted = graph_separability_threshold(make_lattice("complete", d + 1))
+    assert [e[3] for e in weighted.per_edge] == [e[2] for e in unweighted.per_edge]
+    assert weighted.p_z_threshold == unweighted.p_threshold
+    assert weighted.critical_edge == unweighted.critical_edge
+
+
+def test_weighted_graph_at_degree_30_is_the_closed_form():
+    # K31 with every phase 3.0: one key, (3.0, 30, 30), and its root
+    # (sqrt(1 + s^2) - s)^30 is 3.5e-12 on the p_z axis.
+    edges = complete_graph_edges(31)
+    report = weighted_graph_threshold(graph_from_edges(31, edges, weights={e: 3.0 for e in edges}), DEPOL)
+    s = math.sin(1.5)
+    want = (math.sqrt(1.0 + s * s) - s) ** 30
+    assert abs(report.p_z_threshold - want) <= root_tolerance(30, want)
+    assert {p for *_, p in report.per_edge} == {report.p_z_threshold}
 
 
 # --- Unweighted graph reports ------------------------------------------------------
@@ -364,7 +378,7 @@ def test_every_degree_pair_up_to_30_brackets_its_root():
 
     for dk in range(1, 31):
         for dl in range(dk, 31):
-            x = isingsep._edge_dephasing_threshold(dk, dl, DEFAULT_TOL)
+            x = weighted_gate_threshold(math.pi, dk, dl)
             assert gap(x * (1.0 - 1e-8), dk, dl) < 0.0 < gap(x * (1.0 + 1e-8), dk, dl), (dk, dl)
 
 
