@@ -51,9 +51,8 @@ class PauliChannel(namedtuple("PauliChannel", "p0 p1 p2 p3")):
         return (self.p0, self.p1, self.p2, self.p3)
 
 
-def named_probs(kind: str, p):
-    """(p0, p1, p2, p3) of a named channel, for a float p or element by
-    element for an array of them; p is not checked."""
+def named_probs(kind: str, p: float) -> tuple[float, float, float, float]:
+    """(p0, p1, p2, p3) of a named channel at p; p is not checked."""
     if kind == "depolarizing":
         return (1 + 3 * p) / 4, (1 - p) / 4, (1 - p) / 4, (1 - p) / 4
     if kind == "dephasing":
@@ -68,24 +67,6 @@ def named_channel(kind: str, p: float) -> PauliChannel:
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p={p} outside [0, 1]")
     return PauliChannel(*named_probs(kind, p))
-
-
-def named_prob_rows(kind: str, ps: np.ndarray) -> np.ndarray:
-    """The (P, 4) array whose row i is named_channel(kind, ps[i]).probs, with
-    every row checked as named_channel and PauliChannel check one channel."""
-    if not (ps.min(initial=0.0) >= 0.0 and ps.max(initial=1.0) <= 1.0):  # NaN fails too
-        raise ValidationError(f"p={ps[~((0.0 <= ps) & (ps <= 1.0))][0]} outside [0, 1]")
-    rows = np.empty((len(ps), 4))
-    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = named_probs(kind, ps)
-    # Finite from here on, so the extremes find every row out of range.
-    if rows.min(initial=0.0) < -_PROB_ATOL or rows.max(initial=1.0) > 1 + _PROB_ATOL:
-        bad = ((rows < -_PROB_ATOL) | (rows > 1 + _PROB_ATOL)).any(axis=1)
-        raise ValidationError(f"probabilities outside [0,1]: {tuple(rows[bad][0].tolist())}")
-    total = rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
-    off = np.abs(total - 1.0) > _PROB_ATOL
-    if off.any():
-        raise ValidationError(f"probabilities sum to {total[off][0]}, not 1")
-    return rows
 
 
 class QoChannel(namedtuple("QoChannel", "B C s")):
@@ -247,11 +228,16 @@ def partial_trace_out_first(rho4: np.ndarray) -> np.ndarray:
 
 
 def _qo_breaking_gap(ch: QoChannel, t: float) -> float:
-    """s(1-s) (e^(Ct) (1 - e^(-Bt)))^2 - 1, which is >= 0 exactly where the
-    qo channel breaks entanglement at time t."""
-    lhs = ch.s * (1 - ch.s)
-    lhs *= (math.exp(ch.C * t) * -math.expm1(-ch.B * t)) ** 2
-    return lhs - 1.0
+    """log(s(1-s) (e^(Ct) (1 - e^(-Bt)))^2), which is >= 0 exactly where the
+    qo channel breaks entanglement at time t.  Taken as a sum of logarithms,
+    since the square of e^(Ct) overflows from Ct = 355 on; where the
+    product is 0 (s in {0, 1}, or Bt = 0) the channel never breaks, and the
+    gap is -1."""
+    weight = ch.s * (1 - ch.s)
+    damped = -math.expm1(-ch.B * t)
+    if weight == 0.0 or damped == 0.0:
+        return -1.0
+    return math.log(weight) + 2.0 * (ch.C * t + math.log(damped))
 
 
 def is_entanglement_breaking_qo(ch: QoChannel, t: float) -> bool:

@@ -22,6 +22,11 @@ VERTEX_CAP = 128
 ENUMERATION_CAP = 20
 
 
+def _check_vertex_count(n: int) -> None:
+    if not 1 <= n <= VERTEX_CAP:
+        raise CapacityError(f"vertex count {n} outside 1..{VERTEX_CAP}")
+
+
 class Graph(namedtuple("Graph", "n adj weights name")):
     """Equality and hashing leave the weights out."""
 
@@ -34,8 +39,7 @@ class Graph(namedtuple("Graph", "n adj weights name")):
         weights: dict[tuple[int, int], float] | None = None,
         name: str = "",
     ) -> Graph:
-        if not 1 <= n <= VERTEX_CAP:
-            raise CapacityError(f"vertex count {n} outside 1..{VERTEX_CAP}")
+        _check_vertex_count(n)
         if len(adj) != n:
             raise ValidationError("adjacency row count does not match n")
         full = (1 << n) - 1
@@ -97,8 +101,7 @@ def graph_from_edges(
     weights: dict[tuple[int, int], float] | None = None,
     name: str = "",
 ) -> Graph:
-    if not 1 <= n <= VERTEX_CAP:  # before allocating n adjacency rows
-        raise CapacityError(f"vertex count {n} outside 1..{VERTEX_CAP}")
+    _check_vertex_count(n)  # before allocating n adjacency rows
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n and u != v):
@@ -179,6 +182,7 @@ def make_lattice(kind: str, *sizes: int) -> Graph:
         (n,) = sizes
         if n < 2:
             raise ValidationError(f"{kind} needs at least 2 vertices")
+        _check_vertex_count(n)  # before building the edge list
         if kind == "ring":
             if n < 3:
                 raise ValidationError("ring needs at least 3 vertices")
@@ -197,6 +201,7 @@ def make_lattice(kind: str, *sizes: int) -> Graph:
         w, h = sizes
         if w < 1 or h < 1:
             raise ValidationError("grid2d needs positive dimensions")
+        _check_vertex_count(w * h)
         idx = lambda x, y: y * w + x
         edges = []
         for y in range(h):
@@ -212,6 +217,7 @@ def make_lattice(kind: str, *sizes: int) -> Graph:
         w, h, d = sizes
         if min(w, h, d) < 1:
             raise ValidationError("grid3d needs positive dimensions")
+        _check_vertex_count(w * h * d)
         idx = lambda x, y, z: (z * h + y) * w + x
         edges = []
         for z in range(d):
@@ -274,7 +280,10 @@ def parse_graph_json(text: str) -> Graph:
         if len(e) == 3:
             if type(e[2]) not in (int, float):
                 raise ValidationError(f"edge #{i}: phase must be a number")
-            phi = float(e[2])
+            try:
+                phi = float(e[2])
+            except OverflowError as exc:  # an integer past the float range
+                raise ValidationError(f"edge #{i}: phase must be finite: {exc}") from exc
             if not 0.0 < phi <= math.pi:
                 raise ValidationError(f"edge #{i}: phase {phi} outside (0, pi]")
             weights[(u, v)] = phi

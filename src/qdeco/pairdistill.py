@@ -10,8 +10,10 @@ reduced pair states (closed form per edge class on unweighted graphs; on
 weighted ones the edge's pure gate state with each entry damped by the
 measured neighbours), the per-edge noise thresholds (on unweighted graphs
 the root of a polynomial in the edge's local degrees, on weighted ones a
-bisection of the pair's partial-transpose minimum), a universal
-degree-only bound, and the aggregated per-graph report.
+bisection of the pair's partial-transpose minimum, with the partially
+transposed state built once per edge as a matrix polynomial in the noise
+level p), a universal degree-only bound, and the aggregated per-graph
+report.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ChannelFamily, PauliChannel, named_prob_rows
+from .channels import ChannelFamily, PauliChannel, named_probs
 from .errors import ValidationError
 from .graphs import Graph, neighborhood
 from .isingsep import D_K, D_L, gate_outer
@@ -210,85 +212,84 @@ def universal_lower_bound(deg_k: int, deg_l: int) -> tuple[float, float]:
 # Weighted graphs: the gate state damped by the measured neighbours
 
 
-def _edge_phases(g: Graph, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """p-independent part of the reduced pair state on a weighted graph.
+def _add_x_times(out: np.ndarray, half: np.ndarray) -> None:
+    """out += x (2 half), both Chebyshev series along axis 0 and half one
+    term shorter: x T_0 = T_1 and x T_m = (T_(m+1) + T_(m-1)) / 2."""
+    out[1:] += half
+    out[1] += half[0]
+    out[:-2] += half[1:]
 
-    Returns the pure gate state psi psi^dagger of the edge and, stacked
-    over the other neighbours j of k or l, the (4, 4) phases
-    e^(i (phi_kj d_k + phi_lj d_l)) that a flipped outcome on j puts on
-    entry (a, b), with d = a - b per qubit and phi = 0 off the edges.
-    Gates between measured qubits only give each branch a global phase,
-    so they cancel.
+
+def _pair_coefficients(g: Graph, k: int, l: int, probs, slope) -> np.ndarray:
+    """Reduced pair state of edge (k, l) under the channel with
+    probabilities probs + p slope (SIGMA order), as a matrix polynomial.
+
+    Returns C, shape (w + 3, 4, 4) for w other neighbours j of k or l: the
+    unnormalised state is sum_m T_m(2p - 1) C[m], in Chebyshev polynomials,
+    which sum on [0, 1] with round-off near the degree times 1e-16; powers
+    of p lose up to 2^(w/2) of it (a 124-neighbour edge's threshold moved
+    by 1.7e-7).  At slope 0 only C[0] is nonzero.  Each j, measured after its noise, reads 0 with
+    weight keep = p0 + p3 and 1 with flip = p1 + p2, which puts the phase
+    e^(i (phi_kj d_k + phi_lj d_l)) on entry (a, b) of the edge's gate
+    state (d = a - b per qubit, phi = 0 off the edges): one factor
+    keep + flip phase_j per j, affine in p.  Gates between measured qubits
+    only give each branch a global phase, so they cancel.  Then the
+    channels act on k and l, each Pauli by its index structure.
     """
-    nk = neighborhood(g, k)
-    nl = neighborhood(g, l)
+    nk, nl = neighborhood(g, k), neighborhood(g, l)
     if not (nk >> l) & 1:
         raise ValidationError(f"vertices {k} and {l} are not adjacent")
     others = [j for j in range(g.n) if ((nk | nl) >> j) & 1 and j not in (k, l)]
     phi_k = np.array([g.phase(k, j) if (nk >> j) & 1 else 0.0 for j in others])
     phi_l = np.array([g.phase(l, j) if (nl >> j) & 1 else 0.0 for j in others])
-    theta = phi_k[:, None, None] * D_K + phi_l[:, None, None] * D_L
-    return gate_outer(g.phase(k, l)), np.exp(1j * theta)
-
-
-def _damped_pairs(
-    outer: np.ndarray, phases: np.ndarray, probs: np.ndarray, pad: np.ndarray | None = None
-) -> np.ndarray:
-    """Reduced pair states, one per channel.
-
-    probs is a (P, 4) array whose rows are Pauli probabilities in SIGMA
-    order; the result is the (P, 4, 4) stack of pair states.  outer and
-    phases are one edge's or one per row; a factor where the (P, W) mask
-    pad is set is exactly 1.  Each measured qubit j is projected on
-    outcome 0 after its noise, which reads 0 with weight keep = p0 + p3
-    and 1 with flip = p1 + p2, so entry (a, b) of the gate state is
-    multiplied by prod_j (keep + flip phases[j, a, b]); then the full
-    channels act on k and l, each Pauli by its index structure.
-    """
-    keep = (probs[:, 0] + probs[:, 3])[:, None, None, None]
-    flip = (probs[:, 1] + probs[:, 2])[:, None, None, None]
-    factors = phases * flip  # in place below: a large stack is held once
-    factors += keep
-    if pad is not None:
-        factors[pad] = 1.0
-    rho = outer * factors.prod(axis=1)
-    trace = np.trace(rho, axis1=1, axis2=2).real
-    if np.any(trace < 1e-14):
-        raise ValidationError("branch weights vanished; channel is degenerate")
-    rho /= trace[:, None, None]
+    phases = np.exp(1j * (phi_k[:, None, None] * D_K + phi_l[:, None, None] * D_L))
+    half = np.multiply(slope, 0.5)
+    mid = np.add(probs, half)  # probs + p slope = mid + x half, x = 2p - 1
+    constant = (mid[0] + mid[3]) + (mid[1] + mid[2]) * phases
+    linear = ((half[0] + half[3]) + (half[1] + half[2]) * phases) / 2
+    coefficients = np.zeros((len(others) + 3, 4, 4), dtype=complex)
+    coefficients[0] = gate_outer(g.phase(k, l))
+    for degree in range(1, len(others) + 1):
+        c = coefficients[: degree + 1]  # the terms that are nonzero after this factor
+        shifted = c[:-1] * linear[degree - 1]
+        c *= constant[degree - 1]
+        _add_x_times(c, shifted)
 
     # On qubit mask m, X and Y move entry (a, b) to (a ^ m, b ^ m), and Y
-    # and Z sign it (-1)^|d| with d = a - b on the qubit; the four terms add
-    # in SIGMA order (I, X, Y, Z), as the sum of P rho P^dagger would.
-    p0, p1, p2, p3 = probs.T[:, :, None, None]
+    # and Z sign it (-1)^|d| with d = a - b on the qubit, so the sum of
+    # P rho P^dagger over SIGMA weights rho by p0 + p3 sign and the moved
+    # entries by p1 + p2 sign.
     for m, d in ((1, D_K), (2, D_L)):
         sign = 1.0 - 2.0 * np.abs(d)
         flip = np.arange(4) ^ m
-        moved = rho[:, flip][:, :, flip]
-        rho = p0 * rho + p1 * moved + p2 * (sign * moved) + p3 * (sign * rho)
-    return rho
+        rho, moved = coefficients, coefficients[:, flip][:, :, flip]
+        coefficients = (mid[0] + mid[3] * sign) * rho + (mid[1] + mid[2] * sign) * moved
+        shifted = (half[0] + half[3] * sign) * rho[:-1] + (half[1] + half[2] * sign) * moved[:-1]
+        _add_x_times(coefficients, shifted / 2)
+    return coefficients
 
 
-def weighted_reduced_pair(
-    g: Graph, k: int, l: int, ch: PauliChannel
-) -> np.ndarray:
+def weighted_reduced_pair(g: Graph, k: int, l: int, ch: PauliChannel) -> np.ndarray:
     """Reduced pair state on a weighted graph.
 
     Only the neighbours of k and l matter: the edge's pure gate state has
-    entry (a, b) damped by one factor per measured neighbour
-    (`_edge_phases`, independent of the channel), and the channel weights
-    those factors (`_damped_pairs`, here a one-channel stack).  At phase pi
-    everywhere this is reduced_pair_state's (1 - 2f)^count flips.  Returns
-    the normalised 4x4 matrix with qubit k as bit 0, l as bit 1.
+    entry (a, b) damped by one factor per measured neighbour, weighted by
+    the channel (`_pair_coefficients` at slope 0).  At phase pi everywhere
+    this is reduced_pair_state's (1 - 2f)^count flips.  Returns the
+    normalised 4x4 matrix with qubit k as bit 0, l as bit 1.
     """
-    return _damped_pairs(*_edge_phases(g, k, l), np.array([ch.probs]))[0]
+    rho = _pair_coefficients(g, k, l, ch.probs, (0.0, 0.0, 0.0, 0.0))[0]
+    trace = np.trace(rho).real
+    if trace < 1e-14:
+        raise ValidationError("branch weights vanished; channel is degenerate")
+    return rho / trace
 
 
 def weighted_pair_pt_min_eig(rho: np.ndarray) -> float:
     return float(hermitian_spectrum(partial_transpose(rho, 1))[0])
 
 
-_PAIR_BLOCK = 1 << 9  # 4x4 matrices in one stacked evaluation
+_PAIR_BLOCK = 1 << 9  # 4x4 matrices gathered in one stacked evaluation
 
 
 def _weighted_edge_thresholds(
@@ -296,40 +297,39 @@ def _weighted_edge_thresholds(
 ) -> list[ThresholdResult]:
     """One bisection per edge of a weighted graph, all in lockstep.
 
-    With w the most other neighbours of an edge, the edges bisect in groups
-    whose neighbour phases (padded to w per edge) fit in _PAIR_BLOCK 4x4
-    matrices.  The group's pre-scan grids, as one stack, and every
-    refinement round are each evaluated by one call of a stacked gap
-    function, which reweights at most _PAIR_BLOCK // (w + 4) points at a
-    time, so each stack holds at most that many factors and Pauli terms
-    (w + 4 per point) and memory stays bounded.
+    Under a named channel the probabilities are affine in p, so each edge's
+    partially transposed pair state is a matrix polynomial, built once as
+    a Chebyshev series (`_pair_coefficients`; the transpose is linear) and
+    zero-padded to the most terms among the edges, width.  The pre-scan
+    grids, as one stack, and every refinement round are each evaluated by
+    one call of a stacked gap function, which sums the series of at most
+    _PAIR_BLOCK // width points at a time as one matmul of their Chebyshev
+    values with the gathered coefficients, so each gathered stack holds at
+    most _PAIR_BLOCK 4x4 matrices.  The states of named channels have
+    trace 1 at every p, so they are used as summed.
     """
-    width = max((neighborhood(g, u) | neighborhood(g, v)).bit_count() - 2 for u, v in edges)
-    size = max(1, _PAIR_BLOCK // max(1, width))
-    block = max(1, _PAIR_BLOCK // (width + 4))
+    probs = named_probs(kind, 0.0)
+    slope = np.subtract(named_probs(kind, 1.0), probs)
+    forms = [partial_transpose(_pair_coefficients(g, u, v, probs, slope), 1) for u, v in edges]
+    width = max(map(len, forms))
+    coefficients = np.zeros((len(edges), width, 16), dtype=complex)
+    for e, form in enumerate(forms):
+        coefficients[e, : len(form)] = form.reshape(-1, 16)
+    block = max(1, _PAIR_BLOCK // width)
+
+    def gaps(problems, ps) -> np.ndarray:
+        out = np.empty(len(ps))
+        for c in range(0, len(ps), block):
+            # T_m(2p - 1) = cos(m arccos(2p - 1))
+            basis = np.cos(np.arccos(2.0 * ps[c : c + block, None, None] - 1.0) * np.arange(width))
+            rho = (basis @ coefficients[problems[c : c + block]]).reshape(-1, 4, 4)
+            out[c : c + block] = hermitian_spectrum(rho)[:, 0]
+        return out
+
     grid = np.array(prescan_grid(*EDGE_BRACKET))
-    results = []
-    for s in range(0, len(edges), size):
-        group = [_edge_phases(g, u, v) for u, v in edges[s : s + size]]
-        outers = np.array([outer for outer, _ in group])
-        phases = np.ones((len(group), width, 4, 4), dtype=complex)
-        pad = np.ones((len(group), width), dtype=bool)
-        for e, (_, own) in enumerate(group):
-            phases[e, : len(own)], pad[e, : len(own)] = own, False
-
-        def gaps(problems, ps, outers=outers, phases=phases, pad=pad) -> np.ndarray:
-            out = np.empty(len(ps))
-            for c in range(0, len(ps), block):
-                at = problems[c : c + block]
-                probs = named_prob_rows(kind, ps[c : c + block])
-                rho = _damped_pairs(outers[at], phases[at], probs, pad[at])
-                out[c : c + block] = hermitian_spectrum(partial_transpose(rho, 1))[:, 0]
-            return out
-
-        every = np.repeat(np.arange(len(group)), len(grid))
-        grids = gaps(every, np.tile(grid, len(group))).reshape(len(group), len(grid))
-        results += bisect_lockstep(gaps, grids, *EDGE_BRACKET, tol)
-    return results
+    every = np.repeat(np.arange(len(edges)), len(grid))
+    grids = gaps(every, np.tile(grid, len(edges))).reshape(len(edges), len(grid))
+    return bisect_lockstep(gaps, grids, *EDGE_BRACKET, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +423,11 @@ def lifetime_lower_bound(
     closed-form polynomial in the edge's ordered degrees
     (closed_form_threshold), so edges with the same degrees share one
     bisection (a constant-degree lattice has a handful of them at any
-    size).  On a weighted graph each edge's gate state and neighbour phases
-    are built once and every evaluation only reweights them; the edges
-    bisect in lockstep, each pre-scan grid and refinement round reweighted
-    and diagonalised as stacks of bounded size (_weighted_edge_thresholds).
+    size).  On a weighted graph each edge's partially transposed pair state
+    is built once as a matrix polynomial in p, so every evaluation only
+    sums it; the edges bisect in lockstep, each pre-scan grid and
+    refinement round summed and diagonalised as stacks of bounded size
+    (_weighted_edge_thresholds).
     The global number takes the maximum (the protocol's weakest link), and
     the spanning variant takes the smallest p at which the NPT edges alone
     connect the graph (the bottleneck edge of a maximum-threshold-last

@@ -22,7 +22,6 @@ from qdeco.channels import (
     minimal_dephasing_matrix,
     minimal_dephasing_pauli,
     named_channel,
-    named_prob_rows,
     qo_snapshot,
 )
 from qdeco.errors import ValidationError
@@ -61,23 +60,6 @@ def test_named_channel_forms():
         named_channel("depolarizing", 1.5)
     with pytest.raises(ValidationError):
         named_channel("amplitude", 0.5)
-
-
-@pytest.mark.parametrize("kind", ["depolarizing", "dephasing", "bitflip"])
-def test_named_prob_rows_are_checked_named_channels(kind):
-    # Row by row, bit for bit named_channel's probabilities; a point outside
-    # [0, 1] or NaN is rejected with named_channel's message.
-    ps = np.array([0.0, 1e-6, 0.3, 0.5, 0.999999, 1.0])
-    rows = named_prob_rows(kind, ps)
-    assert [tuple(row) for row in rows.tolist()] == [named_channel(kind, p).probs for p in ps.tolist()]
-    for bad in (1.5, -1e-9, math.nan):
-        with pytest.raises(ValidationError) as single:
-            named_channel(kind, bad)
-        with pytest.raises(ValidationError) as stacked:
-            named_prob_rows(kind, np.array([0.5, bad, 0.5]))
-        assert str(stacked.value) == str(single.value)
-    with pytest.raises(ValidationError, match="unknown"):
-        named_prob_rows("amplitude", ps)
 
 
 def dephasing(p):
@@ -208,6 +190,17 @@ def test_eb_threshold_routes_agree_for_qo():
     assert abs(a.value - j.value) < 1e-6
     assert is_entanglement_breaking_qo(QoChannel(1.0, 1.0, 0.5), a.value + 1e-6)
     assert not is_entanglement_breaking_qo(QoChannel(1.0, 1.0, 0.5), a.value - 1e-6)
+    # From C = 7.1 on, e^(2Ct) passes the float range inside the bracket.
+    roots = {}
+    for c in (7.2, 20.0):
+        fam = ChannelFamily.from_spec({"kind": "qo", "B": 1.0, "C": c, "s": 0.3})
+        a = eb_threshold(fam, via="analytic")
+        j = eb_threshold(fam, via="jamiolkowski")
+        assert a.sign_change_found and abs(a.value - j.value) < 1e-6
+        assert is_entanglement_breaking_qo(QoChannel(1.0, c, 0.3), 50.0)
+        assert not is_entanglement_breaking_qo(QoChannel(1.0, c, 0.3), a.value - 1e-6)
+        roots[c] = a.value
+    assert roots[20.0] == pytest.approx(0.14058635192343, abs=1e-12)
 
 
 def test_decay_never_breaks():

@@ -476,6 +476,8 @@ def test_encode_levels_past_the_cap_exit_2_before_any_level(capsys, monkeypatch)
         ('{"n": true, "edges": []}', '"n" must be an integer'),
         ('{"n": 3, "edges": [[0, 1, 1.0], [1, 2], [0, 1, 2.0]]}', "edge (0,1) is listed twice"),
         ('{"n": 2, "edges": [[0, 1]], "name": 5}', '"name" must be a string'),
+        pytest.param('{"n": 3, "edges": [[0, 1, 1%s], [1, 2]]}' % ("0" * 400),
+                     "edge #0: phase must be finite: int too large to convert to float", id="phase 10^400"),
     ],
 )
 def test_bad_graph_json_exits_2_naming_the_fault(graph, message, capsys):
@@ -507,8 +509,9 @@ def test_capacity_errors_exit_3(capsys):
     [
         ["scan", "--graph", "ring:15"],
         ["lower", "--graph", '{"n": 1000000000000000000000000000000, "edges": []}'],
+        ["lower", "--graph", "ring:1000000000"],
     ],
-    ids=["scan ring:15", "lower n=10^30"],
+    ids=["scan ring:15", "lower n=10^30", "lower ring:10^9"],
 )
 def test_capacity_limits_exit_3_in_one_line(argv, capsys, monkeypatch):
     from qdeco import graphdiag

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -156,11 +157,25 @@ def test_graph_json_validation():
         ('{"n": true, "edges": []}', '"n" must be an integer'),
         ('{"n": 3, "edges": [[0, 1, 1.0], [1, 2], [0, 1, 2.0]]}', r"edge \(0,1\) is listed twice"),
         ('{"n": 2, "edges": [[0, 1]], "name": 5}', '"name" must be a string'),
+        pytest.param('{"n": 2, "edges": [[0, 1, 1%s]]}' % ("0" * 400), "edge #0: phase must be finite",
+                     id="phase 10^400"),
     ],
 )
 def test_graph_json_rejects_booleans_repeated_edges_and_non_string_names(text, message):
     with pytest.raises(ValidationError, match=message):
         parse_graph_json(text)
+
+
+@pytest.mark.parametrize("spec", [("ring", 10**6), ("grid2d", 1000, 1000), ("grid3d", 100, 100, 100)])
+def test_oversized_lattice_is_refused_before_its_edges_are_built(spec):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="vertex count 1000000 outside 1..128"):
+            make_lattice(*spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_load_graph_rejects_a_file_that_is_not_utf8(tmp_path):

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 from qdeco import pairdistill
 from qdeco.channels import (
@@ -513,6 +514,9 @@ def test_lower_bound_matches_per_edge_reference(family):
         seeded_phase_graph(spec, seed)
         for spec in (("grid2d", 2, 3), ("ring", 5), ("grid2d", 3, 3))
         for seed in range(1, 6)
+    ] + [
+        # Twelve other neighbours on the middle edge: its series has degree 14.
+        double_star(6, weights=lambda i, rng=random.Random(7): rng.uniform(0.05, math.pi)),
     ]
     for g in graphs:
         report = lifetime_lower_bound(g, family)
@@ -650,16 +654,23 @@ def test_weighted_route_raises_what_the_edge_by_edge_route_raises(monkeypatch, w
 
 
 def test_stacked_pair_builder_matches_one_channel_builds():
+    # The Chebyshev series of an edge's pair state, summed at p, is the
+    # state that weighted_reduced_pair builds for the channel at p; at
+    # slope 0 it is a fixed channel's state, with only the constant term.
     g = seeded_phase_graph(("grid2d", 2, 3), 4)
-    outer, phases = pairdistill._edge_phases(g, 0, 1)
-    assert phases.shape == (2, 4, 4)  # the other neighbours 2 and 3
-    channels = [named_channel("depolarizing", 0.8), named_channel("dephasing", 0.3),
-                PauliChannel(0.0, 0.7, 0.3, 0.0), named_channel("bitflip", 1.0)]
-    stack = pairdistill._damped_pairs(outer, phases, np.array([ch.probs for ch in channels]))
-    assert stack.shape == (4, 4, 4)
-    for rho, ch in zip(stack, channels):
-        assert np.abs(rho - weighted_reduced_pair(g, 0, 1, ch)).max() <= 1e-15
-    # One vanished point in a stack is rejected, as a lone one is.
-    probs = np.array([channels[0].probs, (0.0, 0.0, 0.0, 0.0)])
-    with pytest.raises(ValidationError, match="vanished"):
-        pairdistill._damped_pairs(outer, phases, probs)
+    wide = double_star(6, weights=lambda i, rng=random.Random(7): rng.uniform(0.05, math.pi))
+    for graph in (g, wide):
+        for kind in ("depolarizing", "dephasing", "bitflip"):
+            probs = np.array(named_probs(kind, 0.0))
+            slope = np.array(named_probs(kind, 1.0)) - probs
+            series = pairdistill._pair_coefficients(graph, 0, 1, probs, slope)
+            others = (neighborhood(graph, 0) | neighborhood(graph, 1)).bit_count() - 2
+            assert series.shape == (others + 3, 4, 4)
+            for p in (0.0, 0.3, 0.8, 1.0):
+                got = chebval(2.0 * p - 1.0, series)
+                want = weighted_reduced_pair(graph, 0, 1, named_channel(kind, p))
+                assert np.abs(got - want).max() <= 1e-15, (kind, p)
+    for ch in (PauliChannel(0.0, 0.7, 0.3, 0.0), PauliChannel(0.6, 0.1, 0.2, 0.1)):
+        series = pairdistill._pair_coefficients(g, 0, 1, ch.probs, (0.0, 0.0, 0.0, 0.0))
+        assert not series[1:].any()
+        assert np.abs(series[0] - weighted_reduced_pair(g, 0, 1, ch)).max() <= 1e-15
