@@ -12,25 +12,45 @@ Three equivalent descriptions are used, chosen per task:
 
 Named Pauli channels follow the p = e^{-kappa t} convention: p = 1 is the
 identity and p = 0 the fully decohered end point.
+
+Only the matrix code (ChannelMatrix, the dual state, SIGMA) imports numpy,
+when first used; the records, families and closed-form predicates need none.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
-from typing import NamedTuple
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ValidationError
 from .numeric import DEFAULT_TOL, Tolerance, bisect, check_hermitian, min_eig, partial_transpose
 
-SIGMA = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+if TYPE_CHECKING:
+    import numpy as np
+
+
+@cache
+def _sigma() -> tuple[np.ndarray, ...]:
+    """SIGMA: the Pauli matrices id, x, y, z."""
+    import numpy as np
+
+    return (
+        np.eye(2, dtype=complex),
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    )
+
+
+def __getattr__(name: str):
+    # SIGMA is built on first use (PEP 562): importing this module loads no
+    # numpy.
+    if name == "SIGMA":
+        return _sigma()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 _PROB_ATOL = 1e-12
 
@@ -126,6 +146,8 @@ def decay_gamma(kappa_t: float) -> float:
 
 
 def decay_kraus(gamma: float) -> list[np.ndarray]:
+    import numpy as np
+
     if not 0.0 <= gamma <= 1.0:
         raise ValidationError(f"gamma={gamma} outside [0, 1]")
     e1 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
@@ -137,6 +159,8 @@ class ChannelMatrix:
     """4x4 Hermitian coefficient matrix in the Pauli operator basis."""
 
     def __init__(self, p: np.ndarray):
+        import numpy as np
+
         p = np.asarray(p, dtype=complex)
         if p.shape != (4, 4):
             raise ValidationError(f"channel matrix must be 4x4, got {p.shape}")
@@ -144,10 +168,14 @@ class ChannelMatrix:
 
     @staticmethod
     def from_pauli(ch: PauliChannel) -> "ChannelMatrix":
+        import numpy as np
+
         return ChannelMatrix(np.diag(np.array(ch.probs, dtype=complex)))
 
     @staticmethod
     def from_qo_snapshot(snap: QoSnapshot) -> "ChannelMatrix":
+        import numpy as np
+
         p = np.diag(np.array(snap.lambdas, dtype=complex))
         p[0, 3] = p[3, 0] = snap.mu
         p[2, 1] = 1j * snap.mu
@@ -158,35 +186,46 @@ class ChannelMatrix:
     def from_kraus(ops: list[np.ndarray]) -> "ChannelMatrix":
         # Expand each Kraus operator in the Pauli basis; P is the Gram-like
         # sum of the coefficient vectors.
+        import numpy as np
+
         p = np.zeros((4, 4), dtype=complex)
         for k in ops:
-            coeff = np.array([np.trace(s.conj().T @ k) / 2 for s in SIGMA])
+            coeff = np.array([np.trace(s.conj().T @ k) / 2 for s in _sigma()])
             p += np.outer(coeff, coeff.conj())
         return ChannelMatrix(p)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        sigma = _sigma()
         out = np.zeros((2, 2), dtype=complex)
         for i in range(4):
             for j in range(4):
                 if self.p[i, j] != 0:
-                    out += self.p[i, j] * SIGMA[i] @ rho @ SIGMA[j]
+                    out += self.p[i, j] * sigma[i] @ rho @ sigma[j]
         return out
 
     def to_superop(self) -> np.ndarray:
         """The 4x4 action on vec(rho): sum_ij P[i,j] sigma_i (x) sigma_j^T."""
+        import numpy as np
+
+        sigma = _sigma()
         s = np.zeros((4, 4), dtype=complex)
         for i in range(4):
             for j in range(4):
                 if self.p[i, j] != 0:
-                    s += self.p[i, j] * np.kron(SIGMA[i], SIGMA[j].T)
+                    s += self.p[i, j] * np.kron(sigma[i], sigma[j].T)
         return s
 
     @staticmethod
     def from_superop(s: np.ndarray) -> "ChannelMatrix":
+        import numpy as np
+
+        sigma = _sigma()
         p = np.empty((4, 4), dtype=complex)
         for i in range(4):
             for j in range(4):
-                basis = np.kron(SIGMA[i], SIGMA[j].T)
+                basis = np.kron(sigma[i], sigma[j].T)
                 p[i, j] = np.trace(basis.conj().T @ s) / 4
         return ChannelMatrix(p)
 
@@ -198,22 +237,32 @@ class ChannelMatrix:
         # Tracing the dual state over the channel-output factor recovers the
         # untouched half of the maximally entangled input iff the map is
         # trace preserving (tracing the other factor would test unitality).
+        import numpy as np
+
         red = partial_trace_out_first(jamiolkowski_state(self, validate=False))
         return bool(np.allclose(red, np.eye(2) / 2, atol=atol, rtol=0.0))
 
 
-_BELL0 = np.zeros(4, dtype=complex)
-_BELL0[0] = _BELL0[3] = 1 / math.sqrt(2)
-_PHI = [np.kron(s, np.eye(2)) @ _BELL0 for s in SIGMA]
+@cache
+def _bell_vectors() -> list[np.ndarray]:
+    """|Phi_i> = (sigma_i x 1) |Phi_0>, |Phi_0> = (|00> + |11>) / sqrt(2)."""
+    import numpy as np
+
+    bell0 = np.zeros(4, dtype=complex)
+    bell0[0] = bell0[3] = 1 / math.sqrt(2)
+    return [np.kron(s, np.eye(2)) @ bell0 for s in _sigma()]
 
 
 def jamiolkowski_state(ch: ChannelMatrix, validate: bool = True) -> np.ndarray:
     """The 4x4 state dual to the channel: sum_ij P[i,j] |Phi_i><Phi_j|."""
+    import numpy as np
+
+    phi = _bell_vectors()
     rho = np.zeros((4, 4), dtype=complex)
     for i in range(4):
         for j in range(4):
             if ch.p[i, j] != 0:
-                rho += ch.p[i, j] * np.outer(_PHI[i], _PHI[j].conj())
+                rho += ch.p[i, j] * np.outer(phi[i], phi[j].conj())
     if validate:
         if abs(np.trace(rho).real - 1.0) > 1e-10:
             raise ValidationError("channel is not trace normalized")
@@ -223,8 +272,7 @@ def jamiolkowski_state(ch: ChannelMatrix, validate: bool = True) -> np.ndarray:
 
 
 def partial_trace_out_first(rho4: np.ndarray) -> np.ndarray:
-    r = rho4.reshape(2, 2, 2, 2)
-    return np.einsum("kikj->ij", r)
+    return rho4.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
 
 
 def _qo_breaking_gap(ch: QoChannel, t: float) -> float:
@@ -232,12 +280,14 @@ def _qo_breaking_gap(ch: QoChannel, t: float) -> float:
     qo channel breaks entanglement at time t.  Taken as a sum of logarithms,
     since the square of e^(Ct) overflows from Ct = 355 on; where the
     product is 0 (s in {0, 1}, or Bt = 0) the channel never breaks, and the
-    gap is -1."""
+    gap is -1.  Past C = 3.6e306 the sum itself overflows to +inf within
+    the bracket (C t does from t = 2.25 at C = 8e307); the gap is positive
+    there, and the largest float stands for it."""
     weight = ch.s * (1 - ch.s)
     damped = -math.expm1(-ch.B * t)
     if weight == 0.0 or damped == 0.0:
         return -1.0
-    return math.log(weight) + 2.0 * (ch.C * t + math.log(damped))
+    return min(math.log(weight) + 2.0 * (ch.C * t + math.log(damped)), sys.float_info.max)
 
 
 def is_entanglement_breaking_qo(ch: QoChannel, t: float) -> bool:
@@ -306,18 +356,22 @@ def eb_threshold(
     return bisect(gap, lo, hi, tol)
 
 
-# Conjugation by the antidiagonal phase matrix below swaps the roles of the
-# identity/z and x/y coefficient pairs; it is the algebraic inverse used when
-# peeling a dephasing factor off a channel.
-_M_SWAP = np.array(
-    [
-        [0, 0, 0, 1],
-        [0, 0, 1j, 0],
-        [0, -1j, 0, 0],
-        [1, 0, 0, 0],
-    ],
-    dtype=complex,
-)
+@cache
+def _m_swap() -> np.ndarray:
+    """Conjugation by this antidiagonal phase matrix swaps the roles of the
+    identity/z and x/y coefficient pairs; it is the algebraic inverse used
+    when peeling a dephasing factor off a channel."""
+    import numpy as np
+
+    return np.array(
+        [
+            [0, 0, 0, 1],
+            [0, 0, 1j, 0],
+            [0, -1j, 0, 0],
+            [1, 0, 0, 0],
+        ],
+        dtype=complex,
+    )
 
 
 class DephasingSplit(NamedTuple):
@@ -334,9 +388,8 @@ def extract_dephasing(ch: ChannelMatrix, p_z: float) -> DephasingSplit:
     """
     if not 0.0 < p_z <= 1.0:
         raise ValidationError(f"p_z={p_z} outside (0, 1]")
-    q = (p_z + 1) / (2 * p_z) * ch.p + (p_z - 1) / (2 * p_z) * (
-        _M_SWAP @ ch.p @ _M_SWAP
-    )
+    swap = _m_swap()
+    q = (p_z + 1) / (2 * p_z) * ch.p + (p_z - 1) / (2 * p_z) * (swap @ ch.p @ swap)
     residual = ChannelMatrix(q)
     # The coefficient matrix is PSD iff the residual map is completely
     # positive (it equals the dual state written in the Bell basis).

@@ -12,8 +12,13 @@ oracle-check), 2 validation/usage error, 3 capacity error.
 Each command runs in a fresh process, where imports are most of its time.
 So this module imports only the standard library and .errors at module
 level, and each handler (each `upper --method`) imports the functions it
-calls: `--help` and usage errors load no numpy, `ghz` loads ghz, channels
-and numeric only, and only oracle-check loads the dense oracle.
+calls: `ghz` loads ghz, channels and numeric only, and only oracle-check
+loads the dense oracle.  The library imports numpy where it builds
+arrays, so `--help`, usage errors and the closed-form commands (ghz,
+encode, weighted, lower on an unweighted graph, upper --method ising and
+the analytic upper --method eb) load no numpy; scan, oracle-check, the
+jamiolkowski route and weighted pair thresholds do.  The sweep axes follow
+np.arange's rule in plain Python (_parse_sweep).
 """
 
 from __future__ import annotations
@@ -62,23 +67,25 @@ def _parse_channel(text: str) -> ChannelFamily:
     from .channels import ChannelFamily
 
     text = text.strip()
+    spec = text
+    # json raises ValueError, not only JSONDecodeError (an integer of over
+    # 4300 digits), and ValidationError is a ValueError too, so only the
+    # parse sits in the try.  UnicodeDecodeError is a ValueError as well.
     try:
         if text.startswith("@"):
             with open(text[1:], "r", encoding="utf-8") as fh:
-                return ChannelFamily.from_spec(json.load(fh))
-        if text.startswith("{"):
-            return ChannelFamily.from_spec(json.loads(text))
+                spec = json.load(fh)
+        elif text.startswith("{"):
+            spec = json.loads(text)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read channel spec: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ValidationError(f"channel JSON does not parse: {exc}") from exc
-    return ChannelFamily.from_spec(text)
+    return ChannelFamily.from_spec(spec)
 
 
 def _parse_sweep(text: str) -> list[float]:
     from decimal import Decimal
-
-    import numpy as np
 
     parts = text.split(":")
     if len(parts) != 3:
@@ -97,11 +104,16 @@ def _parse_sweep(text: str) -> list[float]:
     # pass STOP: floor((STOP - START) / STEP) + 1 points.
     if (stop - start) / step >= SWEEP_CAP:
         raise CapacityError(f"sweep {text!r} has more than {SWEEP_CAP} points")
-    # arange runs up to STEP/2 past STOP so that rounding cannot drop STOP
-    # itself; the count, taken on the decimals as typed, drops the points
-    # that pass STOP by more than rounding.
+    # The axis is np.arange(START, STOP + STEP/2, STEP)[:count], built by
+    # arange's own rule: ceil((STOP + STEP/2 - START) / STEP) points, a[0] =
+    # START, a[1] = START + STEP and a[i] = START + i * (a[1] - START).  It
+    # runs up to STEP/2 past STOP so that rounding cannot drop STOP itself;
+    # the count, taken on the decimals as typed, drops the points that pass
+    # STOP by more than rounding.
     count = int((Decimal(parts[1]) - Decimal(parts[0])) // Decimal(parts[2])) + 1
-    return [float(x) for x in np.arange(start, stop + step / 2.0, step)[:count]]
+    count = min(count, math.ceil((stop + step / 2.0 - start) / step))
+    delta = (start + step) - start
+    return [start, start + step, *(start + i * delta for i in range(2, count))][:count]
 
 
 def _tolerance(ns: argparse.Namespace) -> Tolerance:

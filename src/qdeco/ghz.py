@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-
-import numpy as np
+from functools import reduce
 
 from .channels import QoChannel, qo_snapshot
 from .errors import CapacityError, ValidationError
@@ -31,6 +30,14 @@ from .numeric import (
 GHZ_CAP = 1022  # 2^(n+1) and the binomial weights stay within float range
 _SYM_ATOL = 1e-12
 _LN2 = math.log(2.0)
+
+# The depolarizing bracket, and (log1p(p), log1p(-p), log(p)) at each point
+# of its pre-scan grid: every depolarizing lifetime evaluates its grid from
+# these.
+_DEPOL_BRACKET = (1e-9, 1 - 1e-9)
+_DEPOL_GRID_LOGS = [
+    (math.log1p(p), math.log1p(-p), math.log(p)) for p in prescan_grid(*_DEPOL_BRACKET)
+]
 
 
 class GhzDiagonal(namedtuple("GhzDiagonal", "n lam mu symmetric")):
@@ -129,9 +136,9 @@ def _qo_log_gap_ratio(ch: QoChannel, n: int, k: int, t: float) -> float:
     ls, l1s = _ln(ch.s), _ln(1.0 - ch.s)
     lu = _log1mexp(ch.B * t)
     two_ct, net = 2.0 * ch.C * t, (2.0 * ch.C - ch.B) * t
-    la_b2 = float(np.logaddexp(ls + two_ct, l1s + net))  # ln(a / b^2)
-    lc_b2 = float(np.logaddexp(l1s + two_ct, ls + net))  # ln(c / b^2)
-    lc = float(np.logaddexp(l1s, ls - ch.B * t))
+    la_b2 = _logaddexp(ls + two_ct, l1s + net)  # ln(a / b^2)
+    lc_b2 = _logaddexp(l1s + two_ct, ls + net)  # ln(c / b^2)
+    lc = _logaddexp(l1s, ls - ch.B * t)
     l1a, l1c = l1s + lu, ls + lu
     ca, cross = lc + la_b2, l1c + l1a + two_ct  # ln(ca / b^2), ln((1-c)(1-a) / b^2)
     terms = [
@@ -140,7 +147,7 @@ def _qo_log_gap_ratio(ch: QoChannel, n: int, k: int, t: float) -> float:
         (n - k) * ca + k * cross,
         n * (la_b2 + l1a),
     ]
-    return float(np.logaddexp.reduce(terms))
+    return reduce(_logaddexp, terms)  # a left fold, as np.logaddexp.reduce
 
 
 def ghz_lifetime(
@@ -161,28 +168,30 @@ def ghz_lifetime(
     sign of the gap lam_k lam_{n-k} - mu^2 but does not underflow: for large
     n both terms of the gap round to 0.0 (from n = 538 at p = 1e-9), and an
     exact zero would be taken for the root.  For the depolarizing channel
-    the pre-scan grid is evaluated in one array pass and each refinement
-    point in scalar arithmetic.  For a quantum-optical channel it is taken
-    from the rates (see _qo_log_gap_ratio).  Where that is not finite (a
-    coefficient is exactly 0, as at t = 0) or is exactly 0.0, the gap itself
-    is used, and a gap with both terms 0.0 raises CapacityError.
+    every value is evaluated in math alone, the pre-scan grid's from the
+    logarithms of p computed once per process (_DEPOL_GRID_LOGS).  For a
+    quantum-optical channel it is taken from the rates (see
+    _qo_log_gap_ratio).  Where that is not finite (a coefficient is exactly
+    0, as at t = 0) or is exactly 0.0, the gap itself is used, and a gap
+    with both terms 0.0 raises CapacityError.
     """
     if not 1 <= k <= n - 1:
         raise ValidationError(f"group size k={k} outside 1..{n - 1}")
     _check_cap(n)
 
     if channel == "depolarizing":
-        # lam_k = lam_{n-k}, so the log gap is 2 ln lam_k - ln mu^2; one
-        # formula for a float p (math) and for the whole grid (numpy).
-        def log_gap(p, log1p, log, logaddexp):
-            up, down = log1p(p), log1p(-p)
-            log_lam = logaddexp(k * up + (n - k) * down, k * down + (n - k) * up)
-            return 2.0 * (log_lam - (n + 1) * _LN2) - 2.0 * (n * log(p) - _LN2)
+        # lam_k = lam_{n-k}, so the log gap is 2 ln lam_k - ln mu^2, from
+        # log1p(p), log1p(-p) and log(p); the grid's are _DEPOL_GRID_LOGS.
+        m, shift = n - k, (n + 1) * _LN2
 
-        lo, hi = 1e-9, 1 - 1e-9
-        grid = log_gap(np.array(prescan_grid(lo, hi)), np.log1p, np.log, np.logaddexp)
+        def log_gap(up: float, down: float, log_p: float) -> float:
+            log_lam = _logaddexp(k * up + m * down, k * down + m * up)
+            return 2.0 * (log_lam - shift) - 2.0 * (n * log_p - _LN2)
+
+        grid = [log_gap(up, down, log_p) for up, down, log_p in _DEPOL_GRID_LOGS]
         return bisect_from_grid(
-            lambda p: log_gap(p, math.log1p, math.log, _logaddexp), lo, hi, grid, tol
+            lambda p: log_gap(math.log1p(p), math.log1p(-p), math.log(p)),
+            *_DEPOL_BRACKET, grid, tol,
         )
 
     if isinstance(channel, QoChannel):

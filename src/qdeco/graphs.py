@@ -254,7 +254,7 @@ def parse_graph_json(text: str) -> Graph:
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise ValidationError(f"graph JSON does not parse: {exc}") from exc
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValidationError('graph JSON needs keys "n" and "edges"')

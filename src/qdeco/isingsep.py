@@ -13,33 +13,51 @@ of that inequality.  The explicit 4x4 state (NoisyGateState) stays as the
 dense reference.  Appendix-style channel splitting
 (channels.minimal_dephasing_*) translates the dephasing thresholds into the
 native parameter of other channels: for the dephasing and depolarizing
-families in closed form (native_parameter).
+families in closed form (native_parameter).  The thresholds need no numpy;
+the dense reference and D_K, D_L import it when first used.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING, NamedTuple
 
 from .channels import ChannelFamily
 from .errors import ValidationError
 from .graphs import Graph, degree
 from .numeric import DEFAULT_TOL, Tolerance, bisect, hermitian_spectrum, partial_transpose
 
-# Entry (a, b) of a two-qubit matrix, with qubit k as bit 0 of the index and
-# qubit l as bit 1: D_K[a, b] = a_k - b_k and D_L[a, b] = a_l - b_l.
-_BITS = np.arange(4)
-D_K = (_BITS & 1)[:, None] - (_BITS & 1)[None, :]
-D_L = (_BITS >> 1)[:, None] - (_BITS >> 1)[None, :]
+if TYPE_CHECKING:
+    import numpy as np
+
+
+@cache
+def _entry_offsets() -> tuple[np.ndarray, np.ndarray]:
+    """(D_K, D_L).  Entry (a, b) of a two-qubit matrix, with qubit k as bit
+    0 of the index and qubit l as bit 1: D_K[a, b] = a_k - b_k and
+    D_L[a, b] = a_l - b_l."""
+    import numpy as np
+
+    bits = np.arange(4)
+    return (bits & 1)[:, None] - (bits & 1)[None, :], (bits >> 1)[:, None] - (bits >> 1)[None, :]
+
+
+def __getattr__(name: str):
+    # D_K and D_L are built on first use (PEP 562): importing this module
+    # loads no numpy.
+    if name in ("D_K", "D_L"):
+        return _entry_offsets()[name == "D_L"]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def gate_outer(phi: float) -> np.ndarray:
     """psi psi^dagger for psi = (1, 1, 1, e^(i phi)) / 2: a phase-phi gate
     on |++>, qubit k as bit 0 and l as bit 1.  A phase flip on k with
     probability (1 - p) / 2 multiplies entry (a, b) by p^|D_K[a, b]|."""
+    import numpy as np
+
     psi = np.array([1.0, 1.0, 1.0, np.exp(1j * phi)]) / 2.0
     return np.outer(psi, psi.conj())
 
@@ -70,7 +88,8 @@ class NoisyGateState(namedtuple("NoisyGateState", "p_z q_z phi")):
 
     def matrix(self) -> np.ndarray:
         """4x4 density matrix; qubit k is bit 0 of the index, l bit 1."""
-        return gate_outer(self.phi) * self.p_z ** np.abs(D_K) * self.q_z ** np.abs(D_L)
+        d_k, d_l = _entry_offsets()
+        return gate_outer(self.phi) * self.p_z ** abs(d_k) * self.q_z ** abs(d_l)
 
     def pt_min_eig(self) -> float:
         """Smallest eigenvalue after transposing qubit k (bit 0)."""

@@ -5,28 +5,36 @@ Every threshold in this package is the root of an empirically monotone
 condition, so the bisection here insists on a certified single sign change
 (via a coarse pre-scan) before it refines the bracket.  The entry points
 are prescan_grid, the points of that pre-scan; bisect_from_grid, which
-takes the values of f there, however the caller computed them (one array
-pass), and refines with a scalar f; bisect, which is bisect_from_grid with
-the grid evaluated point by point; and bisect_lockstep, bisect_from_grid
-of many problems on one bracket, which takes their grids as one
+takes the values of f there, however the caller computed them, and
+refines with a scalar f; bisect, which is bisect_from_grid with the grid
+evaluated point by point; and bisect_lockstep, bisect_from_grid of many
+problems on one bracket, which takes their grids as one
 (problems, PRESCAN_POINTS + 1) array, holds the problems still bisecting
 as arrays and calls f once per refinement round on all their midpoints.
-Both check their grids with one array function, _prescan, which reads
-every row in one array pass (bisect_from_grid's grid is a stack of one
-row); the scalar route refines in a plain loop, the lockstep one with a
-few array operations per round.  The Hermitian check, the spectra and
-the partial transpose take stacks (..., d, d) of matrices.
+One set of rules reads a grid: _read_row reads bisect_from_grid's row in
+plain Python, and _prescan reads the lockstep's rows in one array pass,
+handing each row with a non-finite value or an exact zero to _read_row;
+both read the sign changes through _crossing.  The scalar route refines
+in a plain loop, the lockstep one with a few array operations per round.
+The Hermitian check, the spectra and the partial transpose take stacks
+(..., d, d) of matrices.
+
+The scalar routes (prescan_grid, bisect_from_grid, bisect) need no numpy,
+so a closed-form threshold runs without it; the array functions import
+numpy when first called.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import EvaluationError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PRESCAN_POINTS = 64
 MAX_ITER = 200  # stops bisection where abs_root is below the float spacing
@@ -97,6 +105,59 @@ def prescan_grid(lo: float, hi: float) -> list[float]:
     return [lo, *inner, hi]
 
 
+def _cell_end(lo: float, hi: float, i: int) -> float:
+    # Unlike prescan_grid, the point at i = PRESCAN_POINTS is lo + (hi - lo),
+    # which can differ from hi in the last bit; a refined bracket starts
+    # from these points.
+    return lo + (hi - lo) * i / PRESCAN_POINTS
+
+
+def _crossing(
+    lo: float, hi: float, crossings: int, cell: int, negative: bool
+) -> ThresholdResult | tuple[float, float, bool]:
+    """The pre-scan's reading of a row whose values are finite and nonzero:
+    crossings sign changes, the first between points cell and cell + 1,
+    negative the sign bit of its first value.  Raises
+    MultipleCrossingsError for more than one crossing; returns the result
+    of no crossing, or (a, b, negative) for the cell [a, b] of one."""
+    if crossings > 1:
+        raise MultipleCrossingsError(
+            f"{crossings} sign changes in [{lo}, {hi}]; refine the bracket before bisecting"
+        )
+    if not crossings:
+        return ThresholdResult(math.nan, (lo, hi), 0, False)
+    return _cell_end(lo, hi, cell), _cell_end(lo, hi, cell + 1), negative
+
+
+def _read_row(
+    lo: float, hi: float, grid_values: Sequence[float]
+) -> ThresholdResult | tuple[float, float, bool]:
+    """The pre-scan of one problem, its values at prescan_grid(lo, hi), in
+    plain Python.
+
+    A non-finite value raises EvaluationError (the first such value names
+    it).  An exact zero (-0.0 too) is the root: at lo, else at hi, else at
+    the first interior point that has one.  Otherwise no value is -0.0 or
+    NaN, so y < 0 is its sign bit, and _crossing reads the sign changes.
+    """
+    row = list(grid_values)
+    if len(row) != PRESCAN_POINTS + 1:
+        raise ValidationError(f"need {PRESCAN_POINTS + 1} grid values, got {len(row)}")
+    if not all(map(math.isfinite, row)):
+        k = next(i for i, y in enumerate(row) if not math.isfinite(y))
+        raise _non_finite(row[k], prescan_grid(lo, hi)[k])
+    if 0.0 in row:
+        at = lo if row[0] == 0.0 else hi if row[-1] == 0.0 else _cell_end(lo, hi, row.index(0.0))
+        return ThresholdResult(at, (lo, hi), 0, True)
+    negative = [y < 0.0 for y in row]
+    left = negative[0]
+    if (not left) not in negative:
+        return _crossing(lo, hi, 0, 0, left)
+    cell = negative.index(not left) - 1
+    crossings = sum(map(operator.ne, negative, negative[1:])) if left in negative[cell + 1 :] else 1
+    return _crossing(lo, hi, crossings, cell, left)
+
+
 def _prescan(
     lo: float, hi: float, grids: np.ndarray
 ) -> tuple[list[ThresholdResult | None], list[tuple[int, float, float, bool]],
@@ -104,58 +165,46 @@ def _prescan(
     """The pre-scan of every row of grids, shape (problems, PRESCAN_POINTS +
     1): row i holds the values of problem i at prescan_grid(lo, hi).
 
-    One array pass finds, for every row, whether each value is finite,
-    whether it has an exact zero and where its sign changes; the rows are
-    then read in order.  A row fails when a value is not finite (the first
-    such value names it) or, without an exact zero, when its sign changes
-    more than once (MultipleCrossingsError); no row after it is read.
-    Returns (results, starts, failed).  results holds, for each row read,
-    the final result for an exact zero at lo, at hi or at the first
-    interior point that has one, or for no sign change, and None for a row
+    One array pass counts the sign changes of every row and finds its
+    first crossing cell; rows with a non-finite value or an exact zero are
+    read by _read_row instead, and the others by _crossing, so every row is
+    read by the rules of bisect_from_grid.  Rows are read in order, and no
+    row after a failing one is read.  Returns (results, starts, failed).
+    results holds, for each row read, its final result, or None for a row
     with a crossing.  starts holds (i, a, b, f(a) < 0) for each row i with
     a crossing, [a, b] its grid cell.  failed is the error of the failing
     row, or None.
     """
+    import numpy as np
+
     _check_bracket(lo, hi)
     ys = np.asarray(grids, dtype=float)
     if ys.ndim != 2 or ys.shape[1] != PRESCAN_POINTS + 1:
         raise ValidationError(
             f"need rows of {PRESCAN_POINTS + 1} grid values, got shape {ys.shape}"
         )
-    finite = np.isfinite(ys).all(axis=1).tolist()
-    zero = ys == 0.0
-    has_zero = zero.any(axis=1).tolist()
-    negative = np.signbit(ys)
+    plain = (np.isfinite(ys) & (ys != 0.0)).all(axis=1).tolist()
+    negative = ys < 0.0
     changes = negative[:, 1:] != negative[:, :-1]
     count = changes.sum(axis=1).tolist()
     cell = changes.argmax(axis=1).tolist()
-    # With one sign change and no zero, f has the sign of its first value
-    # up to the crossing.
     left = negative[:, 0].tolist()
-
-    # Unlike prescan_grid, x(PRESCAN_POINTS) is lo + (hi - lo), which can
-    # differ from hi in the last bit; the refined bracket starts from x.
-    def x(i: int) -> float:
-        return lo + (hi - lo) * i / PRESCAN_POINTS
 
     results: list[ThresholdResult | None] = []
     starts = []
-    for i, crossings in enumerate(count):
-        if not finite[i]:
-            k = int(np.argmin(np.isfinite(ys[i])))
-            return results, starts, _non_finite(ys[i, k], prescan_grid(lo, hi)[k])
-        if has_zero[i]:
-            at = lo if zero[i, 0] else hi if zero[i, -1] else x(int(np.argmax(zero[i])))
-            results.append(ThresholdResult(at, (lo, hi), 0, True))
-        elif crossings > 1:
-            return results, starts, MultipleCrossingsError(
-                f"{crossings} sign changes in [{lo}, {hi}]; refine the bracket before bisecting"
-            )
-        elif not crossings:
-            results.append(ThresholdResult(math.nan, (lo, hi), 0, False))
-        else:
-            results.append(None)
-            starts.append((i, x(cell[i]), x(cell[i] + 1), left[i]))
+    try:
+        for i, row_is_plain in enumerate(plain):
+            if row_is_plain:
+                outcome = _crossing(lo, hi, count[i], cell[i], left[i])
+            else:
+                outcome = _read_row(lo, hi, ys[i].tolist())
+            if isinstance(outcome, ThresholdResult):
+                results.append(outcome)
+            else:
+                results.append(None)
+                starts.append((i, *outcome))
+    except EvaluationError as exc:
+        return results, starts, exc
     return results, starts, None
 
 
@@ -168,21 +217,20 @@ def bisect_from_grid(
 ) -> ThresholdResult:
     """bisect, given the values of f at prescan_grid(lo, hi).
 
-    The caller computes grid_values however it likes (for instance in one
-    array pass; a list or an array); _prescan checks them as a stack of one
-    row, and each refinement point is then evaluated by the scalar f.  Only
-    the signs of the values and whether they are exactly zero steer the
-    bisection, and every value, given or computed, is checked to be finite.
-    While refining it holds the bracket and the sign of f at its left end;
-    bisect_lockstep refines the same way on arrays, but one cheap root
-    refines faster in this scalar loop than through numpy calls.
+    The caller computes grid_values however it likes (a list or an array);
+    _read_row checks them in plain Python, and each refinement point is
+    then evaluated by the scalar f.  Only the signs of the values and
+    whether they are exactly zero steer the bisection, and every value,
+    given or computed, is checked to be finite.  While refining it holds
+    the bracket and the sign of f at its left end; bisect_lockstep refines
+    the same way on arrays, but one cheap root refines faster in this
+    scalar loop than through numpy calls.
     """
-    results, starts, failed = _prescan(lo, hi, [grid_values])
-    if failed is not None:
-        raise failed
-    if not starts:
-        return results[0]
-    ((_, a, b, negative),) = starts
+    _check_bracket(lo, hi)
+    outcome = _read_row(lo, hi, grid_values)
+    if isinstance(outcome, ThresholdResult):
+        return outcome
+    a, b, negative = outcome
 
     iterations = 0
     while b - a > tol.abs_root and iterations < MAX_ITER:
@@ -226,6 +274,8 @@ def bisect_lockstep(
     an EvaluationError, this raises it: that of the first problem to fail;
     no problem after one whose grid fails refines.
     """
+    import numpy as np
+
     results, starts, failed = _prescan(lo, hi, grids)
     ids = np.array([s[0] for s in starts], dtype=np.intp)
     a = np.array([s[1] for s in starts], dtype=float)
@@ -287,6 +337,8 @@ def bisect(
 def check_hermitian(m: np.ndarray, atol: float = 1e-12) -> np.ndarray:
     """m as a complex array, checked to be a stack (..., d, d) of Hermitian
     matrices: max |m - m^H| <= atol, so NaN and inf entries are rejected."""
+    import numpy as np
+
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"expected square matrices, got shape {m.shape}")
@@ -299,6 +351,8 @@ def check_hermitian(m: np.ndarray, atol: float = 1e-12) -> np.ndarray:
 
 def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     """All real eigenvalues of each Hermitian matrix of a stack, ascending."""
+    import numpy as np
+
     return np.linalg.eigvalsh(check_hermitian(m))
 
 

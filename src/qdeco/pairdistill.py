@@ -13,21 +13,20 @@ the root of a polynomial in the edge's local degrees, on weighted ones a
 bisection of the pair's partial-transpose minimum, with the partially
 transposed state built once per edge as a matrix polynomial in the noise
 level p), a universal degree-only bound, and the aggregated per-graph
-report.
+report.  Only the weighted route and the explicit matrices import numpy,
+when first called.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .channels import ChannelFamily, PauliChannel, named_probs
 from .errors import ValidationError
 from .graphs import Graph, neighborhood
-from .isingsep import D_K, D_L, gate_outer
+from .isingsep import gate_outer
 from .numeric import (
     DEFAULT_TOL,
     ThresholdResult,
@@ -38,6 +37,9 @@ from .numeric import (
     partial_transpose,
     prescan_grid,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EDGE_BRACKET = (1e-6, 1.0 - 1e-6)
 
@@ -140,6 +142,8 @@ def reduced_pair_state(g: Graph, k: int, l: int, ch: PauliChannel) -> BellDiagon
 
 def pair_state_matrix(b: BellDiagonal) -> np.ndarray:
     """Explicit 4x4 density matrix; qubit k is bit 0 of the index, l bit 1."""
+    import numpy as np
+
     phi = np.array([1.0, 1.0, 1.0, -1.0]) / 2.0
     z_k = np.array([1.0, -1.0, 1.0, -1.0])
     z_l = np.array([1.0, 1.0, -1.0, -1.0])
@@ -236,6 +240,10 @@ def _pair_coefficients(g: Graph, k: int, l: int, probs, slope) -> np.ndarray:
     only give each branch a global phase, so they cancel.  Then the
     channels act on k and l, each Pauli by its index structure.
     """
+    import numpy as np
+
+    from .isingsep import D_K, D_L
+
     nk, nl = neighborhood(g, k), neighborhood(g, l)
     if not (nk >> l) & 1:
         raise ValidationError(f"vertices {k} and {l} are not adjacent")
@@ -279,7 +287,7 @@ def weighted_reduced_pair(g: Graph, k: int, l: int, ch: PauliChannel) -> np.ndar
     normalised 4x4 matrix with qubit k as bit 0, l as bit 1.
     """
     rho = _pair_coefficients(g, k, l, ch.probs, (0.0, 0.0, 0.0, 0.0))[0]
-    trace = np.trace(rho).real
+    trace = rho.trace().real
     if trace < 1e-14:
         raise ValidationError("branch weights vanished; channel is degenerate")
     return rho / trace
@@ -308,6 +316,8 @@ def _weighted_edge_thresholds(
     most _PAIR_BLOCK 4x4 matrices.  The states of named channels have
     trace 1 at every p, so they are used as summed.
     """
+    import numpy as np
+
     probs = named_probs(kind, 0.0)
     slope = np.subtract(named_probs(kind, 1.0), probs)
     forms = [partial_transpose(_pair_coefficients(g, u, v, probs, slope), 1) for u, v in edges]

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qdeco.channels import (
     DephasingSplit,
     PauliChannel,
     QoChannel,
+    _qo_breaking_gap,
     decay_gamma,
     decay_kraus,
     depolarizing_eb_threshold,
@@ -25,7 +27,7 @@ from qdeco.channels import (
     qo_snapshot,
 )
 from qdeco.errors import ValidationError
-from qdeco.numeric import DEFAULT_TOL, min_eig, partial_transpose
+from qdeco.numeric import DEFAULT_TOL, min_eig, partial_transpose, prescan_grid
 
 
 def random_density(rng):
@@ -201,6 +203,21 @@ def test_eb_threshold_routes_agree_for_qo():
         assert not is_entanglement_breaking_qo(QoChannel(1.0, c, 0.3), a.value - 1e-6)
         roots[c] = a.value
     assert roots[20.0] == pytest.approx(0.14058635192343, abs=1e-12)
+
+
+def test_qo_breaking_gap_stays_finite_where_ct_overflows():
+    # From C = 3.6e306 the gap's sum passes the float range inside the
+    # bracket (at C = 8e307, C t itself does from t = 2.25).  The gap is
+    # positive there and must stay finite: bisect rejected inf.
+    ch = QoChannel(1.0, 8e307, 0.3)
+    gaps = [_qo_breaking_gap(ch, t) for t in prescan_grid(1e-9, 50.0)]
+    assert all(0.0 < gap < math.inf for gap in gaps)
+    assert gaps[-1] == sys.float_info.max
+    # The channel breaks from t = 1e-9 on, so neither route finds a crossing.
+    fam = ChannelFamily.from_spec({"kind": "qo", "B": 1, "C": 8e307, "s": 0.3})
+    for via in ("analytic", "jamiolkowski"):
+        assert not eb_threshold(fam, via=via).sign_change_found
+    assert is_entanglement_breaking_qo(ch, 1e-9)
 
 
 def test_decay_never_breaks():

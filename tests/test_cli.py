@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import random
 import re
 import shlex
 from importlib import resources
@@ -485,6 +486,36 @@ def test_bad_graph_json_exits_2_naming_the_fault(graph, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+HUGE_INT = "1" + "0" * 5000  # past the 4300 digits json turns into an int
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["inline", "file"])
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["lower", "--graph"], '{"n": 2, "edges": [[0, 1, %s]]}' % HUGE_INT),
+        (["upper", "--method", "eb", "--channel"], '{"kind": "decay", "kappa": %s}' % HUGE_INT),
+    ],
+    ids=["graph", "channel"],
+)
+def test_json_integer_past_the_digit_limit_exits_2_in_one_line(argv, spec, from_file, tmp_path, capsys):
+    if from_file:
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        spec = f"@{path}"
+    assert main(argv + [spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_qo_channel_past_the_float_range_of_ct_exits_0(capsys):
+    spec = '{"kind": "qo", "B": 1, "C": 8e307, "s": 0.3}'
+    assert main(["upper", "--method", "eb", "--channel", spec]) == 0
+    assert capsys.readouterr().out.endswith(
+        "# warning: channel never becomes entanglement breaking in the bracket\naxis,threshold\nt,\n"
+    )
+
+
 @pytest.mark.parametrize("flag", ["--graph", "--channel"])
 def test_spec_file_that_is_not_utf8_exits_2_in_one_line(flag, tmp_path, capsys):
     path = tmp_path / "spec.json"
@@ -633,6 +664,30 @@ def test_sweep_axis_ends_at_stop(text, points, last):
     assert len(axis) == points and axis[-1] == last
     # Every point is arange's, bit for bit.
     assert axis == [float(x) for x in np.arange(start, start + (points - 0.5) * step, step)]
+
+
+def test_sweep_axis_is_arange_bit_for_bit():
+    # The axis is np.arange(START, STOP + STEP/2, STEP)[:count], count from
+    # the decimals as typed, built without numpy: on random sweeps (typed
+    # as repr or rounded to a few decimals) and on the README's.
+    from decimal import Decimal
+
+    rng = random.Random(30)
+    texts = ["0.01:0.8:0.01", "0.5:3.14:0.2", "0.5:3.14:1.0", "3:3.3:0.1", "0.1:0.9:0.3"]
+    for _ in range(3000):
+        start, step = rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-3.0, 0.5)
+        stop = start + step * rng.uniform(0.5, 300.0)
+        if rng.random() < 0.5:
+            digits = rng.randint(0, 4)
+            start, stop, step = round(start, digits), round(stop, digits), round(step, digits + 1)
+        if 0.0 < step and start < stop:
+            texts.append(f"{start!r}:{stop!r}:{step!r}")
+    for text in texts:
+        start, stop, step = (float(x) for x in text.split(":"))
+        a, b, c = (Decimal(x) for x in text.split(":"))
+        count = int((b - a) // c) + 1
+        want = np.arange(start, stop + step / 2.0, step)[:count].tolist()
+        assert [x.hex() for x in _parse_sweep(text)] == [x.hex() for x in want], text
 
 
 def test_sweep_never_runs_past_stop(capsys):

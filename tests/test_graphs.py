@@ -159,6 +159,11 @@ def test_graph_json_validation():
         ('{"n": 2, "edges": [[0, 1]], "name": 5}', '"name" must be a string'),
         pytest.param('{"n": 2, "edges": [[0, 1, 1%s]]}' % ("0" * 400), "edge #0: phase must be finite",
                      id="phase 10^400"),
+        # json.loads raises a plain ValueError past 4300 digits (a Python
+        # without that limit reads the integer, whose float() overflows).
+        pytest.param('{"n": 2, "edges": [[0, 1, 1%s]]}' % ("0" * 5000),
+                     "^graph JSON does not parse: Exceeds the limit|phase must be finite",
+                     id="phase of 5001 digits"),
     ],
 )
 def test_graph_json_rejects_booleans_repeated_edges_and_non_string_names(text, message):

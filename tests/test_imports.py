@@ -14,8 +14,12 @@ against it independently.
 but qdeco.errors; each subcommand imports what it calls, in a fresh
 process (the console script's case), so `--help` and usage errors cost no
 numpy, and only oracle-check loads the oracle and only a scan with
---jobs > 1 the process pool.  The package resolves its public names on
-first use (PEP 562); those names must be the modules' own objects.
+--jobs > 1 the process pool.  numpy is imported where arrays are built,
+so the closed-form commands (ghz, encode, weighted, lower on an
+unweighted graph, upper --method ising and the analytic upper --method
+eb) load none.  The package resolves its public names, and channels and
+isingsep their module-level arrays, on first use (PEP 562); those names
+must be the modules' own objects.
 
 No library module imports dataclasses, and in a fresh interpreter that
 has imported numpy, importing every qdeco module does not load it.
@@ -220,6 +224,17 @@ NOT_LOADED = {
     "weighted --sweep-phi 1:2:0.5": {"graphdiag", "pairdistill", "ghz", "encode", "oracle"},
     "encode --kt 0.1 --levels 1": {"graphs", "graphdiag", "isingsep", "pairdistill", "oracle"},
     "oracle-check --cases 1 --max-n 3": {"isingsep", "pairdistill", "ghz", "encode"},
+    "upper --method eb --via jamiolkowski": {
+        "graphs", "graphdiag", "isingsep", "pairdistill", "ghz", "encode", "oracle",
+    },
+    'lower --graph {"n":3,"edges":[[0,1,1.0],[1,2]]}': {"graphdiag", "ghz", "encode", "oracle"},
+}
+# The commands that build arrays, and so load numpy; the others run in math.
+LOADS_NUMPY = {
+    "scan --graph ring:4",
+    "oracle-check --cases 1 --max-n 3",
+    "upper --method eb --via jamiolkowski",
+    'lower --graph {"n":3,"edges":[[0,1,1.0],[1,2]]}',
 }
 
 
@@ -237,7 +252,7 @@ def test_subcommand_imports_only_what_it_runs(cmd):
     loaded = fresh_modules(f"from qdeco.cli import main; assert main({cmd.split()!r}) == 0")
     assert NOT_LOADED[cmd] <= LIBRARY
     assert {f"qdeco.{m}" for m in NOT_LOADED[cmd]} & loaded == set()
-    assert "numpy" in loaded
+    assert ("numpy" in loaded) == (cmd in LOADS_NUMPY)
 
 
 def test_lazy_names_are_the_modules_own_objects():
@@ -252,6 +267,22 @@ def test_lazy_names_are_the_modules_own_objects():
     assert set(qdeco.__all__) <= set(dir(qdeco))
     with pytest.raises(AttributeError):
         qdeco.no_such_name
+
+
+def test_module_arrays_are_built_on_first_use_and_kept():
+    code = (
+        "import sys, qdeco.channels as c, qdeco.isingsep as i; print('numpy' in sys.modules)\n"
+        "from qdeco.channels import SIGMA; from qdeco.isingsep import D_K, D_L\n"
+        "print('numpy' in sys.modules, SIGMA is c.SIGMA, D_K is i.D_K, D_L is i.D_L)"
+    )
+    assert run_fresh(code) == "False\nTrue True True True\n"
+    from qdeco import channels, isingsep
+
+    assert isingsep.D_K.tolist() == [[0, -1, 0, -1], [1, 0, 1, 0], [0, -1, 0, -1], [1, 0, 1, 0]]
+    assert isingsep.D_L.tolist() == [[0, 0, -1, -1], [0, 0, -1, -1], [1, 1, 0, 0], [1, 1, 0, 0]]
+    for module in (channels, isingsep):
+        with pytest.raises(AttributeError):
+            module.no_such_name
 
 
 def test_from_import_reaches_names_and_submodules():

@@ -306,6 +306,47 @@ def test_non_finite_messages_are_the_same_on_every_route(case, arrays):
         assert message == "function evaluated to non-finite value inf at 0.90625"
 
 
+_SPECIAL_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+
+
+@st.composite
+def _grid_rows(draw):
+    """A bracket and a row of grid values on it: a few sign changes, with
+    NaN, infinities and signed zeros written over some values."""
+    lo, hi = draw(st.sampled_from([(0.0, 1.0), (1e-9, 1.0 - 1e-9), (-3.0, 50.0)]))
+    cuts = draw(st.lists(st.integers(1, PRESCAN_POINTS), max_size=4))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    sizes = draw(st.lists(
+        st.floats(1e-300, 1e300), min_size=PRESCAN_POINTS + 1, max_size=PRESCAN_POINTS + 1
+    ))
+    row = [sign * (-1.0) ** sum(i >= c for c in cuts) * y for i, y in enumerate(sizes)]
+    for i, y in draw(st.lists(
+        st.tuples(st.integers(0, PRESCAN_POINTS), st.sampled_from(_SPECIAL_VALUES)), max_size=3
+    )):
+        row[i] = y
+    root = draw(st.floats(lo, hi))
+    return lo, hi, row, root
+
+
+@given(_grid_rows())
+@settings(max_examples=400, deadline=None)
+def test_scalar_and_array_prescans_read_a_row_alike(case):
+    # bisect_from_grid reads its row in plain Python and bisect_lockstep in
+    # one array pass; on any row both give the same result, or raise the
+    # same exception with the same message.
+    lo, hi, row, root = case
+
+    def outcome(route):
+        try:
+            return route()
+        except (EvaluationError, ValidationError) as exc:
+            return type(exc), str(exc)
+
+    scalar = outcome(lambda: bisect_from_grid(lambda x: x - root, lo, hi, row))
+    stacked = outcome(lambda: bisect_lockstep(lambda problems, xs: xs - root, [row], lo, hi))
+    assert repr(stacked) == repr([scalar] if isinstance(scalar, ThresholdResult) else scalar)
+
+
 @st.composite
 def _problem(draw):
     """One scalar problem on [0, 1] of a kind bisect_lockstep must keep apart."""
