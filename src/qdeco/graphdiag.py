@@ -36,16 +36,9 @@ rank as one stacked gather (_gather, bit for bit the same per split as a
 stack of one); the pre-scan minima in a few stacked
 products; the undecided values of the pre-scan and of each refinement
 round as one stacked gather per rank; and the grids as one array that
-bisect_lockstep checks in one pass.  A gather pass or pre-scan product
-holds at most _stack_rows(n) rows of 2^n floats, 2^15 entries or one
-split's gather chunk, whichever is more, and the gather passes of a scan
-share one pair of buffers of that size.  The gather keeps no index
-between calls.  A block's coefficients are held twice only while the
-Walsh-Hadamard passes build them; the refinement holds them once and, as
-splits finish, compacts the rows of those still bisecting in place.  The
-noisy weights of each new p are mixed through per-vertex XOR index tables
-built once per scan, 3n 2^n entries (21 KB at n = 7, 5.5 MB at
-DIRECT_CAP).
+bisect_lockstep checks in one pass.  What a scan holds at once is bounded
+as _scan_splits says; the gather keeps no index between calls.  Graphs
+of _POOL_MIN_N or more vertices can spread the splits over processes.
 """
 
 from __future__ import annotations
@@ -73,6 +66,11 @@ from .numeric import (
 
 FAST_CAP = 20  # 2^n weight vector, and pt_spectrum's two transforms of it
 DIRECT_CAP = 14  # lambda_direct's 4^n sum and scan_partitions
+# Vertices from which scan_partitions pools its splits.  In fresh processes
+# (2-vCPU host, medians of 10-16 alternating pairs) `scan --jobs 2` against
+# `--jobs 1` ran 0.86-0.88x on ring:8 under all three families and
+# 0.91-1.17x on ring:9 and grid2d:3x3: below 9 the pool costs more than it saves.
+_POOL_MIN_N = 9
 SANDWICH_CAP = 12  # exhaustive ratio check over all U and k
 SCAN_BRACKET = (1e-6, 1.0 - 1e-6)
 
@@ -166,13 +164,14 @@ def _mix_weights(n: int, probs: tuple[float, float, float, float], shifts: Itera
     return lam
 
 
-def lambda_direct(g: Graph, ch: PauliChannel, u_mask: int) -> float:
-    """One weight lam[U] by the explicit 4^n double sum (test oracle).
+def lambda_direct(g: Graph, ch: PauliChannel) -> np.ndarray:
+    """All 2^n weights lam[U] by the explicit 4^n double sum (test oracle).
 
-    With ratios q_i = p_i/p_0, the weight is p_0^n times a sum over all
+    With ratios q_i = p_i/p_0, lam[U] is p_0^n times a sum over all
     subsets U' of q1/q2/q3 powers counting, per vertex, whether it received
     an X-type flip (member of U'), a Z-type flip (member of W = U + Gamma U',
-    the target subset corrected by the X flips), or both.
+    the target subset corrected by the X flips), or both.  The terms go in
+    passes of _PASS_ENTRIES, whole rows of U, so memory stays bounded.
     """
     if g.is_weighted:
         raise ValidationError("weighted graphs have no graph-basis weights")
@@ -181,22 +180,16 @@ def lambda_direct(g: Graph, ch: PauliChannel, u_mask: int) -> float:
     p0, p1, p2, p3 = ch.probs
     if p0 <= 0.0:
         raise ValidationError("direct sum needs p0 > 0; use lambda_from_pauli")
-    if u_mask >> g.n:
-        raise ValidationError("subset mask has bits beyond the vertex count")
-    q1, q2, q3 = p1 / p0, p2 / p0, p3 / p0
-    total = 0.0
-    for uprime in range(1 << g.n):
-        gamma_u = 0
-        m = uprime
-        while m:
-            low = m & -m
-            gamma_u ^= g.adj[low.bit_length() - 1]
-            m ^= low
-        w = gamma_u ^ u_mask
-        only_x = (uprime & ~w).bit_count()
-        both = (uprime & w).bit_count()
-        only_z = (w & ~uprime).bit_count()
-        total += q1**only_x * q2**both * q3**only_z
+    q1, q2, q3 = ((p / p0) ** np.arange(g.n + 1) for p in (p1, p2, p3))
+    subsets = np.arange(1 << g.n)
+    gamma, flips = _pt_masks(g)[0], _popcount(subsets)  # Gamma U' and |U'|
+    rows = max(1, _PASS_ENTRIES >> g.n)
+    total = np.empty(1 << g.n)
+    for start in range(0, 1 << g.n, rows):
+        w = gamma ^ subsets[start : start + rows, np.newaxis]
+        both = _popcount(subsets & w)
+        terms = q1[flips - both] * q2[both] * q3[_popcount(w) - both]
+        total[start : start + rows] = terms.sum(axis=1)
     return p0**g.n * total
 
 
@@ -918,20 +911,23 @@ def scan_partitions(
     p decreases (largest critical p), last_ppt the most robust one.  Output
     order and tie-breaking follow the canonical partition enumeration, so
     results are identical for any jobs count.  The splits bisect in
-    lockstep, block by block (each worker blocks its own slice when
-    jobs > 1), steered by the signs the coefficient form certifies; see
-    _scan_splits.  At most min(jobs, splits, os.cpu_count()) worker
-    processes are started.  Graphs above DIRECT_CAP vertices raise
-    CapacityError before any split is listed.
+    lockstep, block by block (each worker blocks its own slice), steered by
+    the signs the coefficient form certifies; see _scan_splits.  Graphs of
+    _POOL_MIN_N or more vertices go to min(jobs, splits, os.cpu_count())
+    worker processes, if that is more than one; smaller ones run in this
+    process.  Graphs with no split (n < 2) raise ValidationError, and
+    graphs above DIRECT_CAP vertices CapacityError, before any is listed.
     """
     if g.is_weighted:
         raise ValidationError("scan needs an unweighted graph")
     if not family.is_pauli_family:
         raise ValidationError("scan sweeps a Pauli channel family parameter")
+    if g.n < 2:
+        raise ValidationError(f"a {g.n}-vertex graph has no bipartition to scan")
     if g.n > DIRECT_CAP:
         raise CapacityError(f"partition scan capped at n={DIRECT_CAP}")
     parts = list(bipartitions(g))
-    jobs = min(jobs, len(parts), os.cpu_count() or 1)
+    jobs = min(jobs, len(parts), os.cpu_count() or 1) if g.n >= _POOL_MIN_N else 1
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled scan loads it
 

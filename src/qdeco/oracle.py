@@ -81,21 +81,18 @@ def apply_channels(s: DenseState, channels: list[ChannelMatrix]) -> DenseState:
         raise ValidationError(f"need {s.n} channels, got {len(channels)}")
     # rho as a tensor with one row and one column axis per qubit; qubit k is
     # bit k of the index, so its axes are n-1-k (row) and 2n-1-k (column).
-    # Each entry of sigma_i rho sigma_j sums one nonzero product, so every
-    # term is exact.
+    # Moved last, they index the row-major vec(rho_k) = rho_k[a, b] at
+    # 2a + b of each 2x2 block, on which to_superop acts.
     n = s.n
     rho = s.rho.reshape((2,) * (2 * n))
+    superops = {}
     for k, ch in enumerate(channels):
-        row, col = n - 1 - k, 2 * n - 1 - k
-        new = np.zeros_like(rho)
-        for i in range(4):
-            # sigma_i rho: sigma_i's column contracted with qubit k's row axis.
-            left = np.moveaxis(np.tensordot(SIGMA[i], rho, axes=(1, row)), 0, row)
-            for j in np.flatnonzero(ch.p[i]):
-                # (sigma_i rho) sigma_j: the column axis contracted with sigma_j's row.
-                term = np.moveaxis(np.tensordot(left, SIGMA[j], axes=(col, 0)), -1, col)
-                new += ch.p[i, j] * term
-        rho = new
+        if id(ch) not in superops:
+            superops[id(ch)] = ch.to_superop().T
+        axes = (n - 1 - k, 2 * n - 1 - k)
+        blocks = np.moveaxis(rho, axes, (-2, -1))
+        out = blocks.reshape(-1, 4) @ superops[id(ch)]
+        rho = np.moveaxis(out.reshape(blocks.shape), (-2, -1), axes)
     return DenseState(n, rho.reshape(1 << n, 1 << n))
 
 
@@ -180,19 +177,18 @@ def _graph_state_vector(g: Graph) -> np.ndarray:
     return vec
 
 
-def _parity_signs(dim: int, mask: int) -> np.ndarray:
-    """(-1)^{|x & mask|} for x = 0..dim-1."""
-    return np.array([1.0 - 2.0 * ((x & mask).bit_count() & 1) for x in range(dim)])
-
-
 def graph_basis_diagonal(s: DenseState, g: Graph) -> np.ndarray:
-    """<U|rho|U> over the graph-state basis |U> = sigma_z^U |G>."""
-    vec = _graph_state_vector(g)
-    lam = np.empty(s.dim)
-    for u_mask in range(s.dim):
-        basis_vec = _parity_signs(s.dim, u_mask) * vec
-        lam[u_mask] = np.real(basis_vec.conj() @ s.rho @ basis_vec)
-    return lam
+    """<U|rho|U> over the graph-state basis |U> = sigma_z^U |G>.
+
+    |U> has entries (-1)^|x & U| <x|G>, and the signs (-1)^|x & U| are the
+    Sylvester-Hadamard matrix of order 2^n, so the basis vectors are the
+    rows of one matrix and the weights one product with rho.
+    """
+    signs = np.ones((1, 1))
+    for _ in range(g.n):
+        signs = np.block([[signs, signs], [signs, -signs]])
+    basis = signs * _graph_state_vector(g)
+    return np.einsum("ux,ux->u", basis.conj() @ s.rho, basis).real
 
 
 def ghz_structure(s: DenseState, atol: float = 1e-10) -> tuple[np.ndarray, float]:

@@ -298,17 +298,20 @@ def weighted_pair_pt_min_eig(rho: np.ndarray) -> float:
 
 
 _PAIR_BLOCK = 1 << 9  # 4x4 matrices gathered in one stacked evaluation
+_EDGE_STACK = 1 << 12  # 4x4 coefficient matrices (1 MB) of one chunk of edges
 
 
 def _weighted_edge_thresholds(
     g: Graph, edges: list[tuple[int, int]], kind: str, tol: Tolerance
 ) -> list[ThresholdResult]:
-    """One bisection per edge of a weighted graph, all in lockstep.
+    """One bisection per edge of a weighted graph, in lockstep by chunks.
 
     Under a named channel the probabilities are affine in p, so each edge's
     partially transposed pair state is a matrix polynomial, built once as
     a Chebyshev series (`_pair_coefficients`; the transpose is linear) and
-    zero-padded to the most terms among the edges, width.  The pre-scan
+    zero-padded to the most terms among the edges, width.  The edges go in
+    chunks whose padded series hold at most _EDGE_STACK matrices, each
+    chunk through one pre-scan and one bisect_lockstep.  A chunk's pre-scan
     grids, as one stack, and every refinement round are each evaluated by
     one call of a stacked gap function, which sums the series of at most
     _PAIR_BLOCK // width points at a time as one matmul of their Chebyshev
@@ -320,26 +323,32 @@ def _weighted_edge_thresholds(
 
     probs = named_probs(kind, 0.0)
     slope = np.subtract(named_probs(kind, 1.0), probs)
-    forms = [partial_transpose(_pair_coefficients(g, u, v, probs, slope), 1) for u, v in edges]
-    width = max(map(len, forms))
-    coefficients = np.zeros((len(edges), width, 16), dtype=complex)
-    for e, form in enumerate(forms):
-        coefficients[e, : len(form)] = form.reshape(-1, 16)
+    # An edge's series has 3 terms plus one per other neighbour of u or v.
+    width = 3 + max(((g.adj[u] | g.adj[v]) & ~(1 << u | 1 << v)).bit_count() for u, v in edges)
     block = max(1, _PAIR_BLOCK // width)
-
-    def gaps(problems, ps) -> np.ndarray:
-        out = np.empty(len(ps))
-        for c in range(0, len(ps), block):
-            # T_m(2p - 1) = cos(m arccos(2p - 1))
-            basis = np.cos(np.arccos(2.0 * ps[c : c + block, None, None] - 1.0) * np.arange(width))
-            rho = (basis @ coefficients[problems[c : c + block]]).reshape(-1, 4, 4)
-            out[c : c + block] = hermitian_spectrum(rho)[:, 0]
-        return out
-
     grid = np.array(prescan_grid(*EDGE_BRACKET))
-    every = np.repeat(np.arange(len(edges)), len(grid))
-    grids = gaps(every, np.tile(grid, len(edges))).reshape(len(edges), len(grid))
-    return bisect_lockstep(gaps, grids, *EDGE_BRACKET, tol)
+
+    def solve(chunk: list[tuple[int, int]]) -> list[ThresholdResult]:
+        coefficients = np.zeros((len(chunk), width, 16), dtype=complex)
+        for e, (u, v) in enumerate(chunk):
+            form = partial_transpose(_pair_coefficients(g, u, v, probs, slope), 1)
+            coefficients[e, : len(form)] = form.reshape(-1, 16)
+
+        def gaps(problems, ps) -> np.ndarray:
+            out = np.empty(len(ps))
+            for c in range(0, len(ps), block):
+                # T_m(2p - 1) = cos(m arccos(2p - 1))
+                basis = np.cos(np.arccos(2.0 * ps[c : c + block, None, None] - 1.0) * np.arange(width))
+                rho = (basis @ coefficients[problems[c : c + block]]).reshape(-1, 4, 4)
+                out[c : c + block] = hermitian_spectrum(rho)[:, 0]
+            return out
+
+        every = np.repeat(np.arange(len(chunk)), len(grid))
+        grids = gaps(every, np.tile(grid, len(chunk))).reshape(len(chunk), len(grid))
+        return bisect_lockstep(gaps, grids, *EDGE_BRACKET, tol)
+
+    per = max(1, _EDGE_STACK // width)
+    return [r for start in range(0, len(edges), per) for r in solve(edges[start : start + per])]
 
 
 # ---------------------------------------------------------------------------

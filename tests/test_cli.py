@@ -121,9 +121,12 @@ def test_scan_bell_pair_value(tmp_path):
 
 
 def test_scan_jobs_deterministic(tmp_path):
-    _, one = run_json(tmp_path, ["scan", "--graph", "ring:5", "--jobs", "1"], "a.json")
-    _, two = run_json(tmp_path, ["scan", "--graph", "ring:5", "--jobs", "2"], "b.json")
-    assert one["results"] == two["results"]
+    # ring:9 is the smallest ring that two workers scan.
+    for channel in ("depolarizing", "dephasing", "bitflip"):
+        scan = ["scan", "--graph", "ring:9", "--channel", channel, "--jobs"]
+        _, one = run_json(tmp_path, scan + ["1"], "a.json")
+        _, two = run_json(tmp_path, scan + ["2"], "b.json")
+        assert one["results"] == two["results"]
 
 
 def test_lower_ring_summary(tmp_path):
@@ -432,6 +435,8 @@ def test_validation_errors_exit_2(tmp_path, capsys):
          "--channel", '{"kind": "decay", "kappa": "nan"}'],
         ["upper", "--method", "eb", "--channel",
          '{"kind": "pauli", "p0": NaN, "p1": 0, "p2": 0, "p3": 0}'],
+        ["scan", "--graph", "grid2d:1x1"],
+        ["scan", "--graph", '{"n": 1, "edges": []}', "--jobs", "2"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, capsys):

@@ -84,10 +84,47 @@ def test_lambda_three_routes_agree(seed):
     g = random_connected_graph(rng, rng.randint(2, 6))
     ch = random_pauli_channel(rng)
     fast = lambda_from_pauli(g, ch).lam
-    direct = np.array([lambda_direct(g, ch, u) for u in range(1 << g.n)])
+    direct = lambda_direct(g, ch)
     dense = noisy_weights(g, ch)
     assert np.allclose(fast, direct, atol=1e-10)
     assert np.allclose(fast, dense, atol=1e-10)
+
+
+def scalar_lambda_direct(g, ch, u_mask):
+    """lam[U] with its 2^n terms added one by one in U' order, as
+    lambda_direct once did, and with the same terms correctly rounded."""
+    p0, p1, p2, p3 = ch.probs
+    q1, q2, q3 = p1 / p0, p2 / p0, p3 / p0
+    terms = []
+    for uprime in range(1 << g.n):
+        gamma_u = 0
+        for k in range(g.n):
+            if uprime >> k & 1:
+                gamma_u ^= g.adj[k]
+        w = gamma_u ^ u_mask
+        only_x = (uprime & ~w).bit_count()
+        both = (uprime & w).bit_count()
+        only_z = (w & ~uprime).bit_count()
+        terms.append(q1**only_x * q2**both * q3**only_z)
+    total = 0.0
+    for term in terms:
+        total += term
+    return p0**g.n * total, p0**g.n * math.fsum(terms)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lambda_direct_matches_the_scalar_sum(seed):
+    rng = random.Random(4100 + seed)
+    g = random_connected_graph(rng, 2 + seed % 5)
+    channels = [random_pauli_channel(rng)] + [family.pauli(rng.uniform(0.05, 0.95)) for family in FAMILIES]
+    for ch in channels:
+        direct = lambda_direct(g, ch)
+        looped, rounded = np.array([scalar_lambda_direct(g, ch, u) for u in range(1 << g.n)]).T
+        # A sum of 2^n nonnegative terms added in order is off by at most
+        # (2^n - 1) u relative, u = 2^-53, and each term by a few u; the
+        # array passes add in another order, within 1e-15 of the rounded sum.
+        assert np.all(np.abs(direct - looped) <= (2**g.n + 8) * 2.0**-53 * looped)
+        assert np.all(np.abs(direct - rounded) <= 1e-15 * rounded)
 
 
 def test_lambda_clean_state_is_delta():
@@ -152,20 +189,18 @@ def test_lambda_rejects_weighted_graph_and_caps():
     with pytest.raises(ValidationError):
         lambda_from_pauli(wg, named_channel("depolarizing", 0.5))
     with pytest.raises(ValidationError):
-        lambda_direct(wg, named_channel("depolarizing", 0.5), 0)
+        lambda_direct(wg, named_channel("depolarizing", 0.5))
     big = make_lattice("ring", 21)
     with pytest.raises(CapacityError):
         lambda_from_pauli(big, named_channel("depolarizing", 0.5))
     with pytest.raises(CapacityError):
-        lambda_direct(make_lattice("ring", 15), named_channel("depolarizing", 0.5), 0)
+        lambda_direct(make_lattice("ring", 15), named_channel("depolarizing", 0.5))
 
 
 def test_lambda_direct_needs_positive_identity_weight():
     g = make_lattice("line", 3)
     with pytest.raises(ValidationError):
-        lambda_direct(g, PauliChannel(0.0, 0.5, 0.25, 0.25), 0)
-    with pytest.raises(ValidationError):
-        lambda_direct(g, named_channel("depolarizing", 0.5), 1 << 3)
+        lambda_direct(g, PauliChannel(0.0, 0.5, 0.25, 0.25))
 
 
 def test_state_validation():
@@ -885,13 +920,15 @@ def test_scan_thresholds_match_dense_flip():
 
 
 def test_scan_jobs_determinism():
-    g = make_lattice("ring", 5)
-    serial = scan_partitions(g, DEPHASING, jobs=1)
-    parallel = scan_partitions(g, DEPHASING, jobs=2)
-    assert serial.rows() == parallel.rows()
-    assert [e.argmin_mask for e in serial.entries] == [
-        e.argmin_mask for e in parallel.entries
-    ]
+    # ring:9 is the smallest ring that two workers scan.
+    g = make_lattice("ring", graphdiag._POOL_MIN_N)
+    for family in FAMILIES:
+        serial = scan_partitions(g, family, jobs=1)
+        parallel = scan_partitions(g, family, jobs=2)
+        assert serial.rows() == parallel.rows()
+        assert [e.argmin_mask for e in serial.entries] == [
+            e.argmin_mask for e in parallel.entries
+        ]
 
 
 class _InProcessPool:
@@ -918,10 +955,19 @@ def test_scan_workers_capped_at_cpu_count(monkeypatch, cpus, workers):
     # scan_partitions imports the pool class when it needs one.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(graphdiag.os, "cpu_count", lambda: cpus)
-    g = make_lattice("ring", 6)
+    g = make_lattice("ring", graphdiag._POOL_MIN_N)
     report = scan_partitions(g, DEPHASING, jobs=1000)
     assert _InProcessPool.sizes == ([] if workers is None else [workers])
     assert report.entries == scan_partitions(g, DEPHASING, jobs=1).entries
+
+
+def test_scans_below_the_pool_size_start_no_worker(monkeypatch):
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(graphdiag.os, "cpu_count", lambda: 4)
+    for g in (make_lattice("ring", 6), make_lattice("ring", graphdiag._POOL_MIN_N - 1)):
+        scan_partitions(g, DEPOL, jobs=4)
+    assert _InProcessPool.sizes == []
 
 
 def _zero_as_ppt_if_prescan_zero(f, lo, hi):
@@ -1303,6 +1349,7 @@ def test_scan_entries_do_not_depend_on_the_blocks(monkeypatch, spec, family):
     for splits in (1, 3):
         monkeypatch.setattr(graphdiag, "_SCAN_BLOCK", _block_of(splits, g.n))
         assert repr(scan_partitions(g, family).entries) == expected
+    monkeypatch.setattr(graphdiag, "_POOL_MIN_N", 2)  # pool these small graphs too
     assert repr(scan_partitions(g, family, jobs=2).entries) == expected
 
 
@@ -1328,9 +1375,9 @@ def test_scan_above_the_direct_cap_raises_before_listing_a_split(monkeypatch):
         scan_partitions(make_lattice("ring", graphdiag.DIRECT_CAP), DEPOL)
 
 
-def test_scan_of_a_single_vertex_has_no_splits():
-    g = graph_from_edges(1, [])
-    assert scan_partitions(g, DEPOL).entries == ()
+def test_scan_of_a_single_vertex_raises():
+    with pytest.raises(ValidationError, match="no bipartition"):
+        scan_partitions(graph_from_edges(1, []), DEPOL)
 
 
 def test_scan_entry_fields_and_verdict_text():

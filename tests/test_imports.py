@@ -13,8 +13,8 @@ against it independently.
 `import qdeco` and `import qdeco.cli` load no numpy and no library module
 but qdeco.errors; each subcommand imports what it calls, in a fresh
 process (the console script's case), so `--help` and usage errors cost no
-numpy, and only oracle-check loads the oracle and only a scan with
---jobs > 1 the process pool.  numpy is imported where arrays are built,
+numpy, and only oracle-check loads the oracle and only a scan of 9 or
+more vertices with --jobs > 1 the process pool.  numpy is imported where arrays are built,
 so the closed-form commands (ghz, encode, weighted, lower on an
 unweighted graph, upper --method ising and the analytic upper --method
 eb) load none.  The package resolves its public names, and channels and
@@ -309,3 +309,15 @@ def test_importing_every_module_after_numpy_loads_no_dataclasses():
 def test_cli_import_leaves_the_process_pool_unloaded():
     probe = "import sys, qdeco.cli; print('concurrent.futures.process' in sys.modules)"
     assert run_fresh(probe) == "False\n"
+
+
+def test_small_pooled_scan_leaves_the_process_pool_unloaded():
+    # Below graphdiag._POOL_MIN_N vertices --jobs starts no worker, so the
+    # pool's module, which a worker needs, is never imported.
+    probe = (
+        "import io, sys, contextlib\nfrom qdeco.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['scan', '--graph', 'ring:6', '--jobs', '2'])\n"
+        "print(code, 'concurrent.futures.process' in sys.modules)"
+    )
+    assert run_fresh(probe) == "0 False\n"

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from qdeco.channels import SIGMA, ChannelMatrix, named_channel
+from qdeco import oracle
+from qdeco.channels import (
+    SIGMA,
+    ChannelMatrix,
+    QoChannel,
+    decay_gamma,
+    decay_kraus,
+    named_channel,
+    qo_snapshot,
+)
 from qdeco.errors import CapacityError, EvaluationError, ValidationError
 from qdeco.graphs import Bipartition, graph_from_edges, make_lattice
 from qdeco.numeric import partial_transpose as numeric_partial_transpose
@@ -139,6 +148,48 @@ def test_apply_channels_matches_the_lifted_kronecker_route(n):
     assert any(np.any(ch.p - np.diag(np.diag(ch.p))) for ch in channels)
     out = apply_channels(s, channels).rho
     assert np.max(np.abs(out - lifted_channels(s.rho, channels))) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_apply_channels_on_qo_and_decay_matches_the_lifted_kronecker_route(n):
+    # Both channels have off-diagonal Pauli matrices: qo's mu couples
+    # sigma_0 with sigma_3 and sigma_1 with sigma_2, decay's Kraus operators
+    # are not Pauli.
+    qo = ChannelMatrix.from_qo_snapshot(qo_snapshot(QoChannel(1.0, 0.7, 0.2), 0.4))
+    decay = ChannelMatrix.from_kraus(decay_kraus(decay_gamma(0.6)))
+    for ch in (qo, decay):
+        assert np.any(ch.p - np.diag(np.diag(ch.p)))
+    s = dense_graph_state(make_lattice("line", n))
+    channels = [(qo, decay)[k % 2] for k in range(n)]
+    out = apply_channels(s, channels).rho
+    assert np.max(np.abs(out - lifted_channels(s.rho, channels))) <= 1e-14
+
+
+def looped_graph_basis_diagonal(s, g):
+    """<U|rho|U>, one basis vector sigma_z^U |G> at a time."""
+    vec = oracle._graph_state_vector(g)
+    lam = np.empty(s.dim)
+    for u in range(s.dim):
+        basis = np.array([(-1.0) ** (x & u).bit_count() for x in range(s.dim)]) * vec
+        lam[u] = np.real(basis.conj() @ s.rho @ basis)
+    return lam
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        make_lattice("ring", 5),
+        make_lattice("star", 4),
+        graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
+                         weights={(0, 1): 0.7, (1, 2): 2.1, (2, 3): math.pi, (0, 3): 0.3}),
+    ],
+    ids=["ring5", "star4", "weighted4"],
+)
+def test_graph_basis_diagonal_matches_the_basis_state_loop(g):
+    rng = np.random.default_rng(g.n)
+    s = apply_channels(dense_graph_state(g), [random_chi(rng) for _ in range(g.n)])
+    lam = graph_basis_diagonal(s, g)
+    assert np.max(np.abs(lam - looped_graph_basis_diagonal(s, g))) <= 1e-14
 
 
 def test_graph_basis_diagonal_of_pure_state_is_delta():

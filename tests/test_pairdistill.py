@@ -612,11 +612,14 @@ def test_stacked_lower_bound_matches_scalar_bisection(family):
 def test_weighted_route_block_size_does_not_move_results(monkeypatch, family):
     # A block of one matrix bisects each edge alone, one point per call; a
     # block of 40 splits the edges into groups and the stacks into pieces.
+    # An edge stack of one matrix bisects one edge per chunk, and one of 20
+    # a few edges per chunk.
     graphs = [seeded_phase_graph(spec, seed) for spec in LOCKSTEP_GRAPHS for seed in (5, 6)]
     default = [lifetime_lower_bound(g, family) for g in graphs]
-    for block in (1, 40):
-        monkeypatch.setattr(pairdistill, "_PAIR_BLOCK", block)
-        assert [lifetime_lower_bound(g, family) for g in graphs] == default, block
+    for name, size in (("_PAIR_BLOCK", 1), ("_PAIR_BLOCK", 40), ("_EDGE_STACK", 1), ("_EDGE_STACK", 20)):
+        with monkeypatch.context() as patch:
+            patch.setattr(pairdistill, name, size)
+            assert [lifetime_lower_bound(g, family) for g in graphs] == default, (name, size)
 
 
 def poisoned_spectra(window, value):
@@ -640,17 +643,19 @@ def poisoned_spectra(window, value):
 ], ids=["nan", "crossings", "inf"])
 def test_weighted_route_raises_what_the_edge_by_edge_route_raises(monkeypatch, window, value):
     monkeypatch.setattr(pairdistill, "hermitian_spectrum", poisoned_spectra(window, value))
-    for spec in LOCKSTEP_GRAPHS:
-        g = seeded_phase_graph(spec, 1)
-        outcomes = []
-        for route in (lambda: lifetime_lower_bound(g, DEPOL).per_edge,
-                      lambda: scalar_edge_results(g, DEPOL)):
-            try:
-                outcomes.append(route())
-            except EvaluationError as exc:
-                outcomes.append((type(exc), str(exc)))
-        assert isinstance(outcomes[1], tuple), spec  # the poison does make it raise
-        assert outcomes[0] == outcomes[1], spec
+    for stack in (pairdistill._EDGE_STACK, 1):  # all edges in one chunk, then one per chunk
+        monkeypatch.setattr(pairdistill, "_EDGE_STACK", stack)
+        for spec in LOCKSTEP_GRAPHS:
+            g = seeded_phase_graph(spec, 1)
+            outcomes = []
+            for route in (lambda: lifetime_lower_bound(g, DEPOL).per_edge,
+                          lambda: scalar_edge_results(g, DEPOL)):
+                try:
+                    outcomes.append(route())
+                except EvaluationError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert isinstance(outcomes[1], tuple), spec  # the poison does make it raise
+            assert outcomes[0] == outcomes[1], (spec, stack)
 
 
 def test_stacked_pair_builder_matches_one_channel_builds():
