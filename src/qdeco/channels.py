@@ -70,6 +70,21 @@ class PauliChannel(namedtuple("PauliChannel", "p0 p1 p2 p3")):
     def probs(self) -> tuple[float, float, float, float]:
         return (self.p0, self.p1, self.p2, self.p3)
 
+    @property
+    def eigenvalues(self) -> tuple[float, float, float]:
+        """(e_X, e_Y, e_Z): the channel maps each Pauli sigma to e_sigma sigma."""
+        p0, p1, p2, p3 = self.probs
+        return p0 + p1 - p2 - p3, p0 - p1 + p2 - p3, p0 - p1 - p2 + p3
+
+
+# The exponents (x, y, z) of a named channel's Pauli eigenvalues at p:
+# (e_X, e_Y, e_Z) = (p^x, p^y, p^z).
+NAMED_EXPONENTS = {
+    "depolarizing": (1, 1, 1),
+    "dephasing": (1, 1, 0),
+    "bitflip": (0, 1, 1),
+}
+
 
 def named_probs(kind: str, p: float) -> tuple[float, float, float, float]:
     """(p0, p1, p2, p3) of a named channel at p; p is not checked."""

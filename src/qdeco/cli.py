@@ -212,9 +212,9 @@ def _format_cell(value) -> str:
 
 def _cmd_ghz(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
     from .ghz import (
-        blockwise_lower_M,
+        blockwise_lower_M_from_kt,
         blockwise_qo_upper_M,
-        blockwise_upper_M,
+        blockwise_upper_M_from_kt,
         blockwise_upper_M_small_kt,
         ghz_lifetime,
     )
@@ -238,13 +238,12 @@ def _cmd_ghz(ns: argparse.Namespace, tol: Tolerance) -> CommandOutput:
                 raise ValidationError(f"--axis {ns.axis} needs {ns.axis} > 0, got {axis[0]}")
             for x in axis:
                 kt = x if ns.axis == "kt" else -math.log(x)
-                p = math.exp(-kt)
                 out.rows.append(
                     {
                         "kt": kt,
-                        "p": p,
-                        "upper_M": blockwise_upper_M(p),
-                        "lower_M": blockwise_lower_M(p),
+                        "p": math.exp(-kt),
+                        "upper_M": blockwise_upper_M_from_kt(kt),
+                        "lower_M": blockwise_lower_M_from_kt(kt),
                         "upper_M_small_kt": blockwise_upper_M_small_kt(kt),
                     }
                 )

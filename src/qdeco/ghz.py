@@ -219,18 +219,27 @@ def _check_open_unit(p: float) -> None:
 
 def blockwise_upper_M(p: float) -> float:
     """Group count at or above which the partial transpose w.r.t. the
-    smallest group is certainly positive (equal-size blocks, large N)."""
+    smallest group is certainly positive (equal-size blocks, large N):
+    ln((1 - p)/(1 + p)) / ln(2p/(1 + p)), evaluated as
+    blockwise_upper_M_from_kt at kt = -ln p, where nothing cancels."""
     _check_open_unit(p)
-    return (math.log(1 - p) - math.log(1 + p)) / (math.log(2 * p) - math.log(1 + p))
+    return blockwise_upper_M_from_kt(-math.log(p))
 
 
 def blockwise_lower_M(p: float) -> float:
     """Group count at or below which every blockwise partial transpose is
-    certainly non-positive."""
+    certainly non-positive: ln(2(1 - p)/(1 + p)) / ln(2p/(1 + p)),
+    evaluated as blockwise_lower_M_from_kt at kt = -ln p."""
     _check_open_unit(p)
-    return (math.log(2 * (1 - p)) - math.log(1 + p)) / (
-        math.log(2 * p) - math.log(1 + p)
-    )
+    return blockwise_lower_M_from_kt(-math.log(p))
+
+
+def _blockwise_den(kt: float) -> float:
+    """ln((1 + e^kt)/2) = -ln(2p/(1 + p)) at p = e^-kt, for 0 < kt.
+
+    Past kt = 709, where e^kt overflows, it is kt - ln 2 to double
+    precision."""
+    return math.log1p(math.expm1(kt) / 2.0) if kt < 709.0 else kt - _LN2
 
 
 def blockwise_upper_M_from_kt(kt: float) -> float:
@@ -239,17 +248,22 @@ def blockwise_upper_M_from_kt(kt: float) -> float:
     Uses log(tanh(kt/2)) for the numerator and log1p(expm1(kt)/2) for the
     denominator so that nothing cancels when p rounds to 1.0; needed for the
     encoded-qubit pipeline where effective times reach 1e-73 and below.
-    Past kt = 709, where e^kt overflows, the denominator ln((1 + e^kt)/2) is
-    kt - ln 2 to double precision.  The count is about (2/kt) ln(2/kt), which
-    exceeds the largest double from kt ~ 8e-306 down; below the smallest
-    normal double, where kt/2 loses bits or rounds to 0.0, it is inf.
+    The count is about (2/kt) ln(2/kt), which exceeds the largest double
+    from kt ~ 8e-306 down; below the smallest normal double, where kt/2
+    loses bits or rounds to 0.0, it is inf.
     """
     if not 0.0 < kt:  # NaN fails too
         raise ValidationError("kt must be positive")
     if kt < sys.float_info.min:
         return math.inf
-    den = math.log1p(math.expm1(kt) / 2.0) if kt < 709.0 else kt - math.log(2.0)
-    return -math.log(math.tanh(kt / 2.0)) / den
+    return -math.log(math.tanh(kt / 2.0)) / _blockwise_den(kt)
+
+
+def blockwise_lower_M_from_kt(kt: float) -> float:
+    """blockwise_lower_M at p = e^{-kt}: the upper count less
+    ln 2 / ln((1 + e^kt)/2), inf where the upper count is."""
+    upper = blockwise_upper_M_from_kt(kt)
+    return upper if upper == math.inf else upper - _LN2 / _blockwise_den(kt)
 
 
 def blockwise_upper_M_small_kt(kt: float) -> float:
@@ -269,17 +283,31 @@ def blockwise_upper_M_small_kt(kt: float) -> float:
 def blockwise_qo_upper_M(ch: QoChannel, t: float) -> float:
     """Blockwise group-count bound for the quantum-optical channel.
 
+    The count is ln(ac / ((1 - a)(1 - c))) / (ln(ac) + Bt) with a and c of
+    qo_snapshot, taken from the rates, since a and c cancel in both
+    logarithms.  With r = s(1 - s) and u = 1 - e^-Bt, (1 - a)(1 - c) =
+    r u^2 and ac = r u^2 + e^-Bt, so the numerator is
+    log1p(e^-Bt / (r u^2)) and the denominator log1p(4 r sinh^2(Bt/2)) =
+    Bt + ln(r u^2) + numerator.  Below Bt = 1 the numerator is the
+    difference of the denominator's two forms (r u^2 underflows from
+    Bt ~ 1e-154 down); from Bt = 709 on, where sinh^2 overflows, the
+    denominator is its second form, which Bt dominates there.  Where the
+    denominator rounds to 0.0 the count is inf.
+
     Returns inf for the zero-temperature cases s in {0, 1}, where no finite
     bound exists (the partial transpose stays non-positive for all times).
     """
     if ch.s in (0.0, 1.0):
         return math.inf
-    if ch.B <= 0 or t <= 0:
+    if not (ch.B > 0.0 and t > 0.0):  # NaN fails too
         raise ValidationError("need B > 0 and t > 0")
-    snap = qo_snapshot(ch, t)
-    a, c = snap.a, snap.c
-    num = math.log(a * c) - math.log((1 - a) * (1 - c))
-    den = math.log(a * c) + ch.B * t
+    bt, r = ch.B * t, ch.s * (1.0 - ch.s)
+    den = math.log1p(4.0 * r * math.sinh(bt / 2.0) ** 2) if bt < 709.0 else math.nan
     if den == 0.0:
-        raise ValidationError("degenerate denominator")
-    return num / den
+        return math.inf
+    u = -math.expm1(-bt)
+    log_ru2 = math.log(r) + 2.0 * math.log(u)
+    if bt < 1.0:
+        return (den - bt - log_ru2) / den
+    num = math.log1p(math.exp(-bt) / (r * u * u))
+    return num / (den if bt < 709.0 else bt + log_ru2 + num)

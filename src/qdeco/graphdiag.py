@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .channels import ChannelFamily, PauliChannel
+from .channels import NAMED_EXPONENTS, ChannelFamily, PauliChannel
 from .errors import CapacityError, ValidationError
 from .graphs import Bipartition, Graph, bipartitions, neighborhood, spread_bits
 from .numeric import (
@@ -426,8 +426,12 @@ class FourierForm(NamedTuple):
     """PT weights of a graph state under a scan family, in Fourier form.
 
     Under depolarizing, dephasing or bitflip noise at parameter p the
-    Walsh-Hadamard transform H of the noisy weights is p^w(chi), where w
-    counts the vertices of chi | Gamma chi, of chi, or of Gamma chi.  So
+    Walsh-Hadamard transform H of the noisy weights is p^w(chi), the
+    expectation of the stabilizer K_chi: it has an X on the vertices of
+    chi - Gamma chi, a Y on those of chi & Gamma chi and a Z on those of
+    Gamma chi - chi, so with the channel's exponents (x, y, z) of
+    NAMED_EXPONENTS, w = x |chi - Gamma chi| + y |chi & Gamma chi| +
+    z |Gamma chi - chi|.  So
     the PT weights of the split with side A (pt_spectrum) are 2^-n
     H[(-1)^|chi & Gamma chi & A| p^w].  Grouping the chi by w gives the
     coefficient form: the PT weight of U is 2^-n sum_d C[d, U] p^d, where
@@ -450,8 +454,9 @@ class FourierForm(NamedTuple):
     def of(g: Graph, kind: str) -> "FourierForm":
         chi = np.arange(1 << g.n)
         gamma, cross, parity = _pt_masks(g)
-        support = {"depolarizing": chi | gamma, "dephasing": chi, "bitflip": gamma}[kind]
-        return FourierForm(g.n, _popcount(support), cross, parity)
+        x, y, z = NAMED_EXPONENTS[kind]
+        exponents = x * _popcount(chi & ~gamma) + y * _popcount(cross) + z * _popcount(gamma & ~chi)
+        return FourierForm(g.n, exponents, cross, parity)
 
     def powers(self, ps: np.ndarray) -> np.ndarray:
         """p^d 2^-n for d = 0..n at each p of ps, shape (len(ps), n + 1)."""

@@ -6,15 +6,16 @@ Bell-like basis generated by {1, Z_k, Z_l, Z_k Z_l} on the ideal pair.  As
 long as that state is NPT for every edge of a spanning connected subgraph,
 entanglement can be distilled between any two vertices, which certifies
 multiparty distillability of the whole state.  This module computes the
-reduced pair states (closed form per edge class on unweighted graphs; on
-weighted ones the edge's pure gate state with each entry damped by the
-measured neighbours), the per-edge noise thresholds (on unweighted graphs
-the root of a polynomial in the edge's local degrees, on weighted ones a
-bisection of the pair's partial-transpose minimum, with the partially
-transposed state built once per edge as a matrix polynomial in the noise
-level p), a universal degree-only bound, and the aggregated per-graph
-report.  Only the weighted route and the explicit matrices import numpy,
-when first called.
+reduced pair states (on unweighted graphs from three stabilizer
+expectations, each a product of the channel's Pauli eigenvalues over the
+edge's degrees; on weighted ones the edge's pure gate state with each
+entry damped by the measured neighbours), the per-edge noise thresholds
+(on unweighted graphs the root of a sum of three powers of the noise level
+p, on weighted ones a bisection of the pair's partial-transpose minimum,
+with the partially transposed state built once per edge as a matrix
+polynomial in p), a universal degree-only bound, and the aggregated
+per-graph report.  Only the weighted route and the explicit matrices
+import numpy, when first called.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
-from .channels import ChannelFamily, PauliChannel, named_probs
+from .channels import NAMED_EXPONENTS, ChannelFamily, PauliChannel, named_probs
 from .errors import ValidationError
 from .graphs import Graph, neighborhood
 from .isingsep import gate_outer
@@ -46,10 +47,6 @@ EDGE_BRACKET = (1e-6, 1.0 - 1e-6)
 # Dephasing noise gives a graph-independent pair threshold.
 DEPHASING_THRESHOLD = math.sqrt(2.0) - 1.0
 
-# Phase-group index convention: bit 0 flips Z_k, bit 1 flips Z_l, so the
-# four weights are ordered (1, Z_k, Z_l, Z_k Z_l).
-_I, _ZK, _ZL, _ZKZL = 0, 1, 2, 3
-
 
 class BellDiagonal(namedtuple("BellDiagonal", "c")):
     """Weights over {1, Z_k, Z_l, Z_k Z_l} applied to the ideal pair state."""
@@ -69,75 +66,32 @@ class BellDiagonal(namedtuple("BellDiagonal", "c")):
         return super().__new__(cls, c)
 
 
-def _convolve(a: tuple, b: tuple) -> tuple:
-    """XOR-convolution over the phase group Z2 x Z2.
+def reduced_pair_state(g: Graph, k: int, l: int, ch: PauliChannel) -> BellDiagonal:
+    """Two-qubit state left on the adjacent pair {k, l} after the protocol.
 
-    Each entry is summed from 0 in the order of x, as sum() over x would.
-    """
-    return tuple(
-        0 + a[0] * b[m] + a[1] * b[m ^ 1] + a[2] * b[m ^ 2] + a[3] * b[m ^ 3]
-        for m in range(4)
-    )
-
-
-def _z_flip(index: int, strength) -> tuple:
-    """Distribution of a phase flip on group element `index` with 1-2f = strength."""
-    out = [0.0, 0.0, 0.0, 0.0]
-    out[_I] = (1.0 + strength) / 2.0
-    out[index] += (1.0 - strength) / 2.0
-    return tuple(out)
-
-
-def _pair_class(g: Graph, k: int, l: int) -> tuple[int, int, int]:
-    """(side_k, side_l, common): the only graph data `reduced_pair_state` reads.
-
-    side_k counts the neighbours of k alone (l excluded), side_l those of l
-    alone, common those of both.  The tuple is ordered: swapping k and l
-    swaps the first two entries and the XOR-convolution order with them.
+    The ideal pair is stabilized by X_k Z_l, Z_k X_l and their product.
+    The protocol keeps the expectations of the graph state's stabilizers
+    K_k = X_k Z_(N_k), K_l = X_l Z_(N_l) and K_k K_l = Y_k Y_l Z_(N_k + N_l - {k, l}),
+    and a stabilizer with an X (Y, Z) on a vertex is damped by the Pauli
+    eigenvalue e_X (e_Y, e_Z) of the channel there.  So with the degrees
+    (d_k, d_l, d_s) of edge_degrees the three characters are
+    chi_k = e_X e_Z^d_k, chi_l = e_X e_Z^d_l and chi_kl = e_Y^2 e_Z^(d_s - 2),
+    and the weights over (1, Z_k, Z_l, Z_k Z_l) are their inverse Z2 x Z2
+    transform (1 +- chi_k +- chi_l +- chi_kl) / 4: a Z_k flips the sign of
+    chi_k and chi_kl, a Z_l that of chi_l and chi_kl.
     """
     if g.is_weighted:
         raise ValidationError("closed-form reduction needs an unweighted graph; "
                               "use weighted_reduced_pair")
-    nk = neighborhood(g, k)
-    nl = neighborhood(g, l)
-    if not (nk >> l) & 1:
-        raise ValidationError(f"vertices {k} and {l} are not adjacent")
-    return (
-        (nk & ~nl & ~(1 << l)).bit_count(),
-        (nl & ~nk & ~(1 << k)).bit_count(),
-        (nk & nl).bit_count(),
-    )
-
-
-def _class_weights(cls: tuple[int, int, int], p0, p1, p2, p3) -> tuple:
-    """Weights over (1, Z_k, Z_l, Z_k Z_l) of an edge class's pair state
-    under the Pauli channel (p0, p1, p2, p3).  See reduced_pair_state."""
-    side_k, side_l, common = cls
-    vec = (1.0, 0.0, 0.0, 0.0)
-    vec = _convolve(vec, (p0, p3, p1, p2))  # channel on k
-    vec = _convolve(vec, (p0, p1, p3, p2))  # channel on l
-    strength = 1.0 - 2.0 * (p1 + p2)
-    vec = _convolve(vec, _z_flip(_ZK, strength**side_k))
-    vec = _convolve(vec, _z_flip(_ZL, strength**side_l))
-    vec = _convolve(vec, _z_flip(_ZKZL, strength**common))
-    return vec
-
-
-def reduced_pair_state(g: Graph, k: int, l: int, ch: PauliChannel) -> BellDiagonal:
-    """Two-qubit state left on the adjacent pair {k, l} after the protocol.
-
-    Everything a single-qubit Pauli channel does to the measured / kept
-    qubits collapses onto the pair as phase flips: the channel on k itself
-    becomes (1, Z_l, Z_k Z_l, Z_k) with weights (p0, p1, p2, p3) because an
-    X on k acts like Z on its surviving neighbour l (and symmetrically for
-    l); noise on a measured neighbour of exactly one of k, l becomes a
-    single-sided phase flip with strength 1 - 2(p1 + p2); noise on a common
-    neighbour flips both signs together with the same strength.  Composition
-    is XOR-convolution, and m independent flips of the same type merge into
-    one of strength (1 - 2f)^m.  So the state depends on the graph only
-    through the edge's class (side_k, side_l, common).
-    """
-    return BellDiagonal(_class_weights(_pair_class(g, k, l), *ch.probs))
+    dk, dl, ds = edge_degrees(g, k, l)
+    e_x, e_y, e_z = ch.eigenvalues
+    chi_k, chi_l, chi_kl = e_x * e_z**dk, e_x * e_z**dl, e_y * e_y * e_z ** (ds - 2)
+    return BellDiagonal((
+        (1.0 + chi_k + chi_l + chi_kl) / 4.0,
+        (1.0 - chi_k + chi_l - chi_kl) / 4.0,
+        (1.0 + chi_k - chi_l - chi_kl) / 4.0,
+        (1.0 - chi_k - chi_l + chi_kl) / 4.0,
+    ))
 
 
 def pair_state_matrix(b: BellDiagonal) -> np.ndarray:
@@ -177,27 +131,23 @@ def closed_form_threshold(
     """Level p where an edge's pair stops being NPT, from the edge's ordered
     degrees (dk, dl, ds) as edge_degrees gives them.
 
-    The edge's class (side_k, side_l, common) = (a, b, c) has degrees
-    (a + c + 1, b + c + 1, a + b + 2), one to one.  In the Z2 x Z2
-    character basis the XOR-convolutions that build the class's pair state
-    (reduced_pair_state) become products, so its three nontrivial
-    characters are powers of p and its weight on 1 is a quarter of one plus
-    their sum.  That weight, the largest near p = 1, passes 1/2 (where a
-    Bell-diagonal pair turns PPT) exactly where p^(dk+1) + p^ds + p^(dl+1)
-    = 1 (depolarizing), p^dk + p^ds + p^dl = 1 (bitflip) or p^2 + 2p = 1
-    (dephasing, root DEPHASING_THRESHOLD on every graph).  This bisects
-    that polynomial on EDGE_BRACKET.
+    Under a named channel the Pauli eigenvalues are (p^x, p^y, p^z) with
+    the exponents of NAMED_EXPONENTS, so the three characters of the pair
+    state (reduced_pair_state) are the powers p^m of
+    m = (x + z dk, x + z dl, 2y + z (ds - 2)), and its weight on 1 is a
+    quarter of one plus their sum.  That weight, the largest near p = 1,
+    passes 1/2 (where a Bell-diagonal pair turns PPT) exactly where the
+    three powers sum to 1: p^(dk+1) + p^ds + p^(dl+1) = 1 (depolarizing),
+    p^dk + p^ds + p^dl = 1 (bitflip) or 2p + p^2 = 1 (dephasing, root
+    DEPHASING_THRESHOLD on every graph).  This bisects that sum on
+    EDGE_BRACKET.
     """
-    dk, dl, ds = degrees
-    if kind == "depolarizing":
-        f = lambda p: p ** (dk + 1) + p**ds + p ** (dl + 1) - 1.0
-    elif kind == "bitflip":
-        f = lambda p: p**dk + p**ds + p**dl - 1.0
-    elif kind == "dephasing":
-        f = lambda p: p * p + 2.0 * p - 1.0
-    else:
+    if kind not in NAMED_EXPONENTS:
         raise ValidationError("closed-form threshold solves depolarizing, dephasing or bitflip")
-    return bisect(f, EDGE_BRACKET[0], EDGE_BRACKET[1], tol)
+    x, y, z = NAMED_EXPONENTS[kind]
+    dk, dl, ds = degrees
+    m1, m2, m3 = x + z * dk, x + z * dl, 2 * y + z * (ds - 2)
+    return bisect(lambda p: p**m1 + p**m3 + p**m2 - 1.0, EDGE_BRACKET[0], EDGE_BRACKET[1], tol)
 
 
 def universal_lower_bound(deg_k: int, deg_l: int) -> tuple[float, float]:
@@ -283,8 +233,9 @@ def weighted_reduced_pair(g: Graph, k: int, l: int, ch: PauliChannel) -> np.ndar
     Only the neighbours of k and l matter: the edge's pure gate state has
     entry (a, b) damped by one factor per measured neighbour, weighted by
     the channel (`_pair_coefficients` at slope 0).  At phase pi everywhere
-    this is reduced_pair_state's (1 - 2f)^count flips.  Returns the
-    normalised 4x4 matrix with qubit k as bit 0, l as bit 1.
+    each factor is 1 or the channel's e_Z, and this is reduced_pair_state's
+    pair.  Returns the normalised 4x4 matrix with qubit k as bit 0, l as
+    bit 1.
     """
     rho = _pair_coefficients(g, k, l, ch.probs, (0.0, 0.0, 0.0, 0.0))[0]
     trace = rho.trace().real

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdeco.channels import (
+    NAMED_EXPONENTS,
     SIGMA,
     ChannelFamily,
     ChannelMatrix,
@@ -24,6 +25,7 @@ from qdeco.channels import (
     minimal_dephasing_matrix,
     minimal_dephasing_pauli,
     named_channel,
+    named_probs,
     qo_snapshot,
 )
 from qdeco.errors import ValidationError
@@ -66,6 +68,27 @@ def test_named_channel_forms():
 
 def dephasing(p):
     return ChannelMatrix.from_pauli(named_channel("dephasing", p))
+
+
+@pytest.mark.parametrize("kind", sorted(NAMED_EXPONENTS))
+def test_named_exponents_are_the_pauli_eigenvalues_of_named_probs(kind):
+    # Each eigenvalue is a signed sum of probabilities of order 1, so it
+    # rounds in ulps of 1, not of its own size.
+    x, y, z = NAMED_EXPONENTS[kind]
+    for p in np.linspace(0.0, 1.0, 101):
+        p = float(p)
+        got = PauliChannel(*named_probs(kind, p)).eigenvalues
+        for e, want in zip(got, (p**x, p**y, p**z)):
+            assert abs(e - want) <= 4 * math.ulp(1.0), (p, got)
+
+
+def test_pauli_eigenvalues_of_a_general_channel():
+    ch = PauliChannel(0.5, 0.25, 0.125, 0.125)
+    assert ch.eigenvalues == (0.5, 0.25, 0.25)
+    # Each eigenvalue is the trace of sigma E(sigma) / 2 of the superoperator.
+    m = ChannelMatrix.from_pauli(ch)
+    for sigma, e in zip(SIGMA[1:], ch.eigenvalues):
+        assert np.trace(sigma @ m.apply(sigma)).real / 2 == pytest.approx(e, abs=1e-15)
 
 
 def test_compose_dephasing_multiplies():

@@ -347,6 +347,20 @@ def test_ghz_blockwise_qo(tmp_path):
     assert data[0] == "t,upper_M_qo"
 
 
+@pytest.mark.parametrize("B", ["1e-9", "1e-320"])
+def test_ghz_blockwise_qo_at_tiny_rates(tmp_path, B):
+    # a and c of the snapshot round to s and 1 - s here: the counts are
+    # huge (inf where B t underflows), never negative and never an error.
+    channel = f'{{"kind": "qo", "B": {B}, "C": 0.5, "s": 0.3}}'
+    code, _, data = run_csv(
+        tmp_path, ["ghz", "--blockwise", "--channel", channel, "--sweep", "0.1:0.3:0.1"]
+    )
+    assert code == 0
+    counts = [float(line.split(",")[1]) for line in data[1:]]
+    assert len(counts) == 3 and all(m >= 1e21 for m in counts)
+    assert all(m == math.inf for m in counts) == (B == "1e-320")
+
+
 def test_channel_from_file(tmp_path):
     spec = tmp_path / "channel.json"
     spec.write_text(json.dumps({"kind": "dephasing"}))

@@ -13,6 +13,7 @@ from qdeco.ghz import (
     GHZ_CAP,
     GhzDiagonal,
     blockwise_lower_M,
+    blockwise_lower_M_from_kt,
     blockwise_qo_upper_M,
     blockwise_upper_M,
     blockwise_upper_M_from_kt,
@@ -328,6 +329,28 @@ def test_blockwise_from_kt_stable_at_extreme_times():
         assert blockwise_upper_M_from_kt(kt) == math.inf
 
 
+def test_blockwise_counts_at_small_kt_match_a_high_precision_reference():
+    # The p forms ln((1 - p)/(1 + p)) / ln(2p/(1 + p)) and
+    # ln(2(1 - p)/(1 + p)) / ln(2p/(1 + p)) at p = e^-kt, in 60 digits.
+    mpmath = pytest.importorskip("mpmath")
+    for kt in (1e-6, 1e-8):
+        with mpmath.workdps(60):
+            p = mpmath.exp(-mpmath.mpf(kt))
+            den = mpmath.log(2 * p / (1 + p))
+            upper = float(mpmath.log((1 - p) / (1 + p)) / den)
+            lower = float(mpmath.log(2 * (1 - p) / (1 + p)) / den)
+        assert blockwise_upper_M_from_kt(kt) == pytest.approx(upper, rel=1e-14)
+        assert blockwise_lower_M_from_kt(kt) == pytest.approx(lower, rel=1e-14)
+
+
+def test_blockwise_p_forms_are_the_kt_forms_at_kt_minus_ln_p():
+    for p in (1e-300, 0.2, 0.5, 0.9, 0.99, 1.0 - 1e-12):
+        kt = -math.log(p)
+        assert blockwise_upper_M(p) == blockwise_upper_M_from_kt(kt)
+        assert blockwise_lower_M(p) == blockwise_lower_M_from_kt(kt)
+    assert blockwise_lower_M_from_kt(1e-310) == math.inf
+
+
 def test_blockwise_ordering_and_block_size_identity():
     for p in (0.2, 0.5, 0.9, 0.99):
         assert blockwise_lower_M(p) < blockwise_upper_M(p)
@@ -358,6 +381,35 @@ def test_blockwise_qo_matches_depolarizing_special_case():
         d = math.log((1 + p) / (2 * p))
         assert m_qo / m_dep == pytest.approx(2 * d / (2 * d + math.log(p)), rel=1e-9)
         assert m_qo > m_dep
+
+
+def qo_count_reference(s: float, bt: float, mpmath) -> float:
+    """ln(ac / ((1 - a)(1 - c))) / (ln(ac) + Bt) from qo_snapshot's a and c,
+    at 420 digits: enough for the 2 ln(Bt) digits the difference cancels."""
+    with mpmath.workdps(420):
+        s, bt = mpmath.mpf(s), mpmath.mpf(bt)
+        e = mpmath.exp(-bt)
+        a, c = s + (1 - s) * e, (1 - s) + s * e
+        return float(mpmath.log(a * c / ((1 - a) * (1 - c))) / (mpmath.log(a * c) + bt))
+
+
+def test_blockwise_qo_matches_a_high_precision_reference():
+    # a and c round to 1.0 and 0.0 long before Bt does; the count, about
+    # ln(1/(r Bt^2)) / (r Bt^2) with r = s(1 - s) for small Bt, must follow.
+    mpmath = pytest.importorskip("mpmath")
+    bts = [10.0 ** (k / 4) for k in range(-600, 12)] + [0.999, 1.0, 1.001, 30.0, 40.0, 700.0]
+    for s in (0.05, 0.3, 0.5, 0.9):
+        ch = QoChannel(B=1.0, C=0.5, s=s)
+        for bt in bts:
+            want = qo_count_reference(s, bt, mpmath)
+            assert blockwise_qo_upper_M(ch, bt) == pytest.approx(want, rel=1e-13), (s, bt)
+
+
+def test_blockwise_qo_never_raises_where_bt_underflows():
+    # B t below the smallest double: the count is inf, not an error.
+    for B in (1e-320, 5e-324):
+        assert blockwise_qo_upper_M(QoChannel(B=B, C=0.5, s=0.3), 0.1) == math.inf
+    assert blockwise_qo_upper_M(QoChannel(B=1.0, C=0.5, s=0.3), 800.0) == 0.0
 
 
 def test_blockwise_qo_zero_temperature_is_unbounded():

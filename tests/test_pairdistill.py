@@ -86,6 +86,42 @@ def test_reduced_pair_matches_dense(lattice, args, k, l):
         assert np.allclose(got, want, atol=1e-12)
 
 
+def phase_flip_chain(g, k, l, ch):
+    """Reference: the pair as a chain of phase flips over (1, Z_k, Z_l,
+    Z_k Z_l), composed by XOR-convolution.  The channel on k acts as
+    (1, Z_l, Z_k Z_l, Z_k) with weights (p0, p1, p2, p3), and symmetrically
+    on l; noise on a measured neighbour of k alone, of l alone or of both
+    flips Z_k, Z_l or Z_k Z_l with strength 1 - 2(p1 + p2)."""
+    def convolve(a, b):
+        return [sum(a[x] * b[m ^ x] for x in range(4)) for m in range(4)]
+
+    def flip(index, strength):
+        out = [(1.0 + strength) / 2.0, 0.0, 0.0, 0.0]
+        out[index] += (1.0 - strength) / 2.0
+        return out
+
+    p0, p1, p2, p3 = ch.probs
+    nk, nl = neighborhood(g, k), neighborhood(g, l)
+    strength = 1.0 - 2.0 * (p1 + p2)
+    vec = convolve([1.0, 0.0, 0.0, 0.0], [p0, p3, p1, p2])
+    vec = convolve(vec, [p0, p1, p3, p2])
+    vec = convolve(vec, flip(1, strength ** (nk & ~nl & ~(1 << l)).bit_count()))
+    vec = convolve(vec, flip(2, strength ** (nl & ~nk & ~(1 << k)).bit_count()))
+    return convolve(vec, flip(3, strength ** (nk & nl).bit_count()))
+
+
+def test_reduced_pair_is_the_phase_flip_chain():
+    rng = random.Random(11)
+    kinds = ("depolarizing", "dephasing", "bitflip")
+    for i in range(400):
+        g = random_connected_graph(rng, rng.randint(2, 9))
+        k, l = rng.choice(g.edges())[:: rng.choice((1, -1))]
+        ch = random_pauli_channel(rng) if i % 2 else named_channel(rng.choice(kinds), rng.random())
+        got = reduced_pair_state(g, k, l, ch).c
+        want = phase_flip_chain(g, k, l, ch)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15, (g.edges(), k, l, ch)
+
+
 def test_reduced_pair_rejects_bad_input():
     g = make_lattice("ring", 5)
     with pytest.raises(ValidationError):
@@ -211,6 +247,24 @@ def test_dephasing_condition_is_graph_independent():
         for p in (DEPHASING_THRESHOLD - 1e-6, DEPHASING_THRESHOLD + 1e-6):
             b = reduced_pair_state(g, *g.edges()[0], named_channel("dephasing", p))
             assert (max(b.c) > 0.5) == (p > DEPHASING_THRESHOLD)
+
+
+def test_closed_form_threshold_is_the_per_family_polynomial_root():
+    # The per-family polynomials that the exponent table replaced, solved
+    # the same way, for every realizable triple (class (a, b, c) has
+    # degrees (a + c + 1, b + c + 1, a + b + 2)) with dk, dl <= 12.
+    polynomials = {
+        "depolarizing": lambda dk, dl, ds: lambda p: p ** (dk + 1) + p**ds + p ** (dl + 1) - 1.0,
+        "bitflip": lambda dk, dl, ds: lambda p: p**dk + p**ds + p**dl - 1.0,
+        "dephasing": lambda dk, dl, ds: lambda p: p * p + 2.0 * p - 1.0,
+    }
+    for kind, polynomial in polynomials.items():
+        for c in range(12):
+            for a in range(12 - c):
+                for b in range(12 - c):
+                    degrees = (a + c + 1, b + c + 1, a + b + 2)
+                    want = bisect(polynomial(*degrees), *EDGE_BRACKET, DEFAULT_TOL)
+                    assert closed_form_threshold(kind, degrees) == want, (kind, degrees)
 
 
 def test_closed_form_validation():
@@ -546,7 +600,11 @@ def test_lower_bound_bisects_each_edge_class_once(monkeypatch, spec, bisections)
 
 
 def test_stacked_weight_rows_are_checked_as_bell_diagonal_checks_them():
-    good = pairdistill._class_weights((2, 1, 1), *named_probs("depolarizing", 0.7))
+    # Edge (0, 1) has two neighbours of 0 alone, one of 1 alone and one
+    # common neighbour: degrees (4, 3, 5).
+    g = graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (1, 5)])
+    assert edge_degrees(g, 0, 1) == (4, 3, 5)
+    good = reduced_pair_state(g, 0, 1, named_channel("depolarizing", 0.7)).c
     negative = (1.0 + 1e-9, -1e-9, 0.0, 0.0)
     off_sum = (0.5, 0.25, 0.25, 1e-9)
     cases = [(negative, "negative weight"), (off_sum, "not 1")]
